@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccessDeniedError, BudgetExhaustedError
+from .errors import AccessDeniedError, BudgetExhaustedError, check_json_types
 from .prompt_space import PriorSpec, ProjectionSpec, make_projection, project, sample_prior
 
 MODE_LOGITS = "logits"
@@ -136,13 +136,10 @@ class SyntheticSimulator:
     """Query handle binding a frozen classifier to a projection.
 
     Immutable except for the budget counter, so concurrent readers are safe.
-    ``logit_hook`` is a test-only escape hatch applied to raw logits before
-    decoding; production code never sets it.
     """
 
     def __init__(self, classifier: FrozenClassifier, projection: ProjectionSpec,
-                 allow_logits: bool = True, budget: EvalBudget | None = None,
-                 logit_hook=None):
+                 allow_logits: bool = True, budget: EvalBudget | None = None):
         if projection.prompt_dim != classifier.prompt_dim:
             raise ValueError(
                 f"projection prompt_dim {projection.prompt_dim} != classifier "
@@ -151,7 +148,6 @@ class SyntheticSimulator:
         self.projection = projection
         self.allow_logits = allow_logits
         self.budget = budget if budget is not None else EvalBudget()
-        self.logit_hook = logit_hook
 
     @property
     def classes(self) -> int:
@@ -175,10 +171,7 @@ class SyntheticSimulator:
             raise ValueError(
                 f"inputs have {inputs.shape[1]} features, expected {self.feature_dim}")
         self.budget.charge(len(inputs))
-        logits = self.classifier.logits(project(self.projection, z), inputs)
-        if self.logit_hook is not None:
-            logits = self.logit_hook(logits)
-        return logits
+        return self.classifier.logits(project(self.projection, z), inputs)
 
     def query_logits(self, z: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Class probability vector per input, shape (n, classes)."""
@@ -259,13 +252,12 @@ class SyntheticTask:
     far_ood: np.ndarray
     z_star: np.ndarray
 
-    def simulator(self, allow_logits: bool = True, budget_limit: int | None = None,
-                  logit_hook=None) -> SyntheticSimulator:
+    def simulator(self, allow_logits: bool = True,
+                  budget_limit: int | None = None) -> SyntheticSimulator:
         """A fresh query handle with its own budget counter."""
         return SyntheticSimulator(self.classifier, self.projection,
                                   allow_logits=allow_logits,
-                                  budget=EvalBudget(limit=budget_limit),
-                                  logit_hook=logit_hook)
+                                  budget=EvalBudget(limit=budget_limit))
 
 
 def _flip_labels(labels: np.ndarray, fraction: float, classes: int,
@@ -341,6 +333,7 @@ def task_config_from_dict(payload: dict) -> TaskConfig:
     extra = set(payload) - set(TaskConfig.__dataclass_fields__)
     if extra:
         raise ValueError(f"unknown task config keys: {sorted(extra)}")
+    check_json_types(TaskConfig, payload)
     return TaskConfig(**payload)
 
 

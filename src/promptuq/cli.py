@@ -18,8 +18,8 @@ from . import estimators, predictive, uqeval
 from .blackbox import make_synthetic_task, task_config_from_dict, task_config_to_dict
 from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      ProtocolError, StagnationError)
-from .experiment import (compare_methods, experiment_config_from_dict,
-                         run_experiment)
+from .experiment import (compare_methods, evaluate_ood, evaluate_selective,
+                         experiment_config_from_dict, run_experiment)
 from .prompt_space import sample_prior
 from .protocol import serve_stdio, serve_tcp
 
@@ -27,11 +27,14 @@ from .protocol import serve_stdio, serve_tcp
 def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError("config", f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config", f"{path} must hold a JSON object")
+    return data
 
 
 def _load_task(path):
@@ -113,30 +116,17 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    summary = {}
     if args.pred_ood:
         id_table = predictive.load_predictive_csv(args.pred)
         ood_table = predictive.load_predictive_csv(args.pred_ood)
-        for score in uqeval.SCORES:
-            report = uqeval.ood_detection_eval(id_table.probs, ood_table.probs, score)
-            summary[f"aurrrc_{score}"] = report.aurrrc
-            summary["lower_bound"] = report.lower_bound
-            uqeval.save_curve_csv(report.curve,
-                                  os.path.join(args.out, f"curve_ood_{score}.csv"))
+        summary = evaluate_ood(id_table.probs, ood_table.probs, args.out, "ood", {})
     else:
         if not args.task:
             raise ConfigError("task", "selective evaluation needs --task for labels")
         task = make_synthetic_task(_load_task(args.task))
         labels = task.test.y if args.split == "test" else task.train.y
         table = predictive.load_predictive_csv(args.pred)
-        for score in uqeval.SCORES:
-            report = uqeval.selective_classification_eval(table.probs, labels, score)
-            summary[f"aurrrc_{score}"] = report.aurrrc
-            summary["lower_bound"] = report.lower_bound
-            summary["accuracy"] = report.accuracy
-            summary["ece"] = report.ece
-            uqeval.save_curve_csv(
-                report.curve, os.path.join(args.out, f"curve_selective_{score}.csv"))
+        summary = evaluate_selective(table.probs, labels, args.out, {})
     path = os.path.join(args.out, "eval.json")
     uqeval.save_summary_json(summary, path)
     print(f"wrote {path}")

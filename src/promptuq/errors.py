@@ -4,6 +4,8 @@ Plain ``ValueError`` is used for dimension and argument validation; the
 classes here mark domain events a caller may want to catch and handle.
 """
 
+from dataclasses import fields
+
 
 class AccessDeniedError(RuntimeError):
     """A labels-only simulator was asked for class probabilities."""
@@ -56,3 +58,15 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+def check_json_types(cls, values: dict, path: str = "") -> None:
+    """Raise ConfigError unless each of ``values`` has the type annotated on the
+    same-named field of dataclass ``cls`` (int, float, str, None; a bool is no number)."""
+    kinds = {"int": int, "float": (int, float), "str": str, "None": type(None)}
+    for f in fields(cls):
+        value = values.get(f.name)
+        if f.name in values and (isinstance(value, bool) or not any(
+                isinstance(value, kinds[kind]) for kind in f.type.split(" | "))):
+            raise ConfigError(f"{path}{f.name}",
+                              f"must be {f.type}, got {type(value).__name__}")

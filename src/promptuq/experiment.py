@@ -1,5 +1,9 @@
 """Experiment orchestration: config validation, method dispatch, reporting.
 
+Each method is one row of the private ``_REGISTRY``: its params dataclass
+(fields and defaults are its JSON ``params`` keys and defaults), its runner,
+and its access regime, which picks its simulator and predictive path.
+
 Every run is a pure function of (config, seed): the task is rebuilt from its
 config, methods consume named substreams of the experiment seed, and all
 artifacts (summary JSON, posterior NDJSON, curve CSVs) are written with
@@ -10,7 +14,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -19,42 +24,15 @@ from .abc_smc import (WEIGHT_IMPORTANCE, WEIGHT_UNIFORM, SmcConfig, abc_smc,
                       initial_tolerance, rejection_abc)
 from .blackbox import (LabeledSet, SyntheticTask, TaskConfig, make_synthetic_task,
                        task_config_from_dict, task_config_to_dict)
-from .errors import ConfigError
+from .errors import ConfigError, check_json_types
 from .prompt_space import PriorSpec
 from .protocol import ExternalSimulator
-
-METHOD_POINT = "point_cmaes"
-METHOD_ENSEMBLES = "ensembles"
-METHOD_GFVI = "gfvi"
-METHOD_REJECTION = "rejection_abc"
-METHOD_SMC = "abc_smc"
-METHODS = (METHOD_POINT, METHOD_ENSEMBLES, METHOD_GFVI, METHOD_REJECTION, METHOD_SMC)
-LIKELIHOOD_METHODS = (METHOD_POINT, METHOD_ENSEMBLES, METHOD_GFVI)
-LABELS_METHODS = (METHOD_REJECTION, METHOD_SMC)
 
 EVAL_CALIBRATION = "calibration"
 EVAL_SELECTIVE = "selective"
 EVAL_NEAR_OOD = "near_ood"
 EVAL_FAR_OOD = "far_ood"
 EVALUATIONS = (EVAL_CALIBRATION, EVAL_SELECTIVE, EVAL_NEAR_OOD, EVAL_FAR_OOD)
-
-DEFAULT_SAMPLE_COUNT = {
-    METHOD_POINT: 1,
-    METHOD_ENSEMBLES: 10,
-    METHOD_GFVI: 100,
-    METHOD_REJECTION: 100,
-    METHOD_SMC: 100,
-}
-
-_PARAM_KEYS = {
-    METHOD_POINT: {"population_size", "max_generations", "sigma0"},
-    METHOD_ENSEMBLES: {"population_size", "max_generations", "sigma0", "sample_count"},
-    METHOD_GFVI: {"population_size", "max_generations", "sample_count",
-                  "mc_samples", "search_step"},
-    METHOD_REJECTION: {"sample_count", "epsilon", "max_draws"},
-    METHOD_SMC: {"sample_count", "smc_iterations", "weight_scheme",
-                 "max_attempts", "variance_floor"},
-}
 
 
 @dataclass(frozen=True)
@@ -64,8 +42,7 @@ class ExternalTaskSpec:
     argv: tuple[str, ...] | None
     host: str | None
     port: int | None
-    prior_dim: int
-    prior_sigma: float
+    prior: PriorSpec
     datasets: dict[str, str]  # split name -> ndjson path
 
 
@@ -74,24 +51,12 @@ class ExperimentConfig:
     task: TaskConfig | ExternalTaskSpec
     method: str
     seed: int
+    params: object  # an instance of the method's params dataclass
     evaluation: tuple[str, ...] = EVALUATIONS
     predictive_mode: str | None = None
-    sample_count: int | None = None
-    population_size: int = 20
-    max_generations: int = 300
-    sigma0: float | None = None
-    mc_samples: int = 10
-    search_step: float = 0.3
-    smc_iterations: int = 10
-    weight_scheme: str = WEIGHT_IMPORTANCE
-    max_attempts: int = 10_000
-    variance_floor: float = 1e-8
-    epsilon: float | None = None
-    max_draws: int = 100_000
 
     def resolved_sample_count(self) -> int:
-        return (self.sample_count if self.sample_count is not None
-                else DEFAULT_SAMPLE_COUNT[self.method])
+        return self.params.sample_count
 
 
 def _require(payload: dict, key: str, path: str):
@@ -100,34 +65,47 @@ def _require(payload: dict, key: str, path: str):
     return payload[key]
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, "must be a JSON object")
+    return value
+
+
 def external_task_from_dict(payload: dict) -> ExternalTaskSpec:
-    endpoint = _require(payload, "endpoint", "task.")
+    endpoint = _object(_require(payload, "endpoint", "task."), "task.endpoint")
     argv = endpoint.get("argv")
     host = endpoint.get("host")
     port = endpoint.get("port")
-    if argv is None and (host is None or port is None):
-        raise ConfigError("task.endpoint", "need either argv or host+port")
-    prior = _require(payload, "prior", "task.")
-    datasets = _require(payload, "datasets", "task.")
+    if argv is None and not (isinstance(host, str) and type(port) is int):
+        raise ConfigError("task.endpoint", "need argv, or a string host and integer port")
+    if argv is not None and not (isinstance(argv, list) and argv
+                                 and all(isinstance(arg, str) for arg in argv)):
+        raise ConfigError("task.endpoint.argv", "must be a nonempty list of strings")
+    prior = _object(_require(payload, "prior", "task."), "task.prior")
+    check_json_types(PriorSpec, prior, "task.prior.")
+    try:
+        prior = PriorSpec(_require(prior, "dim", "task.prior."),
+                          _require(prior, "sigma", "task.prior."))
+    except ValueError as exc:
+        raise ConfigError("task.prior", str(exc)) from exc
+    datasets = _object(_require(payload, "datasets", "task."), "task.datasets")
     if "train" not in datasets:
         raise ConfigError("task.datasets.train", "missing required field")
-    return ExternalTaskSpec(
-        argv=tuple(argv) if argv is not None else None,
-        host=host, port=port,
-        prior_dim=int(_require(prior, "dim", "task.prior.")),
-        prior_sigma=float(_require(prior, "sigma", "task.prior.")),
-        datasets=dict(datasets))
+    if not all(isinstance(path, str) for path in datasets.values()):
+        raise ConfigError("task.datasets", "every split must name a file")
+    return ExternalTaskSpec(argv=tuple(argv) if argv is not None else None,
+                            host=host, port=port, prior=prior, datasets=dict(datasets))
 
 
 def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
-    method = _require(payload, "method", "")
+    method = _require(_object(payload, "config"), "method", "")
     if method not in METHODS:
         raise ConfigError("method", f"unknown method {method!r}; choose from {METHODS}")
-    if "seed" not in payload:
-        raise ConfigError("seed", "a seed is mandatory")
-    seed = int(payload["seed"])
+    seed = _require(payload, "seed", "")
+    if type(seed) is not int or seed < 0:
+        raise ConfigError("seed", "must be a non-negative integer")
 
-    task_payload = _require(payload, "task", "")
+    task_payload = _object(_require(payload, "task", ""), "task")
     if "endpoint" in task_payload:
         task = external_task_from_dict(task_payload)
     else:
@@ -136,7 +114,9 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError("task", str(exc)) from exc
 
-    evaluation = tuple(payload.get("evaluation", EVALUATIONS))
+    evaluation = payload.get("evaluation", EVALUATIONS)
+    if not isinstance(evaluation, (list, tuple)):
+        raise ConfigError("evaluation", f"must be a list drawn from {EVALUATIONS}")
     for name in evaluation:
         if name not in EVALUATIONS:
             raise ConfigError("evaluation", f"unknown evaluation {name!r}")
@@ -144,27 +124,34 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
     predictive_mode = payload.get("predictive_mode")
     if predictive_mode not in (None, "logits", "labels"):
         raise ConfigError("predictive_mode", f"must be 'logits' or 'labels'")
-    if predictive_mode == "logits" and method in LABELS_METHODS:
+    if predictive_mode == "logits" and _REGISTRY[method].regime == "labels":
         raise ConfigError(
             "predictive_mode",
             f"{method} is likelihood-free: its predictive distribution uses the "
             f"labels path, probabilities are not observed")
 
-    params = dict(payload.get("params", {}))
-    allowed = _PARAM_KEYS[method]
-    for key in params:
-        if key not in allowed:
-            raise ConfigError(f"params.{key}", f"not a parameter of {method}")
-
-    config = ExperimentConfig(task=task, method=method, seed=seed,
-                              evaluation=evaluation, predictive_mode=predictive_mode,
-                              **params)
-    if config.weight_scheme not in (WEIGHT_IMPORTANCE, WEIGHT_UNIFORM):
+    params = _object(payload.get("params", {}), "params")
+    params_class = _REGISTRY[method].params
+    unknown = sorted(params.keys() - {f.name for f in fields(params_class)})
+    if unknown:
+        raise ConfigError(f"params.{unknown[0]}", f"not a parameter of {method}")
+    # a key means the same for every method that takes it
+    check_json_types(params_class, params, "params.")
+    for key, value in params.items():
+        if isinstance(value, (int, float)) and not value > 0:
+            raise ConfigError(f"params.{key}", "must be positive")
+    if params.get("population_size", 2) < 2:
+        raise ConfigError("params.population_size", "must be at least 2")
+    if (params.get("epsilon") or 0.0) > 1.0:
+        raise ConfigError("params.epsilon", "must be at most 1")
+    if params.get("weight_scheme") not in (None, WEIGHT_IMPORTANCE, WEIGHT_UNIFORM):
         raise ConfigError("params.weight_scheme",
                           f"must be '{WEIGHT_IMPORTANCE}' or '{WEIGHT_UNIFORM}'")
-    if config.sample_count is not None and config.sample_count < 1:
-        raise ConfigError("params.sample_count", "must be positive")
-    return config
+
+    return ExperimentConfig(task=task, method=method, seed=seed,
+                            evaluation=tuple(evaluation),
+                            predictive_mode=predictive_mode,
+                            params=params_class(**params))
 
 
 def load_labeled_ndjson(path) -> LabeledSet:
@@ -196,8 +183,7 @@ def _open_context(config: ExperimentConfig) -> RunContext:
     task = config.task
     if isinstance(task, TaskConfig):
         built: SyntheticTask = make_synthetic_task(task)
-        allow_logits = config.method in LIKELIHOOD_METHODS
-        sim = built.simulator(allow_logits=allow_logits)
+        sim = built.simulator(allow_logits=_REGISTRY[config.method].regime == "logits")
         return RunContext(sim=sim, prior=built.prior, train=built.train,
                           test=built.test, near_ood=built.near_ood,
                           far_ood=built.far_ood)
@@ -207,62 +193,142 @@ def _open_context(config: ExperimentConfig) -> RunContext:
         sim = ExternalSimulator.connect(task.host, task.port)
     splits = {name: load_labeled_ndjson(path) for name, path in task.datasets.items()}
     return RunContext(
-        sim=sim, prior=PriorSpec(task.prior_dim, task.prior_sigma),
+        sim=sim, prior=task.prior,
         train=splits["train"], test=splits.get("test"),
         near_ood=splits["near_ood"].X if "near_ood" in splits else None,
         far_ood=splits["far_ood"].X if "far_ood" in splits else None,
         close=sim.close)
 
 
-def _run_method(config: ExperimentConfig, ctx: RunContext,
-                trace_path: str | None) -> estimators.PosteriorEnsemble:
-    es = estimators.EsConfig(population_size=config.population_size,
-                             max_generations=config.max_generations,
-                             sigma0=config.sigma0)
-    count = config.resolved_sample_count()
-    if config.method == METHOD_POINT:
-        return estimators.point_estimate(ctx.sim, ctx.train, ctx.prior, es,
-                                         seed=config.seed, trace_path=trace_path)
-    if config.method == METHOD_ENSEMBLES:
-        seeds = estimators.derive_seeds(config.seed, count)
-        return estimators.ensemble_tune(ctx.sim, ctx.train, ctx.prior, es,
-                                        seeds=seeds, trace_path=trace_path)
-    if config.method == METHOD_GFVI:
-        return estimators.gfvi_tune(ctx.sim, ctx.train, ctx.prior, es,
-                                    mc_samples=config.mc_samples,
-                                    sample_count=count, seed=config.seed,
-                                    search_step=config.search_step,
-                                    trace_path=trace_path)
-    if config.method == METHOD_REJECTION:
-        epsilon = config.epsilon
-        if epsilon is None:
-            epsilon = initial_tolerance(
-                ctx.sim, ctx.prior, ctx.train,
-                np.random.default_rng(np.random.SeedSequence(config.seed,
-                                                             spawn_key=(0, 0))))
-        return rejection_abc(ctx.sim, ctx.prior, ctx.train, epsilon,
-                                 count=count, max_draws=config.max_draws,
-                                 seed=config.seed)
-    if config.method == METHOD_SMC:
-        cfg = SmcConfig(particle_count=count,
-                            max_iterations=config.smc_iterations,
-                            weight_scheme=config.weight_scheme,
-                            max_attempts_per_particle=config.max_attempts,
-                            variance_floor=config.variance_floor)
-        return abc_smc(ctx.sim, ctx.prior, ctx.train, cfg, seed=config.seed,
-                           trace_path=trace_path)
-    raise ConfigError("method", f"unknown method {config.method!r}")
+@dataclass(frozen=True)
+class _PointParams:
+    population_size: int = 20
+    max_generations: int = 300
+    sigma0: float | None = None  # None: the prior standard deviation
+    sample_count: ClassVar[int] = 1  # one fit; not a parameter of point_cmaes
+
+
+@dataclass(frozen=True)
+class _EnsembleParams(_PointParams):
+    sample_count: int = 10
+
+
+@dataclass(frozen=True)
+class _GfviParams:
+    population_size: int = 20
+    max_generations: int = 300
+    sample_count: int = 100
+    mc_samples: int = 10
+    search_step: float = 0.3
+
+
+@dataclass(frozen=True)
+class _RejectionParams:
+    sample_count: int = 100
+    epsilon: float | None = None  # None: the error rate of one prior draw
+    max_draws: int = 100_000
+
+
+@dataclass(frozen=True)
+class _SmcParams:
+    sample_count: int = 100
+    smc_iterations: int = 10
+    weight_scheme: str = WEIGHT_IMPORTANCE
+    max_attempts: int = 10_000
+    variance_floor: float = 1e-8
+
+
+# Runners look inference functions up at call time, so patching them works.
+def _run_point(p: _PointParams, ctx: RunContext, seed: int, trace_path):
+    es = estimators.EsConfig(p.population_size, p.max_generations, p.sigma0)
+    return estimators.point_estimate(ctx.sim, ctx.train, ctx.prior, es,
+                                     seed=seed, trace_path=trace_path)
+
+
+def _run_ensembles(p: _EnsembleParams, ctx: RunContext, seed: int, trace_path):
+    es = estimators.EsConfig(p.population_size, p.max_generations, p.sigma0)
+    seeds = estimators.derive_seeds(seed, p.sample_count)
+    return estimators.ensemble_tune(ctx.sim, ctx.train, ctx.prior, es,
+                                    seeds=seeds, trace_path=trace_path)
+
+
+def _run_gfvi(p: _GfviParams, ctx: RunContext, seed: int, trace_path):
+    es = estimators.EsConfig(p.population_size, p.max_generations)
+    return estimators.gfvi_tune(ctx.sim, ctx.train, ctx.prior, es, mc_samples=p.mc_samples,
+                                sample_count=p.sample_count, seed=seed,
+                                search_step=p.search_step, trace_path=trace_path)
+
+
+def _run_rejection(p: _RejectionParams, ctx: RunContext, seed: int, trace_path):
+    epsilon = p.epsilon
+    if epsilon is None:
+        epsilon = initial_tolerance(
+            ctx.sim, ctx.prior, ctx.train,
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0))))
+    return rejection_abc(ctx.sim, ctx.prior, ctx.train, epsilon,
+                         count=p.sample_count, max_draws=p.max_draws, seed=seed)
+
+
+def _run_smc(p: _SmcParams, ctx: RunContext, seed: int, trace_path):
+    cfg = SmcConfig(particle_count=p.sample_count, max_iterations=p.smc_iterations,
+                    weight_scheme=p.weight_scheme, max_attempts_per_particle=p.max_attempts,
+                    variance_floor=p.variance_floor)
+    return abc_smc(ctx.sim, ctx.prior, ctx.train, cfg, seed=seed, trace_path=trace_path)
+
+
+class _Method(NamedTuple):
+    params: type
+    run: Callable[..., estimators.PosteriorEnsemble]
+    regime: str  # "logits" or "labels": what the simulator may reveal
+
+
+_REGISTRY = {
+    "point_cmaes": _Method(_PointParams, _run_point, "logits"),
+    "ensembles": _Method(_EnsembleParams, _run_ensembles, "logits"),
+    "gfvi": _Method(_GfviParams, _run_gfvi, "logits"),
+    "rejection_abc": _Method(_RejectionParams, _run_rejection, "labels"),
+    "abc_smc": _Method(_SmcParams, _run_smc, "labels"),
+}
+METHODS = tuple(_REGISTRY)
 
 
 def _predictive(config: ExperimentConfig, ctx: RunContext,
                 ensemble: estimators.PosteriorEnsemble,
                 inputs: np.ndarray) -> predictive.PredictiveTable:
-    mode = config.predictive_mode
-    if mode is None:
-        mode = "logits" if config.method in LIKELIHOOD_METHODS else "labels"
+    mode = config.predictive_mode or _REGISTRY[config.method].regime
     if mode == "logits":
         return predictive.predictive_from_logits(ensemble, ctx.sim, inputs)
     return predictive.predictive_from_labels(ensemble, ctx.sim, inputs)
+
+
+def _save_curve(curve, out_dir: str | None, name: str, files: dict) -> None:
+    if out_dir is not None:
+        files[name] = os.path.join(out_dir, f"{name}.csv")
+        uqeval.save_curve_csv(curve, files[name])
+
+
+def evaluate_selective(probs: np.ndarray, labels: np.ndarray, out_dir: str | None,
+                       files: dict[str, str]) -> dict:
+    """Accuracy, ECE, lower bound, AURRRCs; curves to ``out_dir`` unless None."""
+    metrics = {}
+    for score in uqeval.SCORES:
+        report = uqeval.selective_classification_eval(probs, labels, score)
+        metrics.update({f"aurrrc_{score}": report.aurrrc, "accuracy": report.accuracy,
+                        "ece": report.ece, "lower_bound": report.lower_bound})
+        _save_curve(report.curve, out_dir, f"curve_selective_{score}", files)
+    return metrics
+
+
+def evaluate_ood(id_probs: np.ndarray, ood_probs: np.ndarray, out_dir: str,
+                 prefix: str, files: dict[str, str]) -> dict:
+    """OOD-detection lower bound and AURRRCs; curves to ``out_dir``."""
+    metrics = {}
+    for score in uqeval.SCORES:
+        report = uqeval.ood_detection_eval(id_probs, ood_probs, score)
+        metrics.update({f"aurrrc_{score}": report.aurrrc,
+                        "lower_bound": report.lower_bound})
+        _save_curve(report.curve, out_dir, f"curve_{prefix}_{score}", files)
+    return metrics
 
 
 @dataclass
@@ -282,7 +348,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str,
     ctx = _open_context(config)
     files: dict[str, str] = {}
     try:
-        ensemble = _run_method(config, ctx, trace_path)
+        ensemble = _REGISTRY[config.method].run(config.params, ctx, config.seed,
+                                                trace_path)
 
         posterior_path = os.path.join(out_dir, "posterior.ndjson")
         estimators.save_ensemble(ensemble, posterior_path)
@@ -301,27 +368,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str,
         if isinstance(config.task, TaskConfig):
             summary["task"] = task_config_to_dict(config.task)
 
-        test_table = None
         if config.evaluation:
             if ctx.test is None:
                 raise ConfigError("evaluation", "no test split available")
             test_table = _predictive(config, ctx, ensemble, ctx.test.X)
 
         if EVAL_CALIBRATION in config.evaluation or EVAL_SELECTIVE in config.evaluation:
-            base = uqeval.selective_classification_eval(
-                test_table.probs, ctx.test.y, uqeval.SCORE_ENTROPY)
-            summary["accuracy"] = base.accuracy
+            selective = EVAL_SELECTIVE in config.evaluation
+            block = evaluate_selective(test_table.probs, ctx.test.y,
+                                       out_dir if selective else None, files)
+            summary["accuracy"], ece = block.pop("accuracy"), block.pop("ece")
             if EVAL_CALIBRATION in config.evaluation:
-                summary["ece"] = base.ece
-            if EVAL_SELECTIVE in config.evaluation:
-                block = {"lower_bound": base.lower_bound}
-                for score in uqeval.SCORES:
-                    report = uqeval.selective_classification_eval(
-                        test_table.probs, ctx.test.y, score)
-                    block[f"aurrrc_{score}"] = report.aurrrc
-                    curve_path = os.path.join(out_dir, f"curve_selective_{score}.csv")
-                    uqeval.save_curve_csv(report.curve, curve_path)
-                    files[f"curve_selective_{score}"] = curve_path
+                summary["ece"] = ece
+            if selective:
                 summary["selective"] = block
 
         for name, inputs in ((EVAL_NEAR_OOD, ctx.near_ood),
@@ -331,16 +390,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str,
             if inputs is None:
                 raise ConfigError("evaluation", f"no {name} split available")
             ood_table = _predictive(config, ctx, ensemble, inputs)
-            block = {}
-            for score in uqeval.SCORES:
-                report = uqeval.ood_detection_eval(test_table.probs, ood_table.probs,
-                                                   score)
-                block[f"aurrrc_{score}"] = report.aurrrc
-                block["lower_bound"] = report.lower_bound
-                curve_path = os.path.join(out_dir, f"curve_{name}_{score}.csv")
-                uqeval.save_curve_csv(report.curve, curve_path)
-                files[f"curve_{name}_{score}"] = curve_path
-            summary[name] = block
+            summary[name] = evaluate_ood(test_table.probs, ood_table.probs,
+                                         out_dir, name, files)
 
         summary["simulator_calls"] = ctx.sim.budget.used
         summary_path = os.path.join(out_dir, "summary.json")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import CRITERION_TASK, build_fixed_probs_simulator
-from promptuq.blackbox import (TaskConfig, make_synthetic_task,
+from promptuq.blackbox import (SyntheticSimulator, TaskConfig, make_synthetic_task,
                                task_config_from_dict, task_config_to_dict)
 from promptuq.errors import AccessDeniedError, BudgetExhaustedError
 from promptuq.estimators import EsConfig, point_estimate
@@ -61,9 +61,16 @@ def test_sample_decode_requires_rng(uniform_sim):
         uniform_sim.query_labels(np.zeros(4), np.zeros((1, 4)), decode="sample")
 
 
+class AffineLogitSimulator(SyntheticSimulator):
+    """Applies the increasing map 3 * logits + 1 before decoding."""
+
+    def _raw_logits(self, z, inputs):
+        return 3.0 * super()._raw_logits(z, inputs) + 1.0
+
+
 def test_argmax_invariant_under_increasing_logit_transform(criterion_task):
     plain = criterion_task.simulator()
-    hooked = criterion_task.simulator(logit_hook=lambda logits: 3.0 * logits + 1.0)
+    hooked = AffineLogitSimulator(criterion_task.classifier, criterion_task.projection)
     rng = np.random.default_rng(6)
     for _ in range(10):
         z = rng.normal(size=8) * 50

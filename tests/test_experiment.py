@@ -1,14 +1,18 @@
+import copy
 import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptuq.blackbox import make_synthetic_task, task_config_from_dict
 from promptuq.cli import main
 from promptuq.errors import ConfigError
-from promptuq.experiment import (compare_methods, experiment_config_from_dict,
-                                 load_labeled_ndjson, run_experiment)
+from promptuq.experiment import (METHODS, compare_methods,
+                                 experiment_config_from_dict, load_labeled_ndjson,
+                                 run_experiment)
 
 SMALL_TASK = {"subspace_dim": 4, "prompt_dim": 32, "feature_dim": 8,
               "classes": 2, "hidden": 16, "n_train": 16, "n_test": 24,
@@ -212,7 +216,101 @@ def test_experiment_against_external_endpoint(tmp_path):
 
 
 def test_default_sample_counts_per_method():
-    from promptuq.experiment import DEFAULT_SAMPLE_COUNT
-    assert DEFAULT_SAMPLE_COUNT == {"point_cmaes": 1, "ensembles": 10,
-                                    "gfvi": 100, "rejection_abc": 100,
-                                    "abc_smc": 100}
+    counts = {method: experiment_config_from_dict(payload(method)).resolved_sample_count()
+              for method in METHODS}
+    assert counts == {"point_cmaes": 1, "ensembles": 10, "gfvi": 100,
+                      "rejection_abc": 100, "abc_smc": 100}
+
+
+EXTERNAL_TASK = {"endpoint": {"argv": ["simulator"]},
+                 "prior": {"dim": 4, "sigma": 50.0},
+                 "datasets": {"train": "train.ndjson"}}
+
+
+@pytest.mark.parametrize("config, field", [
+    (payload("point_cmaes", population_size="20"), "params.population_size"),
+    (payload("point_cmaes", max_generations=2.5), "params.max_generations"),
+    (payload("point_cmaes", sigma0=-1), "params.sigma0"),
+    (payload("gfvi", mc_samples=0), "params.mc_samples"),
+    (payload("rejection_abc", epsilon=2.0), "params.epsilon"),
+    (payload("rejection_abc", max_draws=0), "params.max_draws"),
+    (payload("abc_smc", smc_iterations=0), "params.smc_iterations"),
+    (payload("abc_smc", variance_floor=0), "params.variance_floor"),
+    ({**payload("point_cmaes"), "seed": "x"}, "seed"),
+    ({**payload("point_cmaes"), "params": [1]}, "params"),
+    ({**payload("point_cmaes"), "evaluation": 5}, "evaluation"),
+    ({**payload("point_cmaes"), "evaluation": "calibration"}, "evaluation: must be a list"),
+    ({**payload("rejection_abc"),
+      "task": {**EXTERNAL_TASK, "prior": {"dim": "a", "sigma": 50.0}}}, "task.prior.dim"),
+    ({**payload("rejection_abc"), "task": {**EXTERNAL_TASK, "endpoint": "x"}},
+     "task.endpoint"),
+])
+def test_cli_tune_malformed_config_exits_2(tmp_path, capsys, config, field):
+    path = write_json(tmp_path / "exp.json", config)
+    assert main(["tune", "--config", path, "--out", str(tmp_path / "run")]) == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+# the per-method params keys documented in README.md
+PARAMS = {"point_cmaes": ["population_size", "max_generations", "sigma0"],
+          "ensembles": ["population_size", "max_generations", "sigma0", "sample_count"],
+          "gfvi": ["population_size", "max_generations", "sample_count", "mc_samples",
+                   "search_step"],
+          "rejection_abc": ["sample_count", "epsilon", "max_draws"],
+          "abc_smc": ["sample_count", "smc_iterations", "weight_scheme", "max_attempts",
+                      "variance_floor"]}
+PARAM_KEYS = sorted({key for keys in PARAMS.values() for key in keys})
+KNOWN_STRINGS = list(METHODS) + ["calibration", "selective", "near_ood", "far_ood",
+                                 "logits", "labels", "importance", "uniform"]
+TOP_KEYS = ["task", "method", "seed", "evaluation", "predictive_mode", "params"]
+KNOWN_KEYS = TOP_KEYS + list(SMALL_TASK) + list(EXTERNAL_TASK) + PARAM_KEYS
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 400)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(KNOWN_STRINGS) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KNOWN_KEYS), inner, max_size=4),
+    max_leaves=8)
+# in range for every numeric key; null is valid for the optional ones
+in_range = st.none() | st.integers(2, 50) | st.floats(0.01, 1.0)
+FIELD_PATHS = ([(key,) for key in TOP_KEYS]
+               + [("task", key) for key in list(SMALL_TASK) + list(EXTERNAL_TASK)]
+               + [("task", "endpoint", key) for key in ("argv", "host", "port")]
+               + [("task", "prior", "dim"), ("task", "prior", "sigma"),
+                  ("task", "datasets", "train")]
+               + [("params", key) for key in PARAM_KEYS])
+DELETE = object()
+
+
+@st.composite
+def edited_configs(draw):
+    """A config for one method with params mostly in range, then up to two
+    fields at any depth replaced by arbitrary JSON or deleted."""
+    method = draw(st.sampled_from(METHODS))
+    config = {"task": copy.deepcopy(draw(st.sampled_from([SMALL_TASK, EXTERNAL_TASK]))),
+              "method": method, "seed": 3,
+              "params": draw(st.dictionaries(st.sampled_from(PARAMS[method]),
+                                             in_range | json_values, max_size=3))}
+    for path in draw(st.lists(st.sampled_from(FIELD_PATHS), max_size=2)):
+        value = draw(json_values | st.just(DELETE))
+        parent = config
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if isinstance(parent, dict):
+            if value is DELETE:
+                parent.pop(path[-1], None)
+            else:
+                parent[path[-1]] = value
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_configs() | json_values)
+def test_config_parser_accepts_or_raises_config_error(config):
+    try:
+        parsed = experiment_config_from_dict(config)
+    except ConfigError:
+        return
+    assert set(config.get("params", {})) <= set(PARAMS[parsed.method])
+    assert parsed.resolved_sample_count() >= 1
