@@ -5,17 +5,19 @@ comparing simulated labels against the observed ones with a plain error-rate
 distance. Two methods:
 
 * ``rejection_abc``: accept prior draws whose simulated labels land strictly
-  inside the tolerance.
-* ``abc_smc``: a sequential schedule. Iteration one is rejection sampling
-  from the prior at a data-derived tolerance; each later iteration resamples
-  a previous particle by weight, perturbs it with a diagonal Gaussian kernel,
-  and keeps the proposal once its distance is within the current tolerance,
-  which shrinks by 1/N per iteration until it hits zero. Weights are either
-  importance ratios of prior to mixture proposal density (computed in log
-  space) or forced uniform, the variant that sidesteps weight degeneracy.
+  inside the tolerance (by default the error rate of one prior draw).
+* ``abc_smc``: one schedule loop over t = 1..max_iterations; the tolerance
+  starts at that same value and shrinks by 1/N per iteration until it would
+  reach zero. Each particle slot draws from its own (seed, t, slot) stream
+  until a proposal is within tolerance: a prior draw at t = 1, later a
+  weighted resample of the previous particles perturbed by a diagonal
+  Gaussian kernel. Weights are uniform at t = 1, then importance ratios of
+  prior to mixture proposal density in log space (one row per new particle
+  over the M previous ones: O(N*M*d) work, an (M, d) temporary per row), or
+  forced uniform to sidestep weight degeneracy.
 
 Acceptance comparisons: rejection sampling (and iteration one) accepts on
-distance < epsilon; SMC iterations accept on distance <= epsilon.
+distance < epsilon; SMC iterations t >= 2 accept on distance <= epsilon.
 """
 
 from __future__ import annotations
@@ -78,13 +80,20 @@ def decay_tolerance(epsilon: float, n: int) -> float:
     return max(epsilon - 1.0 / n, 0.0)
 
 
-def rejection_abc(sim, prior: PriorSpec, dataset: LabeledSet, epsilon: float,
+def _slot_stream(seed: int, iteration: int, slot: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(iteration, slot)))
+
+
+def rejection_abc(sim, prior: PriorSpec, dataset: LabeledSet, epsilon: float | None,
                   count: int, max_draws: int, seed: int) -> PosteriorEnsemble:
-    """Accept ``count`` prior draws with distance strictly below ``epsilon``."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must be in [0, 1]")
+    """Accept ``count`` prior draws with distance strictly below ``epsilon``;
+    None takes ABC-SMC's initial tolerance at the same seed."""
     if count < 1 or max_draws < 1:
         raise ValueError("count and max_draws must be positive")
+    if epsilon is None:
+        epsilon = initial_tolerance(sim, prior, dataset, _slot_stream(seed, 0, 0))
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("epsilon must be in [0, 1]")
     rng = np.random.default_rng(seed)
     accepted: list[np.ndarray] = []
     draws = 0
@@ -104,19 +113,6 @@ def rejection_abc(sim, prior: PriorSpec, dataset: LabeledSet, epsilon: float,
                      "draws": float(draws)})
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    top = values.max()
-    if not np.isfinite(top):
-        return float(top)
-    return float(top + np.log(np.exp(values - top).sum()))
-
-
-def _diag_gaussian_logpdf(x: np.ndarray, mean: np.ndarray,
-                          variance: np.ndarray) -> float:
-    resid = x - mean
-    return float(-0.5 * np.sum(resid ** 2 / variance + np.log(2.0 * np.pi * variance)))
-
-
 def update_weights(new_particles: np.ndarray, prev_particles: np.ndarray,
                    prev_weights: np.ndarray, kernel_variance: np.ndarray,
                    prior: PriorSpec) -> np.ndarray:
@@ -131,12 +127,15 @@ def update_weights(new_particles: np.ndarray, prev_particles: np.ndarray,
     kernel_variance = np.asarray(kernel_variance, dtype=float)
     with np.errstate(divide="ignore"):
         log_prev_w = np.log(prev_weights)
+    log_norm = np.log(2.0 * np.pi * kernel_variance)
     log_w = np.empty(len(new_particles))
     for s, z in enumerate(new_particles):
-        log_mix = np.array([
-            log_prev_w[j] + _diag_gaussian_logpdf(z, prev_particles[j], kernel_variance)
-            for j in range(len(prev_particles))])
-        log_w[s] = prior_log_density(prior, z) - _logsumexp(log_mix)
+        log_mix = log_prev_w - 0.5 * np.sum(
+            (z - prev_particles) ** 2 / kernel_variance + log_norm, axis=1)
+        log_sum = log_mix.max()
+        if np.isfinite(log_sum):  # an all -inf row has no mixture mass to sum
+            log_sum += np.log(np.exp(log_mix - log_sum).sum())
+        log_w[s] = prior_log_density(prior, z) - log_sum
     top = log_w.max()
     if not np.isfinite(top):
         raise DegenerateWeightsError("all importance weights vanished or diverged")
@@ -165,86 +164,57 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return float(1.0 / np.sum(weights ** 2))
 
 
-def _slot_stream(seed: int, iteration: int, slot: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(iteration, slot)))
-
-
 def abc_smc(sim, prior: PriorSpec, dataset: LabeledSet, config: SmcConfig,
             seed: int, trace_path: str | None = None) -> PosteriorEnsemble:
     """Sequential ABC with a 1/N tolerance decay. Uses only label queries."""
-    n_data = len(dataset)
     size = config.particle_count
-    budget_before = sim.budget.used
+    budget_before = calls_before = sim.budget.used
     trace_rows = []
-
-    def simulate_distance(z, rng):
-        labels = sim.query_labels(z, dataset.X, rng=rng)
-        return distance_error_rate(labels, dataset.y)
-
-    epsilon = initial_tolerance(sim, prior, dataset, _slot_stream(seed, 0, 0))
-    epsilons = [epsilon]
-
-    particles = np.empty((size, prior.dim))
+    initial_epsilon = epsilon = initial_tolerance(sim, prior, dataset,
+                                                  _slot_stream(seed, 0, 0))
     total_attempts = 0
-    for s in range(size):
-        stream = _slot_stream(seed, 1, s)
-        for attempt in range(1, config.max_attempts_per_particle + 1):
-            z = sample_prior(prior, 1, stream)[0]
-            if simulate_distance(z, stream) < epsilon:
-                particles[s] = z
-                total_attempts += attempt
+    for t in range(1, config.max_iterations + 1):
+        if t > 1:
+            next_epsilon = decay_tolerance(epsilon, len(dataset))
+            if next_epsilon == 0.0:
                 break
-        else:
-            raise StagnationError(
-                f"particle {s} found no prior draw with distance < {epsilon} in "
-                f"{config.max_attempts_per_particle} attempts",
-                iteration=1, epsilon=epsilon,
-                attempts=config.max_attempts_per_particle)
-    weights = np.full(size, 1.0 / size)
-    kernel_variance = update_kernel_variance(particles, weights, config.variance_floor)
-    trace_rows.append((1, epsilon, effective_sample_size(weights), total_attempts,
-                       sim.budget.used - budget_before))
+            epsilon = next_epsilon
+            kernel_sd = np.sqrt(kernel_variance)
 
-    iterations_run = 1
-    for t in range(2, config.max_iterations + 1):
-        next_epsilon = decay_tolerance(epsilon, n_data)
-        if next_epsilon == 0.0:
-            break
-        epsilon = next_epsilon
-        epsilons.append(epsilon)
-        calls_before = sim.budget.used
-
-        new_particles = np.empty_like(particles)
+        new_particles = np.empty((size, prior.dim))
         iter_attempts = 0
         for s in range(size):
             stream = _slot_stream(seed, t, s)
             for attempt in range(1, config.max_attempts_per_particle + 1):
-                pick = stream.choice(size, p=weights)
-                z = particles[pick] + np.sqrt(kernel_variance) * stream.standard_normal(
-                    prior.dim)
-                if simulate_distance(z, stream) <= epsilon:
+                if t == 1:
+                    z = sample_prior(prior, 1, stream)[0]
+                else:
+                    pick = stream.choice(size, p=weights)
+                    z = particles[pick] + kernel_sd * stream.standard_normal(prior.dim)
+                distance = distance_error_rate(sim.query_labels(z, dataset.X), dataset.y)
+                if distance < epsilon or (t > 1 and distance == epsilon):
                     new_particles[s] = z
                     iter_attempts += attempt
                     break
             else:
                 raise StagnationError(
-                    f"particle {s} exceeded {config.max_attempts_per_particle} "
-                    f"perturbation attempts at epsilon {epsilon} (iteration {t})",
+                    f"particle {s} found no proposal within epsilon {epsilon} in "
+                    f"{config.max_attempts_per_particle} attempts (iteration {t})",
                     iteration=t, epsilon=epsilon,
                     attempts=config.max_attempts_per_particle)
 
-        if config.weight_scheme == WEIGHT_IMPORTANCE:
-            new_weights = update_weights(new_particles, particles, weights,
-                                         kernel_variance, prior)
+        if t > 1 and config.weight_scheme == WEIGHT_IMPORTANCE:
+            weights = update_weights(new_particles, particles, weights,
+                                     kernel_variance, prior)
         else:
-            new_weights = np.full(size, 1.0 / size)
-        particles, weights = new_particles, new_weights
+            weights = np.full(size, 1.0 / size)
+        particles = new_particles
         kernel_variance = update_kernel_variance(particles, weights,
                                                  config.variance_floor)
         total_attempts += iter_attempts
-        iterations_run = t
         trace_rows.append((t, epsilon, effective_sample_size(weights), iter_attempts,
                            sim.budget.used - calls_before))
+        calls_before = sim.budget.used
 
     if trace_path is not None:
         _append_trace(trace_path, ["iteration", "epsilon", "ess", "total_attempts",
@@ -253,8 +223,8 @@ def abc_smc(sim, prior: PriorSpec, dataset: LabeledSet, config: SmcConfig,
     return PosteriorEnsemble(
         particles, weights, ABC_SMC,
         diagnostics={"final_epsilon": float(epsilon),
-                     "initial_epsilon": float(epsilons[0]),
+                     "initial_epsilon": float(initial_epsilon),
                      "ess": effective_sample_size(weights),
-                     "iterations": float(iterations_run),
+                     "iterations": float(len(trace_rows)),
                      "total_attempts": float(total_attempts),
                      "simulator_calls": float(sim.budget.used - budget_before)})

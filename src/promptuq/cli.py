@@ -126,6 +126,9 @@ def cmd_eval(args) -> int:
         task = make_synthetic_task(_load_task(args.task))
         labels = task.test.y if args.split == "test" else task.train.y
         table = predictive.load_predictive_csv(args.pred)
+        if len(labels) != len(table.probs):
+            raise ConfigError("split", f"{args.split} has {len(labels)} labels but "
+                                       f"{args.pred} has {len(table.probs)} rows")
         summary = evaluate_selective(table.probs, labels, args.out, {})
     path = os.path.join(args.out, "eval.json")
     uqeval.save_summary_json(summary, path)

@@ -33,8 +33,6 @@ ENSEMBLES = "ensembles"
 VARIATIONAL_INFERENCE = "variational_inference"
 REJECTION_ABC = "rejection_abc"
 ABC_SMC = "abc_smc"
-PROVENANCES = (POINT_ESTIMATE, ENSEMBLES, VARIATIONAL_INFERENCE,
-               REJECTION_ABC, ABC_SMC)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import estimators, predictive, uqeval
 from .abc_smc import (WEIGHT_IMPORTANCE, WEIGHT_UNIFORM, SmcConfig, abc_smc,
-                      initial_tolerance, rejection_abc)
+                      rejection_abc)
 from .blackbox import (LabeledSet, SyntheticTask, TaskConfig, make_synthetic_task,
                        task_config_from_dict, task_config_to_dict)
 from .errors import ConfigError, check_json_types
@@ -155,17 +155,31 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
 
 
 def load_labeled_ndjson(path) -> LabeledSet:
-    """Records {"x": [...], "y": int}; y may be omitted for unlabeled OOD rows."""
+    """Records {"x": [...], "y": int}; y may be omitted for unlabeled OOD rows.
+
+    Raises OSError if the file cannot be read and ValueError if it is malformed.
+    """
     xs, ys = [], []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
             record = json.loads(line)
-            xs.append(record["x"])
-            ys.append(record.get("y", -1))
-    return LabeledSet(np.asarray(xs, dtype=float), np.asarray(ys, dtype=np.int64))
+            if not isinstance(record, dict):
+                record = {}
+            x, y = record.get("x"), record.get("y", -1)
+            if not (isinstance(x, list) and all(type(v) in (int, float) for v in x)
+                    and type(y) is int):
+                raise ValueError(f"line {number}: need {{\"x\": [numbers], \"y\": int}}")
+            xs.append(x)
+            ys.append(y)
+    try:
+        data = LabeledSet(np.array(xs, dtype=float), np.array(ys, dtype=np.int64))
+    except OverflowError as exc:
+        raise ValueError(f"number out of range: {exc}") from exc
+    if data.X.ndim != 2 or data.X.size == 0 or not np.isfinite(data.X).all():
+        raise ValueError("need one or more records with equal-length finite x rows")
+    return data
 
 
 @dataclass
@@ -187,11 +201,16 @@ def _open_context(config: ExperimentConfig) -> RunContext:
         return RunContext(sim=sim, prior=built.prior, train=built.train,
                           test=built.test, near_ood=built.near_ood,
                           far_ood=built.far_ood)
+    splits = {}
+    for name, path in task.datasets.items():
+        try:
+            splits[name] = load_labeled_ndjson(path)
+        except (OSError, ValueError, RecursionError) as exc:  # deep JSON nesting
+            raise ConfigError(f"task.datasets.{name}", f"{path}: {exc}") from exc
     if task.argv is not None:
         sim = ExternalSimulator.spawn(list(task.argv))
     else:
         sim = ExternalSimulator.connect(task.host, task.port)
-    splits = {name: load_labeled_ndjson(path) for name, path in task.datasets.items()}
     return RunContext(
         sim=sim, prior=task.prior,
         train=splits["train"], test=splits.get("test"),
@@ -260,12 +279,7 @@ def _run_gfvi(p: _GfviParams, ctx: RunContext, seed: int, trace_path):
 
 
 def _run_rejection(p: _RejectionParams, ctx: RunContext, seed: int, trace_path):
-    epsilon = p.epsilon
-    if epsilon is None:
-        epsilon = initial_tolerance(
-            ctx.sim, ctx.prior, ctx.train,
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0))))
-    return rejection_abc(ctx.sim, ctx.prior, ctx.train, epsilon,
+    return rejection_abc(ctx.sim, ctx.prior, ctx.train, p.epsilon,
                          count=p.sample_count, max_draws=p.max_draws, seed=seed)
 
 

@@ -6,12 +6,11 @@ low-dimensional vector z through a fixed random linear map,
     prompt = matrix @ z + anchor,
 
 so every inference method works in R^subspace_dim. The projection matrix is
-regenerated from its seed on demand and never serialized.
+generated from a seed when its task is built and is never stored.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,32 +65,6 @@ def project(spec: ProjectionSpec, z: np.ndarray) -> np.ndarray:
     if z.shape != (spec.subspace_dim,):
         raise ValueError(f"z has shape {z.shape}, expected ({spec.subspace_dim},)")
     return spec.matrix @ z + spec.anchor
-
-
-def projection_to_dict(spec: ProjectionSpec) -> dict:
-    """Serializable form: the matrix is regenerated from the seed, never stored."""
-    return {
-        "subspace_dim": spec.subspace_dim,
-        "prompt_dim": spec.prompt_dim,
-        "seed": spec.seed,
-        "anchor": spec.anchor.tolist(),
-    }
-
-
-def projection_from_dict(payload: dict) -> ProjectionSpec:
-    return make_projection(
-        payload["subspace_dim"], payload["prompt_dim"], payload["seed"],
-        anchor=np.asarray(payload["anchor"], dtype=float))
-
-
-def save_projection(spec: ProjectionSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(projection_to_dict(spec), fh)
-
-
-def load_projection(path) -> ProjectionSpec:
-    with open(path, encoding="utf-8") as fh:
-        return projection_from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -126,13 +126,24 @@ class ExternalSimulator:
     @classmethod
     def spawn(cls, argv: list[str], timeout: float | None = DEFAULT_TIMEOUT,
               budget: EvalBudget | None = None) -> "ExternalSimulator":
-        proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        return cls(PipeTransport(proc, timeout), budget=budget)
+        try:
+            proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        except OSError as exc:
+            raise ProtocolError(f"cannot start simulator {argv[0]!r}: {exc}") from exc
+        try:
+            return cls(PipeTransport(proc, timeout), budget=budget)
+        except BaseException:
+            with proc:  # closes the pipes and reaps the child
+                proc.kill()
+            raise
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: float | None = DEFAULT_TIMEOUT,
                 budget: EvalBudget | None = None) -> "ExternalSimulator":
-        sock = socket.create_connection((host, port), timeout=timeout)
+        try:
+            sock = socket.create_connection((host, port), timeout=timeout)
+        except OSError as exc:
+            raise ProtocolError(f"cannot connect to simulator at {host}:{port}: {exc}") from exc
         return cls(SocketTransport(sock, timeout), budget=budget)
 
     def close(self) -> None:
@@ -222,6 +233,18 @@ class ExternalSimulator:
         return values.astype(np.int64)
 
 
+def _finite_rows(rows: list) -> np.ndarray | None:
+    """``rows`` (lists of equal length) as a float array, or None unless every
+    entry is a finite JSON number."""
+    if not all(type(v) in (int, float) for row in rows for v in row):
+        return None
+    try:
+        values = np.array(rows, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def _handle_request(sim, request: dict) -> dict:
     request_id = request.get("id")
     if not isinstance(request_id, int):
@@ -239,8 +262,11 @@ def _handle_request(sim, request: dict) -> dict:
             or any(not isinstance(row, list) or len(row) != sim.feature_dim
                    for row in inputs)):
         return failure(f"inputs must be nonempty rows of length {sim.feature_dim}")
-    z_arr = np.asarray(z, dtype=float)
-    x_arr = np.asarray(inputs, dtype=float)
+    z_arr = _finite_rows([z])
+    x_arr = _finite_rows(inputs)
+    if z_arr is None or x_arr is None:
+        return failure("z and inputs must hold finite numbers only")
+    z_arr = z_arr[0]
 
     try:
         if mode == "logits":
@@ -252,8 +278,8 @@ def _handle_request(sim, request: dict) -> dict:
                 labels = sim.query_labels(z_arr, x_arr)
             elif decode == "sample":
                 seed = request.get("seed")
-                if not isinstance(seed, int):
-                    return failure("sample decode requires an integer seed")
+                if type(seed) is not int or not 0 <= seed < 2 ** 64:
+                    return failure("sample decode requires an integer seed in [0, 2^64)")
                 labels = sim.sampled_labels(z_arr, x_arr, seed)
             else:
                 return failure(f"unknown decode {decode!r}")
@@ -284,11 +310,16 @@ def serve(sim, lines_in, lines_out) -> None:
             request = json.loads(line)
             if not isinstance(request, dict):
                 raise ValueError("not an object")
-        except (json.JSONDecodeError, ValueError):
+        except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
             response = {"id": None, "error": "unparseable request", "kind": "bad-request"}
         else:
             response = _handle_request(sim, request)
-        lines_out.write(json.dumps(response) + "\n")
+        try:
+            text = json.dumps(response, allow_nan=False)
+        except ValueError:  # inputs that overflow the model yield NaN outputs
+            text = json.dumps({"id": response["id"], "error": "non-finite result",
+                               "kind": "bad-request"})
+        lines_out.write(text + "\n")
         lines_out.flush()
 
 
@@ -302,7 +333,7 @@ def serve_tcp(sim, host: str, port: int, ready_callback=None) -> None:
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
             serve(sim,
-                  (raw.decode("utf-8") for raw in self.rfile),
+                  (raw.decode("utf-8", errors="replace") for raw in self.rfile),
                   _SocketWriter(self.wfile))
 
     class Server(socketserver.ThreadingTCPServer):

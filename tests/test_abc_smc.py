@@ -100,6 +100,15 @@ def test_rejection_abc_acceptance_strictly_below_epsilon():
     assert result.size == 3
 
 
+def test_rejection_abc_default_epsilon_is_initial_tolerance(criterion_task):
+    sim = criterion_task.simulator(allow_logits=False)
+    args = (sim, criterion_task.prior, criterion_task.train)
+    expected = initial_tolerance(
+        *args, np.random.default_rng(np.random.SeedSequence(11, spawn_key=(0, 0))))
+    result = rejection_abc(*args, epsilon=None, count=3, max_draws=100_000, seed=11)
+    assert result.diagnostics["epsilon"] == expected
+
+
 def test_rejection_abc_rate_monotone_in_epsilon(criterion_task):
     sim = criterion_task.simulator(allow_logits=False)
     rates = {0.5: [], 0.25: []}
@@ -160,9 +169,11 @@ def test_update_weights_matches_brute_force_mixture():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         prior = PriorSpec(3, float(rng.uniform(1, 10)))
-        prev = rng.normal(size=(5, 3)) * prior.sigma
-        new = prev[rng.integers(5, size=5)] + rng.normal(size=(5, 3))
-        prev_w = rng.dirichlet(np.ones(5))
+        # equal counts, then 7 new particles against 4 previous ones
+        n_prev, n_new = (5, 5) if seed % 2 else (4, 7)
+        prev = rng.normal(size=(n_prev, 3)) * prior.sigma
+        new = prev[rng.integers(n_prev, size=n_new)] + rng.normal(size=(n_new, 3))
+        prev_w = rng.dirichlet(np.ones(n_prev))
         var = rng.uniform(0.2, 3.0, size=3)
         ours = update_weights(new, prev, prev_w, var, prior)
         proof = brute(new, prev, prev_w, var, prior)
@@ -245,6 +256,22 @@ def test_abc_smc_tolerance_trace_and_recheck(criterion_task, tmp_path):
         dist = distance_error_rate(sim.query_labels(z, criterion_task.train.X),
                                    criterion_task.train.y)
         assert dist <= final_eps
+
+
+@pytest.mark.parametrize("scheme", ["importance", "uniform"])
+def test_abc_smc_trace_accounts_for_every_call(criterion_task, tmp_path, scheme):
+    sim = criterion_task.simulator(allow_logits=False)
+    cfg = SmcConfig(particle_count=20, max_iterations=4, weight_scheme=scheme)
+    trace = tmp_path / "trace.csv"
+    result = abc_smc(sim, criterion_task.prior, criterion_task.train, cfg,
+                     seed=12, trace_path=str(trace))
+    with open(trace, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    diag = result.diagnostics
+    assert len(rows) == diag["iterations"]
+    calls = sum(int(r["simulator_calls"]) for r in rows)
+    assert calls == diag["simulator_calls"] == sim.budget.used
+    assert sum(int(r["total_attempts"]) for r in rows) == diag["total_attempts"]
 
 
 def test_abc_smc_uniform_scheme_keeps_uniform_weights(criterion_task, tmp_path):

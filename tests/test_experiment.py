@@ -1,5 +1,6 @@
 import copy
 import json
+import socket
 import sys
 
 import numpy as np
@@ -157,17 +158,61 @@ def test_cli_exit_codes(tmp_path, capsys):
         payload("rejection_abc", sample_count=50, epsilon=0.03, max_draws=20))
     assert main(["tune", "--config", starved, "--out", str(tmp_path / "y")]) == 3
 
-    broken_server = write_json(tmp_path / "broken.json", {
+    external = {
         "task": {"endpoint": {"argv": [sys.executable, "-c",
                                        "print('{\"protocol\": 99}')"]},
                  "prior": {"dim": 4, "sigma": 50.0},
                  "datasets": {"train": str(tmp_path / "train.ndjson")}},
         "method": "rejection_abc", "seed": 1, "evaluation": [],
-    })
+    }
+    broken_server = write_json(tmp_path / "broken.json", external)
     (tmp_path / "train.ndjson").write_text(
         "\n".join(json.dumps({"x": [0.0] * 8, "y": 0}) for _ in range(4)))
     assert main(["tune", "--config", broken_server,
                  "--out", str(tmp_path / "z")]) == 4
+
+    # an endpoint that cannot be started or reached is a simulator error
+    external["task"]["endpoint"] = {"argv": ["no-such-simulator-binary"]}
+    missing_binary = write_json(tmp_path / "nobinary.json", external)
+    assert main(["tune", "--config", missing_binary,
+                 "--out", str(tmp_path / "w")]) == 4
+    with socket.socket() as probe:  # a port that nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        free_port = probe.getsockname()[1]
+    external["task"]["endpoint"] = {"host": "127.0.0.1", "port": free_port}
+    unreachable = write_json(tmp_path / "unreachable.json", external)
+    assert main(["tune", "--config", unreachable,
+                 "--out", str(tmp_path / "v")]) == 4
+
+    # dataset files are checked before any simulator process starts
+    marker = tmp_path / "started"
+    spawn_marker = {"argv": [sys.executable, "-c", f"open({str(marker)!r}, 'w')"]}
+    for name, text in (("missing", None), ("garbage", "not json\n"),
+                       ("ragged", '{"x": [0.0]}\n{"x": [0.0, 1.0]}\n'),
+                       ("labels", '{"x": [0.0], "y": "a"}\n'), ("empty", ""),
+                       ("nested", "[" * 100_000 + "\n")):
+        path = tmp_path / f"{name}.ndjson"
+        if text is not None:
+            path.write_text(text)
+        config = write_json(tmp_path / f"{name}.json", {
+            "task": {"endpoint": spawn_marker, "prior": {"dim": 4, "sigma": 50.0},
+                     "datasets": {"train": str(tmp_path / "train.ndjson"),
+                                  "test": str(path)}},
+            "method": "rejection_abc", "seed": 1})
+        assert main(["tune", "--config", config, "--out", str(tmp_path / name)]) == 2
+        assert "task.datasets.test" in capsys.readouterr().err
+    assert not marker.exists()
+
+    # selective evaluation needs one label per predictive row
+    task_path = write_json(tmp_path / "task.json", SMALL_TASK)
+    assert main(["tune", "--config", write_json(tmp_path / "point.json", payload(
+        "point_cmaes", population_size=4, max_generations=2)),
+                 "--out", str(tmp_path / "point")]) == 0
+    pred_csv = str(tmp_path / "pred.csv")
+    assert main(["predict", "--task", task_path, "--split", "test", "--out", pred_csv,
+                 "--posterior", str(tmp_path / "point" / "posterior.ndjson")]) == 0
+    assert main(["eval", "--pred", pred_csv, "--task", task_path, "--split", "train",
+                 "--out", str(tmp_path / "eval")]) == 2
     capsys.readouterr()
 
 

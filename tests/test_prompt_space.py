@@ -1,14 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from promptuq.prompt_space import (PriorSpec, load_projection, make_projection,
-                                   prior_log_density, project,
-                                   projection_from_dict, projection_to_dict,
-                                   sample_prior, save_projection)
+from promptuq.prompt_space import (PriorSpec, make_projection, prior_log_density,
+                                   project, sample_prior)
 
 
 def test_projection_shape_and_finiteness():
@@ -68,18 +64,6 @@ def test_project_linearity(seed, a, b):
     rhs = (a * (project(spec, z1) - spec.anchor)
            + b * (project(spec, z2) - spec.anchor))
     assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
-
-
-def test_projection_serialization_roundtrip(tmp_path):
-    spec = make_projection(3, 12, seed=99, anchor=np.linspace(0, 1, 12))
-    path = tmp_path / "projection.json"
-    save_projection(spec, path)
-    loaded = load_projection(path)
-    assert np.array_equal(loaded.matrix, spec.matrix)
-    assert np.array_equal(loaded.anchor, spec.anchor)
-    # the matrix is never stored, only regenerated
-    assert "matrix" not in json.loads(path.read_text())
-    assert projection_from_dict(projection_to_dict(spec)).seed == spec.seed
 
 
 def test_prior_requires_positive_sigma():

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import socket
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CRITERION_TASK
 from promptuq.blackbox import task_config_to_dict
@@ -108,6 +112,15 @@ def test_tcp_transport_round_trip(criterion_task):
         x = rng.normal(size=(3, 16))
         assert np.abs(client.query_logits(z, x) - sim.query_logits(z, x)).max() < 1e-9
 
+    # a line that is not UTF-8 is a bad request, not the end of the connection
+    with socket.create_connection((host, port), timeout=10) as raw:
+        reader = raw.makefile("rb")
+        reader.readline()  # handshake
+        raw.sendall(b"\xff\xfe\n" + json.dumps({"id": 1, "mode": "labels", "z": [0.0] * 8,
+                                                "inputs": [[0.0] * 16]}).encode() + b"\n")
+        assert json.loads(reader.readline())["kind"] == "bad-request"
+        assert "labels" in json.loads(reader.readline())
+
 
 class ScriptedTransport:
     def __init__(self, lines):
@@ -161,6 +174,16 @@ def test_client_rejects_unknown_protocol_version():
         ExternalSimulator(transport)
 
 
+def test_spawn_reaps_child_after_failed_handshake(tmp_path):
+    pid_file = tmp_path / "pid"
+    script = (f"import os, time; open({str(pid_file)!r}, 'w').write(str(os.getpid())); "
+              "print('{\"protocol\": 99}', flush=True); time.sleep(60)")
+    with pytest.raises(ProtocolError, match="unsupported handshake"):
+        ExternalSimulator.spawn([sys.executable, "-c", script])
+    with pytest.raises(ProcessLookupError):  # killed and waited for, not a zombie
+        os.kill(int(pid_file.read_text()), 0)
+
+
 def test_client_rejects_unnormalized_logit_rows():
     transport = ScriptedTransport([
         HANDSHAKE,
@@ -171,11 +194,17 @@ def test_client_rejects_unnormalized_logit_rows():
         client.query_logits(np.zeros(2), np.zeros((1, 3)))
 
 
+def _strict_json(line):
+    def refuse(token):
+        raise ValueError(f"{token} is not valid JSON")
+    return json.loads(line, parse_constant=refuse)
+
+
 def _serve_lines(sim, request_lines):
     out = io.StringIO()
     serve(sim, iter(request_lines), out)
-    lines = out.getvalue().strip().splitlines()
-    return json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+    lines = out.getvalue().split("\n")[:-1]
+    return _strict_json(lines[0]), [_strict_json(line) for line in lines[1:]]
 
 
 def test_server_error_responses(criterion_task):
@@ -195,3 +224,74 @@ def test_server_error_responses(criterion_task):
     assert responses[2]["kind"] == "bad-request"  # z has the wrong length
     assert responses[3]["labels"] == [int(v) for v in sim.query_labels(
         np.zeros(8), np.zeros((1, 16)))]
+
+    # each malformed line gets one bad-request and the server keeps serving
+    malformed = [
+        {"mode": "labels", "z": ["a", 1] + [0.0] * 6},
+        {"mode": "logits", "z": [float("nan"), 1] + [0.0] * 6},
+        {"mode": "logits", "z": [10 ** 400] + [0.0] * 7},
+        {"mode": "labels", "inputs": [[float("inf")] + [0.0] * 15]},
+        {"mode": "logits", "inputs": [[True] + [0.0] * 15]},
+        {"mode": "labels", "decode": "sample", "seed": -1},
+        {"mode": "labels", "decode": "sample", "seed": 2 ** 64},
+        {"mode": "labels", "decode": "sample", "seed": True},
+        {"mode": "logits", "z": [1e308] * 8},  # finite, but the model overflows to NaN
+    ]
+    valid = {"mode": "logits", "z": [0.0] * 8, "inputs": [[0.0] * 16]}
+    _, responses = _serve_lines(criterion_task.simulator(), ["[" * 100_000 + "\n"] + [
+        json.dumps({**valid, "id": i, **fields}) + "\n"
+        for i, fields in enumerate(malformed + [{}])])
+    assert [r.get("kind") for r in responses] == ["bad-request"] * (len(malformed) + 1) + [None]
+    assert [r["id"] for r in responses] == [None] + list(range(len(malformed) + 1))
+    assert len(responses[-1]["outputs"]) == 1
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+_number = st.integers(-2 ** 70, 2 ** 70) | st.floats()  # floats include NaN and inf
+
+
+def _vector(size):  # the right length (a repeated number reaches overflow), then anything
+    return (_number.map(lambda value: [value] * size)
+            | st.lists(_number, min_size=size, max_size=size)
+            | st.lists(_number | _json, min_size=size, max_size=size) | _json)
+
+
+_FIELDS = {
+    "id": st.integers() | _json,
+    "mode": st.sampled_from(["logits", "labels"]) | _json,
+    "z": _vector(8),
+    "inputs": st.lists(_vector(16), min_size=1, max_size=2) | _json,
+    "decode": st.sampled_from(["argmax", "sample"]) | _json,
+    "seed": st.integers() | st.sampled_from([-1, 2 ** 64 - 1, 2 ** 64]) | _json,
+}
+
+
+@st.composite
+def _request(draw):
+    """A valid request with up to three fields replaced or removed."""
+    request = {"id": 0, "mode": draw(st.sampled_from(["logits", "labels"])),
+               "z": [0.0] * 8, "inputs": [[0.0] * 16], "decode": "sample", "seed": 0}
+    for key in draw(st.sets(st.sampled_from(sorted(_FIELDS)), max_size=3)):
+        if draw(st.booleans()):
+            request[key] = draw(_FIELDS[key])
+        else:
+            del request[key]
+    return request
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text() | _request().map(json.dumps), max_size=6))
+def test_server_answers_every_line_with_valid_json(criterion_task, lines):
+    text = "".join(line + "\n" for line in lines)
+    out = io.StringIO()
+    serve(criterion_task.simulator(), io.StringIO(text), out)  # returns at EOF
+    requests = [line for line in io.StringIO(text) if line.strip()]
+    responses = [_strict_json(line) for line in out.getvalue().split("\n")[1:-1]]
+    assert len(responses) == len(requests)
+    for response in responses:
+        assert isinstance(response, dict)
+        assert len(response.keys() & {"outputs", "labels", "error"}) == 1
