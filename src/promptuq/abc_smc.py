@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackbox import LabeledSet
-from .cmaes import _append_trace
 from .errors import BudgetExhaustedError, DegenerateWeightsError, StagnationError
 from .estimators import ABC_SMC, REJECTION_ABC, PosteriorEnsemble
 from .prompt_space import PriorSpec, prior_log_density, sample_prior
@@ -165,11 +164,12 @@ def effective_sample_size(weights: np.ndarray) -> float:
 
 
 def abc_smc(sim, prior: PriorSpec, dataset: LabeledSet, config: SmcConfig,
-            seed: int, trace_path: str | None = None) -> PosteriorEnsemble:
+            seed: int) -> PosteriorEnsemble:
     """Sequential ABC with a 1/N tolerance decay. Uses only label queries."""
     size = config.particle_count
     budget_before = calls_before = sim.budget.used
-    trace_rows = []
+    trace = {"iteration": [], "epsilon": [], "ess": [], "total_attempts": [],
+             "simulator_calls": []}
     initial_epsilon = epsilon = initial_tolerance(sim, prior, dataset,
                                                   _slot_stream(seed, 0, 0))
     total_attempts = 0
@@ -212,19 +212,19 @@ def abc_smc(sim, prior: PriorSpec, dataset: LabeledSet, config: SmcConfig,
         kernel_variance = update_kernel_variance(particles, weights,
                                                  config.variance_floor)
         total_attempts += iter_attempts
-        trace_rows.append((t, epsilon, effective_sample_size(weights), iter_attempts,
-                           sim.budget.used - calls_before))
+        trace["iteration"].append(t)
+        trace["epsilon"].append(epsilon)
+        trace["ess"].append(effective_sample_size(weights))
+        trace["total_attempts"].append(iter_attempts)
+        trace["simulator_calls"].append(sim.budget.used - calls_before)
         calls_before = sim.budget.used
-
-    if trace_path is not None:
-        _append_trace(trace_path, ["iteration", "epsilon", "ess", "total_attempts",
-                                   "simulator_calls"], trace_rows)
 
     return PosteriorEnsemble(
         particles, weights, ABC_SMC,
         diagnostics={"final_epsilon": float(epsilon),
                      "initial_epsilon": float(initial_epsilon),
                      "ess": effective_sample_size(weights),
-                     "iterations": float(len(trace_rows)),
+                     "iterations": float(len(trace["iteration"])),
                      "total_attempts": float(total_attempts),
-                     "simulator_calls": float(sim.budget.used - budget_before)})
+                     "simulator_calls": float(sim.budget.used - budget_before)},
+        trace=trace)

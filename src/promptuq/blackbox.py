@@ -26,6 +26,11 @@ MODE_LABELS = "labels"
 DECODE_ARGMAX = "argmax"
 DECODE_SAMPLE = "sample"
 
+# Amplifies the pooled prompt block's first-layer weights so a random prompt
+# relabels data near chance level rather than leaving the labeling
+# input-dominated.
+PROMPT_GAIN = 3.0
+
 
 @dataclass
 class EvalBudget:
@@ -78,16 +83,12 @@ class FrozenClassifier:
     @classmethod
     def create(cls, feature_dim: int, prompt_dim: int, classes: int, hidden: int,
                seed: int, pooled_dim: int | None = None,
-               prompt_scale: float = 1.0,
-               prompt_gain: float = 3.0) -> "FrozenClassifier":
+               prompt_scale: float = 1.0) -> "FrozenClassifier":
         """Draw weights deterministically from ``seed``.
 
         ``prompt_scale`` is the expected standard deviation of full-prompt
         entries under the task prior; the pooling map is shrunk by it so the
-        pooled prompt is O(1) regardless of the prior scale. ``prompt_gain``
-        amplifies the pooled block's first-layer weights so a random prompt
-        relabels data near chance level rather than leaving the labeling
-        input-dominated.
+        pooled prompt is O(1) regardless of the prior scale.
         """
         if classes < 2:
             raise ValueError("need at least two classes")
@@ -98,7 +99,7 @@ class FrozenClassifier:
         rng = np.random.default_rng(seed)
         w1 = rng.normal(0.0, 1.5 / np.sqrt(feature_dim + pooled_dim),
                         size=(hidden, feature_dim + pooled_dim))
-        w1[:, feature_dim:] *= prompt_gain
+        w1[:, feature_dim:] *= PROMPT_GAIN
         b1 = rng.normal(0.0, 0.2, size=hidden)
         w2 = rng.normal(0.0, 2.0 / np.sqrt(hidden), size=(classes, hidden))
         b2 = rng.normal(0.0, 0.1, size=classes)

@@ -18,8 +18,9 @@ from . import estimators, predictive, uqeval
 from .blackbox import make_synthetic_task, task_config_from_dict, task_config_to_dict
 from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      ProtocolError, StagnationError)
-from .experiment import (compare_methods, evaluate_ood, evaluate_selective,
-                         experiment_config_from_dict, run_experiment)
+from .experiment import (compare_configs_from_dict, compare_methods, evaluate_ood,
+                         evaluate_selective, experiment_config_from_dict,
+                         run_experiment)
 from .prompt_space import sample_prior
 from .protocol import serve_stdio, serve_tcp
 
@@ -44,27 +45,13 @@ def _load_task(path):
         raise ConfigError("task", str(exc)) from exc
 
 
-def _split_inputs(task, name: str):
-    if name == "train":
-        return task.train.X
-    if name == "test":
-        return task.test.X
-    if name == "near_ood":
-        return task.near_ood
-    if name == "far_ood":
-        return task.far_ood
-    raise ConfigError("split", f"unknown split {name!r}")
-
-
 def cmd_task(args) -> int:
     cfg = _load_task(args.config)
     task = make_synthetic_task(cfg)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "task.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(task_config_to_dict(cfg), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        uqeval.save_summary_json(task_config_to_dict(cfg), path)
         print(f"wrote {path}")
     if args.inspect:
         sim = task.simulator()
@@ -86,6 +73,8 @@ def cmd_tune(args) -> int:
     if args.seed is not None:
         payload["seed"] = args.seed
     config = experiment_config_from_dict(payload)
+    if not isinstance(payload.get("out", ""), str):
+        raise ConfigError("out", "must be a string")
     out_dir = args.out or payload.get("out") or "out"
     report = run_experiment(config, out_dir, trace=args.trace)
     print(f"wrote {report.files['summary']}")
@@ -99,9 +88,16 @@ def cmd_tune(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_task(args.task)
     task = make_synthetic_task(cfg)
-    ensemble = estimators.load_ensemble(args.posterior)
+    try:
+        ensemble = estimators.load_ensemble(args.posterior)
+    except (OSError, ValueError, LookupError, TypeError, RecursionError) as exc:
+        raise ConfigError("posterior", f"cannot load {args.posterior}: {exc}") from exc
+    if ensemble.samples.shape[1] != task.prior.dim:
+        raise ConfigError("posterior", f"z has {ensemble.samples.shape[1]} entries, "
+                                       f"the task's prior dim is {task.prior.dim}")
     sim = task.simulator(allow_logits=(args.mode == "logits"))
-    inputs = _split_inputs(task, args.split)
+    inputs = {"train": task.train.X, "test": task.test.X,
+              "near_ood": task.near_ood, "far_ood": task.far_ood}[args.split]
     if args.mode == "logits":
         table = predictive.predictive_from_logits(ensemble, sim, inputs)
     else:
@@ -114,21 +110,28 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _load_table(path, option: str) -> predictive.PredictiveTable:
+    try:
+        return predictive.load_predictive_csv(path)
+    except (OSError, ValueError, StopIteration) as exc:  # StopIteration: no header
+        raise ConfigError(option, f"cannot load {path}: {exc}") from exc
+
+
 def cmd_eval(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    table = _load_table(args.pred, "pred")
     if args.pred_ood:
-        id_table = predictive.load_predictive_csv(args.pred)
-        ood_table = predictive.load_predictive_csv(args.pred_ood)
-        summary = evaluate_ood(id_table.probs, ood_table.probs, args.out, "ood", {})
+        ood_table = _load_table(args.pred_ood, "pred_ood")
+        os.makedirs(args.out, exist_ok=True)
+        summary = evaluate_ood(table.probs, ood_table.probs, args.out, "ood", {})
     else:
         if not args.task:
             raise ConfigError("task", "selective evaluation needs --task for labels")
         task = make_synthetic_task(_load_task(args.task))
         labels = task.test.y if args.split == "test" else task.train.y
-        table = predictive.load_predictive_csv(args.pred)
         if len(labels) != len(table.probs):
             raise ConfigError("split", f"{args.split} has {len(labels)} labels but "
                                        f"{args.pred} has {len(table.probs)} rows")
+        os.makedirs(args.out, exist_ok=True)
         summary = evaluate_selective(table.probs, labels, args.out, {})
     path = os.path.join(args.out, "eval.json")
     uqeval.save_summary_json(summary, path)
@@ -140,20 +143,9 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     payload = _load_json(args.config)
-    for key in ("task", "seed", "methods"):
-        if key not in payload:
-            raise ConfigError(key, "missing required field")
     if args.seed is not None:
         payload["seed"] = args.seed
-    configs = []
-    for spec in payload["methods"]:
-        entry = {"task": payload["task"], "seed": payload["seed"],
-                 "method": spec.get("method"), "params": spec.get("params", {})}
-        if "evaluation" in payload:
-            entry["evaluation"] = payload["evaluation"]
-        if "predictive_mode" in spec:
-            entry["predictive_mode"] = spec["predictive_mode"]
-        configs.append(experiment_config_from_dict(entry))
+    configs = compare_configs_from_dict(payload)
     out_dir = args.out or "compare_out"
     rows = compare_methods(configs, out_dir, trace=args.trace)
     headers = list(rows[0].keys())

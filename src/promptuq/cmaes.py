@@ -13,8 +13,6 @@ loop for plain objectives.
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,28 +161,19 @@ def tell(state: SearchState, candidates: list[Candidate]) -> SearchState:
     return state
 
 
-def _append_trace(path, header, rows) -> None:
-    """Append trace rows, writing the header only when the file starts empty."""
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if fresh:
-            writer.writerow(header)
-        writer.writerows(rows)
-
-
 @dataclass
 class MinimizeResult:
     best_x: np.ndarray
     best_loss: float
     history: list[float]   # best-so-far loss per generation, nonincreasing
+    step_sizes: list[float]  # sigma after each generation's update
     generations: int
     evaluations: int
 
 
 def minimize(objective, mean0: np.ndarray, sigma0: float, population_size: int,
-             max_generations: int, seed: int, target_loss: float | None = None,
-             trace_path: str | None = None) -> MinimizeResult:
+             max_generations: int, seed: int,
+             target_loss: float | None = None) -> MinimizeResult:
     """Ask/evaluate/tell loop over a plain vector-to-scalar objective."""
     if max_generations < 1:
         raise ValueError("max_generations must be at least 1")
@@ -192,8 +181,8 @@ def minimize(objective, mean0: np.ndarray, sigma0: float, population_size: int,
     best_x = np.asarray(mean0, dtype=float).copy()
     best_loss = np.inf
     history: list[float] = []
+    step_sizes: list[float] = []
     evaluations = 0
-    trace_rows = []
 
     for _ in range(max_generations):
         candidates = ask(state)
@@ -209,13 +198,9 @@ def minimize(objective, mean0: np.ndarray, sigma0: float, population_size: int,
                 best_x = cand.x.copy()
         tell(state, candidates)
         history.append(best_loss)
-        trace_rows.append((state.generation, best_loss, state.step_size))
+        step_sizes.append(state.step_size)
         if target_loss is not None and best_loss <= target_loss:
             break
 
-    if trace_path is not None:
-        _append_trace(trace_path, ["generation", "best_loss", "step_size"],
-                      trace_rows)
-
-    return MinimizeResult(best_x, float(best_loss), history,
+    return MinimizeResult(best_x, float(best_loss), history, step_sizes,
                           generations=state.generation, evaluations=evaluations)

@@ -60,6 +60,7 @@ class PosteriorEnsemble:
     weights: np.ndarray            # (size,), nonnegative, sums to 1
     provenance: str
     diagnostics: dict[str, float] = field(default_factory=dict)
+    trace: dict[str, list] = field(default_factory=dict)  # trace.csv columns, in order
 
     def __post_init__(self):
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
@@ -84,7 +85,7 @@ def save_ensemble(ensemble: PosteriorEnsemble, path) -> None:
                                  "z": [float(v) for v in z]}) + "\n")
 
 
-def load_ensemble(path, provenance: str = "loaded") -> PosteriorEnsemble:
+def load_ensemble(path) -> PosteriorEnsemble:
     samples, weights = [], []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -94,7 +95,7 @@ def load_ensemble(path, provenance: str = "loaded") -> PosteriorEnsemble:
             record = json.loads(line)
             samples.append(record["z"])
             weights.append(record["weight"])
-    return PosteriorEnsemble(np.asarray(samples), np.asarray(weights), provenance)
+    return PosteriorEnsemble(np.asarray(samples), np.asarray(weights), "loaded")
 
 
 def negative_log_likelihood(sim, z: np.ndarray, dataset: LabeledSet) -> float:
@@ -110,42 +111,49 @@ def negative_log_likelihood(sim, z: np.ndarray, dataset: LabeledSet) -> float:
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).sum())
 
 
-def _resolved_sigma0(es: EsConfig, prior: PriorSpec) -> float:
-    return es.sigma0 if es.sigma0 is not None else prior.sigma
-
-
 def _single_cma_fit(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
-                    seed: int, trace_path: str | None = None) -> cmaes.MinimizeResult:
+                    seed: int) -> cmaes.MinimizeResult:
     """One CMA-ES run over z with mean and step size randomized from ``seed``."""
     init_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     mean0 = sample_prior(prior, 1, init_rng)[0]
-    sigma0 = _resolved_sigma0(es, prior) * init_rng.uniform(0.5, 1.5)
+    sigma0 = es.sigma0 if es.sigma0 is not None else prior.sigma
+    sigma0 *= init_rng.uniform(0.5, 1.5)
     cma_seed = int(init_rng.integers(2 ** 63))
     return cmaes.minimize(lambda z: negative_log_likelihood(sim, z, dataset),
                           mean0, sigma0, es.population_size, es.max_generations,
-                          seed=cma_seed, trace_path=trace_path)
+                          seed=cma_seed)
+
+
+def _cma_trace(results: list[cmaes.MinimizeResult]) -> dict[str, list]:
+    """Per-generation columns of consecutive CMA-ES runs."""
+    return {"generation": [g for r in results for g in range(1, r.generations + 1)],
+            "best_loss": [v for r in results for v in r.history],
+            "step_size": [v for r in results for v in r.step_sizes]}
 
 
 def point_estimate(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
-                   seed: int, trace_path: str | None = None) -> PosteriorEnsemble:
+                   seed: int) -> PosteriorEnsemble:
     """Single tuned prompt: the degenerate one-sample ensemble with weight 1."""
-    result = _single_cma_fit(sim, dataset, prior, es, seed, trace_path)
+    result = _single_cma_fit(sim, dataset, prior, es, seed)
     return PosteriorEnsemble(result.best_x[None, :], np.array([1.0]), POINT_ESTIMATE,
-                             diagnostics={"final_nll": result.best_loss})
+                             diagnostics={"final_nll": result.best_loss},
+                             trace=_cma_trace([result]))
 
 
 def ensemble_tune(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
-                  seeds: list[int], trace_path: str | None = None) -> PosteriorEnsemble:
+                  seeds: list[int]) -> PosteriorEnsemble:
     """Independent CMA-ES runs, one per seed, pooled with uniform weights."""
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
-    results = [_single_cma_fit(sim, dataset, prior, es, s, trace_path) for s in seeds]
+    results = [_single_cma_fit(sim, dataset, prior, es, s) for s in seeds]
     samples = np.array([r.best_x for r in results])
     size = len(seeds)
     losses = [r.best_loss for r in results]
+    member = [k for k, r in enumerate(results) for _ in range(r.generations)]
     return PosteriorEnsemble(samples, np.full(size, 1.0 / size), ENSEMBLES,
                              diagnostics={"best_final_nll": float(min(losses)),
-                                          "mean_final_nll": float(np.mean(losses))})
+                                          "mean_final_nll": float(np.mean(losses))},
+                             trace={"member": member, **_cma_trace(results)})
 
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:
@@ -219,8 +227,7 @@ def _decode_search_vector(u: np.ndarray, prior: PriorSpec) -> VariationalParams:
 
 def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
               mc_samples: int = 10, sample_count: int = 100, seed: int = 0,
-              search_step: float = 0.3,
-              trace_path: str | None = None) -> PosteriorEnsemble:
+              search_step: float = 0.3) -> PosteriorEnsemble:
     """Gradient-free variational inference.
 
     CMA-ES proposes stacked (mu, log alpha) vectors; each candidate is scored
@@ -239,7 +246,7 @@ def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
 
     best_elbo = -np.inf
     best_params: VariationalParams | None = None
-    trace_rows = []
+    best_elbos = []
     for gen in range(es.max_generations):
         candidates = cmaes.ask(state)
         for k, cand in enumerate(candidates):
@@ -252,10 +259,7 @@ def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
                 best_elbo = elbo
                 best_params = params
         cmaes.tell(state, candidates)
-        trace_rows.append((gen + 1, best_elbo))
-
-    if trace_path is not None:
-        cmaes._append_trace(trace_path, ["generation", "best_elbo"], trace_rows)
+        best_elbos.append(best_elbo)
 
     assert best_params is not None
     final_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
@@ -264,4 +268,6 @@ def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
     return PosteriorEnsemble(
         draws, np.full(sample_count, 1.0 / sample_count), VARIATIONAL_INFERENCE,
         diagnostics={"best_elbo": float(best_elbo),
-                     "final_kl": kl_diag_gaussian_to_prior(best_params, prior)})
+                     "final_kl": kl_diag_gaussian_to_prior(best_params, prior)},
+        trace={"generation": list(range(1, len(best_elbos) + 1)),
+               "best_elbo": best_elbos})

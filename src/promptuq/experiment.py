@@ -12,6 +12,7 @@ deterministic formatting so reruns are byte-identical.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from dataclasses import dataclass, field, fields
@@ -71,8 +72,16 @@ def _object(value, path: str) -> dict:
     return value
 
 
+def _reject_unknown(payload: dict, known: set[str], path: str) -> None:
+    unknown = sorted(payload.keys() - known)
+    if unknown:
+        raise ConfigError(f"{path}{unknown[0]}", f"unknown field; known: {sorted(known)}")
+
+
 def external_task_from_dict(payload: dict) -> ExternalTaskSpec:
+    _reject_unknown(payload, {"endpoint", "prior", "datasets"}, "task.")
     endpoint = _object(_require(payload, "endpoint", "task."), "task.endpoint")
+    _reject_unknown(endpoint, {"argv", "host", "port"}, "task.endpoint.")
     argv = endpoint.get("argv")
     host = endpoint.get("host")
     port = endpoint.get("port")
@@ -82,6 +91,7 @@ def external_task_from_dict(payload: dict) -> ExternalTaskSpec:
                                  and all(isinstance(arg, str) for arg in argv)):
         raise ConfigError("task.endpoint.argv", "must be a nonempty list of strings")
     prior = _object(_require(payload, "prior", "task."), "task.prior")
+    _reject_unknown(prior, {"dim", "sigma"}, "task.prior.")
     check_json_types(PriorSpec, prior, "task.prior.")
     try:
         prior = PriorSpec(_require(prior, "dim", "task.prior."),
@@ -98,7 +108,10 @@ def external_task_from_dict(payload: dict) -> ExternalTaskSpec:
 
 
 def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
-    method = _require(_object(payload, "config"), "method", "")
+    # "out" is the output directory of `promptuq tune`; it is not read here
+    _reject_unknown(_object(payload, "config"), {"task", "method", "seed", "params", "out",
+                                                 "evaluation", "predictive_mode"}, "")
+    method = _require(payload, "method", "")
     if method not in METHODS:
         raise ConfigError("method", f"unknown method {method!r}; choose from {METHODS}")
     seed = _require(payload, "seed", "")
@@ -132,9 +145,7 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
 
     params = _object(payload.get("params", {}), "params")
     params_class = _REGISTRY[method].params
-    unknown = sorted(params.keys() - {f.name for f in fields(params_class)})
-    if unknown:
-        raise ConfigError(f"params.{unknown[0]}", f"not a parameter of {method}")
+    _reject_unknown(params, {f.name for f in fields(params_class)}, "params.")
     # a key means the same for every method that takes it
     check_json_types(params_class, params, "params.")
     for key, value in params.items():
@@ -152,6 +163,22 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
                             evaluation=tuple(evaluation),
                             predictive_mode=predictive_mode,
                             params=params_class(**params))
+
+
+def compare_configs_from_dict(payload: dict) -> list[ExperimentConfig]:
+    """One config per ``methods`` entry; the task, seed and evaluation are shared."""
+    _reject_unknown(_object(payload, "config"),
+                    {"task", "seed", "evaluation", "methods"}, "")
+    methods = _require(payload, "methods", "")
+    if not (isinstance(methods, list) and methods
+            and all(isinstance(spec, dict) for spec in methods)):
+        raise ConfigError("methods", "must be a nonempty list of objects")
+    shared = {key: payload[key] for key in ("task", "seed", "evaluation") if key in payload}
+    configs = []
+    for i, spec in enumerate(methods):
+        _reject_unknown(spec, {"method", "params", "predictive_mode"}, f"methods[{i}].")
+        configs.append(experiment_config_from_dict({**shared, **spec}))
+    return configs
 
 
 def load_labeled_ndjson(path) -> LabeledSet:
@@ -211,6 +238,12 @@ def _open_context(config: ExperimentConfig) -> RunContext:
         sim = ExternalSimulator.spawn(list(task.argv))
     else:
         sim = ExternalSimulator.connect(task.host, task.port)
+    for name in ("train", "test"):
+        if name in splits and not ((splits[name].y >= 0)
+                                   & (splits[name].y < sim.classes)).all():
+            sim.close()
+            raise ConfigError(f"task.datasets.{name}",
+                              f"every row needs a label y in [0, {sim.classes})")
     return RunContext(
         sim=sim, prior=task.prior,
         train=splits["train"], test=splits.get("test"),
@@ -258,36 +291,34 @@ class _SmcParams:
 
 
 # Runners look inference functions up at call time, so patching them works.
-def _run_point(p: _PointParams, ctx: RunContext, seed: int, trace_path):
+def _run_point(p: _PointParams, ctx: RunContext, seed: int):
     es = estimators.EsConfig(p.population_size, p.max_generations, p.sigma0)
-    return estimators.point_estimate(ctx.sim, ctx.train, ctx.prior, es,
-                                     seed=seed, trace_path=trace_path)
+    return estimators.point_estimate(ctx.sim, ctx.train, ctx.prior, es, seed=seed)
 
 
-def _run_ensembles(p: _EnsembleParams, ctx: RunContext, seed: int, trace_path):
+def _run_ensembles(p: _EnsembleParams, ctx: RunContext, seed: int):
     es = estimators.EsConfig(p.population_size, p.max_generations, p.sigma0)
     seeds = estimators.derive_seeds(seed, p.sample_count)
-    return estimators.ensemble_tune(ctx.sim, ctx.train, ctx.prior, es,
-                                    seeds=seeds, trace_path=trace_path)
+    return estimators.ensemble_tune(ctx.sim, ctx.train, ctx.prior, es, seeds=seeds)
 
 
-def _run_gfvi(p: _GfviParams, ctx: RunContext, seed: int, trace_path):
+def _run_gfvi(p: _GfviParams, ctx: RunContext, seed: int):
     es = estimators.EsConfig(p.population_size, p.max_generations)
     return estimators.gfvi_tune(ctx.sim, ctx.train, ctx.prior, es, mc_samples=p.mc_samples,
                                 sample_count=p.sample_count, seed=seed,
-                                search_step=p.search_step, trace_path=trace_path)
+                                search_step=p.search_step)
 
 
-def _run_rejection(p: _RejectionParams, ctx: RunContext, seed: int, trace_path):
+def _run_rejection(p: _RejectionParams, ctx: RunContext, seed: int):
     return rejection_abc(ctx.sim, ctx.prior, ctx.train, p.epsilon,
                          count=p.sample_count, max_draws=p.max_draws, seed=seed)
 
 
-def _run_smc(p: _SmcParams, ctx: RunContext, seed: int, trace_path):
+def _run_smc(p: _SmcParams, ctx: RunContext, seed: int):
     cfg = SmcConfig(particle_count=p.sample_count, max_iterations=p.smc_iterations,
                     weight_scheme=p.weight_scheme, max_attempts_per_particle=p.max_attempts,
                     variance_floor=p.variance_floor)
-    return abc_smc(ctx.sim, ctx.prior, ctx.train, cfg, seed=seed, trace_path=trace_path)
+    return abc_smc(ctx.sim, ctx.prior, ctx.train, cfg, seed=seed)
 
 
 class _Method(NamedTuple):
@@ -355,19 +386,20 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig, out_dir: str,
                    trace: bool = False) -> ExperimentReport:
     os.makedirs(out_dir, exist_ok=True)
-    trace_path = os.path.join(out_dir, "trace.csv") if trace else None
-    if trace_path is not None and os.path.exists(trace_path):
-        os.remove(trace_path)  # traces append; reruns must not accumulate
-
     ctx = _open_context(config)
     files: dict[str, str] = {}
     try:
-        ensemble = _REGISTRY[config.method].run(config.params, ctx, config.seed,
-                                                trace_path)
+        ensemble = _REGISTRY[config.method].run(config.params, ctx, config.seed)
 
         posterior_path = os.path.join(out_dir, "posterior.ndjson")
         estimators.save_ensemble(ensemble, posterior_path)
         files["posterior"] = posterior_path
+        if trace and ensemble.trace:
+            files["trace"] = os.path.join(out_dir, "trace.csv")
+            with open(files["trace"], "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(ensemble.trace)
+                writer.writerows(zip(*ensemble.trace.values()))
 
         summary: dict = {
             "method": config.method,
@@ -411,8 +443,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str,
         summary_path = os.path.join(out_dir, "summary.json")
         uqeval.save_summary_json(summary, summary_path)
         files["summary"] = summary_path
-        if trace_path is not None:
-            files["trace"] = trace_path
         return ExperimentReport(summary=summary, out_dir=out_dir, files=files)
     finally:
         if ctx.close is not None:
@@ -446,19 +476,10 @@ def compare_methods(configs: list[ExperimentConfig], out_dir: str,
         rows.append(row)
 
     os.makedirs(out_dir, exist_ok=True)
-    table_path = os.path.join(out_dir, "compare.json")
-    with open(table_path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    def cell(value):
-        if value is None:
-            return ""
-        return repr(value) if isinstance(value, float) else str(value)
-
-    csv_path = os.path.join(out_dir, "compare.csv")
-    headers = list(rows[0].keys())
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(headers) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(row[h]) for h in headers) + "\n")
+    uqeval.save_summary_json(rows, os.path.join(out_dir, "compare.json"))
+    with open(os.path.join(out_dir, "compare.csv"), "w", newline="",
+              encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # floats as repr, None as ""
+        writer.writerow(rows[0])
+        writer.writerows(row.values() for row in rows)
     return rows

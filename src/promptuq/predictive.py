@@ -23,7 +23,6 @@ class PredictiveTable:
 
     probs: np.ndarray  # (n_inputs, classes)
     mode: str
-    sample_count: int
 
     def __post_init__(self):
         if self.probs.ndim != 2 or len(self.probs) == 0:
@@ -50,7 +49,7 @@ def predictive_from_logits(ensemble: PosteriorEnsemble, sim,
     rows = np.zeros((len(inputs), sim.classes))
     for w, z in zip(ensemble.weights, ensemble.samples):
         rows += w * sim.query_logits(z, inputs)
-    return PredictiveTable(rows, MODE_LOGITS, ensemble.size)
+    return PredictiveTable(rows, MODE_LOGITS)
 
 
 def predictive_from_labels(ensemble: PosteriorEnsemble, sim, inputs: np.ndarray,
@@ -63,7 +62,7 @@ def predictive_from_labels(ensemble: PosteriorEnsemble, sim, inputs: np.ndarray,
     for w, z in zip(ensemble.weights, ensemble.samples):
         labels = sim.query_labels(z, inputs, decode=decode, rng=rng)
         rows[positions, labels] += w
-    return PredictiveTable(rows, MODE_LABELS, ensemble.size)
+    return PredictiveTable(rows, MODE_LABELS)
 
 
 def save_predictive_csv(table: PredictiveTable, path) -> None:
@@ -76,8 +75,7 @@ def save_predictive_csv(table: PredictiveTable, path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [int(cls)])
 
 
-def load_predictive_csv(path, mode: str = MODE_LOGITS,
-                        sample_count: int = 0) -> PredictiveTable:
+def load_predictive_csv(path) -> PredictiveTable:
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -85,4 +83,4 @@ def load_predictive_csv(path, mode: str = MODE_LOGITS,
         n_classes = sum(1 for name in header if name.startswith("p_"))
         for record in reader:
             rows.append([float(v) for v in record[:n_classes]])
-    return PredictiveTable(np.asarray(rows), mode, sample_count)
+    return PredictiveTable(np.asarray(rows), MODE_LOGITS)

@@ -38,20 +38,17 @@ class ProjectionSpec:
 
 
 def make_projection(subspace_dim: int, prompt_dim: int, seed: int,
-                    anchor: np.ndarray | None = None,
-                    entry_std: float | None = None) -> ProjectionSpec:
+                    anchor: np.ndarray | None = None) -> ProjectionSpec:
     """Generate the projection deterministically from ``seed``.
 
-    Entries are i.i.d. normal with variance 1/subspace_dim (``entry_std``
-    overrides), so the image of a unit vector has roughly unit norm. The
-    anchor defaults to zero.
+    Entries are i.i.d. normal with variance 1/subspace_dim, so the image of a
+    unit vector has roughly unit norm. The anchor defaults to zero.
     """
     if subspace_dim < 1 or prompt_dim < 1 or subspace_dim > prompt_dim:
         raise ValueError(
             f"need 1 <= subspace_dim <= prompt_dim, got ({subspace_dim}, {prompt_dim})")
-    std = entry_std if entry_std is not None else 1.0 / np.sqrt(subspace_dim)
     rng = np.random.default_rng(seed)
-    matrix = rng.normal(0.0, std, size=(prompt_dim, subspace_dim))
+    matrix = rng.normal(0.0, 1.0 / np.sqrt(subspace_dim), size=(prompt_dim, subspace_dim))
     if anchor is None:
         anchor = np.zeros(prompt_dim)
     else:

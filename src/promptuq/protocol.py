@@ -34,34 +34,46 @@ from .blackbox import EvalBudget, draw_decode_seed
 from .errors import AccessDeniedError, BudgetExhaustedError, ProtocolError
 
 PROTOCOL_VERSION = 1
-DEFAULT_TIMEOUT = 30.0
+TIMEOUT = 30.0  # seconds a client waits to connect or for a server line
 
 
 def _encode(payload: dict) -> bytes:
     return (json.dumps(payload) + "\n").encode("utf-8")
 
 
-class PipeTransport:
-    """Line framing over a child process's stdin/stdout."""
+class _LineTransport:
+    """Line framing over a byte stream; a subclass reads chunks, raising
+    TimeoutError when none arrives in time, and writes lines."""
 
-    def __init__(self, proc: subprocess.Popen, timeout: float | None):
-        self._proc = proc
-        self._timeout = timeout
+    def __init__(self):
         self._buffer = bytearray()
 
     def readline(self) -> bytes:
-        fd = self._proc.stdout.fileno()
         while b"\n" not in self._buffer:
-            ready, _, _ = select.select([fd], [], [], self._timeout)
-            if not ready:
-                raise ProtocolError(f"timed out after {self._timeout}s waiting for server")
-            chunk = os.read(fd, 65536)
+            try:
+                chunk = self._read_chunk()
+            except TimeoutError as exc:
+                raise ProtocolError(f"timed out after {TIMEOUT}s waiting for server") from exc
             if not chunk:
                 raise ProtocolError("server closed the connection")
             self._buffer.extend(chunk)
         line, _, rest = bytes(self._buffer).partition(b"\n")
         self._buffer = bytearray(rest)
         return line
+
+
+class PipeTransport(_LineTransport):
+    """Line framing over a child process's stdin/stdout."""
+
+    def __init__(self, proc: subprocess.Popen):
+        super().__init__()
+        self._proc = proc
+
+    def _read_chunk(self) -> bytes:
+        fd = self._proc.stdout.fileno()
+        if not select.select([fd], [], [], TIMEOUT)[0]:
+            raise TimeoutError
+        return os.read(fd, 65536)
 
     def writeline(self, data: bytes) -> None:
         self._proc.stdin.write(data)
@@ -73,30 +85,19 @@ class PipeTransport:
         except OSError:
             pass
         self._proc.wait(timeout=5)
+        self._proc.stdout.close()
 
 
-class SocketTransport:
+class SocketTransport(_LineTransport):
     """Line framing over a TCP socket."""
 
-    def __init__(self, sock: socket.socket, timeout: float | None):
-        sock.settimeout(timeout)
+    def __init__(self, sock: socket.socket):
+        super().__init__()
+        sock.settimeout(TIMEOUT)
         self._sock = sock
-        self._timeout = timeout
-        self._buffer = bytearray()
 
-    def readline(self) -> bytes:
-        while b"\n" not in self._buffer:
-            try:
-                chunk = self._sock.recv(65536)
-            except socket.timeout as exc:
-                raise ProtocolError(
-                    f"timed out after {self._timeout}s waiting for server") from exc
-            if not chunk:
-                raise ProtocolError("server closed the connection")
-            self._buffer.extend(chunk)
-        line, _, rest = bytes(self._buffer).partition(b"\n")
-        self._buffer = bytearray(rest)
-        return line
+    def _read_chunk(self) -> bytes:
+        return self._sock.recv(65536)  # socket.timeout is a TimeoutError
 
     def writeline(self, data: bytes) -> None:
         self._sock.sendall(data)
@@ -108,10 +109,10 @@ class SocketTransport:
 class ExternalSimulator:
     """Client handle with the same query surface as the built-in simulator."""
 
-    def __init__(self, transport, budget: EvalBudget | None = None):
+    def __init__(self, transport):
         self._transport = transport
         self._next_id = 0
-        self.budget = budget if budget is not None else EvalBudget()
+        self.budget = EvalBudget()
         handshake = self._read_payload()
         if handshake.get("protocol") != PROTOCOL_VERSION:
             raise ProtocolError(f"unsupported handshake: {handshake}")
@@ -124,27 +125,25 @@ class ExternalSimulator:
             raise ProtocolError(f"malformed handshake: {handshake}") from exc
 
     @classmethod
-    def spawn(cls, argv: list[str], timeout: float | None = DEFAULT_TIMEOUT,
-              budget: EvalBudget | None = None) -> "ExternalSimulator":
+    def spawn(cls, argv: list[str]) -> "ExternalSimulator":
         try:
             proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise ProtocolError(f"cannot start simulator {argv[0]!r}: {exc}") from exc
         try:
-            return cls(PipeTransport(proc, timeout), budget=budget)
+            return cls(PipeTransport(proc))
         except BaseException:
             with proc:  # closes the pipes and reaps the child
                 proc.kill()
             raise
 
     @classmethod
-    def connect(cls, host: str, port: int, timeout: float | None = DEFAULT_TIMEOUT,
-                budget: EvalBudget | None = None) -> "ExternalSimulator":
+    def connect(cls, host: str, port: int) -> "ExternalSimulator":
         try:
-            sock = socket.create_connection((host, port), timeout=timeout)
+            sock = socket.create_connection((host, port), timeout=TIMEOUT)
         except OSError as exc:
             raise ProtocolError(f"cannot connect to simulator at {host}:{port}: {exc}") from exc
-        return cls(SocketTransport(sock, timeout), budget=budget)
+        return cls(SocketTransport(sock))
 
     def close(self) -> None:
         self._transport.close()

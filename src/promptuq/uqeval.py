@@ -127,8 +127,7 @@ class SelectiveReport:
 
 
 def selective_classification_eval(probs: np.ndarray, labels: np.ndarray,
-                                  score: str = SCORE_ENTROPY,
-                                  ece_bins: int = 10) -> SelectiveReport:
+                                  score: str = SCORE_ENTROPY) -> SelectiveReport:
     """Flags are misclassifications of the argmax prediction."""
     probs = np.atleast_2d(np.asarray(probs, dtype=float))
     labels = np.asarray(labels)
@@ -139,7 +138,7 @@ def selective_classification_eval(probs: np.ndarray, labels: np.ndarray,
     return SelectiveReport(curve=curve, aurrrc=curve.aurrrc,
                            lower_bound=oracle_lower_bound(flags),
                            accuracy=float(1.0 - flags.mean()),
-                           ece=ece(probs, labels, ece_bins))
+                           ece=ece(probs, labels))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
 from promptuq.blackbox import (FrozenClassifier, LabeledSet, SyntheticSimulator,
                                TaskConfig, make_synthetic_task)
 from promptuq.prompt_space import PriorSpec, make_projection
+
+# `python -m promptuq serve` children import the package from this checkout
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 # The d=8 binary task used across the inference tests; seed chosen so a prior
 # draw mislabels roughly at chance.

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 
 import numpy as np
@@ -235,20 +234,17 @@ SMC_CFG = SmcConfig(particle_count=40, max_iterations=6,
                     weight_scheme="importance")
 
 
-def test_abc_smc_tolerance_trace_and_recheck(criterion_task, tmp_path):
+def test_abc_smc_tolerance_trace_and_recheck(criterion_task):
     sim = criterion_task.simulator(allow_logits=False)
-    trace = tmp_path / "trace.csv"
     result = abc_smc(sim, criterion_task.prior, criterion_task.train, SMC_CFG,
-                     seed=4, trace_path=str(trace))
+                     seed=4)
 
-    with open(trace, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    eps = [float(r["epsilon"]) for r in rows]
+    eps = result.trace["epsilon"]
     n = len(criterion_task.train)
     for t, value in enumerate(eps):
         assert value == eps[0] - t / n  # exact: dyadic arithmetic at N=32
     # importance weights reduce to uniform at iteration one
-    assert float(rows[0]["ess"]) == pytest.approx(SMC_CFG.particle_count, rel=1e-12)
+    assert result.trace["ess"][0] == pytest.approx(SMC_CFG.particle_count, rel=1e-12)
 
     final_eps = result.diagnostics["final_epsilon"]
     assert final_eps == eps[-1]
@@ -259,31 +255,27 @@ def test_abc_smc_tolerance_trace_and_recheck(criterion_task, tmp_path):
 
 
 @pytest.mark.parametrize("scheme", ["importance", "uniform"])
-def test_abc_smc_trace_accounts_for_every_call(criterion_task, tmp_path, scheme):
+def test_abc_smc_trace_accounts_for_every_call(criterion_task, scheme):
     sim = criterion_task.simulator(allow_logits=False)
     cfg = SmcConfig(particle_count=20, max_iterations=4, weight_scheme=scheme)
-    trace = tmp_path / "trace.csv"
-    result = abc_smc(sim, criterion_task.prior, criterion_task.train, cfg,
-                     seed=12, trace_path=str(trace))
-    with open(trace, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    diag = result.diagnostics
-    assert len(rows) == diag["iterations"]
-    calls = sum(int(r["simulator_calls"]) for r in rows)
+    result = abc_smc(sim, criterion_task.prior, criterion_task.train, cfg, seed=12)
+    trace, diag = result.trace, result.diagnostics
+    assert list(trace) == ["iteration", "epsilon", "ess", "total_attempts",
+                           "simulator_calls"]
+    assert all(len(column) == diag["iterations"] for column in trace.values())
+    assert trace["iteration"] == list(range(1, int(diag["iterations"]) + 1))
+    calls = sum(trace["simulator_calls"])
     assert calls == diag["simulator_calls"] == sim.budget.used
-    assert sum(int(r["total_attempts"]) for r in rows) == diag["total_attempts"]
+    assert sum(trace["total_attempts"]) == diag["total_attempts"]
 
 
-def test_abc_smc_uniform_scheme_keeps_uniform_weights(criterion_task, tmp_path):
+def test_abc_smc_uniform_scheme_keeps_uniform_weights(criterion_task):
     sim = criterion_task.simulator(allow_logits=False)
     cfg = SmcConfig(particle_count=30, max_iterations=5, weight_scheme="uniform")
-    trace = tmp_path / "trace.csv"
-    result = abc_smc(sim, criterion_task.prior, criterion_task.train, cfg,
-                     seed=5, trace_path=str(trace))
+    result = abc_smc(sim, criterion_task.prior, criterion_task.train, cfg, seed=5)
     assert np.allclose(result.weights, 1 / 30)
-    with open(trace, newline="") as fh:
-        for row in csv.DictReader(fh):
-            assert float(row["ess"]) == pytest.approx(30.0, rel=1e-12)
+    for ess in result.trace["ess"]:
+        assert ess == pytest.approx(30.0, rel=1e-12)
 
 
 def test_abc_smc_never_needs_probabilities(criterion_task):

@@ -3,7 +3,6 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
-import csv
 import dataclasses
 import json
 import sys
@@ -113,16 +112,14 @@ def test_criterion_2_elbo_machinery():
            f"gfvi KL<0.5 in {wins}/10 seeds (worst run {worst_time:.1f}s)")
 
 
-def test_criterion_3_abc_smc_contract(criterion_task, tmp_path):
+def test_criterion_3_abc_smc_contract(criterion_task):
     sim = criterion_task.simulator(allow_logits=False)
-    trace = tmp_path / "trace.csv"
     t0 = time.time()
     result = abc_smc(sim, criterion_task.prior, criterion_task.train,
-                     SmcConfig(), seed=4, trace_path=str(trace))
+                     SmcConfig(), seed=4)
     elapsed = time.time() - t0
 
-    with open(trace, newline="") as fh:
-        eps = [float(row["epsilon"]) for row in csv.DictReader(fh)]
+    eps = result.trace["epsilon"]
     trace_ok = all(eps[t] == eps[0] - t / 32 for t in range(len(eps)))
 
     final_eps = result.diagnostics["final_epsilon"]
@@ -165,7 +162,7 @@ def test_criterion_4_posterior_usefulness(criterion_task):
            f"{[round(e, 3) for e in errors]}, wins {wins}/10")
 
 
-def test_criterion_5_weight_machinery(criterion_task, tmp_path):
+def test_criterion_5_weight_machinery(criterion_task):
     rng_master = np.random.default_rng(6)
     mixture_ok = True
     for _ in range(100):
@@ -202,12 +199,10 @@ def test_criterion_5_weight_machinery(criterion_task, tmp_path):
     sim = criterion_task.simulator(allow_logits=False)
     uniform_cfg = SmcConfig(particle_count=40, max_iterations=4,
                             weight_scheme="uniform")
-    trace = tmp_path / "uniform.csv"
-    abc_smc(sim, criterion_task.prior, criterion_task.train, uniform_cfg,
-            seed=0, trace_path=str(trace))
-    with open(trace, newline="") as fh:
-        uniform_ok = all(float(r["ess"]) == pytest.approx(40.0, rel=1e-12)
-                         for r in csv.DictReader(fh))
+    uniform = abc_smc(sim, criterion_task.prior, criterion_task.train, uniform_cfg,
+                      seed=0)
+    uniform_ok = all(ess == pytest.approx(40.0, rel=1e-12)
+                     for ess in uniform.trace["ess"])
 
     importance_cfg = SmcConfig(particle_count=40, max_iterations=4,
                                weight_scheme="importance")

@@ -170,14 +170,6 @@ def test_minimize_rosenbrock_converges():
     assert result.best_loss < 1e-6
 
 
-def test_minimize_trace_written(tmp_path):
-    path = tmp_path / "trace.csv"
-    minimize(sphere, np.full(2, 1.0), 1.0, 6, 4, seed=13, trace_path=str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "generation,best_loss,step_size"
-    assert len(lines) == 5
-
-
 def test_trajectories_deterministic_for_identical_seeds():
     r1 = minimize(sphere, np.full(3, 2.0), 1.0, 8, 30, seed=14)
     r2 = minimize(sphere, np.full(3, 2.0), 1.0, 8, 30, seed=14)

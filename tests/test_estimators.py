@@ -1,4 +1,3 @@
-import csv
 
 import numpy as np
 import pytest
@@ -188,19 +187,16 @@ def test_decode_search_vector_always_positive_alpha():
 
 
 def test_gfvi_returns_requested_samples_and_trace(uniform_sim, uniform_dataset,
-                                                  wide_prior, tmp_path):
-    trace = tmp_path / "trace.csv"
+                                                  wide_prior):
     result = gfvi_tune(uniform_sim, uniform_dataset, wide_prior,
                        EsConfig(population_size=8, max_generations=25),
-                       mc_samples=5, sample_count=100, seed=2,
-                       trace_path=str(trace))
+                       mc_samples=5, sample_count=100, seed=2)
     assert result.size == 100
     assert np.allclose(result.weights, 0.01)
     assert result.provenance == "variational_inference"
 
-    with open(trace, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    best = [float(r["best_elbo"]) for r in rows]
+    assert result.trace["generation"] == list(range(1, 26))
+    best = result.trace["best_elbo"]
     assert len(best) == 25
     assert (np.diff(best) >= 0).all()
 

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import socket
 import sys
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from promptuq.blackbox import make_synthetic_task, task_config_from_dict
 from promptuq.cli import main
 from promptuq.errors import ConfigError
-from promptuq.experiment import (METHODS, compare_methods,
+from promptuq.experiment import (METHODS, compare_configs_from_dict, compare_methods,
                                  experiment_config_from_dict, load_labeled_ndjson,
                                  run_experiment)
 
@@ -74,6 +75,37 @@ def test_run_experiment_trace_not_accumulated(tmp_path):
     trace_once = (out / "trace.csv").read_bytes()
     run_experiment(config, str(out), trace=True)
     assert (out / "trace.csv").read_bytes() == trace_once
+
+
+def test_point_cmaes_trace_csv(tmp_path):
+    config = experiment_config_from_dict(
+        {**payload("point_cmaes", population_size=6, max_generations=4),
+         "evaluation": []})
+    report = run_experiment(config, str(tmp_path / "run"), trace=True)
+    lines = (tmp_path / "run" / "trace.csv").read_text().strip().splitlines()
+    assert lines[0] == "generation,best_loss,step_size"
+    assert len(lines) == 5
+    assert report.files["trace"] == str(tmp_path / "run" / "trace.csv")
+
+
+def test_ensembles_trace_has_member_column(tmp_path):
+    config = experiment_config_from_dict(
+        {**payload("ensembles", sample_count=3, population_size=4, max_generations=5),
+         "evaluation": []})
+    run_experiment(config, str(tmp_path / "run"), trace=True)
+    with open(tmp_path / "run" / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["member", "generation", "best_loss", "step_size"]
+    assert [int(r["member"]) for r in rows] == [k for k in range(3) for _ in range(5)]
+    assert [int(r["generation"]) for r in rows] == list(range(1, 6)) * 3
+
+
+def test_rejection_abc_writes_no_trace(tmp_path):
+    config = experiment_config_from_dict(
+        {**payload("rejection_abc", sample_count=4, epsilon=0.6), "evaluation": []})
+    report = run_experiment(config, str(tmp_path / "run"), trace=True)
+    assert "trace" not in report.files
+    assert not (tmp_path / "run" / "trace.csv").exists()
 
 
 def test_config_validation_field_paths():
@@ -203,8 +235,24 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "task.datasets.test" in capsys.readouterr().err
     assert not marker.exists()
 
-    # selective evaluation needs one label per predictive row
+    # dataset labels must lie in [0, classes) of the served task
     task_path = write_json(tmp_path / "task.json", SMALL_TASK)
+    serve = {"argv": [sys.executable, "-m", "promptuq", "serve", "--task", task_path]}
+    labeled = tmp_path / "labeled.ndjson"
+    labeled.write_text(json.dumps({"x": [0.0] * 8, "y": 0}) + "\n")
+    for split, record in (("test", {"x": [0.0] * 8, "y": 7}), ("train", {"x": [0.0] * 8})):
+        bad = tmp_path / f"bad_{split}.ndjson"
+        bad.write_text(json.dumps(record) + "\n")
+        config = write_json(tmp_path / f"labels_{split}.json", {
+            "task": {"endpoint": serve, "prior": {"dim": 4, "sigma": 50.0},
+                     "datasets": {"train": str(labeled), "test": str(labeled),
+                                  split: str(bad)}},
+            "method": "rejection_abc", "seed": 1})
+        assert main(["tune", "--config", config,
+                     "--out", str(tmp_path / f"labels_{split}")]) == 2
+        assert f"task.datasets.{split}" in capsys.readouterr().err
+
+    # selective evaluation needs one label per predictive row
     assert main(["tune", "--config", write_json(tmp_path / "point.json", payload(
         "point_cmaes", population_size=4, max_generations=2)),
                  "--out", str(tmp_path / "point")]) == 0
@@ -213,6 +261,20 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--posterior", str(tmp_path / "point" / "posterior.ndjson")]) == 0
     assert main(["eval", "--pred", pred_csv, "--task", task_path, "--split", "train",
                  "--out", str(tmp_path / "eval")]) == 2
+    assert not (tmp_path / "eval").exists()
+
+    # unreadable posterior or predictive files are config errors
+    short_z = tmp_path / "short.ndjson"
+    short_z.write_text('{"index": 0, "weight": 1.0, "z": [0.0, 0.0]}\n')
+    for posterior in (tmp_path / "missing.ndjson", short_z):
+        assert main(["predict", "--task", task_path, "--posterior", str(posterior),
+                     "--out", pred_csv]) == 2
+        assert "posterior" in capsys.readouterr().err
+    assert main(["eval", "--pred", str(tmp_path / "missing.csv"), "--task", task_path,
+                 "--out", str(tmp_path / "eval")]) == 2
+    assert main(["eval", "--pred", pred_csv, "--pred-ood", str(tmp_path / "missing.csv"),
+                 "--out", str(tmp_path / "eval")]) == 2
+    assert not (tmp_path / "eval").exists()
     capsys.readouterr()
 
 
@@ -270,6 +332,8 @@ def test_default_sample_counts_per_method():
 EXTERNAL_TASK = {"endpoint": {"argv": ["simulator"]},
                  "prior": {"dim": 4, "sigma": 50.0},
                  "datasets": {"train": "train.ndjson"}}
+COMPARE = {"task": SMALL_TASK, "seed": 3,
+           "methods": [{"method": "point_cmaes"}, {"method": "gfvi", "parms": {}}]}
 
 
 @pytest.mark.parametrize("config, field", [
@@ -289,10 +353,19 @@ EXTERNAL_TASK = {"endpoint": {"argv": ["simulator"]},
       "task": {**EXTERNAL_TASK, "prior": {"dim": "a", "sigma": 50.0}}}, "task.prior.dim"),
     ({**payload("rejection_abc"), "task": {**EXTERNAL_TASK, "endpoint": "x"}},
      "task.endpoint"),
+    ({**payload("point_cmaes"), "evalution": ["calibration"]}, "evalution"),
+    ({**payload("point_cmaes"), "out": 5}, "out"),
+    # a config with "methods" is run by compare
+    (COMPARE, "methods[1].parms"),
+    ({**COMPARE, "methods": [1]}, "methods"),
+    ({**COMPARE, "methods": "ab"}, "methods"),
+    ({**COMPARE, "methods": []}, "methods"),
+    ({**COMPARE, "method": "gfvi"}, "method"),
 ])
 def test_cli_tune_malformed_config_exits_2(tmp_path, capsys, config, field):
     path = write_json(tmp_path / "exp.json", config)
-    assert main(["tune", "--config", path, "--out", str(tmp_path / "run")]) == 2
+    command = "compare" if "methods" in config else "tune"
+    assert main([command, "--config", path, "--out", str(tmp_path / "run")]) == 2
     assert f"config error: {field}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
@@ -308,7 +381,8 @@ PARAMS = {"point_cmaes": ["population_size", "max_generations", "sigma0"],
 PARAM_KEYS = sorted({key for keys in PARAMS.values() for key in keys})
 KNOWN_STRINGS = list(METHODS) + ["calibration", "selective", "near_ood", "far_ood",
                                  "logits", "labels", "importance", "uniform"]
-TOP_KEYS = ["task", "method", "seed", "evaluation", "predictive_mode", "params"]
+TOP_KEYS = ["task", "method", "seed", "evaluation", "predictive_mode", "params", "out",
+            "methods"]
 KNOWN_KEYS = TOP_KEYS + list(SMALL_TASK) + list(EXTERNAL_TASK) + PARAM_KEYS
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 400)
@@ -350,12 +424,42 @@ def edited_configs(draw):
     return config
 
 
+@st.composite
+def compare_configs(draw):
+    """A valid compare payload (params are fuzzed by ``edited_configs``); then up
+    to two keys of the payload or of an entry replaced by arbitrary JSON or deleted."""
+    entries = [{"method": method} for method in draw(
+        st.lists(st.sampled_from(METHODS), min_size=1, max_size=3))]
+    payload = {"task": copy.deepcopy(draw(st.sampled_from([SMALL_TASK, EXTERNAL_TASK]))),
+               "seed": 3, "methods": entries}
+    for _ in range(draw(st.integers(0, 2))):
+        parent = draw(st.sampled_from([payload] + entries))
+        key = draw(st.sampled_from(TOP_KEYS))
+        value = draw(json_values | st.just(DELETE))
+        if value is DELETE:
+            parent.pop(key, None)
+        else:
+            parent[key] = value
+    return payload
+
+
 @settings(max_examples=300, deadline=None)
-@given(edited_configs() | json_values)
+@given(edited_configs() | compare_configs() | json_values)
 def test_config_parser_accepts_or_raises_config_error(config):
+    compare = isinstance(config, dict) and "methods" in config
     try:
-        parsed = experiment_config_from_dict(config)
+        parsed = (compare_configs_from_dict(config) if compare
+                  else [experiment_config_from_dict(config)])
     except ConfigError:
         return
-    assert set(config.get("params", {})) <= set(PARAMS[parsed.method])
-    assert parsed.resolved_sample_count() >= 1
+    entries = config["methods"] if compare else [config]
+    assert len(parsed) == len(entries)
+    if compare:
+        assert set(config) <= {"task", "seed", "evaluation", "methods"}
+        assert all(set(entry) <= {"method", "params", "predictive_mode"}
+                   for entry in entries)
+    else:
+        assert set(config) <= set(TOP_KEYS) - {"methods"}
+    for entry, cfg in zip(entries, parsed):
+        assert set(entry.get("params", {})) <= set(PARAMS[cfg.method])
+        assert cfg.resolved_sample_count() >= 1

@@ -125,14 +125,14 @@ def test_weight_invariance_under_sample_duplication(criterion_task):
 
 def test_table_validation():
     with pytest.raises(ValueError):
-        PredictiveTable(np.array([[0.5, 0.4]]), "logits", 1)
+        PredictiveTable(np.array([[0.5, 0.4]]), "logits")
     with pytest.raises(ValueError):
-        PredictiveTable(np.array([[1.5, -0.5]]), "logits", 1)
+        PredictiveTable(np.array([[1.5, -0.5]]), "logits")
 
 
 def test_csv_roundtrip_and_tiebreak(tmp_path):
     probs = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
-    table = PredictiveTable(probs, "logits", 4)
+    table = PredictiveTable(probs, "logits")
     path = tmp_path / "pred.csv"
     save_predictive_csv(table, path)
     text = path.read_text().splitlines()
