@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccessDeniedError, BudgetExhaustedError, check_json_types
-from .prompt_space import PriorSpec, ProjectionSpec, make_projection, project, sample_prior
+from .prompt_space import (PriorSpec, ProjectionSpec, check_sigma, make_projection,
+                           project, sample_prior)
 
 MODE_LOGITS = "logits"
 MODE_LABELS = "labels"
@@ -235,8 +236,7 @@ class TaskConfig:
             raise ValueError("feature_dim and hidden must be positive")
         if not 0.0 <= self.label_noise < 1.0:
             raise ValueError("label_noise must be in [0, 1)")
-        if not self.prior_sigma > 0:
-            raise ValueError("prior_sigma must be positive")
+        check_sigma(self.prior_sigma, "prior_sigma")
 
 
 @dataclass(frozen=True)

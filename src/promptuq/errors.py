@@ -58,6 +58,7 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
 
 
 def check_json_types(cls, values: dict, path: str = "") -> None:

@@ -174,10 +174,16 @@ def compare_configs_from_dict(payload: dict) -> list[ExperimentConfig]:
             and all(isinstance(spec, dict) for spec in methods)):
         raise ConfigError("methods", "must be a nonempty list of objects")
     shared = {key: payload[key] for key in ("task", "seed", "evaluation") if key in payload}
+    entry_keys = {"method", "params", "predictive_mode"}
     configs = []
     for i, spec in enumerate(methods):
-        _reject_unknown(spec, {"method", "params", "predictive_mode"}, f"methods[{i}].")
-        configs.append(experiment_config_from_dict({**shared, **spec}))
+        _reject_unknown(spec, entry_keys, f"methods[{i}].")
+        try:
+            configs.append(experiment_config_from_dict({**shared, **spec}))
+        except ConfigError as exc:
+            if exc.field.split(".")[0] not in entry_keys:  # a shared field
+                raise
+            raise ConfigError(f"methods[{i}].{exc.field}", exc.message) from exc
     return configs
 
 

@@ -27,6 +27,8 @@ class PredictiveTable:
     def __post_init__(self):
         if self.probs.ndim != 2 or len(self.probs) == 0:
             raise ValueError("need a nonempty 2-D probability table")
+        if not np.isfinite(self.probs).all():
+            raise ValueError("probabilities must be finite")
         if (self.probs < 0).any():
             raise ValueError("probabilities must be nonnegative")
         sums = self.probs.sum(axis=1)

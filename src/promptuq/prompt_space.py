@@ -64,6 +64,17 @@ def project(spec: ProjectionSpec, z: np.ndarray) -> np.ndarray:
     return spec.matrix @ z + spec.anchor
 
 
+def check_sigma(sigma, name: str) -> None:
+    """ValueError unless ``sigma`` is positive and its square a positive finite float."""
+    try:
+        variance = float(sigma) * float(sigma)
+    except OverflowError:  # an integer beyond the float range
+        variance = float("inf")
+    if not (sigma > 0 and 0.0 < variance < float("inf")):
+        raise ValueError(f"{name} must be positive with a positive finite square, "
+                         f"got {sigma!r}")
+
+
 @dataclass(frozen=True)
 class PriorSpec:
     """Zero-mean isotropic Gaussian prior over the subspace.
@@ -77,8 +88,7 @@ class PriorSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("prior dimension must be positive")
-        if not self.sigma > 0:
-            raise ValueError("prior sigma must be positive")
+        check_sigma(self.sigma, "prior sigma")
 
 
 def sample_prior(prior: PriorSpec, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,7 +10,6 @@ and is the best any score could do on the same flags.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -21,35 +20,51 @@ SCORE_MAXP = "maxp"
 SCORES = (SCORE_ENTROPY, SCORE_MAXP)
 
 
-def _check_distribution(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or len(p) == 0:
-        raise ValueError("expected a 1-D probability vector")
-    if (p < 0).any() or abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError(f"not a probability vector (sum {p.sum()})")
+def _check_table(probs: np.ndarray) -> np.ndarray:
+    """The table as floats; ValueError unless every row is a finite distribution."""
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 2 or p.size == 0:
+        raise ValueError("expected a nonempty 2-D probability table")
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if (p < 0).any():
+        raise ValueError("probabilities must be nonnegative")
+    sums = p.sum(axis=1)
+    row = int(np.argmax(np.abs(sums - 1.0)))
+    if abs(sums[row] - 1.0) > 1e-6:
+        raise ValueError(f"row {row} is not a probability vector (sum {sums[row]})")
     return p
 
 
+def score_rows(probs: np.ndarray, score: str) -> np.ndarray:
+    """Per-row uncertainty of an (M, C) table under the chosen score.
+
+    ``entropy`` is the Shannon entropy in nats with 0 log 0 = 0; ``maxp`` is
+    1 - max class probability, so higher always means more uncertain.
+    """
+    if score not in SCORES:
+        raise ValueError(f"unknown score {score!r}")
+    p = _check_table(probs)
+    if score == SCORE_MAXP:
+        return 1.0 - p.max(axis=1)
+    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)  # a zero adds 0 log 1
+
+
+def _score_one(distribution: np.ndarray, score: str) -> float:
+    p = np.asarray(distribution, dtype=float)
+    if p.ndim != 1:
+        raise ValueError("expected a 1-D probability vector")
+    return float(score_rows(p[np.newaxis], score)[0])
+
+
 def entropy_score(distribution: np.ndarray) -> float:
-    """Shannon entropy in nats, with 0 log 0 = 0."""
-    p = _check_distribution(distribution)
-    nonzero = p[p > 0]
-    return float(-(nonzero * np.log(nonzero)).sum())
+    """Shannon entropy in nats of one probability vector, with 0 log 0 = 0."""
+    return _score_one(distribution, SCORE_ENTROPY)
 
 
 def maxp_uncertainty(distribution: np.ndarray) -> float:
-    """1 - max class probability, so higher always means more uncertain."""
-    p = _check_distribution(distribution)
-    return float(1.0 - p.max())
-
-
-def score_rows(probs: np.ndarray, score: str) -> np.ndarray:
-    """Per-row uncertainty under the chosen score."""
-    if score == SCORE_ENTROPY:
-        return np.array([entropy_score(row) for row in probs])
-    if score == SCORE_MAXP:
-        return np.array([maxp_uncertainty(row) for row in probs])
-    raise ValueError(f"unknown score {score!r}")
+    """1 - max class probability of one probability vector."""
+    return _score_one(distribution, SCORE_MAXP)
 
 
 def ece(probs: np.ndarray, labels: np.ndarray, bin_count: int = 10) -> float:
@@ -164,12 +179,13 @@ def ood_detection_eval(id_probs: np.ndarray, ood_probs: np.ndarray,
 
 
 def save_curve_csv(curve: RiskRejectionCurve, path) -> None:
+    """Columns k, rejection_rate and risk, floats as repr, in the csv module's
+    default dialect: no field needs quoting and lines end in CRLF."""
     m = len(curve)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "rejection_rate", "risk"])
-        for k, risk in enumerate(curve.risks):
-            writer.writerow([k, repr(k / m), repr(float(risk))])
+        fh.write("k,rejection_rate,risk\r\n")
+        fh.writelines(f"{k},{k / m!r},{risk!r}\r\n"
+                      for k, risk in enumerate(curve.risks.tolist()))
 
 
 def save_summary_json(summary: dict, path) -> None:

@@ -171,7 +171,8 @@ def test_label_noise_flips_requested_fraction():
 
 @pytest.mark.parametrize("field,value", [
     ("classes", 1), ("n_train", 0), ("subspace_dim", 100),
-    ("label_noise", 1.5), ("prior_sigma", 0.0),
+    ("label_noise", 1.5), ("prior_sigma", 0.0), ("prior_sigma", 1e-300),
+    ("prior_sigma", 1e300),
 ])
 def test_task_config_validation(field, value):
     payload = task_config_to_dict(CRITERION_TASK)

@@ -274,6 +274,14 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "eval")]) == 2
     assert main(["eval", "--pred", pred_csv, "--pred-ood", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "eval")]) == 2
+    # a non-finite probability row is no distribution
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("p_0,p_1,p_2,predicted\n0.5,0.5,0.0,0\nnan,nan,0,0\n")
+    ood_csv = tmp_path / "ood.csv"
+    ood_csv.write_text("p_0,p_1,p_2,predicted\n0.2,0.3,0.5,2\n")
+    assert main(["eval", "--pred", str(nan_csv), "--pred-ood", str(ood_csv),
+                 "--out", str(tmp_path / "eval")]) == 2
+    assert "pred: cannot load" in capsys.readouterr().err
     assert not (tmp_path / "eval").exists()
     capsys.readouterr()
 
@@ -361,6 +369,20 @@ COMPARE = {"task": SMALL_TASK, "seed": 3,
     ({**COMPARE, "methods": "ab"}, "methods"),
     ({**COMPARE, "methods": []}, "methods"),
     ({**COMPARE, "method": "gfvi"}, "method"),
+    # an error inside a methods entry names the entry
+    ({**COMPARE, "methods": [{"method": "point_cmaes"}, {"method": "sgd"}]},
+     "methods[1].method"),
+    ({**COMPARE, "methods": [{"method": "point_cmaes"},
+                             {"method": "gfvi", "params": {"mc_samples": -1}}]},
+     "methods[1].params.mc_samples"),
+    # the prior variance sigma^2 must be a positive finite float
+    ({**payload("abc_smc"), "task": {**SMALL_TASK, "prior_sigma": 1e-300}},
+     "task: prior_sigma"),
+    ({**payload("gfvi"), "task": {**SMALL_TASK, "prior_sigma": 1e300}},
+     "task: prior_sigma"),
+    ({**payload("rejection_abc"),
+      "task": {**EXTERNAL_TASK, "prior": {"dim": 4, "sigma": 1e-300}}},
+     "task.prior: prior sigma"),
 ])
 def test_cli_tune_malformed_config_exits_2(tmp_path, capsys, config, field):
     path = write_json(tmp_path / "exp.json", config)

@@ -128,6 +128,9 @@ def test_table_validation():
         PredictiveTable(np.array([[0.5, 0.4]]), "logits")
     with pytest.raises(ValueError):
         PredictiveTable(np.array([[1.5, -0.5]]), "logits")
+    for row in ([np.nan, np.nan, 0.0], [np.inf, 0.0, 0.0], [np.inf, -np.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            PredictiveTable(np.array([[0.5, 0.5, 0.0], row]), "logits")
 
 
 def test_csv_roundtrip_and_tiebreak(tmp_path):

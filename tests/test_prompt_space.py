@@ -71,6 +71,11 @@ def test_prior_requires_positive_sigma():
         PriorSpec(2, 0.0)
     with pytest.raises(ValueError):
         PriorSpec(0, 1.0)
+    # sigma^2 must be a positive finite float: no underflow to 0, no overflow
+    for sigma in (1e-300, 1e300, 10 ** 400, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive finite square"):
+            PriorSpec(2, sigma)
+    assert PriorSpec(2, 1e-150).sigma ** 2 > 0
 
 
 def test_sample_prior_count_zero_and_determinism():

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from promptuq.uqeval import (ece, entropy_score, maxp_uncertainty,
+from promptuq.uqeval import (SCORES, ece, entropy_score, maxp_uncertainty,
                              ood_detection_eval, oracle_lower_bound,
-                             risk_rejection_curve, save_curve_csv,
+                             risk_rejection_curve, save_curve_csv, score_rows,
                              selective_classification_eval)
 
 
@@ -27,6 +27,66 @@ def test_scores_reject_unnormalized_input():
     for fn in (entropy_score, maxp_uncertainty):
         with pytest.raises(ValueError):
             fn(np.array([0.6, 0.6]))
+
+
+def dirichlet_rows_with_zeros(classes, rows, seed):
+    """Dirichlet rows with about a third of the entries zeroed, renormalized."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.full(classes, 0.5), size=rows)
+    p[rng.random(p.shape) < 0.3] = 0.0
+    p[p.sum(axis=1) == 0.0, rng.integers(classes)] = 1.0
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def per_row_entropy(row):
+    nz = row[row > 0]
+    return -(nz * np.log(nz)).sum()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_score_rows_matches_per_row_reference(classes, rows, seed):
+    p = dirichlet_rows_with_zeros(classes, rows, seed)
+    entropy = score_rows(p, "entropy")
+    maxp = score_rows(p, "maxp")
+    reference = np.array([per_row_entropy(row) for row in p])
+    if classes <= 7:  # bit for bit
+        assert entropy.tobytes() == reference.tobytes()
+    else:  # numpy's pairwise sum groups 8 or more terms differently
+        assert np.abs(entropy - reference).max() <= 8 * np.finfo(float).eps
+    assert maxp.tobytes() == np.array([1 - row.max() for row in p]).tobytes()
+    assert [entropy_score(row) for row in p] == entropy.tolist()
+    assert [maxp_uncertainty(row) for row in p] == maxp.tolist()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1), st.data())
+def test_score_rows_invariant_under_row_slicing(classes, seed, data):
+    p = dirichlet_rows_with_zeros(classes, 30, seed)
+    i = data.draw(st.integers(0, 29))
+    j = data.draw(st.integers(i + 1, 30))
+    for score in SCORES:
+        assert score_rows(p, score)[i:j].tobytes() == score_rows(p[i:j], score).tobytes()
+
+
+@pytest.mark.parametrize("table", [
+    np.array([0.5, 0.5]),                       # 1-D
+    np.zeros((0, 2)),                           # no rows
+    np.array([[1.2, -0.2], [0.5, 0.5]]),        # negative entry
+    np.array([[0.5, 0.5], [0.6, 0.6]]),         # row sum 1.2
+    np.array([[0.5, 0.5], [np.nan, np.nan]]),   # NaN
+    np.array([[np.inf, 0.0], [0.5, 0.5]]),      # inf
+    np.array([[np.inf, -np.inf], [0.5, 0.5]]),
+])
+def test_score_rows_rejects_non_distributions(table):
+    for score in SCORES:
+        with pytest.raises(ValueError):
+            score_rows(table, score)
+
+
+def test_score_rows_rejects_unknown_score():
+    with pytest.raises(ValueError, match="unknown score"):
+        score_rows(np.full((2, 2), 0.5), "variance")
 
 
 @settings(max_examples=100)
@@ -201,6 +261,9 @@ def test_curve_csv_export(tmp_path):
     assert len(lines) == 4
     k, rate, risk = lines[1].split(",")
     assert (k, float(rate), float(risk)) == ("0", 0.0, pytest.approx(1 / 3))
+    # the bytes the csv module's default dialect writes: floats as repr, CRLF
+    assert path.read_bytes() == (b"k,rejection_rate,risk\r\n0,0.0,0.3333333333333333\r\n"
+                                 b"1,0.3333333333333333,0.0\r\n2,0.6666666666666666,0.0\r\n")
 
 
 def test_ece_zero_when_bin_confidence_equals_accuracy():
