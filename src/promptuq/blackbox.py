@@ -14,7 +14,7 @@ z is drawn from the task prior, which keeps the loss landscape smooth.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -129,8 +129,15 @@ def sample_labels_from_seed(probs: np.ndarray, seed: int) -> np.ndarray:
     return np.asarray((u[:, None] > cdf).sum(axis=1), dtype=np.int64)
 
 
-def draw_decode_seed(rng: np.random.Generator) -> int:
-    """The u64 seed a caller attaches to one sample-decoded query."""
+def decode_seed(decode: str, rng: np.random.Generator | None) -> int:
+    """The u64 seed a caller attaches to one query: 0 for argmax decode, a
+    draw from ``rng`` for sample decode."""
+    if decode == DECODE_ARGMAX:
+        return 0
+    if decode != DECODE_SAMPLE:
+        raise ValueError(f"unknown decode {decode!r}")
+    if rng is None:
+        raise ValueError("sample decode requires an rng")
     return int(rng.integers(0, 2 ** 64, dtype=np.uint64))
 
 
@@ -185,13 +192,10 @@ class SyntheticSimulator:
                      decode: str = DECODE_ARGMAX,
                      rng: np.random.Generator | None = None) -> np.ndarray:
         """Discrete label per input. Argmax decode breaks ties toward the lowest index."""
+        seed = decode_seed(decode, rng)
         if decode == DECODE_ARGMAX:
             return np.argmax(self._raw_logits(z, inputs), axis=1)
-        if decode == DECODE_SAMPLE:
-            if rng is None:
-                raise ValueError("sample decode requires an rng")
-            return self.sampled_labels(z, inputs, draw_decode_seed(rng))
-        raise ValueError(f"unknown decode {decode!r}")
+        return self.sampled_labels(z, inputs, seed)
 
     def sampled_labels(self, z: np.ndarray, inputs: np.ndarray, seed: int) -> np.ndarray:
         """Sample decode driven by an explicit u64 seed; the protocol server path."""
@@ -339,11 +343,4 @@ def task_config_from_dict(payload: dict) -> TaskConfig:
 
 
 def task_config_to_dict(cfg: TaskConfig) -> dict:
-    return {
-        "subspace_dim": cfg.subspace_dim, "prompt_dim": cfg.prompt_dim,
-        "feature_dim": cfg.feature_dim, "classes": cfg.classes,
-        "hidden": cfg.hidden, "n_train": cfg.n_train, "n_test": cfg.n_test,
-        "n_ood": cfg.n_ood, "ood_shift": cfg.ood_shift, "seed": cfg.seed,
-        "prior_sigma": cfg.prior_sigma, "label_noise": cfg.label_noise,
-        "pooled_dim": cfg.pooled_dim,
-    }
+    return asdict(cfg)

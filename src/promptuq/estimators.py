@@ -17,6 +17,7 @@ so parallel candidate evaluation cannot change results.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -231,43 +232,35 @@ def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
     """Gradient-free variational inference.
 
     CMA-ES proposes stacked (mu, log alpha) vectors; each candidate is scored
-    by -ELBO with a Monte-Carlo likelihood term. Candidate k of generation g
-    draws from the substream (g * population + k), so evaluation order never
-    affects results. Returns ``sample_count`` draws from the best variational
-    distribution ever seen, uniformly weighted.
+    by -ELBO with a Monte-Carlo likelihood term. ``cmaes.minimize`` scores
+    candidates in order, so candidate k of generation g draws from the
+    substream (g * population + k). Returns ``sample_count`` draws from the
+    best variational distribution ever seen, uniformly weighted.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
     d = prior.dim
-    state = cmaes.es_init(np.zeros(2 * d), search_step, es.population_size,
-                          seed=int(np.random.default_rng(
-                              np.random.SeedSequence(seed, spawn_key=(0,))
-                          ).integers(2 ** 63)))
+    counter = itertools.count()
 
-    best_elbo = -np.inf
-    best_params: VariationalParams | None = None
-    best_elbos = []
-    for gen in range(es.max_generations):
-        candidates = cmaes.ask(state)
-        for k, cand in enumerate(candidates):
-            stream = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(1, gen * es.population_size + k)))
-            params = _decode_search_vector(cand.x, prior)
-            elbo = elbo_estimate(params, sim, dataset, prior, mc_samples, stream)
-            cand.loss = -elbo
-            if elbo > best_elbo:
-                best_elbo = elbo
-                best_params = params
-        cmaes.tell(state, candidates)
-        best_elbos.append(best_elbo)
+    def negative_elbo(u: np.ndarray) -> float:
+        stream = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(1, next(counter))))
+        return -elbo_estimate(_decode_search_vector(u, prior), sim, dataset, prior,
+                              mc_samples, stream)
 
-    assert best_params is not None
+    result = cmaes.minimize(
+        negative_elbo, np.zeros(2 * d), search_step, es.population_size,
+        es.max_generations, seed=int(np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(0,))).integers(2 ** 63)))
+    best_params = _decode_search_vector(result.best_x, prior)
+    best_elbos = [-v for v in result.history]
+
     final_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
     draws = best_params.mu + np.sqrt(best_params.alpha) * final_rng.standard_normal(
         (sample_count, d))
     return PosteriorEnsemble(
         draws, np.full(sample_count, 1.0 / sample_count), VARIATIONAL_INFERENCE,
-        diagnostics={"best_elbo": float(best_elbo),
+        diagnostics={"best_elbo": -result.best_loss,
                      "final_kl": kl_diag_gaussian_to_prior(best_params, prior)},
         trace={"generation": list(range(1, len(best_elbos) + 1)),
                "best_elbo": best_elbos})

@@ -15,6 +15,7 @@ import numpy as np
 
 from .blackbox import DECODE_ARGMAX, MODE_LABELS, MODE_LOGITS
 from .estimators import PosteriorEnsemble
+from .uqeval import check_probability_table
 
 
 @dataclass(frozen=True)
@@ -25,15 +26,7 @@ class PredictiveTable:
     mode: str
 
     def __post_init__(self):
-        if self.probs.ndim != 2 or len(self.probs) == 0:
-            raise ValueError("need a nonempty 2-D probability table")
-        if not np.isfinite(self.probs).all():
-            raise ValueError("probabilities must be finite")
-        if (self.probs < 0).any():
-            raise ValueError("probabilities must be nonnegative")
-        sums = self.probs.sum(axis=1)
-        if np.abs(sums - 1.0).max() > 1e-9:
-            raise ValueError("rows must sum to 1 within 1e-9")
+        check_probability_table(self.probs)
 
     @property
     def classes(self) -> int:

@@ -13,6 +13,7 @@ then answers one request per line:
              {"id": u64, "labels": [u32...]}         (labels mode)
              {"id": u64, "error": str, "kind": str}  (failure)
 
+Every message is one line of UTF-8 JSON ending in a newline byte.
 ``decode`` and ``seed`` only matter in labels mode; sample decoding is driven
 entirely by the request seed so a served simulator reproduces in-process
 results bit for bit.
@@ -30,8 +31,9 @@ import sys
 
 import numpy as np
 
-from .blackbox import EvalBudget, draw_decode_seed
+from .blackbox import EvalBudget, decode_seed
 from .errors import AccessDeniedError, BudgetExhaustedError, ProtocolError
+from .uqeval import check_probability_table
 
 PROTOCOL_VERSION = 1
 TIMEOUT = 30.0  # seconds a client waits to connect or for a server line
@@ -42,18 +44,17 @@ def _encode(payload: dict) -> bytes:
 
 
 class _LineTransport:
-    """Line framing over a byte stream; a subclass reads chunks, raising
-    TimeoutError when none arrives in time, and writes lines."""
+    """Line framing over a readable file descriptor; a subclass writes lines."""
 
-    def __init__(self):
+    def __init__(self, fd: int):
+        self._fd = fd
         self._buffer = bytearray()
 
     def readline(self) -> bytes:
         while b"\n" not in self._buffer:
-            try:
-                chunk = self._read_chunk()
-            except TimeoutError as exc:
-                raise ProtocolError(f"timed out after {TIMEOUT}s waiting for server") from exc
+            if not select.select([self._fd], [], [], TIMEOUT)[0]:
+                raise ProtocolError(f"timed out after {TIMEOUT}s waiting for server")
+            chunk = os.read(self._fd, 65536)
             if not chunk:
                 raise ProtocolError("server closed the connection")
             self._buffer.extend(chunk)
@@ -66,14 +67,8 @@ class PipeTransport(_LineTransport):
     """Line framing over a child process's stdin/stdout."""
 
     def __init__(self, proc: subprocess.Popen):
-        super().__init__()
+        super().__init__(proc.stdout.fileno())
         self._proc = proc
-
-    def _read_chunk(self) -> bytes:
-        fd = self._proc.stdout.fileno()
-        if not select.select([fd], [], [], TIMEOUT)[0]:
-            raise TimeoutError
-        return os.read(fd, 65536)
 
     def writeline(self, data: bytes) -> None:
         self._proc.stdin.write(data)
@@ -89,15 +84,12 @@ class PipeTransport(_LineTransport):
 
 
 class SocketTransport(_LineTransport):
-    """Line framing over a TCP socket."""
+    """Line framing over a TCP socket; the timeout bounds sends."""
 
     def __init__(self, sock: socket.socket):
-        super().__init__()
+        super().__init__(sock.fileno())
         sock.settimeout(TIMEOUT)
         self._sock = sock
-
-    def _read_chunk(self) -> bytes:
-        return self._sock.recv(65536)  # socket.timeout is a TimeoutError
 
     def writeline(self, data: bytes) -> None:
         self._sock.sendall(data)
@@ -183,48 +175,39 @@ class ExternalSimulator:
                 f"response id {response.get('id')} does not match request {request_id}")
         return response
 
-    def query_logits(self, z: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        if "logits" not in self.modes:
-            raise AccessDeniedError("server is labels-only; probabilities are hidden")
+    def _query(self, mode: str, z: np.ndarray, inputs: np.ndarray,
+               **fields) -> tuple[dict, int]:
+        """Charge and send one request; the response and the input count."""
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         self.budget.charge(len(inputs))
         response = self._roundtrip({
-            "mode": "logits",
+            "mode": mode,
             "z": [float(v) for v in np.asarray(z, dtype=float)],
             "inputs": inputs.tolist(),
+            **fields,
         })
-        outputs = response.get("outputs")
-        if (not isinstance(outputs, list) or len(outputs) != len(inputs)
-                or any(len(row) != self.classes for row in outputs)):
-            raise ProtocolError(f"malformed outputs for {len(inputs)} inputs")
-        probs = np.asarray(outputs, dtype=float)
-        if not np.isfinite(probs).all() or np.abs(probs.sum(axis=1) - 1.0).max() > 1e-6:
-            raise ProtocolError("logits-mode rows do not form probability vectors")
+        return response, len(inputs)
+
+    def query_logits(self, z: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+        if "logits" not in self.modes:
+            raise AccessDeniedError("server is labels-only; probabilities are hidden")
+        response, n = self._query("logits", z, inputs)
+        try:
+            probs = check_probability_table(response.get("outputs"))
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"logits-mode outputs are not probability rows: {exc}") from exc
+        if probs.shape != (n, self.classes):
+            raise ProtocolError(f"malformed outputs for {n} inputs")
         return probs
 
     def query_labels(self, z: np.ndarray, inputs: np.ndarray,
                      decode: str = "argmax",
                      rng: np.random.Generator | None = None) -> np.ndarray:
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        if decode == "sample":
-            if rng is None:
-                raise ValueError("sample decode requires an rng")
-            seed = draw_decode_seed(rng)
-        elif decode == "argmax":
-            seed = 0
-        else:
-            raise ValueError(f"unknown decode {decode!r}")
-        self.budget.charge(len(inputs))
-        response = self._roundtrip({
-            "mode": "labels",
-            "z": [float(v) for v in np.asarray(z, dtype=float)],
-            "inputs": inputs.tolist(),
-            "decode": decode,
-            "seed": seed,
-        })
+        seed = decode_seed(decode, rng)
+        response, n = self._query("labels", z, inputs, decode=decode, seed=seed)
         labels = response.get("labels")
-        if not isinstance(labels, list) or len(labels) != len(inputs):
-            raise ProtocolError(f"malformed labels for {len(inputs)} inputs")
+        if not isinstance(labels, list) or len(labels) != n:
+            raise ProtocolError(f"malformed labels for {n} inputs")
         values = np.asarray(labels)
         if (not np.issubdtype(values.dtype, np.integer)
                 or (values < 0).any() or (values >= self.classes).any()):
@@ -290,8 +273,12 @@ def _handle_request(sim, request: dict) -> dict:
         return failure(str(exc), kind="budget")
 
 
-def serve(sim, lines_in, lines_out) -> None:
-    """Serve one connection worth of requests from text streams until EOF."""
+def serve(sim, rfile, wfile) -> None:
+    """Serve one connection worth of requests from binary streams until EOF.
+
+    Lines end at a newline byte and blank lines are skipped; a line that is
+    not a UTF-8 JSON object gets one bad-request response.
+    """
     handshake = {
         "protocol": PROTOCOL_VERSION,
         "classes": sim.classes,
@@ -299,31 +286,30 @@ def serve(sim, lines_in, lines_out) -> None:
         "prompt_dim": sim.prompt_dim,
         "modes": ["logits", "labels"] if sim.allow_logits else ["labels"],
     }
-    lines_out.write(json.dumps(handshake) + "\n")
-    lines_out.flush()
-    for line in lines_in:
-        line = line.strip()
-        if not line:
+    wfile.write(_encode(handshake))
+    wfile.flush()
+    for line in rfile:
+        if not line.strip():
             continue
         try:
-            request = json.loads(line)
+            request = json.loads(line.decode("utf-8"))
             if not isinstance(request, dict):
                 raise ValueError("not an object")
-        except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+        except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError too
             response = {"id": None, "error": "unparseable request", "kind": "bad-request"}
         else:
             response = _handle_request(sim, request)
         try:
-            text = json.dumps(response, allow_nan=False)
+            data = (json.dumps(response, allow_nan=False) + "\n").encode("utf-8")
         except ValueError:  # inputs that overflow the model yield NaN outputs
-            text = json.dumps({"id": response["id"], "error": "non-finite result",
-                               "kind": "bad-request"})
-        lines_out.write(text + "\n")
-        lines_out.flush()
+            data = _encode({"id": response["id"], "error": "non-finite result",
+                            "kind": "bad-request"})
+        wfile.write(data)
+        wfile.flush()
 
 
 def serve_stdio(sim) -> None:
-    serve(sim, sys.stdin, sys.stdout)
+    serve(sim, sys.stdin.buffer, sys.stdout.buffer)
 
 
 def serve_tcp(sim, host: str, port: int, ready_callback=None) -> None:
@@ -331,9 +317,7 @@ def serve_tcp(sim, host: str, port: int, ready_callback=None) -> None:
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
-            serve(sim,
-                  (raw.decode("utf-8", errors="replace") for raw in self.rfile),
-                  _SocketWriter(self.wfile))
+            serve(sim, self.rfile, self.wfile)
 
     class Server(socketserver.ThreadingTCPServer):
         allow_reuse_address = True
@@ -343,14 +327,3 @@ def serve_tcp(sim, host: str, port: int, ready_callback=None) -> None:
         if ready_callback is not None:
             ready_callback(server.server_address)
         server.serve_forever()
-
-
-class _SocketWriter:
-    def __init__(self, wfile):
-        self._wfile = wfile
-
-    def write(self, text: str) -> None:
-        self._wfile.write(text.encode("utf-8"))
-
-    def flush(self) -> None:
-        self._wfile.flush()

@@ -20,8 +20,9 @@ SCORE_MAXP = "maxp"
 SCORES = (SCORE_ENTROPY, SCORE_MAXP)
 
 
-def _check_table(probs: np.ndarray) -> np.ndarray:
-    """The table as floats; ValueError unless every row is a finite distribution."""
+def check_probability_table(probs) -> np.ndarray:
+    """The table as floats; ValueError unless every row is a finite distribution
+    (nonnegative entries summing to 1 within 1e-6)."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2 or p.size == 0:
         raise ValueError("expected a nonempty 2-D probability table")
@@ -44,7 +45,7 @@ def score_rows(probs: np.ndarray, score: str) -> np.ndarray:
     """
     if score not in SCORES:
         raise ValueError(f"unknown score {score!r}")
-    p = _check_table(probs)
+    p = check_probability_table(probs)
     if score == SCORE_MAXP:
         return 1.0 - p.max(axis=1)
     return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)  # a zero adds 0 log 1

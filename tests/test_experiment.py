@@ -286,6 +286,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_eval_takes_rows_within_the_table_tolerance(tmp_path, capsys):
+    rounded = tmp_path / "rounded.csv"  # rows rounded to 7 digits sum to 1 - 1e-7
+    rounded.write_text("p_0,p_1,p_2,predicted\n0.3333333,0.3333333,0.3333333,0\n"
+                       "0.2,0.3,0.5,2\n")
+    short = tmp_path / "short.csv"
+    short.write_text("p_0,p_1,p_2,predicted\n0.2,0.2,0.2,0\n")
+    assert main(["eval", "--pred", str(rounded), "--pred-ood", str(rounded),
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert main(["eval", "--pred", str(short), "--pred-ood", str(rounded),
+                 "--out", str(tmp_path / "short")]) == 2
+    assert "not a probability vector" in capsys.readouterr().err
+
+
 def test_cli_lower_bound_reproduces_rebuttal_value(tmp_path, capsys):
     assert main(["lower-bound", "--n-id", "5", "--n-ood", "5",
                  "--out", str(tmp_path / "curve.csv")]) == 0
@@ -328,6 +341,32 @@ def test_experiment_against_external_endpoint(tmp_path):
     loaded = load_labeled_ndjson(train_path)
     assert np.allclose(loaded.X, task.train.X)
     assert np.array_equal(loaded.y, task.train.y)
+
+
+@pytest.mark.parametrize("row, code", [
+    ([0.5 + 4e-7, 0.5], 0),  # within the tolerance of every probability table
+    ([1.5, -0.5], 4),        # sums to 1, but a negative entry is a protocol error
+])
+def test_tune_against_server_with_edge_probability_rows(tmp_path, row, code):
+    server = "\n".join([
+        "import json, sys",
+        "print(json.dumps({'protocol': 1, 'classes': 2, 'feature_dim': 8,"
+        " 'prompt_dim': 32, 'modes': ['logits', 'labels']}), flush=True)",
+        "for line in sys.stdin:",
+        "    request = json.loads(line)",
+        f"    print(json.dumps({{'id': request['id'], 'outputs': [{row!r}] * "
+        "len(request['inputs'])}), flush=True)"])
+    split = tmp_path / "split.ndjson"
+    split.write_text("".join(json.dumps({"x": [0.1 * i] * 8, "y": i % 2}) + "\n"
+                             for i in range(4)))
+    config = write_json(tmp_path / "edge.json", {
+        "task": {"endpoint": {"argv": [sys.executable, "-c", server]},
+                 "prior": {"dim": 4, "sigma": 50.0},
+                 "datasets": {"train": str(split), "test": str(split)}},
+        "method": "point_cmaes", "seed": 1,
+        "params": {"population_size": 2, "max_generations": 1},
+        "evaluation": ["calibration", "selective"]})
+    assert main(["tune", "--config", config, "--out", str(tmp_path / "out")]) == code
 
 
 def test_default_sample_counts_per_method():

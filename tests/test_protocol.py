@@ -185,13 +185,13 @@ def test_spawn_reaps_child_after_failed_handshake(tmp_path):
 
 
 def test_client_rejects_unnormalized_logit_rows():
-    transport = ScriptedTransport([
-        HANDSHAKE,
-        json.dumps({"id": 0, "outputs": [[0.9, 0.9]]}),
-    ])
-    client = ExternalSimulator(transport)
-    with pytest.raises(ProtocolError, match="probability"):
-        client.query_logits(np.zeros(2), np.zeros((1, 3)))
+    for outputs, message in (([[0.9, 0.9]], "probability"),
+                             ([[1.5, -0.5]], "nonnegative"),  # sums to 1, no distribution
+                             ([0.5, 0.5], "2-D")):            # a flat row, not a list of rows
+        transport = ScriptedTransport([HANDSHAKE, json.dumps({"id": 0, "outputs": outputs})])
+        client = ExternalSimulator(transport)
+        with pytest.raises(ProtocolError, match=message):
+            client.query_logits(np.zeros(2), np.zeros((1, 3)))
 
 
 def _strict_json(line):
@@ -201,9 +201,9 @@ def _strict_json(line):
 
 
 def _serve_lines(sim, request_lines):
-    out = io.StringIO()
-    serve(sim, iter(request_lines), out)
-    lines = out.getvalue().split("\n")[:-1]
+    out = io.BytesIO()
+    serve(sim, io.BytesIO("".join(request_lines).encode()), out)
+    lines = out.getvalue().decode().split("\n")[:-1]
     return _strict_json(lines[0]), [_strict_json(line) for line in lines[1:]]
 
 
@@ -246,6 +246,15 @@ def test_server_error_responses(criterion_task):
     assert len(responses[-1]["outputs"]) == 1
 
 
+def test_server_answers_a_non_utf8_line_once_and_keeps_serving(criterion_task):
+    valid = json.dumps({"id": 1, "mode": "labels", "z": [0.0] * 8, "inputs": [[0.0] * 16]})
+    out = io.BytesIO()
+    serve(criterion_task.simulator(), io.BytesIO(b"\xff\n" + valid.encode() + b"\n"), out)
+    _, bad, good = [_strict_json(line) for line in out.getvalue().decode().split("\n")[:-1]]
+    assert bad == {"id": None, "error": "unparseable request", "kind": "bad-request"}
+    assert good["id"] == 1 and len(good["labels"]) == 1
+
+
 _json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
@@ -284,13 +293,14 @@ def _request(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.text() | _request().map(json.dumps), max_size=6))
+@given(st.lists(st.binary() | st.text().map(str.encode)
+                | _request().map(lambda request: json.dumps(request).encode()), max_size=6))
 def test_server_answers_every_line_with_valid_json(criterion_task, lines):
-    text = "".join(line + "\n" for line in lines)
-    out = io.StringIO()
-    serve(criterion_task.simulator(), io.StringIO(text), out)  # returns at EOF
-    requests = [line for line in io.StringIO(text) if line.strip()]
-    responses = [_strict_json(line) for line in out.getvalue().split("\n")[1:-1]]
+    data = b"".join(line + b"\n" for line in lines)
+    out = io.BytesIO()
+    serve(criterion_task.simulator(), io.BytesIO(data), out)  # returns at EOF
+    requests = [line for line in io.BytesIO(data) if line.strip()]
+    responses = [_strict_json(line) for line in out.getvalue().decode().split("\n")[1:-1]]
     assert len(responses) == len(requests)
     for response in responses:
         assert isinstance(response, dict)
