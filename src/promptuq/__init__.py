@@ -1,17 +1,17 @@
 """Posterior inference over low-dimensional prompt parameters of black-box
 classifiers, with calibration, selective-classification and OOD evaluation."""
 
-from .abc_smc import (SmcConfig, abc_smc, decay_tolerance, distance_error_rate,
-                      effective_sample_size, initial_tolerance, rejection_abc,
-                      update_kernel_variance, update_weights)
+from .abc_smc import (RejectionConfig, SmcConfig, abc_smc, decay_tolerance,
+                      distance_error_rate, effective_sample_size, initial_tolerance,
+                      rejection_abc, update_kernel_variance, update_weights)
 from .blackbox import (EvalBudget, FrozenClassifier, LabeledSet, SyntheticSimulator,
                        SyntheticTask, TaskConfig, make_synthetic_task)
 from .cmaes import Candidate, MinimizeResult, SearchState, ask, es_init, minimize, tell
 from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      DegenerateWeightsError, EvaluationError,
                      NumericalBreakdownError, ProtocolError, StagnationError)
-from .estimators import (EsConfig, PosteriorEnsemble, VariationalParams,
-                         elbo_estimate, ensemble_tune, gfvi_tune,
+from .estimators import (EnsembleConfig, EsConfig, GfviConfig, PosteriorEnsemble,
+                         VariationalParams, elbo_estimate, ensemble_tune, gfvi_tune,
                          kl_diag_gaussian_to_prior, load_ensemble,
                          negative_log_likelihood, point_estimate, save_ensemble)
 from .experiment import (ExperimentConfig, compare_methods,

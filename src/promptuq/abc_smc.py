@@ -6,7 +6,7 @@ distance. Two methods:
 
 * ``rejection_abc``: accept prior draws whose simulated labels land strictly
   inside the tolerance (by default the error rate of one prior draw).
-* ``abc_smc``: one schedule loop over t = 1..max_iterations; the tolerance
+* ``abc_smc``: one schedule loop over t = 1..smc_iterations; the tolerance
   starts at that same value and shrinks by 1/N per iteration until it would
   reach zero. Each particle slot draws from its own (seed, t, slot) stream
   until a proposal is within tolerance: a prior draw at t = 1, later a
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackbox import LabeledSet
-from .errors import BudgetExhaustedError, DegenerateWeightsError, StagnationError
+from .errors import (BudgetExhaustedError, ConfigError, DegenerateWeightsError,
+                     StagnationError, check_positive)
 from .estimators import ABC_SMC, REJECTION_ABC, PosteriorEnsemble
 from .prompt_space import PriorSpec, prior_log_density, sample_prior
 
@@ -36,22 +37,31 @@ WEIGHT_UNIFORM = "uniform"
 
 
 @dataclass(frozen=True)
-class SmcConfig:
-    particle_count: int = 100
-    max_iterations: int = 10
-    weight_scheme: str = WEIGHT_IMPORTANCE
-    max_attempts_per_particle: int = 10_000
-    variance_floor: float = 1e-8
+class RejectionConfig:
+    sample_count: int = 100
+    epsilon: float | None = None  # None: the error rate of one prior draw
+    max_draws: int = 100_000
 
     def __post_init__(self):
-        if self.particle_count < 1 or self.max_iterations < 1:
-            raise ValueError("particle_count and max_iterations must be positive")
-        if self.max_attempts_per_particle < 1:
-            raise ValueError("max_attempts_per_particle must be positive")
-        if not self.variance_floor > 0:
-            raise ValueError("variance_floor must be positive")
+        check_positive(self, "sample_count", "epsilon", "max_draws")
+        if self.epsilon is not None and self.epsilon > 1.0:
+            raise ConfigError("epsilon", "must be at most 1")
+
+
+@dataclass(frozen=True)
+class SmcConfig:
+    sample_count: int = 100  # particles
+    smc_iterations: int = 10
+    weight_scheme: str = WEIGHT_IMPORTANCE
+    max_attempts: int = 10_000  # proposals per particle and iteration
+    variance_floor: float = 1e-8  # per coordinate, on the perturbation kernel
+
+    def __post_init__(self):
+        check_positive(self, "sample_count", "smc_iterations", "max_attempts",
+                       "variance_floor")
         if self.weight_scheme not in (WEIGHT_IMPORTANCE, WEIGHT_UNIFORM):
-            raise ValueError(f"unknown weight scheme {self.weight_scheme!r}")
+            raise ConfigError("weight_scheme",
+                              f"must be '{WEIGHT_IMPORTANCE}' or '{WEIGHT_UNIFORM}'")
 
 
 def distance_error_rate(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -72,6 +82,15 @@ def initial_tolerance(sim, prior: PriorSpec, dataset: LabeledSet,
     return distance_error_rate(sim.query_labels(z, dataset.X), dataset.y)
 
 
+def _nonzero(epsilon: float) -> float:
+    """A first tolerance of 0 accepts nothing on a strict ``<``: stop before
+    the first proposal rather than spend every attempt."""
+    if epsilon == 0.0:
+        raise StagnationError("the initial tolerance is 0, which no proposal can "
+                              "strictly beat", iteration=1, epsilon=0.0, attempts=0)
+    return epsilon
+
+
 def decay_tolerance(epsilon: float, n: int) -> float:
     """One schedule step: epsilon - 1/n, floored at zero."""
     if n < 1:
@@ -83,16 +102,13 @@ def _slot_stream(seed: int, iteration: int, slot: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(iteration, slot)))
 
 
-def rejection_abc(sim, prior: PriorSpec, dataset: LabeledSet, epsilon: float | None,
-                  count: int, max_draws: int, seed: int) -> PosteriorEnsemble:
-    """Accept ``count`` prior draws with distance strictly below ``epsilon``;
-    None takes ABC-SMC's initial tolerance at the same seed."""
-    if count < 1 or max_draws < 1:
-        raise ValueError("count and max_draws must be positive")
+def rejection_abc(sim, prior: PriorSpec, dataset: LabeledSet, config: RejectionConfig,
+                  seed: int) -> PosteriorEnsemble:
+    """Accept ``config.sample_count`` prior draws with distance strictly below
+    ``config.epsilon``; None takes ABC-SMC's initial tolerance at the same seed."""
+    count, epsilon, max_draws = config.sample_count, config.epsilon, config.max_draws
     if epsilon is None:
-        epsilon = initial_tolerance(sim, prior, dataset, _slot_stream(seed, 0, 0))
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must be in [0, 1]")
+        epsilon = _nonzero(initial_tolerance(sim, prior, dataset, _slot_stream(seed, 0, 0)))
     rng = np.random.default_rng(seed)
     accepted: list[np.ndarray] = []
     draws = 0
@@ -166,14 +182,14 @@ def effective_sample_size(weights: np.ndarray) -> float:
 def abc_smc(sim, prior: PriorSpec, dataset: LabeledSet, config: SmcConfig,
             seed: int) -> PosteriorEnsemble:
     """Sequential ABC with a 1/N tolerance decay. Uses only label queries."""
-    size = config.particle_count
+    size = config.sample_count
     budget_before = calls_before = sim.budget.used
     trace = {"iteration": [], "epsilon": [], "ess": [], "total_attempts": [],
              "simulator_calls": []}
-    initial_epsilon = epsilon = initial_tolerance(sim, prior, dataset,
-                                                  _slot_stream(seed, 0, 0))
+    initial_epsilon = epsilon = _nonzero(initial_tolerance(sim, prior, dataset,
+                                                           _slot_stream(seed, 0, 0)))
     total_attempts = 0
-    for t in range(1, config.max_iterations + 1):
+    for t in range(1, config.smc_iterations + 1):
         if t > 1:
             next_epsilon = decay_tolerance(epsilon, len(dataset))
             if next_epsilon == 0.0:
@@ -185,7 +201,7 @@ def abc_smc(sim, prior: PriorSpec, dataset: LabeledSet, config: SmcConfig,
         iter_attempts = 0
         for s in range(size):
             stream = _slot_stream(seed, t, s)
-            for attempt in range(1, config.max_attempts_per_particle + 1):
+            for attempt in range(1, config.max_attempts + 1):
                 if t == 1:
                     z = sample_prior(prior, 1, stream)[0]
                 else:
@@ -199,9 +215,9 @@ def abc_smc(sim, prior: PriorSpec, dataset: LabeledSet, config: SmcConfig,
             else:
                 raise StagnationError(
                     f"particle {s} found no proposal within epsilon {epsilon} in "
-                    f"{config.max_attempts_per_particle} attempts (iteration {t})",
+                    f"{config.max_attempts} attempts (iteration {t})",
                     iteration=t, epsilon=epsilon,
-                    attempts=config.max_attempts_per_particle)
+                    attempts=config.max_attempts)
 
         if t > 1 and config.weight_scheme == WEIGHT_IMPORTANCE:
             weights = update_weights(new_particles, particles, weights,

@@ -240,6 +240,8 @@ class TaskConfig:
             raise ValueError("feature_dim and hidden must be positive")
         if not 0.0 <= self.label_noise < 1.0:
             raise ValueError("label_noise must be in [0, 1)")
+        if not np.isfinite(2.0 * self.ood_shift):  # the far-OOD mean's norm
+            raise ValueError(f"2 * ood_shift must be finite, got {self.ood_shift!r}")
         check_sigma(self.prior_sigma, "prior_sigma")
 
 

@@ -1,14 +1,15 @@
 """Command-line entry points.
 
 Subcommands: task, tune, predict, eval, compare, lower-bound, serve.
-Exit codes: 0 success, 2 config error, 3 budget or stagnation, 4 simulator
-or protocol error.
+Exit codes: 0 success, 2 config error, 3 budget, stagnation or numerical
+breakdown, 4 simulator or protocol error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -17,6 +18,7 @@ import numpy as np
 from . import estimators, predictive, uqeval
 from .blackbox import make_synthetic_task, task_config_from_dict, task_config_to_dict
 from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
+                     DegenerateWeightsError, EvaluationError, NumericalBreakdownError,
                      ProtocolError, StagnationError)
 from .experiment import (compare_configs_from_dict, compare_methods, evaluate_ood,
                          evaluate_selective, experiment_config_from_dict,
@@ -25,13 +27,21 @@ from .prompt_space import sample_prior
 from .protocol import serve_stdio, serve_tcp
 
 
+def _finite_number(text: str) -> float:
+    """JSON's number grammar has no NaN or Infinity, and a float must fit."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite JSON number")
+    return value
+
+
 def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError("config", f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
+            data = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+    except OSError as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError; deep nesting
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config", f"{path} must hold a JSON object")
@@ -98,6 +108,8 @@ def cmd_predict(args) -> int:
     sim = task.simulator(allow_logits=(args.mode == "logits"))
     inputs = {"train": task.train.X, "test": task.test.X,
               "near_ood": task.near_ood, "far_ood": task.far_ood}[args.split]
+    if args.seed < 0:
+        raise ConfigError("seed", "must be a non-negative integer")
     if args.mode == "logits":
         table = predictive.predictive_from_logits(ensemble, sim, inputs)
     else:
@@ -256,7 +268,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExhaustedError, StagnationError) as exc:
+    except (BudgetExhaustedError, StagnationError, EvaluationError,
+            NumericalBreakdownError, DegenerateWeightsError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 3
     except (ProtocolError, AccessDeniedError) as exc:

@@ -4,6 +4,7 @@ Plain ``ValueError`` is used for dimension and argument validation; the
 classes here mark domain events a caller may want to catch and handle.
 """
 
+import sys
 from dataclasses import fields
 
 
@@ -39,7 +40,8 @@ class DegenerateWeightsError(RuntimeError):
 
 
 class StagnationError(RuntimeError):
-    """A particle exceeded its proposal attempt limit at the current tolerance."""
+    """A particle exceeded its proposal attempt limit at the current tolerance,
+    or the tolerance is 0, which no proposal can strictly beat."""
 
     def __init__(self, message: str, iteration: int, epsilon: float, attempts: int):
         super().__init__(message)
@@ -53,7 +55,8 @@ class ProtocolError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration; ``field`` holds the offending key path."""
+    """Invalid configuration; ``field`` holds the offending key path (a method
+    config names its bare key, which the experiment parser prefixes)."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
@@ -63,7 +66,8 @@ class ConfigError(ValueError):
 
 def check_json_types(cls, values: dict, path: str = "") -> None:
     """Raise ConfigError unless each of ``values`` has the type annotated on the
-    same-named field of dataclass ``cls`` (int, float, str, None; a bool is no number)."""
+    same-named field of dataclass ``cls`` (int, float, str, None; a bool is no
+    number, and a float field takes an integer only within the float range)."""
     kinds = {"int": int, "float": (int, float), "str": str, "None": type(None)}
     for f in fields(cls):
         value = values.get(f.name)
@@ -71,3 +75,14 @@ def check_json_types(cls, values: dict, path: str = "") -> None:
                 isinstance(value, kinds[kind]) for kind in f.type.split(" | "))):
             raise ConfigError(f"{path}{f.name}",
                               f"must be {f.type}, got {type(value).__name__}")
+        if "float" in f.type and type(value) is int and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{path}{f.name}", "is beyond the float range")
+
+
+def check_positive(config, *names: str) -> None:
+    """Raise ConfigError(name, ...) for the first named field of ``config`` that
+    is set (not None) but not positive."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not value > 0:
+            raise ConfigError(name, "must be positive")

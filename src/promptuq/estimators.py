@@ -20,11 +20,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from . import cmaes
 from .blackbox import LabeledSet
+from .errors import ConfigError, EvaluationError, check_positive
 from .prompt_space import PriorSpec, sample_prior
 
 PROB_FLOOR = 1e-12
@@ -38,19 +40,42 @@ ABC_SMC = "abc_smc"
 
 @dataclass(frozen=True)
 class EsConfig:
-    """CMA-ES budget shared by the tuning methods (population 20 x 300 generations)."""
+    """point_cmaes: one CMA-ES fit (population 20 x 300 generations)."""
 
     population_size: int = 20
     max_generations: int = 300
-    sigma0: float | None = None  # None: use the prior standard deviation
+    sigma0: float | None = None  # None: the prior standard deviation
+    sample_count: ClassVar[int] = 1  # one fit; not a parameter of point_cmaes
 
     def __post_init__(self):
         if self.population_size < 2:
-            raise ValueError("population_size must be at least 2")
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be at least 1")
-        if self.sigma0 is not None and not self.sigma0 > 0:
-            raise ValueError("sigma0 must be positive")
+            raise ConfigError("population_size", "must be at least 2")
+        # sample_count: a field of EnsembleConfig, 1 here
+        check_positive(self, "max_generations", "sigma0", "sample_count")
+
+
+@dataclass(frozen=True)
+class EnsembleConfig(EsConfig):
+    """ensembles: ``sample_count`` independent CMA-ES fits."""
+
+    sample_count: int = 10
+
+
+@dataclass(frozen=True)
+class GfviConfig:
+    """gfvi: CMA-ES over the variational parameters, then ``sample_count`` draws."""
+
+    population_size: int = 20
+    max_generations: int = 300
+    sample_count: int = 100
+    mc_samples: int = 10  # ELBO likelihood draws per candidate
+    search_step: float = 0.3  # initial CMA-ES step in prior-normalized coordinates
+
+    def __post_init__(self):
+        if self.population_size < 2:
+            raise ConfigError("population_size", "must be at least 2")
+        check_positive(self, "max_generations", "sample_count", "mc_samples",
+                       "search_step")
 
 
 @dataclass
@@ -68,6 +93,8 @@ class PosteriorEnsemble:
         self.weights = np.asarray(self.weights, dtype=float)
         if len(self.samples) < 1 or len(self.samples) != len(self.weights):
             raise ValueError("need equally many samples and weights, at least one")
+        if not (np.isfinite(self.samples).all() and np.isfinite(self.weights).all()):
+            raise ValueError("samples and weights must be finite")
         if (self.weights < 0).any():
             raise ValueError("weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > 1e-9:
@@ -221,24 +248,22 @@ def _decode_search_vector(u: np.ndarray, prior: PriorSpec) -> VariationalParams:
     candidate decodes to strictly positive variances.
     """
     d = prior.dim
-    mu = prior.sigma * u[:d]
-    log_alpha = 2.0 * np.log(prior.sigma) + u[d:]
-    return VariationalParams(mu, log_alpha)
+    try:
+        return VariationalParams(prior.sigma * u[:d], 2.0 * np.log(prior.sigma) + u[d:])
+    except ValueError as exc:  # the variances overflow
+        raise EvaluationError(f"a search vector decodes to no distribution: {exc}") from exc
 
 
-def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
-              mc_samples: int = 10, sample_count: int = 100, seed: int = 0,
-              search_step: float = 0.3) -> PosteriorEnsemble:
+def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, config: GfviConfig,
+              seed: int) -> PosteriorEnsemble:
     """Gradient-free variational inference.
 
     CMA-ES proposes stacked (mu, log alpha) vectors; each candidate is scored
     by -ELBO with a Monte-Carlo likelihood term. ``cmaes.minimize`` scores
     candidates in order, so candidate k of generation g draws from the
-    substream (g * population + k). Returns ``sample_count`` draws from the
-    best variational distribution ever seen, uniformly weighted.
+    substream (g * population + k). Returns ``config.sample_count`` draws from
+    the best variational distribution ever seen, uniformly weighted.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be positive")
     d = prior.dim
     counter = itertools.count()
 
@@ -246,20 +271,21 @@ def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
         stream = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(1, next(counter))))
         return -elbo_estimate(_decode_search_vector(u, prior), sim, dataset, prior,
-                              mc_samples, stream)
+                              config.mc_samples, stream)
 
     result = cmaes.minimize(
-        negative_elbo, np.zeros(2 * d), search_step, es.population_size,
-        es.max_generations, seed=int(np.random.default_rng(
+        negative_elbo, np.zeros(2 * d), config.search_step, config.population_size,
+        config.max_generations, seed=int(np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(0,))).integers(2 ** 63)))
     best_params = _decode_search_vector(result.best_x, prior)
     best_elbos = [-v for v in result.history]
 
+    count = config.sample_count
     final_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
     draws = best_params.mu + np.sqrt(best_params.alpha) * final_rng.standard_normal(
-        (sample_count, d))
+        (count, d))
     return PosteriorEnsemble(
-        draws, np.full(sample_count, 1.0 / sample_count), VARIATIONAL_INFERENCE,
+        draws, np.full(count, 1.0 / count), VARIATIONAL_INFERENCE,
         diagnostics={"best_elbo": -result.best_loss,
                      "final_kl": kl_diag_gaussian_to_prior(best_params, prior)},
         trace={"generation": list(range(1, len(best_elbos) + 1)),

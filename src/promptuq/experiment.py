@@ -1,8 +1,9 @@
 """Experiment orchestration: config validation, method dispatch, reporting.
 
-Each method is one row of the private ``_REGISTRY``: its params dataclass
-(fields and defaults are its JSON ``params`` keys and defaults), its runner,
-and its access regime, which picks its simulator and predictive path.
+Each method is one row of the private ``_REGISTRY``: its library config
+(fields and defaults are its JSON ``params`` keys and defaults, and its
+``__post_init__`` holds the range checks), its runner, and its access regime,
+which picks its simulator and predictive path.
 
 Every run is a pure function of (config, seed): the task is rebuilt from its
 config, methods consume named substreams of the experiment seed, and all
@@ -16,13 +17,12 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field, fields
-from typing import Callable, ClassVar, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import estimators, predictive, uqeval
-from .abc_smc import (WEIGHT_IMPORTANCE, WEIGHT_UNIFORM, SmcConfig, abc_smc,
-                      rejection_abc)
+from .abc_smc import RejectionConfig, SmcConfig, abc_smc, rejection_abc
 from .blackbox import (LabeledSet, SyntheticTask, TaskConfig, make_synthetic_task,
                        task_config_from_dict, task_config_to_dict)
 from .errors import ConfigError, check_json_types
@@ -52,7 +52,7 @@ class ExperimentConfig:
     task: TaskConfig | ExternalTaskSpec
     method: str
     seed: int
-    params: object  # an instance of the method's params dataclass
+    params: object  # the method's config, e.g. an SmcConfig
     evaluation: tuple[str, ...] = EVALUATIONS
     predictive_mode: str | None = None
 
@@ -144,25 +144,17 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
             f"labels path, probabilities are not observed")
 
     params = _object(payload.get("params", {}), "params")
-    params_class = _REGISTRY[method].params
-    _reject_unknown(params, {f.name for f in fields(params_class)}, "params.")
-    # a key means the same for every method that takes it
-    check_json_types(params_class, params, "params.")
-    for key, value in params.items():
-        if isinstance(value, (int, float)) and not value > 0:
-            raise ConfigError(f"params.{key}", "must be positive")
-    if params.get("population_size", 2) < 2:
-        raise ConfigError("params.population_size", "must be at least 2")
-    if (params.get("epsilon") or 0.0) > 1.0:
-        raise ConfigError("params.epsilon", "must be at most 1")
-    if params.get("weight_scheme") not in (None, WEIGHT_IMPORTANCE, WEIGHT_UNIFORM):
-        raise ConfigError("params.weight_scheme",
-                          f"must be '{WEIGHT_IMPORTANCE}' or '{WEIGHT_UNIFORM}'")
+    config_class = _REGISTRY[method].config
+    _reject_unknown(params, {f.name for f in fields(config_class)}, "params.")
+    check_json_types(config_class, params, "params.")
+    try:
+        params = config_class(**params)
+    except ConfigError as exc:
+        raise ConfigError(f"params.{exc.field}", exc.message) from exc
 
     return ExperimentConfig(task=task, method=method, seed=seed,
                             evaluation=tuple(evaluation),
-                            predictive_mode=predictive_mode,
-                            params=params_class(**params))
+                            predictive_mode=predictive_mode, params=params)
 
 
 def compare_configs_from_dict(payload: dict) -> list[ExperimentConfig]:
@@ -258,87 +250,25 @@ def _open_context(config: ExperimentConfig) -> RunContext:
         close=sim.close)
 
 
-@dataclass(frozen=True)
-class _PointParams:
-    population_size: int = 20
-    max_generations: int = 300
-    sigma0: float | None = None  # None: the prior standard deviation
-    sample_count: ClassVar[int] = 1  # one fit; not a parameter of point_cmaes
-
-
-@dataclass(frozen=True)
-class _EnsembleParams(_PointParams):
-    sample_count: int = 10
-
-
-@dataclass(frozen=True)
-class _GfviParams:
-    population_size: int = 20
-    max_generations: int = 300
-    sample_count: int = 100
-    mc_samples: int = 10
-    search_step: float = 0.3
-
-
-@dataclass(frozen=True)
-class _RejectionParams:
-    sample_count: int = 100
-    epsilon: float | None = None  # None: the error rate of one prior draw
-    max_draws: int = 100_000
-
-
-@dataclass(frozen=True)
-class _SmcParams:
-    sample_count: int = 100
-    smc_iterations: int = 10
-    weight_scheme: str = WEIGHT_IMPORTANCE
-    max_attempts: int = 10_000
-    variance_floor: float = 1e-8
+class _Method(NamedTuple):
+    config: type
+    regime: str  # "logits" or "labels": what the simulator may reveal
+    run: Callable[..., estimators.PosteriorEnsemble]  # (config, RunContext, seed)
 
 
 # Runners look inference functions up at call time, so patching them works.
-def _run_point(p: _PointParams, ctx: RunContext, seed: int):
-    es = estimators.EsConfig(p.population_size, p.max_generations, p.sigma0)
-    return estimators.point_estimate(ctx.sim, ctx.train, ctx.prior, es, seed=seed)
-
-
-def _run_ensembles(p: _EnsembleParams, ctx: RunContext, seed: int):
-    es = estimators.EsConfig(p.population_size, p.max_generations, p.sigma0)
-    seeds = estimators.derive_seeds(seed, p.sample_count)
-    return estimators.ensemble_tune(ctx.sim, ctx.train, ctx.prior, es, seeds=seeds)
-
-
-def _run_gfvi(p: _GfviParams, ctx: RunContext, seed: int):
-    es = estimators.EsConfig(p.population_size, p.max_generations)
-    return estimators.gfvi_tune(ctx.sim, ctx.train, ctx.prior, es, mc_samples=p.mc_samples,
-                                sample_count=p.sample_count, seed=seed,
-                                search_step=p.search_step)
-
-
-def _run_rejection(p: _RejectionParams, ctx: RunContext, seed: int):
-    return rejection_abc(ctx.sim, ctx.prior, ctx.train, p.epsilon,
-                         count=p.sample_count, max_draws=p.max_draws, seed=seed)
-
-
-def _run_smc(p: _SmcParams, ctx: RunContext, seed: int):
-    cfg = SmcConfig(particle_count=p.sample_count, max_iterations=p.smc_iterations,
-                    weight_scheme=p.weight_scheme, max_attempts_per_particle=p.max_attempts,
-                    variance_floor=p.variance_floor)
-    return abc_smc(ctx.sim, ctx.prior, ctx.train, cfg, seed=seed)
-
-
-class _Method(NamedTuple):
-    params: type
-    run: Callable[..., estimators.PosteriorEnsemble]
-    regime: str  # "logits" or "labels": what the simulator may reveal
-
-
 _REGISTRY = {
-    "point_cmaes": _Method(_PointParams, _run_point, "logits"),
-    "ensembles": _Method(_EnsembleParams, _run_ensembles, "logits"),
-    "gfvi": _Method(_GfviParams, _run_gfvi, "logits"),
-    "rejection_abc": _Method(_RejectionParams, _run_rejection, "labels"),
-    "abc_smc": _Method(_SmcParams, _run_smc, "labels"),
+    "point_cmaes": _Method(estimators.EsConfig, "logits", lambda p, ctx, seed:
+                           estimators.point_estimate(ctx.sim, ctx.train, ctx.prior, p, seed)),
+    "ensembles": _Method(estimators.EnsembleConfig, "logits", lambda p, ctx, seed:
+                         estimators.ensemble_tune(ctx.sim, ctx.train, ctx.prior, p,
+                                                  estimators.derive_seeds(seed, p.sample_count))),
+    "gfvi": _Method(estimators.GfviConfig, "logits", lambda p, ctx, seed:
+                    estimators.gfvi_tune(ctx.sim, ctx.train, ctx.prior, p, seed)),
+    "rejection_abc": _Method(RejectionConfig, "labels", lambda p, ctx, seed:
+                             rejection_abc(ctx.sim, ctx.prior, ctx.train, p, seed)),
+    "abc_smc": _Method(SmcConfig, "labels", lambda p, ctx, seed:
+                       abc_smc(ctx.sim, ctx.prior, ctx.train, p, seed)),
 }
 METHODS = tuple(_REGISTRY)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CRITERION_TASK, build_uniform_simulator
-from promptuq.abc_smc import (SmcConfig, abc_smc, decay_tolerance,
+from promptuq.abc_smc import (RejectionConfig, SmcConfig, abc_smc, decay_tolerance,
                               distance_error_rate, effective_sample_size,
                               initial_tolerance, rejection_abc,
                               update_kernel_variance, update_weights)
@@ -66,7 +66,7 @@ def test_decay_tolerance_values():
 def test_rejection_abc_vacuous_threshold(criterion_task):
     sim = criterion_task.simulator(allow_logits=False)
     result = rejection_abc(sim, criterion_task.prior, criterion_task.train,
-                           epsilon=1.0, count=10, max_draws=1000, seed=0)
+                           RejectionConfig(10, epsilon=1.0, max_draws=1000), seed=0)
     assert result.size == 10
     assert result.diagnostics["draws"] == 10  # every draw accepted
     assert np.allclose(result.weights, 0.1)
@@ -77,7 +77,7 @@ def test_rejection_abc_particles_recheck(criterion_task):
     sim = criterion_task.simulator(allow_logits=False)
     epsilon = 0.45
     result = rejection_abc(sim, criterion_task.prior, criterion_task.train,
-                           epsilon=epsilon, count=15, max_draws=20_000, seed=1)
+                           RejectionConfig(15, epsilon=epsilon, max_draws=20_000), seed=1)
     for z in result.samples:
         dist = distance_error_rate(sim.query_labels(z, criterion_task.train.X),
                                    criterion_task.train.y)
@@ -92,10 +92,10 @@ def test_rejection_abc_acceptance_strictly_below_epsilon():
     dataset = LabeledSet(np.zeros((6, 4)), labels)
     prior = PriorSpec(4, 50.0)
     with pytest.raises(BudgetExhaustedError) as excinfo:
-        rejection_abc(sim, prior, dataset, epsilon=0.5, count=3, max_draws=50, seed=2)
+        rejection_abc(sim, prior, dataset, RejectionConfig(3, 0.5, max_draws=50), seed=2)
     assert excinfo.value.accepted == 0
-    result = rejection_abc(sim, prior, dataset, epsilon=0.51, count=3,
-                           max_draws=50, seed=2)
+    result = rejection_abc(sim, prior, dataset, RejectionConfig(3, 0.51, max_draws=50),
+                           seed=2)
     assert result.size == 3
 
 
@@ -104,7 +104,7 @@ def test_rejection_abc_default_epsilon_is_initial_tolerance(criterion_task):
     args = (sim, criterion_task.prior, criterion_task.train)
     expected = initial_tolerance(
         *args, np.random.default_rng(np.random.SeedSequence(11, spawn_key=(0, 0))))
-    result = rejection_abc(*args, epsilon=None, count=3, max_draws=100_000, seed=11)
+    result = rejection_abc(*args, RejectionConfig(3, None, max_draws=100_000), seed=11)
     assert result.diagnostics["epsilon"] == expected
 
 
@@ -114,7 +114,7 @@ def test_rejection_abc_rate_monotone_in_epsilon(criterion_task):
     for seed in range(10):
         for eps in rates:
             result = rejection_abc(sim, criterion_task.prior, criterion_task.train,
-                                   epsilon=eps, count=5, max_draws=100_000,
+                                   RejectionConfig(5, eps, max_draws=100_000),
                                    seed=seed)
             rates[eps].append(result.diagnostics["acceptance_rate"])
     assert np.mean(rates[0.5]) > np.mean(rates[0.25])
@@ -124,7 +124,7 @@ def test_rejection_abc_budget_error_carries_partial_count(criterion_task):
     sim = criterion_task.simulator(allow_logits=False)
     with pytest.raises(BudgetExhaustedError) as excinfo:
         rejection_abc(sim, criterion_task.prior, criterion_task.train,
-                      epsilon=0.05, count=50, max_draws=30, seed=3)
+                      RejectionConfig(50, epsilon=0.05, max_draws=30), seed=3)
     assert excinfo.value.limit == 30
     assert 0 <= excinfo.value.accepted < 50
 
@@ -230,7 +230,7 @@ def test_ess_bounds_and_uniform_equality(size, seed):
     assert uniform_ess == pytest.approx(size, rel=1e-12)
 
 
-SMC_CFG = SmcConfig(particle_count=40, max_iterations=6,
+SMC_CFG = SmcConfig(sample_count=40, smc_iterations=6,
                     weight_scheme="importance")
 
 
@@ -244,7 +244,7 @@ def test_abc_smc_tolerance_trace_and_recheck(criterion_task):
     for t, value in enumerate(eps):
         assert value == eps[0] - t / n  # exact: dyadic arithmetic at N=32
     # importance weights reduce to uniform at iteration one
-    assert result.trace["ess"][0] == pytest.approx(SMC_CFG.particle_count, rel=1e-12)
+    assert result.trace["ess"][0] == pytest.approx(SMC_CFG.sample_count, rel=1e-12)
 
     final_eps = result.diagnostics["final_epsilon"]
     assert final_eps == eps[-1]
@@ -257,7 +257,7 @@ def test_abc_smc_tolerance_trace_and_recheck(criterion_task):
 @pytest.mark.parametrize("scheme", ["importance", "uniform"])
 def test_abc_smc_trace_accounts_for_every_call(criterion_task, scheme):
     sim = criterion_task.simulator(allow_logits=False)
-    cfg = SmcConfig(particle_count=20, max_iterations=4, weight_scheme=scheme)
+    cfg = SmcConfig(sample_count=20, smc_iterations=4, weight_scheme=scheme)
     result = abc_smc(sim, criterion_task.prior, criterion_task.train, cfg, seed=12)
     trace, diag = result.trace, result.diagnostics
     assert list(trace) == ["iteration", "epsilon", "ess", "total_attempts",
@@ -271,7 +271,7 @@ def test_abc_smc_trace_accounts_for_every_call(criterion_task, scheme):
 
 def test_abc_smc_uniform_scheme_keeps_uniform_weights(criterion_task):
     sim = criterion_task.simulator(allow_logits=False)
-    cfg = SmcConfig(particle_count=30, max_iterations=5, weight_scheme="uniform")
+    cfg = SmcConfig(sample_count=30, smc_iterations=5, weight_scheme="uniform")
     result = abc_smc(sim, criterion_task.prior, criterion_task.train, cfg, seed=5)
     assert np.allclose(result.weights, 1 / 30)
     for ess in result.trace["ess"]:
@@ -282,7 +282,7 @@ def test_abc_smc_never_needs_probabilities(criterion_task):
     # the labels-only simulator raises on any probability query
     sim = criterion_task.simulator(allow_logits=False)
     result = abc_smc(sim, criterion_task.prior, criterion_task.train, SMC_CFG, seed=6)
-    assert result.size == SMC_CFG.particle_count
+    assert result.size == SMC_CFG.sample_count
 
 
 def test_abc_smc_deterministic(criterion_task):
@@ -302,8 +302,8 @@ def test_abc_smc_iteration_one_is_strict():
     sim = build_uniform_simulator()
     labels = np.array([0, 0, 0, 1, 1, 1], dtype=np.int64)
     dataset = LabeledSet(np.zeros((6, 4)), labels)
-    cfg = SmcConfig(particle_count=5, max_iterations=3,
-                    max_attempts_per_particle=25)
+    cfg = SmcConfig(sample_count=5, smc_iterations=3,
+                    max_attempts=25)
     with pytest.raises(StagnationError) as excinfo:
         abc_smc(sim, PriorSpec(4, 50.0), dataset, cfg, seed=8)
     assert excinfo.value.iteration == 1
@@ -313,8 +313,8 @@ def test_abc_smc_iteration_one_is_strict():
 
 def test_abc_smc_stagnation_reports_context(criterion_task):
     sim = criterion_task.simulator(allow_logits=False)
-    cfg = SmcConfig(particle_count=20, max_iterations=12,
-                    max_attempts_per_particle=2)
+    cfg = SmcConfig(sample_count=20, smc_iterations=12,
+                    max_attempts=2)
     with pytest.raises(StagnationError) as excinfo:
         abc_smc(sim, criterion_task.prior, criterion_task.train, cfg, seed=9)
     assert excinfo.value.attempts == 2
@@ -323,4 +323,19 @@ def test_abc_smc_stagnation_reports_context(criterion_task):
 
 
 def test_abc_smc_default_particle_count_is_100():
-    assert SmcConfig().particle_count == 100
+    assert SmcConfig().sample_count == 100
+
+
+@pytest.mark.parametrize("run", [
+    lambda sim, prior, data: rejection_abc(sim, prior, data, RejectionConfig(), seed=0),
+    lambda sim, prior, data: abc_smc(sim, prior, data, SmcConfig(), seed=0),
+], ids=["rejection_abc", "abc_smc"])
+def test_zero_initial_tolerance_stagnates_before_any_proposal(run):
+    # the uniform simulator labels everything 0, so one prior draw has error 0
+    # and no proposal can beat the tolerance strictly
+    sim = build_uniform_simulator(allow_logits=False)
+    dataset = LabeledSet(np.zeros((6, 4)), np.zeros(6, dtype=np.int64))
+    with pytest.raises(StagnationError) as excinfo:
+        run(sim, PriorSpec(4, 50.0), dataset)
+    assert excinfo.value.epsilon == 0.0
+    assert sim.budget.used == 6  # the one tolerance query

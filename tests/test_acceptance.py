@@ -21,7 +21,7 @@ from promptuq.abc_smc import (SmcConfig, abc_smc, distance_error_rate,
 from promptuq.blackbox import LabeledSet, make_synthetic_task
 from promptuq.cmaes import minimize
 from promptuq.errors import AccessDeniedError
-from promptuq.estimators import (EsConfig, VariationalParams, derive_seeds,
+from promptuq.estimators import (EsConfig, GfviConfig, VariationalParams, derive_seeds,
                                  elbo_estimate, ensemble_tune, gfvi_tune,
                                  kl_diag_gaussian_to_prior, point_estimate)
 from promptuq.experiment import experiment_config_from_dict, run_experiment
@@ -101,8 +101,8 @@ def test_criterion_2_elbo_machinery():
     worst_time = 0.0
     for seed in range(10):
         t0 = time.time()
-        result = gfvi_tune(sim, dataset, prior, EsConfig(), mc_samples=10,
-                           sample_count=100, seed=seed)
+        result = gfvi_tune(sim, dataset, prior, GfviConfig(mc_samples=10,
+                                                          sample_count=100), seed=seed)
         worst_time = max(worst_time, time.time() - t0)
         wins += result.diagnostics["final_kl"] < 0.5
     gfvi_ok = wins >= 9 and worst_time < 60.0
@@ -197,14 +197,14 @@ def test_criterion_5_weight_machinery(criterion_task):
             variance_ok = False
 
     sim = criterion_task.simulator(allow_logits=False)
-    uniform_cfg = SmcConfig(particle_count=40, max_iterations=4,
+    uniform_cfg = SmcConfig(sample_count=40, smc_iterations=4,
                             weight_scheme="uniform")
     uniform = abc_smc(sim, criterion_task.prior, criterion_task.train, uniform_cfg,
                       seed=0)
     uniform_ok = all(ess == pytest.approx(40.0, rel=1e-12)
                      for ess in uniform.trace["ess"])
 
-    importance_cfg = SmcConfig(particle_count=40, max_iterations=4,
+    importance_cfg = SmcConfig(sample_count=40, smc_iterations=4,
                                weight_scheme="importance")
     degenerate = 0
     for seed in range(10):

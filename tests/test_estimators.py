@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from conftest import build_uniform_simulator
 from promptuq.blackbox import LabeledSet
 from promptuq.errors import AccessDeniedError
-from promptuq.estimators import (EsConfig, PosteriorEnsemble, VariationalParams,
-                                 _decode_search_vector, derive_seeds, elbo_estimate,
+from promptuq.estimators import (EsConfig, GfviConfig, PosteriorEnsemble,
+                                 VariationalParams, _decode_search_vector,
+                                 derive_seeds, elbo_estimate,
                                  ensemble_tune, gfvi_tune, kl_diag_gaussian_to_prior,
                                  load_ensemble, negative_log_likelihood,
                                  point_estimate, save_ensemble)
@@ -189,8 +190,8 @@ def test_decode_search_vector_always_positive_alpha():
 def test_gfvi_returns_requested_samples_and_trace(uniform_sim, uniform_dataset,
                                                   wide_prior):
     result = gfvi_tune(uniform_sim, uniform_dataset, wide_prior,
-                       EsConfig(population_size=8, max_generations=25),
-                       mc_samples=5, sample_count=100, seed=2)
+                       GfviConfig(population_size=8, max_generations=25,
+                                  mc_samples=5, sample_count=100), seed=2)
     assert result.size == 100
     assert np.allclose(result.weights, 0.01)
     assert result.provenance == "variational_inference"
@@ -204,15 +205,15 @@ def test_gfvi_returns_requested_samples_and_trace(uniform_sim, uniform_dataset,
 def test_gfvi_uniform_simulator_recovers_prior(uniform_sim, uniform_dataset,
                                                wide_prior):
     result = gfvi_tune(uniform_sim, uniform_dataset, wide_prior,
-                       EsConfig(population_size=20, max_generations=120),
-                       mc_samples=5, sample_count=50, seed=3)
+                       GfviConfig(population_size=20, max_generations=120,
+                                  mc_samples=5, sample_count=50), seed=3)
     assert result.diagnostics["final_kl"] < 0.5
     assert result.diagnostics["best_elbo"] <= -4 * np.log(2) + 1e-9
 
 
 def test_gfvi_deterministic(uniform_sim, uniform_dataset, wide_prior):
-    kwargs = dict(es=EsConfig(population_size=6, max_generations=10),
-                  mc_samples=3, sample_count=9, seed=11)
+    kwargs = dict(config=GfviConfig(population_size=6, max_generations=10,
+                                    mc_samples=3, sample_count=9), seed=11)
     a = gfvi_tune(uniform_sim, uniform_dataset, wide_prior, **kwargs)
     b = gfvi_tune(uniform_sim, uniform_dataset, wide_prior, **kwargs)
     assert np.array_equal(a.samples, b.samples)
@@ -225,6 +226,10 @@ def test_posterior_ensemble_validation():
         PosteriorEnsemble(np.zeros((2, 3)), np.array([1.5, -0.5]), "ensembles")
     with pytest.raises(ValueError):
         PosteriorEnsemble(np.zeros((0, 3)), np.zeros(0), "ensembles")
+    with pytest.raises(ValueError, match="finite"):
+        PosteriorEnsemble(np.array([[np.nan, 0.0]]), np.array([1.0]), "loaded")
+    with pytest.raises(ValueError, match="finite"):
+        PosteriorEnsemble(np.zeros((2, 2)), np.array([np.nan, 1.0]), "loaded")
 
 
 def test_ensemble_ndjson_roundtrip(tmp_path):

@@ -1,14 +1,19 @@
 import copy
 import csv
 import json
+import os
+import re
 import socket
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import promptuq
+from promptuq import EnsembleConfig, EsConfig, GfviConfig, RejectionConfig, SmcConfig
 from promptuq.blackbox import make_synthetic_task, task_config_from_dict
 from promptuq.cli import main
 from promptuq.errors import ConfigError
@@ -16,6 +21,8 @@ from promptuq.experiment import (METHODS, compare_configs_from_dict, compare_met
                                  experiment_config_from_dict, load_labeled_ndjson,
                                  run_experiment)
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
 SMALL_TASK = {"subspace_dim": 4, "prompt_dim": 32, "feature_dim": 8,
               "classes": 2, "hidden": 16, "n_train": 16, "n_test": 24,
               "n_ood": 16, "ood_shift": 2.0, "seed": 21}
@@ -190,6 +197,28 @@ def test_cli_exit_codes(tmp_path, capsys):
         payload("rejection_abc", sample_count=50, epsilon=0.03, max_draws=20))
     assert main(["tune", "--config", starved, "--out", str(tmp_path / "y")]) == 3
 
+    # numerical breakdowns are exit 3 too, not a traceback
+    tiny = {**SMALL_TASK, "prompt_dim": 16, "n_ood": 8, "seed": 1}
+    for method, params in (("point_cmaes", {"sigma0": 1e308}),
+                           ("gfvi", {"search_step": 1000})):
+        config = write_json(tmp_path / f"{method}.json", {
+            "task": tiny, "method": method, "seed": 0,
+            "params": {"population_size": 4, "max_generations": 3, **params}})
+        assert main(["tune", "--config", config, "--out", str(tmp_path / method)]) == 3
+
+    # JSON has no NaN or Infinity, and a task's numbers must stay finite
+    for name, text in (("inf", json.dumps(payload("point_cmaes", sigma0=float("inf")))),
+                       ("nan", json.dumps({**payload("point_cmaes"),
+                                           "task": {**tiny, "ood_shift": float("nan")}})),
+                       ("overflow", json.dumps(payload("point_cmaes")).replace(
+                           '"ood_shift": 2.0', '"ood_shift": 1e400')),
+                       ("far_ood", json.dumps({**payload("rejection_abc"),
+                                               "task": {**tiny, "ood_shift": 1e308}}))):
+        (tmp_path / f"{name}.json").write_text(text)
+        assert main(["tune", "--config", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / name)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     external = {
         "task": {"endpoint": {"argv": [sys.executable, "-c",
                                        "print('{\"protocol\": 99}')"]},
@@ -266,9 +295,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     # unreadable posterior or predictive files are config errors
     short_z = tmp_path / "short.ndjson"
     short_z.write_text('{"index": 0, "weight": 1.0, "z": [0.0, 0.0]}\n')
-    for posterior in (tmp_path / "missing.ndjson", short_z):
+    nan_z = tmp_path / "nan_z.ndjson"
+    nan_z.write_text('{"index": 0, "weight": 1.0, "z": [NaN, 0, 0, 0]}\n')
+    for posterior, mode in ((tmp_path / "missing.ndjson", "logits"), (short_z, "logits"),
+                            (nan_z, "logits"), (nan_z, "labels")):
         assert main(["predict", "--task", task_path, "--posterior", str(posterior),
-                     "--out", pred_csv]) == 2
+                     "--mode", mode, "--out", pred_csv]) == 2
         assert "posterior" in capsys.readouterr().err
     assert main(["eval", "--pred", str(tmp_path / "missing.csv"), "--task", task_path,
                  "--out", str(tmp_path / "eval")]) == 2
@@ -431,6 +463,17 @@ def test_cli_tune_malformed_config_exits_2(tmp_path, capsys, config, field):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("config_class, key, value", [
+    (EsConfig, "population_size", 1), (EsConfig, "sigma0", -1.0),
+    (EnsembleConfig, "sample_count", 0), (GfviConfig, "search_step", 0.0),
+    (RejectionConfig, "epsilon", 1.5), (SmcConfig, "weight_scheme", "adaptive"),
+])
+def test_method_config_checks_name_the_bare_key(config_class, key, value):
+    with pytest.raises(ConfigError) as excinfo:
+        config_class(**{key: value})
+    assert excinfo.value.field == key
+
+
 # the per-method params keys documented in README.md
 PARAMS = {"point_cmaes": ["population_size", "max_generations", "sigma0"],
           "ensembles": ["population_size", "max_generations", "sigma0", "sample_count"],
@@ -440,6 +483,17 @@ PARAMS = {"point_cmaes": ["population_size", "max_generations", "sigma0"],
           "abc_smc": ["sample_count", "smc_iterations", "weight_scheme", "max_attempts",
                       "variance_floor"]}
 PARAM_KEYS = sorted({key for keys in PARAMS.values() for key in keys})
+
+
+def test_readme_params_table_matches_the_configs():
+    with open(README, encoding="utf-8") as fh:
+        rows = re.findall(r"^\| (\w+) +\| `(\w+)` +\| ([\w, ]+?) +\|$", fh.read(), re.M)
+    assert {method: keys.split(", ") for method, _, keys in rows} == PARAMS
+    for method, config_class, _ in rows:
+        assert [f.name for f in fields(getattr(promptuq, config_class))] == PARAMS[method]
+
+
+
 KNOWN_STRINGS = list(METHODS) + ["calibration", "selective", "near_ood", "far_ood",
                                  "logits", "labels", "importance", "uniform"]
 TOP_KEYS = ["task", "method", "seed", "evaluation", "predictive_mode", "params", "out",
@@ -524,3 +578,61 @@ def test_config_parser_accepts_or_raises_config_error(config):
     for entry, cfg in zip(entries, parsed):
         assert set(entry.get("params", {})) <= set(PARAMS[cfg.method])
         assert cfg.resolved_sample_count() >= 1
+
+
+# Extreme but JSON-valid numbers: float fields get any finite float or an
+# integer beyond the float range; integer fields stay small enough to run fast.
+extreme_floats = (st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 1e154, 8.9e307, 1e308])
+                  | st.sampled_from([10 ** 400, -10 ** 400]))
+small_ints = st.integers(-1, 4)
+FUZZ_TASK = {"subspace_dim": 4, "prompt_dim": 16, "feature_dim": 8, "classes": 2,
+             "hidden": 16, "n_train": 16, "n_test": 24, "n_ood": 8, "ood_shift": 2.0,
+             "seed": 1}
+
+
+@st.composite
+def extreme_runs(draw):
+    task = dict(FUZZ_TASK, n_train=draw(st.sampled_from([2, 16])))
+    for key in draw(st.sets(st.sampled_from(["ood_shift", "prior_sigma", "label_noise"]))):
+        task[key] = draw(extreme_floats)
+    method = draw(st.sampled_from(METHODS))
+    params = {"population_size": 2, "max_generations": 2, "sample_count": 3,
+              "mc_samples": 2, "max_draws": 50, "smc_iterations": 3, "max_attempts": 30}
+    params = {key: value for key, value in params.items() if key in PARAMS[method]}
+    for key in draw(st.sets(st.sampled_from(PARAMS[method]), max_size=3)):
+        if key == "weight_scheme":
+            params[key] = draw(st.sampled_from(["importance", "uniform"]))
+        elif key in ("sigma0", "search_step", "epsilon", "variance_floor"):
+            params[key] = draw(extreme_floats)
+        else:
+            params[key] = draw(small_ints)
+    return ({"task": task, "method": method, "seed": draw(st.integers(0, 3)),
+             "params": params}, draw(st.sampled_from(["logits", "labels"])),
+            draw(st.sampled_from([-1, 0, 2 ** 64, 10 ** 30])))
+
+
+# capsys is read once per example, so sharing it across examples is safe
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(extreme_runs())
+def test_cli_exit_codes_hold_for_extreme_numbers(tmp_path_factory, capsys, run):
+    config, mode, decode_seed = run
+    tmp = tmp_path_factory.mktemp("extreme")
+    exp_path = write_json(tmp / "exp.json", config)
+    task_path = write_json(tmp / "task.json", config["task"])
+    codes = [main(["tune", "--config", exp_path, "--out", str(tmp / "run")])]
+    if codes[0] == 0:
+        for split in ("test", "far_ood"):
+            codes.append(main(["predict", "--task", task_path, "--split", split,
+                               "--posterior", str(tmp / "run" / "posterior.ndjson"),
+                               "--mode", mode, "--decode", "sample",
+                               "--seed", str(decode_seed),
+                               "--out", str(tmp / f"{split}.csv")]))
+        codes.append(main(["eval", "--pred", str(tmp / "test.csv"), "--task", task_path,
+                           "--out", str(tmp / "eval")]))
+        codes.append(main(["eval", "--pred", str(tmp / "test.csv"),
+                           "--pred-ood", str(tmp / "far_ood.csv"),
+                           "--out", str(tmp / "eval_ood")]))
+    assert set(codes) <= {0, 2, 3, 4}, codes
+    assert "Traceback" not in capsys.readouterr().err
