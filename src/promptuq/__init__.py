@@ -6,7 +6,7 @@ from .abc_smc import (RejectionConfig, SmcConfig, abc_smc, decay_tolerance,
                       rejection_abc, update_kernel_variance, update_weights)
 from .blackbox import (EvalBudget, FrozenClassifier, LabeledSet, SyntheticSimulator,
                        SyntheticTask, TaskConfig, make_synthetic_task)
-from .cmaes import Candidate, MinimizeResult, SearchState, ask, es_init, minimize, tell
+from .cmaes import MinimizeResult, SearchState, ask, es_init, minimize, tell
 from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      DegenerateWeightsError, EvaluationError,
                      NumericalBreakdownError, ProtocolError, StagnationError)

@@ -22,11 +22,6 @@ from .errors import AccessDeniedError, BudgetExhaustedError, check_json_types
 from .prompt_space import (PriorSpec, ProjectionSpec, check_sigma, make_projection,
                            project, sample_prior)
 
-MODE_LOGITS = "logits"
-MODE_LABELS = "labels"
-DECODE_ARGMAX = "argmax"
-DECODE_SAMPLE = "sample"
-
 # Amplifies the pooled prompt block's first-layer weights so a random prompt
 # relabels data near chance level rather than leaving the labeling
 # input-dominated.
@@ -129,18 +124,6 @@ def sample_labels_from_seed(probs: np.ndarray, seed: int) -> np.ndarray:
     return np.asarray((u[:, None] > cdf).sum(axis=1), dtype=np.int64)
 
 
-def decode_seed(decode: str, rng: np.random.Generator | None) -> int:
-    """The u64 seed a caller attaches to one query: 0 for argmax decode, a
-    draw from ``rng`` for sample decode."""
-    if decode == DECODE_ARGMAX:
-        return 0
-    if decode != DECODE_SAMPLE:
-        raise ValueError(f"unknown decode {decode!r}")
-    if rng is None:
-        raise ValueError("sample decode requires an rng")
-    return int(rng.integers(0, 2 ** 64, dtype=np.uint64))
-
-
 class SyntheticSimulator:
     """Query handle binding a frozen classifier to a projection.
 
@@ -189,11 +172,10 @@ class SyntheticSimulator:
         return softmax(self._raw_logits(z, inputs))
 
     def query_labels(self, z: np.ndarray, inputs: np.ndarray,
-                     decode: str = DECODE_ARGMAX,
-                     rng: np.random.Generator | None = None) -> np.ndarray:
-        """Discrete label per input. Argmax decode breaks ties toward the lowest index."""
-        seed = decode_seed(decode, rng)
-        if decode == DECODE_ARGMAX:
+                     seed: int | None = None) -> np.ndarray:
+        """Discrete label per input: argmax decode without ``seed``, ties toward
+        the lowest index; sample decode from default_rng(seed) with one."""
+        if seed is None:
             return np.argmax(self._raw_logits(z, inputs), axis=1)
         return self.sampled_labels(z, inputs, seed)
 

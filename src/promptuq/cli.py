@@ -113,10 +113,8 @@ def cmd_predict(args) -> int:
     if args.mode == "logits":
         table = predictive.predictive_from_logits(ensemble, sim, inputs)
     else:
-        rng = (np.random.default_rng(args.seed)
-               if args.decode == "sample" else None)
-        table = predictive.predictive_from_labels(ensemble, sim, inputs,
-                                                  decode=args.decode, rng=rng)
+        rng = np.random.default_rng(args.seed) if args.decode == "sample" else None
+        table = predictive.predictive_from_labels(ensemble, sim, inputs, rng)
     predictive.save_predictive_csv(table, args.out)
     print(f"wrote {args.out} ({len(table.probs)} rows, {table.classes} classes)")
     return 0
@@ -169,11 +167,24 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _load_flags(path) -> np.ndarray:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+        raise ConfigError("flags", f"cannot read {path}: {exc}") from exc
+    if not lines or not set(lines) <= {"0", "1"}:
+        raise ConfigError("flags", f"{path} must hold one 0 or 1 per line, at least one")
+    return np.array(lines) == "1"
+
+
 def cmd_lower_bound(args) -> int:
     if args.flags:
-        with open(args.flags, encoding="utf-8") as fh:
-            flags = np.array([bool(int(line.strip())) for line in fh if line.strip()])
+        flags = _load_flags(args.flags)
     elif args.n_id is not None and args.n_ood is not None:
+        if min(args.n_id, args.n_ood) < 0 or args.n_id + args.n_ood == 0:
+            raise ConfigError("n_id", "--n-id and --n-ood must be non-negative "
+                                      "with a positive sum")
         flags = np.concatenate([np.zeros(args.n_id, dtype=bool),
                                 np.ones(args.n_ood, dtype=bool)])
     else:
@@ -188,10 +199,13 @@ def cmd_lower_bound(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    if args.tcp:  # checked before the task build, which can take a while
+        host, _, port = args.tcp.rpartition(":")
+        if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+            raise ConfigError("tcp", f"need HOST:PORT with PORT in 0..65535, got {args.tcp!r}")
     task = make_synthetic_task(_load_task(args.task))
     sim = task.simulator(allow_logits=not args.labels_only)
     if args.tcp:
-        host, _, port = args.tcp.rpartition(":")
         serve_tcp(sim, host or "127.0.0.1", int(port))
     else:
         serve_stdio(sim)

@@ -6,9 +6,10 @@ constants as functions of the dimension and population size. Recombination
 uses the top half of the population with log-linear weights.
 
 The state is single-owner: one coordinator calls ``ask`` and ``tell``.
-Candidate evaluation in between is the caller's job, so inference code can
-batch simulator queries however it likes; ``minimize`` is the convenience
-loop for plain objectives.
+A population is a (population_size, d) matrix, one candidate per row.
+``ask`` returns it, the caller evaluates it into a loss vector, and ``tell``
+takes both back, so inference code can batch simulator queries however it
+likes; ``minimize`` is the convenience loop for plain objectives.
 """
 
 from __future__ import annotations
@@ -20,14 +21,6 @@ import numpy as np
 from .errors import EvaluationError, NumericalBreakdownError
 
 EIGENVALUE_FLOOR = 1e-20
-
-
-@dataclass
-class Candidate:
-    """One proposed solution; the caller fills ``loss`` before tell."""
-
-    x: np.ndarray
-    loss: float | None = None
 
 
 @dataclass
@@ -99,27 +92,30 @@ def _decompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(vals, EIGENVALUE_FLOOR), vecs
 
 
-def ask(state: SearchState) -> list[Candidate]:
-    """Sample population_size candidates from N(mean, step_size^2 * cov)."""
+def ask(state: SearchState) -> np.ndarray:
+    """Sample a (population_size, d) population from N(mean, step_size^2 * cov)."""
     vals, vecs = _decompose(state.cov)
     sqrt_cov = vecs * np.sqrt(vals)
     noise = state.rng.standard_normal((state.population_size, state.dim))
-    xs = state.mean + state.step_size * (noise @ sqrt_cov.T)
-    return [Candidate(x=xs[i].copy()) for i in range(state.population_size)]
+    return state.mean + state.step_size * (noise @ sqrt_cov.T)
 
 
-def tell(state: SearchState, candidates: list[Candidate]) -> SearchState:
-    """Rank candidates by loss and apply the standard distribution updates."""
-    if len(candidates) != state.population_size:
+def tell(state: SearchState, xs: np.ndarray, losses: np.ndarray) -> SearchState:
+    """Rank the rows of ``xs`` by ``losses`` and apply the standard distribution updates."""
+    xs = np.asarray(xs, dtype=float)
+    losses = np.asarray(losses, dtype=float)
+    lam = state.population_size
+    if xs.shape != (lam, state.dim) or losses.shape != (lam,):
         raise EvaluationError(
-            f"expected {state.population_size} candidates, got {len(candidates)}")
-    for cand in candidates:
-        if cand.loss is None or not np.isfinite(cand.loss):
-            raise EvaluationError(f"candidate {cand.x} has invalid loss {cand.loss!r}")
+            f"expected a ({lam}, {state.dim}) population and {lam} losses, "
+            f"got {xs.shape} and {losses.shape}")
+    if not np.isfinite(losses).all():
+        raise EvaluationError(f"losses must be finite, got {losses}")
 
-    # Content-based tie-break keeps the update invariant to input order.
-    ranked = sorted(candidates, key=lambda c: (c.loss, tuple(c.x)))
-    selected = np.array([c.x for c in ranked[:state.parents]])
+    # Rank by loss, then by the row's entries in order: the content-based
+    # tie-break keeps the update invariant to row order.
+    ranked = np.lexsort((*xs.T[::-1], losses))
+    selected = xs[ranked[:state.parents]]
 
     n = state.dim
     old_mean = state.mean
@@ -168,12 +164,10 @@ class MinimizeResult:
     history: list[float]   # best-so-far loss per generation, nonincreasing
     step_sizes: list[float]  # sigma after each generation's update
     generations: int
-    evaluations: int
 
 
 def minimize(objective, mean0: np.ndarray, sigma0: float, population_size: int,
-             max_generations: int, seed: int,
-             target_loss: float | None = None) -> MinimizeResult:
+             max_generations: int, seed: int) -> MinimizeResult:
     """Ask/evaluate/tell loop over a plain vector-to-scalar objective."""
     if max_generations < 1:
         raise ValueError("max_generations must be at least 1")
@@ -182,25 +176,21 @@ def minimize(objective, mean0: np.ndarray, sigma0: float, population_size: int,
     best_loss = np.inf
     history: list[float] = []
     step_sizes: list[float] = []
-    evaluations = 0
 
     for _ in range(max_generations):
-        candidates = ask(state)
-        for cand in candidates:
-            value = float(objective(cand.x))
-            evaluations += 1
+        xs = ask(state)
+        losses = np.empty(len(xs))
+        for i, x in enumerate(xs):
+            value = float(objective(x))
             if not np.isfinite(value):
-                raise EvaluationError(
-                    f"objective returned {value!r} at candidate {cand.x}")
-            cand.loss = value
+                raise EvaluationError(f"objective returned {value!r} at candidate {x}")
+            losses[i] = value
             if value < best_loss:
                 best_loss = value
-                best_x = cand.x.copy()
-        tell(state, candidates)
+                best_x = x.copy()
+        tell(state, xs, losses)
         history.append(best_loss)
         step_sizes.append(state.step_size)
-        if target_loss is not None and best_loss <= target_loss:
-            break
 
     return MinimizeResult(best_x, float(best_loss), history, step_sizes,
-                          generations=state.generation, evaluations=evaluations)
+                          generations=state.generation)

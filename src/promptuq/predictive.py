@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackbox import DECODE_ARGMAX, MODE_LABELS, MODE_LOGITS
 from .estimators import PosteriorEnsemble
 from .uqeval import check_probability_table
 
@@ -23,7 +22,6 @@ class PredictiveTable:
     """One class-probability row per input."""
 
     probs: np.ndarray  # (n_inputs, classes)
-    mode: str
 
     def __post_init__(self):
         check_probability_table(self.probs)
@@ -44,20 +42,25 @@ def predictive_from_logits(ensemble: PosteriorEnsemble, sim,
     rows = np.zeros((len(inputs), sim.classes))
     for w, z in zip(ensemble.weights, ensemble.samples):
         rows += w * sim.query_logits(z, inputs)
-    return PredictiveTable(rows, MODE_LOGITS)
+    return PredictiveTable(rows)
 
 
 def predictive_from_labels(ensemble: PosteriorEnsemble, sim, inputs: np.ndarray,
-                           decode: str = DECODE_ARGMAX,
                            rng: np.random.Generator | None = None) -> PredictiveTable:
-    """Weighted per-class frequency of decoded labels; never touches probabilities."""
+    """Weighted per-class frequency of decoded labels; never touches probabilities.
+
+    Without ``rng`` every sample's labels are argmax-decoded. With it, they are
+    sample-decoded, each sample from its own u64 seed drawn from ``rng`` in
+    sample order.
+    """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     rows = np.zeros((len(inputs), sim.classes))
     positions = np.arange(len(inputs))
     for w, z in zip(ensemble.weights, ensemble.samples):
-        labels = sim.query_labels(z, inputs, decode=decode, rng=rng)
+        seed = None if rng is None else int(rng.integers(0, 2 ** 64, dtype=np.uint64))
+        labels = sim.query_labels(z, inputs, seed)
         rows[positions, labels] += w
-    return PredictiveTable(rows, MODE_LABELS)
+    return PredictiveTable(rows)
 
 
 def save_predictive_csv(table: PredictiveTable, path) -> None:
@@ -78,4 +81,4 @@ def load_predictive_csv(path) -> PredictiveTable:
         n_classes = sum(1 for name in header if name.startswith("p_"))
         for record in reader:
             rows.append([float(v) for v in record[:n_classes]])
-    return PredictiveTable(np.asarray(rows), MODE_LOGITS)
+    return PredictiveTable(np.asarray(rows))

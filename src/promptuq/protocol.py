@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .blackbox import EvalBudget, decode_seed
+from .blackbox import EvalBudget
 from .errors import AccessDeniedError, BudgetExhaustedError, ProtocolError
 from .uqeval import check_probability_table
 
@@ -201,10 +201,9 @@ class ExternalSimulator:
         return probs
 
     def query_labels(self, z: np.ndarray, inputs: np.ndarray,
-                     decode: str = "argmax",
-                     rng: np.random.Generator | None = None) -> np.ndarray:
-        seed = decode_seed(decode, rng)
-        response, n = self._query("labels", z, inputs, decode=decode, seed=seed)
+                     seed: int | None = None) -> np.ndarray:
+        decode = "argmax" if seed is None else "sample"
+        response, n = self._query("labels", z, inputs, decode=decode, seed=int(seed or 0))
         labels = response.get("labels")
         if not isinstance(labels, list) or len(labels) != n:
             raise ProtocolError(f"malformed labels for {n} inputs")

@@ -50,15 +50,9 @@ def test_sample_decode_frequency_matches_probs():
     sim = build_fixed_probs_simulator(np.log([0.75, 0.25]))
     z = np.zeros(2)
     x = np.zeros((1, 3))
-    rng = np.random.default_rng(5)
-    labels = np.array([sim.query_labels(z, x, decode="sample", rng=rng)[0]
-                       for _ in range(10_000)])
+    seeds = np.random.default_rng(5).integers(0, 2 ** 64, size=10_000, dtype=np.uint64)
+    labels = np.array([sim.query_labels(z, x, int(seed))[0] for seed in seeds])
     assert 0.73 <= np.mean(labels == 0) <= 0.77
-
-
-def test_sample_decode_requires_rng(uniform_sim):
-    with pytest.raises(ValueError):
-        uniform_sim.query_labels(np.zeros(4), np.zeros((1, 4)), decode="sample")
 
 
 class AffineLogitSimulator(SyntheticSimulator):
@@ -111,9 +105,9 @@ class CountingWrapper:
         self.pairs += len(np.atleast_2d(inputs))
         return self._sim.query_logits(z, inputs)
 
-    def query_labels(self, z, inputs, decode="argmax", rng=None):
+    def query_labels(self, z, inputs, seed=None):
         self.pairs += len(np.atleast_2d(inputs))
-        return self._sim.query_labels(z, inputs, decode=decode, rng=rng)
+        return self._sim.query_labels(z, inputs, seed)
 
 
 def test_budget_audit_over_inference_run(criterion_task):

@@ -343,6 +343,58 @@ def test_cli_lower_bound_reproduces_rebuttal_value(tmp_path, capsys):
     assert float(k2[2]) == pytest.approx(0.375, abs=1e-12)
 
 
+def test_cli_lower_bound_rejects_bad_input(tmp_path, capsys):
+    files = {"empty": "", "blank": "\n \n", "word": "0\nx\n", "two": "0\n2\n",
+             "float": "1.0\n", "latin1": b"0\n\xff\n"}
+    for name, text in files.items():
+        path = tmp_path / name
+        (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+    cases = [["--n-id", "-1", "--n-ood", "3"], ["--n-id", "3", "--n-ood", "-1"],
+             ["--n-id", "0", "--n-ood", "0"], ["--flags", str(tmp_path / "missing")],
+             ["--flags", str(tmp_path)]]
+    cases += [["--flags", str(tmp_path / name)] for name in files]
+    for argv in cases:
+        assert main(["lower-bound", *argv]) == 2, argv
+        assert "config error" in capsys.readouterr().err
+
+
+FLAG_LINES = (st.sampled_from(["0", "1", " 1 ", "", "2", "-1", "01", "1.0", "x"])
+              | st.text(max_size=3))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.tuples(st.integers(-3, 20), st.integers(-3, 20))
+       | st.none() | st.lists(FLAG_LINES, max_size=6))
+def test_cli_lower_bound_exits_0_or_2(tmp_path_factory, capsys, case):
+    """Counts, a missing file, or flag-file lines: exit 0 exactly when they
+    describe a nonempty 0/1 sequence, else a config error."""
+    path = tmp_path_factory.mktemp("flags") / "flags.txt"
+    if isinstance(case, tuple):
+        argv = ["--n-id", str(case[0]), "--n-ood", str(case[1])]
+        valid = min(case) >= 0 and sum(case) > 0
+    else:
+        argv = ["--flags", str(path)]
+        valid = False
+        if case is not None:
+            text = "\n".join(case)
+            path.write_bytes(text.encode("utf-8", "surrogatepass"))
+            lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            flags = [line.strip() for line in lines if line.strip()]
+            valid = bool(flags) and set(flags) <= {"0", "1"}
+    assert main(["lower-bound", *argv]) == (0 if valid else 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_serve_rejects_bad_tcp_port(tmp_path, capsys):
+    # only invalid ports: a valid one would start a blocking server
+    task_path = write_json(tmp_path / "task.json", SMALL_TASK)
+    for address in ("127.0.0.1:abc", ":99999", "127.0.0.1:-1", "127.0.0.1:", "localhost",
+                    "127.0.0.1:65536"):
+        assert main(["serve", "--task", task_path, "--tcp", address]) == 2, address
+        assert "config error: tcp" in capsys.readouterr().err
+
+
 def test_experiment_against_external_endpoint(tmp_path):
     task = make_synthetic_task(task_config_from_dict(SMALL_TASK))
     train_path = tmp_path / "train.ndjson"
@@ -617,7 +669,7 @@ def extreme_runs(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(extreme_runs())
 def test_cli_exit_codes_hold_for_extreme_numbers(tmp_path_factory, capsys, run):
-    config, mode, decode_seed = run
+    config, mode, sample_seed = run
     tmp = tmp_path_factory.mktemp("extreme")
     exp_path = write_json(tmp / "exp.json", config)
     task_path = write_json(tmp / "task.json", config["task"])
@@ -627,7 +679,7 @@ def test_cli_exit_codes_hold_for_extreme_numbers(tmp_path_factory, capsys, run):
             codes.append(main(["predict", "--task", task_path, "--split", split,
                                "--posterior", str(tmp / "run" / "posterior.ndjson"),
                                "--mode", mode, "--decode", "sample",
-                               "--seed", str(decode_seed),
+                               "--seed", str(sample_seed),
                                "--out", str(tmp / f"{split}.csv")]))
         codes.append(main(["eval", "--pred", str(tmp / "test.csv"), "--task", task_path,
                            "--out", str(tmp / "eval")]))

@@ -21,7 +21,7 @@ class StubSim:
         row = np.asarray(self._logits_rows[int(z[0])], dtype=float)
         return np.tile(row, (len(np.atleast_2d(inputs)), 1))
 
-    def query_labels(self, z, inputs, decode="argmax", rng=None):
+    def query_labels(self, z, inputs, seed=None):
         value = self._label_rows[int(z[0])]
         return np.full(len(np.atleast_2d(inputs)), value, dtype=np.int64)
 
@@ -66,7 +66,6 @@ def test_labels_path_indicator_count():
     table = predictive_from_labels(ensemble_of([0, 1, 2, 3], [0.25] * 4), sim,
                                    np.zeros((2, 2)))
     assert np.allclose(table.probs, [[0.75, 0.25], [0.75, 0.25]])
-    assert table.mode == "labels"
 
 
 def test_labels_path_single_sample_is_one_hot():
@@ -125,17 +124,17 @@ def test_weight_invariance_under_sample_duplication(criterion_task):
 
 def test_table_validation():
     with pytest.raises(ValueError):
-        PredictiveTable(np.array([[0.5, 0.4]]), "logits")
+        PredictiveTable(np.array([[0.5, 0.4]]))
     with pytest.raises(ValueError):
-        PredictiveTable(np.array([[1.5, -0.5]]), "logits")
+        PredictiveTable(np.array([[1.5, -0.5]]))
     for row in ([np.nan, np.nan, 0.0], [np.inf, 0.0, 0.0], [np.inf, -np.inf, 1.0]):
         with pytest.raises(ValueError, match="finite"):
-            PredictiveTable(np.array([[0.5, 0.5, 0.0], row]), "logits")
+            PredictiveTable(np.array([[0.5, 0.5, 0.0], row]))
 
 
 def test_csv_roundtrip_and_tiebreak(tmp_path):
     probs = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
-    table = PredictiveTable(probs, "logits")
+    table = PredictiveTable(probs)
     path = tmp_path / "pred.csv"
     save_predictive_csv(table, path)
     text = path.read_text().splitlines()
