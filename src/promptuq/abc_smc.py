@@ -64,15 +64,22 @@ class SmcConfig:
                               f"must be '{WEIGHT_IMPORTANCE}' or '{WEIGHT_UNIFORM}'")
 
 
-def distance_error_rate(predicted: np.ndarray, actual: np.ndarray) -> float:
-    """Fraction of positions where the label lists disagree."""
+def distance_error_rate(predicted: np.ndarray, actual: np.ndarray):
+    """Fraction of positions where the label lists disagree: a float for one
+    list, one value per row for a (K, n) matrix of them.
+
+    A mismatch count divided by n is exact, so a row's value does not depend
+    on the other rows.
+    """
     predicted = np.asarray(predicted)
     actual = np.asarray(actual)
-    if predicted.shape != actual.shape or predicted.ndim != 1:
-        raise ValueError("label lists must be 1-D with equal length")
-    if len(predicted) == 0:
+    if predicted.ndim not in (1, 2) or actual.ndim != 1 \
+            or predicted.shape[-1:] != actual.shape:
+        raise ValueError("label lists must be 1-D with equal length, or rows of one")
+    if len(actual) == 0:
         raise ValueError("label lists must be nonempty")
-    return float(np.mean(predicted != actual))
+    rates = np.count_nonzero(predicted != actual, axis=-1) / len(actual)
+    return float(rates) if predicted.ndim == 1 else rates
 
 
 def initial_tolerance(sim, prior: PriorSpec, dataset: LabeledSet,
@@ -118,10 +125,12 @@ def rejection_abc(sim, prior: PriorSpec, dataset: LabeledSet, config: RejectionC
                 f"rejection sampling used all {max_draws} draws with "
                 f"{len(accepted)}/{count} acceptances at epsilon {epsilon}",
                 used=draws, limit=max_draws, accepted=len(accepted))
-        z = sample_prior(prior, 1, rng)[0]
-        draws += 1
-        if distance_error_rate(sim.query_labels(z, dataset.X), dataset.y) < epsilon:
-            accepted.append(z)
+        # A block cannot hold more acceptances than are still needed, so the
+        # draws and queries equal those of a one-at-a-time loop.
+        zs = sample_prior(prior, min(count - len(accepted), max_draws - draws), rng)
+        draws += len(zs)
+        labels = sim.query_labels(zs, dataset.X).reshape(len(zs), len(dataset))
+        accepted.extend(zs[distance_error_rate(labels, dataset.y) < epsilon])
     return PosteriorEnsemble(
         np.array(accepted), np.full(count, 1.0 / count), REJECTION_ABC,
         diagnostics={"acceptance_rate": count / draws, "epsilon": float(epsilon),

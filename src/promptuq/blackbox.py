@@ -1,9 +1,10 @@
 """The black-box classifier stand-in and its query interface.
 
 The simulator is the only thing inference code is allowed to touch: it maps a
-subspace vector z plus a batch of feature vectors to class probabilities
-(logits mode) or discrete labels (labels mode), enforces the access policy,
-and charges every (z, input) pair against an evaluation budget.
+subspace vector z, or a (K, d) stack of them, plus a batch of feature vectors
+to class probabilities (logits mode) or discrete labels (labels mode),
+enforces the access policy, and charges every (z, input) pair against an
+evaluation budget.
 
 The built-in classifier is a frozen two-layer tanh network. The full prompt
 enters through a linear pooling down to a few dimensions, concatenated with
@@ -13,6 +14,7 @@ z is drawn from the task prior, which keeps the loss landscape smooth.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import asdict, dataclass, field
 
@@ -26,6 +28,10 @@ from .prompt_space import (PriorSpec, ProjectionSpec, check_sigma, make_projecti
 # relabels data near chance level rather than leaving the labeling
 # input-dominated.
 PROMPT_GAIN = 3.0
+
+# At most this many (z, input) pairs go through one kernel call, which bounds
+# the (k, n, features) block a stacked query builds.
+MAX_KERNEL_PAIRS = 1024
 
 
 @dataclass
@@ -103,11 +109,25 @@ class FrozenClassifier:
                           size=(pooled_dim, prompt_dim))
         return cls(w1, b1, w2, b2, pool, classes, int(seed))
 
-    def logits(self, prompt: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        pooled = self.pool @ prompt
-        batch = np.hstack([inputs, np.broadcast_to(pooled, (len(inputs), len(pooled)))])
-        hidden = np.tanh(batch @ self.w1.T + self.b1)
-        return hidden @ self.w2.T + self.b2
+    def logits(self, prompts: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+        """Logits for a (D,) prompt, (n, C), or for each row of a (K, D) stack,
+        (K, n, C).
+
+        Each stacked matmul makes one BLAS call per prompt with the shapes of
+        a single-prompt call, so every block equals its single-prompt result
+        bit for bit, whatever the stack size.
+        """
+        features = inputs.shape[1]
+        pooled = np.matmul(self.pool, prompts[..., None])[..., 0]
+        batch = np.empty(pooled.shape[:-1] + (len(inputs), features + len(self.pool)))
+        batch[..., :features] = inputs
+        batch[..., features:] = pooled[..., None, :]
+        hidden = np.matmul(batch, self.w1.T)
+        hidden += self.b1
+        np.tanh(hidden, out=hidden)
+        logits = np.matmul(hidden, self.w2.T)
+        logits += self.b2
+        return logits
 
 
 def sample_labels_from_seed(probs: np.ndarray, seed: int) -> np.ndarray:
@@ -124,8 +144,34 @@ def sample_labels_from_seed(probs: np.ndarray, seed: int) -> np.ndarray:
     return np.asarray((u[:, None] > cdf).sum(axis=1), dtype=np.int64)
 
 
+def z_rows(z) -> np.ndarray:
+    """A query's subspace vectors as a (K, d) float matrix; one z is K = 1."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim not in (1, 2):
+        raise ValueError(f"z must be a (d,) vector or a (K, d) matrix, got shape {z.shape}")
+    return z if z.ndim == 2 else z[None]
+
+
+def check_decode_seed(seed, rows: int) -> int:
+    """The sample-decode seed as an int; ValueError unless it is an integer in
+    [0, 2^64) and the query has one z, before anything is charged or sent."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if not 0 <= value < 2 ** 64:
+        raise ValueError(f"sample decode needs an integer seed in [0, 2^64), got {seed!r}")
+    if rows != 1:
+        raise ValueError(f"sample decode takes one z per seed, got {rows}")
+    return value
+
+
 class SyntheticSimulator:
     """Query handle binding a frozen classifier to a projection.
+
+    A query takes one z or a (K, d) stack and answers every (z, input) pair
+    in z-major order: rows k*n .. k*n + n - 1 belong to z number k. Each row
+    equals the single-z query's row bit for bit, whatever K is.
 
     Immutable except for the budget counter, so concurrent readers are safe.
     """
@@ -158,29 +204,42 @@ class SyntheticSimulator:
         return self.projection.prompt_dim
 
     def _raw_logits(self, z: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+        """Logits of every (z, input) pair, (K * n, classes), charged up front."""
+        zs = z_rows(z)
+        if zs.shape[1] != self.subspace_dim:
+            raise ValueError(f"z has {zs.shape[1]} entries, expected {self.subspace_dim}")
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         if inputs.shape[1] != self.feature_dim:
             raise ValueError(
                 f"inputs have {inputs.shape[1]} features, expected {self.feature_dim}")
-        self.budget.charge(len(inputs))
-        return self.classifier.logits(project(self.projection, z), inputs)
+        n = len(inputs)
+        self.budget.charge(len(zs) * n)
+        logits = np.empty((len(zs) * n, self.classes))
+        step = max(1, MAX_KERNEL_PAIRS // max(n, 1))
+        for start in range(0, len(zs), step):
+            chunk = zs[start:start + step]
+            logits[start * n:(start + len(chunk)) * n] = self.classifier.logits(
+                project(self.projection, chunk), inputs).reshape(-1, self.classes)
+        return logits
 
     def query_logits(self, z: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """Class probability vector per input, shape (n, classes)."""
+        """Class probability vector per (z, input) pair, shape (K * n, classes)."""
         if not self.allow_logits:
             raise AccessDeniedError("simulator is labels-only; probabilities are hidden")
         return softmax(self._raw_logits(z, inputs))
 
     def query_labels(self, z: np.ndarray, inputs: np.ndarray,
                      seed: int | None = None) -> np.ndarray:
-        """Discrete label per input: argmax decode without ``seed``, ties toward
-        the lowest index; sample decode from default_rng(seed) with one."""
+        """Discrete label per (z, input) pair, shape (K * n,): argmax decode
+        without ``seed``, ties toward the lowest index; sample decode of a
+        single z from default_rng(seed) with one."""
         if seed is None:
             return np.argmax(self._raw_logits(z, inputs), axis=1)
         return self.sampled_labels(z, inputs, seed)
 
     def sampled_labels(self, z: np.ndarray, inputs: np.ndarray, seed: int) -> np.ndarray:
         """Sample decode driven by an explicit u64 seed; the protocol server path."""
+        seed = check_decode_seed(seed, len(z_rows(z)))
         return sample_labels_from_seed(softmax(self._raw_logits(z, inputs)), seed)
 
 

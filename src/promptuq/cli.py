@@ -66,9 +66,8 @@ def cmd_task(args) -> int:
     if args.inspect:
         sim = task.simulator()
         rng = np.random.default_rng(cfg.seed)
-        chance = np.mean([
-            np.mean(sim.query_labels(z, task.train.X) != task.train.y)
-            for z in sample_prior(task.prior, 20, rng)])
+        labels = sim.query_labels(sample_prior(task.prior, 20, rng), task.train.X)
+        chance = np.mean(np.mean(labels.reshape(20, -1) != task.train.y, axis=1))
         print(f"train: {len(task.train)} items, "
               f"class counts {np.bincount(task.train.y, minlength=cfg.classes).tolist()}")
         print(f"test:  {len(task.test)} items, "

@@ -8,8 +8,10 @@ uses the top half of the population with log-linear weights.
 The state is single-owner: one coordinator calls ``ask`` and ``tell``.
 A population is a (population_size, d) matrix, one candidate per row.
 ``ask`` returns it, the caller evaluates it into a loss vector, and ``tell``
-takes both back, so inference code can batch simulator queries however it
-likes; ``minimize`` is the convenience loop for plain objectives.
+takes both back. ``minimize`` runs that loop over a batched objective, one
+that maps the whole population to its loss vector in a single call, so an
+inference method can score a generation with one simulator query. A plain
+vector-to-scalar ``f`` becomes one with ``lambda xs: np.array([f(x) for x in xs])``.
 """
 
 from __future__ import annotations
@@ -168,7 +170,8 @@ class MinimizeResult:
 
 def minimize(objective, mean0: np.ndarray, sigma0: float, population_size: int,
              max_generations: int, seed: int) -> MinimizeResult:
-    """Ask/evaluate/tell loop over a plain vector-to-scalar objective."""
+    """Ask/evaluate/tell loop; ``objective`` maps the (population_size, d)
+    population to one loss per row, so each generation is one call."""
     if max_generations < 1:
         raise ValueError("max_generations must be at least 1")
     state = es_init(mean0, sigma0, population_size, seed)
@@ -179,15 +182,18 @@ def minimize(objective, mean0: np.ndarray, sigma0: float, population_size: int,
 
     for _ in range(max_generations):
         xs = ask(state)
-        losses = np.empty(len(xs))
-        for i, x in enumerate(xs):
-            value = float(objective(x))
-            if not np.isfinite(value):
-                raise EvaluationError(f"objective returned {value!r} at candidate {x}")
-            losses[i] = value
-            if value < best_loss:
-                best_loss = value
-                best_x = x.copy()
+        losses = np.asarray(objective(xs), dtype=float)
+        if losses.shape != (len(xs),):
+            raise EvaluationError(
+                f"objective returned shape {losses.shape} for {len(xs)} candidates")
+        bad = np.flatnonzero(~np.isfinite(losses))
+        if len(bad):
+            raise EvaluationError(
+                f"objective returned {float(losses[bad[0]])!r} at candidate {xs[bad[0]]}")
+        best = int(np.argmin(losses))  # the first of tied minima, as a row-by-row scan
+        if losses[best] < best_loss:
+            best_loss = float(losses[best])
+            best_x = xs[best].copy()
         tell(state, xs, losses)
         history.append(best_loss)
         step_sizes.append(state.step_size)

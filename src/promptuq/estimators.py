@@ -12,7 +12,11 @@ Three producers of posterior sample sets over the subspace vector z:
   estimate of the evidence lower bound.
 
 All entry points take an integer seed and derive named substreams from it,
-so parallel candidate evaluation cannot change results.
+so parallel candidate evaluation cannot change results. Each CMA-ES
+generation is scored with one simulator query: the population's rows for the
+point and ensemble fits, every candidate's Monte-Carlo draws for GFVI. A
+stacked query's rows equal single-z queries bit for bit, so batching changes
+no result.
 """
 
 from __future__ import annotations
@@ -126,28 +130,34 @@ def load_ensemble(path) -> PosteriorEnsemble:
     return PosteriorEnsemble(np.asarray(samples), np.asarray(weights), "loaded")
 
 
-def negative_log_likelihood(sim, z: np.ndarray, dataset: LabeledSet) -> float:
-    """Cross-entropy of the dataset under the simulator at z.
+def negative_log_likelihood(sim, z: np.ndarray, dataset: LabeledSet):
+    """Cross-entropy of the dataset under the simulator at z: a float for one
+    z, one value per row for a (K, d) stack, all from one query.
 
     Probabilities are floored at 1e-12 before the log so a confidently wrong
     simulator yields a large finite loss instead of -inf.
     """
+    zs = np.asarray(z, dtype=float)
     if len(dataset) == 0:
-        return 0.0
-    probs = sim.query_logits(z, dataset.X)
-    picked = probs[np.arange(len(dataset)), dataset.y]
-    return float(-np.log(np.maximum(picked, PROB_FLOOR)).sum())
+        return 0.0 if zs.ndim == 1 else np.zeros(len(zs))
+    n = len(dataset)
+    probs = sim.query_logits(zs, dataset.X).reshape(-1, n, sim.classes)
+    # a contiguous copy keeps each row's sum in the order of a single-z query
+    picked = np.ascontiguousarray(probs[:, np.arange(n), dataset.y])
+    losses = -np.log(np.maximum(picked, PROB_FLOOR)).sum(axis=1)
+    return float(losses[0]) if zs.ndim == 1 else losses
 
 
 def _single_cma_fit(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
                     seed: int) -> cmaes.MinimizeResult:
-    """One CMA-ES run over z with mean and step size randomized from ``seed``."""
+    """One CMA-ES run over z with mean and step size randomized from ``seed``;
+    each generation is one query."""
     init_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     mean0 = sample_prior(prior, 1, init_rng)[0]
     sigma0 = es.sigma0 if es.sigma0 is not None else prior.sigma
     sigma0 *= init_rng.uniform(0.5, 1.5)
     cma_seed = int(init_rng.integers(2 ** 63))
-    return cmaes.minimize(lambda z: negative_log_likelihood(sim, z, dataset),
+    return cmaes.minimize(lambda zs: negative_log_likelihood(sim, zs, dataset),
                           mean0, sigma0, es.population_size, es.max_generations,
                           seed=cma_seed)
 
@@ -222,22 +232,31 @@ def kl_diag_gaussian_to_prior(params: VariationalParams, prior: PriorSpec) -> fl
     return float(0.5 * terms.sum())
 
 
-def elbo_estimate(params: VariationalParams, sim, dataset: LabeledSet,
-                  prior: PriorSpec, mc_samples: int,
-                  rng: np.random.Generator) -> float:
+def elbo_estimate(params, sim, dataset: LabeledSet, prior: PriorSpec,
+                  mc_samples: int, rng):
     """Monte-Carlo evidence lower bound.
 
     Averages the dataset log likelihood over ``mc_samples`` draws from q and
-    subtracts the exact KL to the prior.
+    subtracts the exact KL to the prior. One ``VariationalParams`` with one
+    generator gives a float; a list of them with one generator each gives
+    one value per candidate, all draws in a single query. Each candidate's
+    draws come from its own generator and its likelihood terms are summed
+    in draw order, so a candidate's value does not depend on the batch.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be positive")
-    draws = params.mu + np.sqrt(params.alpha) * rng.standard_normal(
-        (mc_samples, params.dim))
-    total = 0.0
-    for z in draws:
-        total += -negative_log_likelihood(sim, z, dataset)
-    return total / mc_samples - kl_diag_gaussian_to_prior(params, prior)
+    single = isinstance(params, VariationalParams)
+    candidates, streams = ([params], [rng]) if single else (params, rng)
+    draws = [q.mu + np.sqrt(q.alpha) * stream.standard_normal((mc_samples, q.dim))
+             for q, stream in zip(candidates, streams, strict=True)]
+    nll = negative_log_likelihood(sim, np.concatenate(draws), dataset)
+    values = np.empty(len(candidates))
+    for k, (q, terms) in enumerate(zip(candidates, np.reshape(nll, (-1, mc_samples)))):
+        total = 0.0
+        for term in terms:
+            total += -term
+        values[k] = total / mc_samples - kl_diag_gaussian_to_prior(q, prior)
+    return float(values[0]) if single else values
 
 
 def _decode_search_vector(u: np.ndarray, prior: PriorSpec) -> VariationalParams:
@@ -259,22 +278,22 @@ def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, config: GfviConfig,
     """Gradient-free variational inference.
 
     CMA-ES proposes stacked (mu, log alpha) vectors; each candidate is scored
-    by -ELBO with a Monte-Carlo likelihood term. ``cmaes.minimize`` scores
-    candidates in order, so candidate k of generation g draws from the
-    substream (g * population + k). Returns ``config.sample_count`` draws from
-    the best variational distribution ever seen, uniformly weighted.
+    by -ELBO with a Monte-Carlo likelihood term, one query per generation.
+    Candidate k of generation g draws from the substream (g * population + k).
+    Returns ``config.sample_count`` draws from the best variational
+    distribution ever seen, uniformly weighted.
     """
     d = prior.dim
     counter = itertools.count()
 
-    def negative_elbo(u: np.ndarray) -> float:
-        stream = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(1, next(counter))))
-        return -elbo_estimate(_decode_search_vector(u, prior), sim, dataset, prior,
-                              config.mc_samples, stream)
+    def negative_elbos(us: np.ndarray) -> np.ndarray:
+        candidates = [_decode_search_vector(u, prior) for u in us]
+        streams = [np.random.default_rng(np.random.SeedSequence(
+            seed, spawn_key=(1, next(counter)))) for _ in candidates]
+        return -elbo_estimate(candidates, sim, dataset, prior, config.mc_samples, streams)
 
     result = cmaes.minimize(
-        negative_elbo, np.zeros(2 * d), config.search_step, config.population_size,
+        negative_elbos, np.zeros(2 * d), config.search_step, config.population_size,
         config.max_generations, seed=int(np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(0,))).integers(2 ** 63)))
     best_params = _decode_search_vector(result.best_x, prior)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blackbox import MAX_KERNEL_PAIRS
 from .estimators import PosteriorEnsemble
 from .uqeval import check_probability_table
 
@@ -37,11 +38,20 @@ class PredictiveTable:
 
 def predictive_from_logits(ensemble: PosteriorEnsemble, sim,
                            inputs: np.ndarray) -> PredictiveTable:
-    """Weighted average of per-sample probability vectors."""
+    """Weighted average of per-sample probability vectors.
+
+    Samples are queried in chunks of about ``MAX_KERNEL_PAIRS`` pairs, and
+    their rows are accumulated in sample order.
+    """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    rows = np.zeros((len(inputs), sim.classes))
-    for w, z in zip(ensemble.weights, ensemble.samples):
-        rows += w * sim.query_logits(z, inputs)
+    n = len(inputs)
+    rows = np.zeros((n, sim.classes))
+    step = max(1, MAX_KERNEL_PAIRS // max(n, 1))
+    for start in range(0, ensemble.size, step):
+        chunk = ensemble.samples[start:start + step]
+        probs = sim.query_logits(chunk, inputs).reshape(len(chunk), n, sim.classes)
+        for w, block in zip(ensemble.weights[start:start + step], probs):
+            rows += w * block
     return PredictiveTable(rows)
 
 

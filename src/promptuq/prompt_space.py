@@ -57,11 +57,17 @@ def make_projection(subspace_dim: int, prompt_dim: int, seed: int,
 
 
 def project(spec: ProjectionSpec, z: np.ndarray) -> np.ndarray:
-    """Map a subspace vector to the full prompt: matrix @ z + anchor."""
+    """Map a subspace vector, or each row of a (K, d) stack, to the full
+    prompt: matrix @ z + anchor.
+
+    The stacked matmul makes one matrix-vector product per row with the
+    shapes of a single call, so a row's prompt does not depend on the stack.
+    """
     z = np.asarray(z, dtype=float)
-    if z.shape != (spec.subspace_dim,):
-        raise ValueError(f"z has shape {z.shape}, expected ({spec.subspace_dim},)")
-    return spec.matrix @ z + spec.anchor
+    if z.ndim not in (1, 2) or z.shape[-1] != spec.subspace_dim:
+        raise ValueError(f"z has shape {z.shape}, expected ({spec.subspace_dim},) "
+                         f"or (K, {spec.subspace_dim})")
+    return np.matmul(spec.matrix, z[..., None])[..., 0] + spec.anchor
 
 
 def check_sigma(sigma, name: str) -> None:

@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .blackbox import EvalBudget
+from .blackbox import EvalBudget, check_decode_seed, z_rows
 from .errors import AccessDeniedError, BudgetExhaustedError, ProtocolError
 from .uqeval import check_probability_table
 
@@ -99,7 +99,11 @@ class SocketTransport(_LineTransport):
 
 
 class ExternalSimulator:
-    """Client handle with the same query surface as the built-in simulator."""
+    """Client handle with the same query surface as the built-in simulator.
+
+    The v1 wire carries one z per request, so a (K, d) query sends K requests
+    in row order and concatenates their answers.
+    """
 
     def __init__(self, transport):
         self._transport = transport
@@ -175,23 +179,19 @@ class ExternalSimulator:
                 f"response id {response.get('id')} does not match request {request_id}")
         return response
 
-    def _query(self, mode: str, z: np.ndarray, inputs: np.ndarray,
-               **fields) -> tuple[dict, int]:
-        """Charge and send one request; the response and the input count."""
+    def _query(self, mode: str, z: np.ndarray, inputs: np.ndarray, parse,
+               **fields) -> list[np.ndarray]:
+        """Charge every pair, then send one v1 request per row of ``z`` and
+        ``parse(response, n)`` each answer as it arrives, in row order."""
+        zs = z_rows(z)
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        self.budget.charge(len(inputs))
-        response = self._roundtrip({
-            "mode": mode,
-            "z": [float(v) for v in np.asarray(z, dtype=float)],
-            "inputs": inputs.tolist(),
-            **fields,
-        })
-        return response, len(inputs)
+        self.budget.charge(len(zs) * len(inputs))
+        rows = inputs.tolist()
+        return [parse(self._roundtrip({"mode": mode, "z": [float(v) for v in row],
+                                       "inputs": rows, **fields}), len(inputs))
+                for row in zs]
 
-    def query_logits(self, z: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        if "logits" not in self.modes:
-            raise AccessDeniedError("server is labels-only; probabilities are hidden")
-        response, n = self._query("logits", z, inputs)
+    def _probabilities(self, response: dict, n: int) -> np.ndarray:
         try:
             probs = check_probability_table(response.get("outputs"))
         except (TypeError, ValueError) as exc:
@@ -200,10 +200,7 @@ class ExternalSimulator:
             raise ProtocolError(f"malformed outputs for {n} inputs")
         return probs
 
-    def query_labels(self, z: np.ndarray, inputs: np.ndarray,
-                     seed: int | None = None) -> np.ndarray:
-        decode = "argmax" if seed is None else "sample"
-        response, n = self._query("labels", z, inputs, decode=decode, seed=int(seed or 0))
+    def _labels(self, response: dict, n: int) -> np.ndarray:
         labels = response.get("labels")
         if not isinstance(labels, list) or len(labels) != n:
             raise ProtocolError(f"malformed labels for {n} inputs")
@@ -212,6 +209,23 @@ class ExternalSimulator:
                 or (values < 0).any() or (values >= self.classes).any()):
             raise ProtocolError(f"labels outside [0, {self.classes})")
         return values.astype(np.int64)
+
+    def query_logits(self, z: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+        """Class probability vector per (z, input) pair, z-major, (K * n, classes)."""
+        if "logits" not in self.modes:
+            raise AccessDeniedError("server is labels-only; probabilities are hidden")
+        return np.concatenate([np.empty((0, self.classes)),
+                               *self._query("logits", z, inputs, self._probabilities)])
+
+    def query_labels(self, z: np.ndarray, inputs: np.ndarray,
+                     seed: int | None = None) -> np.ndarray:
+        """Label per (z, input) pair, z-major, (K * n,); a seed sample-decodes one z."""
+        if seed is None:
+            fields = {"decode": "argmax", "seed": 0}
+        else:
+            fields = {"decode": "sample", "seed": check_decode_seed(seed, len(z_rows(z)))}
+        return np.concatenate([np.empty(0, dtype=np.int64),
+                               *self._query("labels", z, inputs, self._labels, **fields)])
 
 
 def _finite_rows(rows: list) -> np.ndarray | None:

@@ -13,13 +13,15 @@ from promptuq.abc_smc import (RejectionConfig, SmcConfig, abc_smc, decay_toleran
 from promptuq.blackbox import LabeledSet, make_synthetic_task
 from promptuq.errors import (BudgetExhaustedError, DegenerateWeightsError,
                              StagnationError)
-from promptuq.prompt_space import PriorSpec, prior_log_density
+from promptuq.prompt_space import PriorSpec, prior_log_density, sample_prior
 
 
 def test_distance_basic_values():
     assert distance_error_rate([0, 1, 2], [0, 1, 2]) == 0.0
     assert distance_error_rate([0, 0], [1, 1]) == 1.0
     assert distance_error_rate([0, 1, 0, 1], [0, 1, 1, 0]) == 0.5
+    rows = distance_error_rate([[0, 1, 2], [0, 0, 0], [2, 2, 2]], [0, 1, 2])
+    assert rows.tolist() == [0.0, distance_error_rate([0, 0, 0], [0, 1, 2]), 2 / 3]
 
 
 def test_distance_rejects_bad_inputs():
@@ -27,6 +29,10 @@ def test_distance_rejects_bad_inputs():
         distance_error_rate([0, 1], [0])
     with pytest.raises(ValueError):
         distance_error_rate([], [])
+    with pytest.raises(ValueError):
+        distance_error_rate([[0, 1]], [0])
+    with pytest.raises(ValueError):
+        distance_error_rate([[[0]]], [0])
 
 
 def test_initial_tolerance_range_and_boundary(criterion_task):
@@ -82,6 +88,37 @@ def test_rejection_abc_particles_recheck(criterion_task):
         dist = distance_error_rate(sim.query_labels(z, criterion_task.train.X),
                                    criterion_task.train.y)
         assert dist < epsilon
+
+
+def sequential_rejection(sim, prior, dataset, count, epsilon, max_draws, seed):
+    """One prior draw and one query at a time: accepted samples and draws."""
+    rng = np.random.default_rng(seed)
+    accepted, draws = [], 0
+    while len(accepted) < count and draws < max_draws:
+        z = sample_prior(prior, 1, rng)[0]
+        draws += 1
+        if distance_error_rate(sim.query_labels(z, dataset.X), dataset.y) < epsilon:
+            accepted.append(z)
+    return accepted, draws
+
+
+def test_rejection_abc_blocks_spend_the_draws_of_a_sequential_loop(criterion_task):
+    prior, train = criterion_task.prior, criterion_task.train
+    reference = criterion_task.simulator(allow_logits=False)
+    accepted, draws = sequential_rejection(reference, prior, train, 12, 0.45, 20_000, 4)
+    sim = criterion_task.simulator(allow_logits=False)
+    result = rejection_abc(sim, prior, train, RejectionConfig(12, 0.45, 20_000), seed=4)
+    assert np.array_equal(result.samples, np.array(accepted))
+    assert result.diagnostics["draws"] == draws
+    assert sim.budget.used == reference.budget.used == draws * len(train)
+
+    # a draw budget that runs out one draw early stops where the loop would
+    short = criterion_task.simulator(allow_logits=False)
+    with pytest.raises(BudgetExhaustedError) as excinfo:
+        rejection_abc(short, prior, train, RejectionConfig(12, 0.45, draws - 1), seed=4)
+    assert excinfo.value.used == draws - 1
+    assert excinfo.value.accepted == 11
+    assert short.budget.used == (draws - 1) * len(train)
 
 
 def test_rejection_abc_acceptance_strictly_below_epsilon():

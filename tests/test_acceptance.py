@@ -54,10 +54,12 @@ def floored_log10(value):
 
 def test_criterion_1_optimizer_correctness():
     t0 = time.time()
-    ours_sphere = minimize(sphere, np.full(5, 3.0), 1.0, 20, 300, seed=2).best_loss
+    ours_sphere = minimize(lambda xs: np.array([sphere(x) for x in xs]),
+                           np.full(5, 3.0), 1.0, 20, 300, seed=2).best_loss
     sphere_time = time.time() - t0
     t0 = time.time()
-    ours_rosen = minimize(rosenbrock, np.zeros(5), 0.5, 20, 300, seed=2).best_loss
+    ours_rosen = minimize(lambda xs: np.array([rosenbrock(x) for x in xs]),
+                          np.zeros(5), 0.5, 20, 300, seed=2).best_loss
     rosen_time = time.time() - t0
 
     ref_sphere = reference_minimize(sphere, np.full(5, 3.0), 1.0, 20, 300, seed=2)

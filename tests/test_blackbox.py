@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import CRITERION_TASK, build_fixed_probs_simulator
-from promptuq.blackbox import (SyntheticSimulator, TaskConfig, make_synthetic_task,
-                               task_config_from_dict, task_config_to_dict)
+from promptuq.blackbox import (MAX_KERNEL_PAIRS, SyntheticSimulator, TaskConfig,
+                               make_synthetic_task, task_config_from_dict,
+                               task_config_to_dict)
 from promptuq.errors import AccessDeniedError, BudgetExhaustedError
-from promptuq.estimators import EsConfig, point_estimate
+from promptuq.estimators import EsConfig, negative_log_likelihood, point_estimate
 
 
 def test_uniform_simulator_returns_uniform_rows(uniform_sim):
@@ -102,11 +105,11 @@ class CountingWrapper:
         return getattr(self._sim, name)
 
     def query_logits(self, z, inputs):
-        self.pairs += len(np.atleast_2d(inputs))
+        self.pairs += len(np.atleast_2d(z)) * len(np.atleast_2d(inputs))
         return self._sim.query_logits(z, inputs)
 
     def query_labels(self, z, inputs, seed=None):
-        self.pairs += len(np.atleast_2d(inputs))
+        self.pairs += len(np.atleast_2d(z)) * len(np.atleast_2d(inputs))
         return self._sim.query_labels(z, inputs, seed)
 
 
@@ -185,3 +188,88 @@ def test_task_config_rejects_unknown_keys():
 def test_inputs_feature_mismatch_rejected(uniform_sim):
     with pytest.raises(ValueError):
         uniform_sim.query_logits(np.zeros(4), np.zeros((2, 5)))
+
+
+# The method-comparison task, criterion 8's wider prompt and a three-class task.
+BATCH_TASKS = {
+    "comparison": CRITERION_TASK,
+    "wide_prompt": dataclasses.replace(CRITERION_TASK, subspace_dim=16, prompt_dim=128,
+                                       label_noise=0.1, seed=100),
+    "three_classes": dataclasses.replace(CRITERION_TASK, classes=3, feature_dim=5,
+                                         hidden=12, seed=11),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BATCH_TASKS))
+def batch_task(request):
+    return make_synthetic_task(BATCH_TASKS[request.param])
+
+
+@pytest.mark.parametrize("k", [1, 2, 20, 1500])
+@pytest.mark.parametrize("n", [1, 32, MAX_KERNEL_PAIRS + 6])
+def test_stacked_query_rows_equal_single_queries_bit_for_bit(batch_task, k, n):
+    sim = batch_task.simulator()
+    rng = np.random.default_rng(k * 1000 + n)
+    zs = rng.normal(size=(k, batch_task.config.subspace_dim)) * batch_task.prior.sigma
+    x = rng.normal(size=(n, batch_task.config.feature_dim))
+    probs = sim.query_logits(zs, x)
+    labels = sim.query_labels(zs, x)
+    assert probs.shape == (k * n, sim.classes) and labels.shape == (k * n,)
+    assert sim.budget.used == 2 * k * n
+    assert np.array_equal(probs, np.concatenate([sim.query_logits(z, x) for z in zs]))
+    assert np.array_equal(labels, np.concatenate([sim.query_labels(z, x) for z in zs]))
+
+
+def test_vector_query_is_the_one_row_stack(criterion_task):
+    sim = criterion_task.simulator()
+    z = np.random.default_rng(7).normal(size=8) * 50
+    x = criterion_task.test.X
+    assert sim.query_logits(z, x).shape == (len(x), 2)
+    assert np.array_equal(sim.query_logits(z, x), sim.query_logits(z[None], x))
+    assert np.array_equal(sim.query_labels(z, x), sim.query_labels(z[None], x))
+
+
+@pytest.mark.parametrize("k", [1, 2, 20, 300])
+def test_rowwise_nll_equals_single_z_floats_bit_for_bit(batch_task, k):
+    sim = batch_task.simulator()
+    zs = np.random.default_rng(k).normal(size=(k, batch_task.config.subspace_dim)) * 50
+    losses = negative_log_likelihood(sim, zs, batch_task.train)
+    single = [negative_log_likelihood(sim, z, batch_task.train) for z in zs]
+    assert isinstance(single[0], float)
+    assert losses.shape == (k,)
+    assert losses.tolist() == single
+
+
+def test_stacked_query_past_the_budget_charges_nothing(criterion_task):
+    sim = criterion_task.simulator(budget_limit=100)
+    sim.query_logits(np.zeros((2, 8)), np.zeros((30, 16)))
+    assert sim.budget.used == 60
+    for query in (sim.query_logits, sim.query_labels):
+        with pytest.raises(BudgetExhaustedError):
+            query(np.zeros((2, 8)), np.zeros((30, 16)))
+        assert sim.budget.used == 60
+
+
+def test_malformed_z_is_refused_before_charging(criterion_task):
+    sim = criterion_task.simulator()
+    for z in (np.zeros(7), np.zeros((2, 9)), np.zeros((1, 2, 8))):
+        with pytest.raises(ValueError):
+            sim.query_logits(z, np.zeros((3, 16)))
+    assert sim.budget.used == 0
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+def test_out_of_range_decode_seed_raises_before_charging(criterion_task, seed):
+    sim = criterion_task.simulator()
+    with pytest.raises(ValueError, match="seed"):
+        sim.query_labels(np.zeros(8), criterion_task.train.X, seed)
+    assert sim.budget.used == 0
+
+
+def test_sample_decode_takes_one_z(criterion_task):
+    sim = criterion_task.simulator()
+    with pytest.raises(ValueError, match="one z"):
+        sim.query_labels(np.zeros((2, 8)), criterion_task.train.X, 5)
+    assert sim.budget.used == 0
+    assert np.array_equal(sim.query_labels(np.ones((1, 8)), criterion_task.train.X, 5),
+                          sim.query_labels(np.ones(8), criterion_task.train.X, 5))

@@ -17,6 +17,11 @@ def rosenbrock(x):
                      for i in range(len(x) - 1)))
 
 
+def rowwise(f):
+    """The batched objective ``minimize`` takes, from a vector-to-scalar ``f``."""
+    return lambda xs: np.array([f(x) for x in xs])
+
+
 def test_init_rejects_bad_arguments():
     with pytest.raises(ValueError):
         es_init(np.zeros(3), 0.0, 10, seed=0)
@@ -141,13 +146,18 @@ def test_tell_ranks_like_a_stable_sort_on_loss_then_entries():
 
 
 def test_minimize_constant_objective():
-    result = minimize(lambda x: 3.25, np.zeros(3), 1.0, 8, 5, seed=8)
+    result = minimize(rowwise(lambda x: 3.25), np.zeros(3), 1.0, 8, 5, seed=8)
     assert result.best_loss == 3.25
     assert result.generations == 5
 
 
+def test_minimize_keeps_the_first_of_tied_best_candidates():
+    result = minimize(rowwise(lambda x: 3.25), np.zeros(3), 1.0, 8, 5, seed=8)
+    assert np.array_equal(result.best_x, ask(es_init(np.zeros(3), 1.0, 8, seed=8))[0])
+
+
 def test_minimize_history_monotone_nonincreasing():
-    result = minimize(sphere, np.full(4, 2.0), 1.0, 10, 40, seed=9)
+    result = minimize(rowwise(sphere), np.full(4, 2.0), 1.0, 10, 40, seed=9)
     history = np.array(result.history)
     assert (np.diff(history) <= 0).all()
     assert len(history) == result.generations
@@ -160,7 +170,7 @@ def test_minimize_counts_objective_calls_exactly():
         calls.append(1)
         return sphere(x)
 
-    result = minimize(counted, np.full(3, 1.0), 0.5, 6, 25, seed=10)
+    result = minimize(rowwise(counted), np.full(3, 1.0), 0.5, 6, 25, seed=10)
     assert len(calls) == 6 * result.generations == 6 * 25
 
 
@@ -169,22 +179,28 @@ def test_minimize_propagates_nonfinite_objective():
         return float("inf")
 
     with pytest.raises(EvaluationError):
-        minimize(bad, np.zeros(2), 1.0, 4, 3, seed=11)
+        minimize(rowwise(bad), np.zeros(2), 1.0, 4, 3, seed=11)
+    # the first non-finite loss is named, and a loss vector must match the rows
+    with pytest.raises(EvaluationError, match="nan at candidate"):
+        minimize(lambda xs: np.array([1.0, np.nan, np.inf, 2.0]), np.zeros(2), 1.0, 4, 3,
+                 seed=11)
+    with pytest.raises(EvaluationError, match="shape"):
+        minimize(lambda xs: np.zeros(len(xs) + 1), np.zeros(2), 1.0, 4, 3, seed=11)
 
 
 def test_minimize_sphere_converges():
-    result = minimize(sphere, np.full(5, 3.0), 1.0, 20, 300, seed=12)
+    result = minimize(rowwise(sphere), np.full(5, 3.0), 1.0, 20, 300, seed=12)
     assert result.best_loss < 1e-8
 
 
 def test_minimize_rosenbrock_converges():
-    result = minimize(rosenbrock, np.zeros(5), 0.5, 20, 300, seed=12)
+    result = minimize(rowwise(rosenbrock), np.zeros(5), 0.5, 20, 300, seed=12)
     assert result.best_loss < 1e-6
 
 
 def test_trajectories_deterministic_for_identical_seeds():
-    r1 = minimize(sphere, np.full(3, 2.0), 1.0, 8, 30, seed=14)
-    r2 = minimize(sphere, np.full(3, 2.0), 1.0, 8, 30, seed=14)
+    r1 = minimize(rowwise(sphere), np.full(3, 2.0), 1.0, 8, 30, seed=14)
+    r2 = minimize(rowwise(sphere), np.full(3, 2.0), 1.0, 8, 30, seed=14)
     assert r1.history == r2.history
     assert np.array_equal(r1.best_x, r2.best_x)
 
@@ -204,6 +220,6 @@ def test_minimize_calls_ask_and_tell_once_per_generation(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(cmaes, name, counted(name))
-    result = minimize(sphere, np.full(3, 1.0), 0.5, 6, 7, seed=16)
+    result = minimize(rowwise(sphere), np.full(3, 1.0), 0.5, 6, 7, seed=16)
     assert result.generations == 7
     assert calls == {"ask": 7, "tell": 7}

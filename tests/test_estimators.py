@@ -1,10 +1,13 @@
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_uniform_simulator
+from promptuq import cmaes
 from promptuq.blackbox import LabeledSet
 from promptuq.errors import AccessDeniedError
 from promptuq.estimators import (EsConfig, GfviConfig, PosteriorEnsemble,
@@ -209,6 +212,31 @@ def test_gfvi_uniform_simulator_recovers_prior(uniform_sim, uniform_dataset,
                                   mc_samples=5, sample_count=50), seed=3)
     assert result.diagnostics["final_kl"] < 0.5
     assert result.diagnostics["best_elbo"] <= -4 * np.log(2) + 1e-9
+
+
+def test_gfvi_matches_a_candidate_by_candidate_reference(criterion_task):
+    # candidate k of generation g draws from its own (1, g * population + k)
+    # substream and sums its Monte-Carlo terms in draw order, one z at a time
+    sim, train, prior = criterion_task.simulator(), criterion_task.train, criterion_task.prior
+    config = GfviConfig(population_size=6, max_generations=4, mc_samples=10, sample_count=5)
+    result = gfvi_tune(sim, train, prior, config, seed=9)
+    counter = itertools.count()
+
+    def negative_elbo(u):
+        stream = np.random.default_rng(
+            np.random.SeedSequence(9, spawn_key=(1, next(counter))))
+        q = _decode_search_vector(u, prior)
+        total = 0.0
+        for z in q.mu + np.sqrt(q.alpha) * stream.standard_normal((10, prior.dim)):
+            total += -negative_log_likelihood(sim, z, train)
+        return -(total / 10 - kl_diag_gaussian_to_prior(q, prior))
+
+    reference = cmaes.minimize(
+        lambda us: np.array([negative_elbo(u) for u in us]), np.zeros(2 * prior.dim),
+        config.search_step, 6, 4, seed=int(np.random.default_rng(
+            np.random.SeedSequence(9, spawn_key=(0,))).integers(2 ** 63)))
+    assert result.trace["best_elbo"] == [-v for v in reference.history]
+    assert result.diagnostics["best_elbo"] == -reference.best_loss
 
 
 def test_gfvi_deterministic(uniform_sim, uniform_dataset, wide_prior):

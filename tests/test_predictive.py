@@ -18,12 +18,15 @@ class StubSim:
         self._label_rows = label_rows or {}
 
     def query_logits(self, z, inputs):
-        row = np.asarray(self._logits_rows[int(z[0])], dtype=float)
-        return np.tile(row, (len(np.atleast_2d(inputs)), 1))
+        n = len(np.atleast_2d(inputs))
+        return np.concatenate([
+            np.tile(np.asarray(self._logits_rows[int(row[0])], dtype=float), (n, 1))
+            for row in np.atleast_2d(z)])
 
     def query_labels(self, z, inputs, seed=None):
-        value = self._label_rows[int(z[0])]
-        return np.full(len(np.atleast_2d(inputs)), value, dtype=np.int64)
+        n = len(np.atleast_2d(inputs))
+        return np.concatenate([np.full(n, self._label_rows[int(row[0])], dtype=np.int64)
+                               for row in np.atleast_2d(z)])
 
 
 def ensemble_of(indices, weights):
@@ -59,6 +62,20 @@ def test_logits_path_matches_brute_force(criterion_task):
     for w, z in zip(weights, samples):
         expected += w * sim.query_logits(z, criterion_task.test.X)
     assert np.abs(table.probs - expected).max() < 1e-12
+
+
+def test_logits_path_chunks_accumulate_in_sample_order(criterion_task):
+    # 40 samples x 64 inputs span three kernel-sized query chunks
+    sim = criterion_task.simulator()
+    rng = np.random.default_rng(4)
+    ensemble = PosteriorEnsemble(rng.normal(size=(40, 8)) * 50,
+                                 rng.dirichlet(np.ones(40)), "ensembles")
+    table = predictive_from_logits(ensemble, sim, criterion_task.test.X)
+    expected = np.zeros_like(table.probs)
+    for w, z in zip(ensemble.weights, ensemble.samples):
+        expected += w * sim.query_logits(z, criterion_task.test.X)
+    assert np.array_equal(table.probs, expected)
+    assert sim.budget.used == 2 * 40 * len(criterion_task.test)
 
 
 def test_labels_path_indicator_count():

@@ -73,6 +73,32 @@ def test_client_budget_counts_pairs(served):
     assert served.budget.used == before + 5
 
 
+def test_stacked_query_sends_one_request_per_row(served, criterion_task):
+    local = criterion_task.simulator()
+    rng = np.random.default_rng(3)
+    zs = rng.normal(size=(5, 8)) * 50
+    x = rng.normal(size=(3, 16))
+    before, sent = served.budget.used, served._next_id
+    probs = served.query_logits(zs, x)
+    assert served._next_id - sent == 5
+    assert served.budget.used == before + 15
+    assert probs.shape == (15, 2)
+    assert np.abs(probs - local.query_logits(zs, x)).max() < 1e-9
+    assert np.array_equal(served.query_labels(zs, x), local.query_labels(zs, x))
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_client_refuses_out_of_range_decode_seed_before_sending(seed):
+    transport = ScriptedTransport([HANDSHAKE])
+    client = ExternalSimulator(transport)
+    with pytest.raises(ValueError, match="seed"):
+        client.query_labels(np.zeros(2), np.zeros((4, 3)), seed)
+    with pytest.raises(ValueError, match="one z"):
+        client.query_labels(np.zeros((2, 2)), np.zeros((4, 3)), 5)
+    assert client.budget.used == 0
+    assert transport.sent == []
+
+
 def test_labels_only_server_hides_probabilities(task_file):
     client = ExternalSimulator.spawn(
         [sys.executable, "-m", "promptuq", "serve", "--task", task_file,
