@@ -21,8 +21,7 @@ from .predictive import (PredictiveTable, predictive_from_labels,
 from .prompt_space import (PriorSpec, ProjectionSpec, make_projection,
                            prior_log_density, project, sample_prior)
 from .protocol import ExternalSimulator, serve, serve_stdio, serve_tcp
-from .uqeval import (RiskRejectionCurve, ece, entropy_score, maxp_uncertainty,
-                     ood_detection_eval, oracle_lower_bound, risk_rejection_curve,
-                     selective_classification_eval)
+from .uqeval import (RiskRejectionCurve, ece, ood_detection_eval, oracle_lower_bound,
+                     risk_rejection_curve, selective_classification_eval)
 
 __version__ = "0.1.0"

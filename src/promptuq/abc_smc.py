@@ -28,7 +28,7 @@ import numpy as np
 
 from .blackbox import LabeledSet
 from .errors import (BudgetExhaustedError, ConfigError, DegenerateWeightsError,
-                     StagnationError, check_positive)
+                     NumericalBreakdownError, StagnationError, check_positive)
 from .estimators import ABC_SMC, REJECTION_ABC, PosteriorEnsemble
 from .prompt_space import PriorSpec, prior_log_density, sample_prior
 
@@ -172,11 +172,14 @@ def update_weights(new_particles: np.ndarray, prev_particles: np.ndarray,
 
 def update_kernel_variance(particles: np.ndarray, weights: np.ndarray,
                            variance_floor: float) -> np.ndarray:
-    """Per-coordinate weighted empirical variance, floored elementwise."""
+    """Per-coordinate weighted empirical variance, floored elementwise;
+    NumericalBreakdownError if it overflows (particles near the float range)."""
     particles = np.atleast_2d(particles)
     weights = np.asarray(weights, dtype=float)
     mean = weights @ particles
     variance = weights @ (particles - mean) ** 2
+    if not np.isfinite(variance).all():
+        raise NumericalBreakdownError("the perturbation kernel variance overflowed")
     return np.maximum(variance, variance_floor)
 
 

@@ -6,6 +6,11 @@ to class probabilities (logits mode) or discrete labels (labels mode),
 enforces the access policy, and charges every (z, input) pair against an
 evaluation budget.
 
+Every rule on what a query may hold is here: ``check_query`` and
+``check_decode_seeds`` run before anything is charged, and the protocol
+client and server answer through them too, so a query refused in process is
+refused served, and an empty one (K = 0 or n = 0) is an empty answer on both.
+
 The built-in classifier is a frozen two-layer tanh network. The full prompt
 enters through a linear pooling down to a few dimensions, concatenated with
 the input features; the pooling is scaled so the pooled values are O(1) when
@@ -130,40 +135,38 @@ class FrozenClassifier:
         return logits
 
 
-def sample_labels_from_seed(probs: np.ndarray, seed: int) -> np.ndarray:
-    """Categorical draws, one row each, from a stream derived only from ``seed``.
-
-    Pinning the stream to an explicit integer seed keeps in-process and
-    remote (protocol-served) sampling bit-identical: both sides draw from
-    default_rng(seed).
-    """
-    rng = np.random.default_rng(np.uint64(seed))
-    u = rng.random(len(probs))
-    cdf = np.cumsum(probs, axis=1)
-    cdf[:, -1] = 1.0
-    return np.asarray((u[:, None] > cdf).sum(axis=1), dtype=np.int64)
-
-
-def z_rows(z) -> np.ndarray:
-    """A query's subspace vectors as a (K, d) float matrix; one z is K = 1."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim not in (1, 2):
-        raise ValueError(f"z must be a (d,) vector or a (K, d) matrix, got shape {z.shape}")
-    return z if z.ndim == 2 else z[None]
+def check_query(z, inputs, feature_dim: int,
+                subspace_dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """A query's z as a (K, d) matrix (one z is K = 1) and its inputs as an
+    (n, feature_dim) matrix; ValueError unless they have those shapes, with
+    d = ``subspace_dim`` where the caller knows it, and all entries finite."""
+    zs = np.asarray(z, dtype=float)
+    if zs.ndim not in (1, 2):
+        raise ValueError(f"z must be a (d,) vector or a (K, d) matrix, got shape {zs.shape}")
+    zs = zs if zs.ndim == 2 else zs[None]
+    if subspace_dim is not None and zs.shape[1] != subspace_dim:
+        raise ValueError(f"z has {zs.shape[1]} entries, expected {subspace_dim}")
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    if inputs.ndim != 2 or inputs.shape[1] != feature_dim:
+        raise ValueError(f"inputs must be rows of {feature_dim} features, "
+                         f"got shape {inputs.shape}")
+    if not (np.isfinite(zs).all() and np.isfinite(inputs).all()):
+        raise ValueError("z and inputs must hold finite numbers only")
+    return zs, inputs
 
 
-def check_decode_seed(seed, rows: int) -> int:
-    """The sample-decode seed as an int; ValueError unless it is an integer in
-    [0, 2^64) and the query has one z, before anything is charged or sent."""
+def check_decode_seeds(seeds, rows: int) -> list[int]:
+    """The sample-decode seeds as ints; ValueError, before anything is charged
+    or sent, unless there is one integer (not a bool) in [0, 2^64) per z."""
     try:
-        value = operator.index(seed)
+        values = [-1 if isinstance(seed, (bool, np.bool_)) else operator.index(seed)
+                  for seed in seeds]
     except TypeError:
-        value = -1
-    if not 0 <= value < 2 ** 64:
-        raise ValueError(f"sample decode needs an integer seed in [0, 2^64), got {seed!r}")
-    if rows != 1:
-        raise ValueError(f"sample decode takes one z per seed, got {rows}")
-    return value
+        values = None
+    if values is None or len(values) != rows or not all(0 <= v < 2 ** 64 for v in values):
+        raise ValueError(f"sample decode needs one integer seed in [0, 2^64) per z "
+                         f"({rows}), got {seeds!r}")
+    return values
 
 
 class SyntheticSimulator:
@@ -203,15 +206,8 @@ class SyntheticSimulator:
     def prompt_dim(self) -> int:
         return self.projection.prompt_dim
 
-    def _raw_logits(self, z: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """Logits of every (z, input) pair, (K * n, classes), charged up front."""
-        zs = z_rows(z)
-        if zs.shape[1] != self.subspace_dim:
-            raise ValueError(f"z has {zs.shape[1]} entries, expected {self.subspace_dim}")
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        if inputs.shape[1] != self.feature_dim:
-            raise ValueError(
-                f"inputs have {inputs.shape[1]} features, expected {self.feature_dim}")
+    def _raw_logits(self, zs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+        """Logits of every pair of a checked query, (K * n, classes), charged up front."""
         n = len(inputs)
         self.budget.charge(len(zs) * n)
         logits = np.empty((len(zs) * n, self.classes))
@@ -226,21 +222,30 @@ class SyntheticSimulator:
         """Class probability vector per (z, input) pair, shape (K * n, classes)."""
         if not self.allow_logits:
             raise AccessDeniedError("simulator is labels-only; probabilities are hidden")
-        return softmax(self._raw_logits(z, inputs))
+        zs, inputs = check_query(z, inputs, self.feature_dim, self.subspace_dim)
+        return softmax(self._raw_logits(zs, inputs))
 
-    def query_labels(self, z: np.ndarray, inputs: np.ndarray,
-                     seed: int | None = None) -> np.ndarray:
+    def query_labels(self, z: np.ndarray, inputs: np.ndarray, seeds=None) -> np.ndarray:
         """Discrete label per (z, input) pair, shape (K * n,): argmax decode
-        without ``seed``, ties toward the lowest index; sample decode of a
-        single z from default_rng(seed) with one."""
-        if seed is None:
-            return np.argmax(self._raw_logits(z, inputs), axis=1)
-        return self.sampled_labels(z, inputs, seed)
+        without ``seeds``, ties toward the lowest index; with one u64 seed per
+        z, the sample decode of ``sampled_labels``."""
+        if seeds is not None:
+            return self.sampled_labels(z, inputs, seeds)
+        zs, inputs = check_query(z, inputs, self.feature_dim, self.subspace_dim)
+        return np.argmax(self._raw_logits(zs, inputs), axis=1)
 
-    def sampled_labels(self, z: np.ndarray, inputs: np.ndarray, seed: int) -> np.ndarray:
-        """Sample decode driven by an explicit u64 seed; the protocol server path."""
-        seed = check_decode_seed(seed, len(z_rows(z)))
-        return sample_labels_from_seed(softmax(self._raw_logits(z, inputs)), seed)
+    def sampled_labels(self, z: np.ndarray, inputs: np.ndarray, seeds) -> np.ndarray:
+        """Categorical draws, one per (z, input) pair: z number k's uniforms
+        come from default_rng(seeds[k]) alone, so its labels do not depend on
+        the other rows, and in-process and served sampling are bit-identical."""
+        zs, inputs = check_query(z, inputs, self.feature_dim, self.subspace_dim)
+        seeds = check_decode_seeds(seeds, len(zs))
+        probs = softmax(self._raw_logits(zs, inputs))
+        u = np.concatenate([np.empty(0)] + [
+            np.random.default_rng(np.uint64(seed)).random(len(inputs)) for seed in seeds])
+        cdf = np.cumsum(probs, axis=1)
+        cdf[:, -1] = 1.0
+        return np.asarray((u[:, None] > cdf).sum(axis=1), dtype=np.int64)
 
 
 @dataclass(frozen=True)

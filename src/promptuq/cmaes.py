@@ -95,11 +95,16 @@ def _decompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ask(state: SearchState) -> np.ndarray:
-    """Sample a (population_size, d) population from N(mean, step_size^2 * cov)."""
+    """Sample a (population_size, d) population from N(mean, step_size^2 * cov);
+    NumericalBreakdownError once the search has diverged to non-finite candidates."""
     vals, vecs = _decompose(state.cov)
     sqrt_cov = vecs * np.sqrt(vals)
     noise = state.rng.standard_normal((state.population_size, state.dim))
-    return state.mean + state.step_size * (noise @ sqrt_cov.T)
+    xs = state.mean + state.step_size * (noise @ sqrt_cov.T)
+    if not np.isfinite(xs).all():
+        raise NumericalBreakdownError("the search distribution overflowed: "
+                                      "the population is not finite")
+    return xs
 
 
 def tell(state: SearchState, xs: np.ndarray, losses: np.ndarray) -> SearchState:

@@ -32,7 +32,7 @@ class EvaluationError(RuntimeError):
 
 
 class NumericalBreakdownError(RuntimeError):
-    """Covariance decomposition failed even after eigenvalue repair."""
+    """A covariance decomposition failed, or a sampling distribution overflowed."""
 
 
 class DegenerateWeightsError(RuntimeError):

@@ -210,8 +210,8 @@ class VariationalParams:
     def __post_init__(self):
         if self.mu.shape != self.log_alpha.shape or self.mu.ndim != 1:
             raise ValueError("mu and log_alpha must be 1-D with equal length")
-        if not np.isfinite(np.exp(self.log_alpha)).all():
-            raise ValueError("variances overflow")
+        if not (np.isfinite(self.mu).all() and np.isfinite(np.exp(self.log_alpha)).all()):
+            raise ValueError("the mean or the variances overflow")
 
     @property
     def alpha(self) -> np.ndarray:
@@ -269,7 +269,7 @@ def _decode_search_vector(u: np.ndarray, prior: PriorSpec) -> VariationalParams:
     d = prior.dim
     try:
         return VariationalParams(prior.sigma * u[:d], 2.0 * np.log(prior.sigma) + u[d:])
-    except ValueError as exc:  # the variances overflow
+    except ValueError as exc:  # the mean or the variances overflow
         raise EvaluationError(f"a search vector decodes to no distribution: {exc}") from exc
 
 

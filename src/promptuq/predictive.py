@@ -36,22 +36,26 @@ class PredictiveTable:
         return np.argmax(self.probs, axis=1)
 
 
-def predictive_from_logits(ensemble: PosteriorEnsemble, sim,
-                           inputs: np.ndarray) -> PredictiveTable:
-    """Weighted average of per-sample probability vectors.
-
-    Samples are queried in chunks of about ``MAX_KERNEL_PAIRS`` pairs, and
-    their rows are accumulated in sample order.
-    """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+def _sample_blocks(ensemble: PosteriorEnsemble, inputs: np.ndarray, query):
+    """(weight, rows) of every sample in sample order, the rows being that
+    sample's answers for the ``n`` inputs; ``query(chunk, inputs)`` answers a
+    chunk of about ``MAX_KERNEL_PAIRS`` pairs with its z-major rows."""
     n = len(inputs)
-    rows = np.zeros((n, sim.classes))
     step = max(1, MAX_KERNEL_PAIRS // max(n, 1))
     for start in range(0, ensemble.size, step):
         chunk = ensemble.samples[start:start + step]
-        probs = sim.query_logits(chunk, inputs).reshape(len(chunk), n, sim.classes)
-        for w, block in zip(ensemble.weights[start:start + step], probs):
-            rows += w * block
+        rows = query(chunk, inputs)
+        yield from zip(ensemble.weights[start:start + step],
+                       rows.reshape((len(chunk), n) + rows.shape[1:]))
+
+
+def predictive_from_logits(ensemble: PosteriorEnsemble, sim,
+                           inputs: np.ndarray) -> PredictiveTable:
+    """Weighted average of per-sample probability vectors, in sample order."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    rows = np.zeros((len(inputs), sim.classes))
+    for w, probs in _sample_blocks(ensemble, inputs, sim.query_logits):
+        rows += w * probs
     return PredictiveTable(rows)
 
 
@@ -61,14 +65,18 @@ def predictive_from_labels(ensemble: PosteriorEnsemble, sim, inputs: np.ndarray,
 
     Without ``rng`` every sample's labels are argmax-decoded. With it, they are
     sample-decoded, each sample from its own u64 seed drawn from ``rng`` in
-    sample order.
+    sample order (one draw of a chunk's seeds equals that many single draws).
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     rows = np.zeros((len(inputs), sim.classes))
     positions = np.arange(len(inputs))
-    for w, z in zip(ensemble.weights, ensemble.samples):
-        seed = None if rng is None else int(rng.integers(0, 2 ** 64, dtype=np.uint64))
-        labels = sim.query_labels(z, inputs, seed)
+
+    def query(chunk, inputs):
+        seeds = (None if rng is None
+                 else rng.integers(0, 2 ** 64, size=len(chunk), dtype=np.uint64))
+        return sim.query_labels(chunk, inputs, seeds)
+
+    for w, labels in _sample_blocks(ensemble, inputs, query):
         rows[positions, labels] += w
     return PredictiveTable(rows)
 

@@ -17,6 +17,12 @@ Every message is one line of UTF-8 JSON ending in a newline byte.
 ``decode`` and ``seed`` only matter in labels mode; sample decoding is driven
 entirely by the request seed so a served simulator reproduces in-process
 results bit for bit.
+
+Both ends keep no query rules of their own. The client checks a query with
+``blackbox.check_query`` and ``check_decode_seeds`` before it charges or sends
+anything, and sends nothing for an empty one. The server only decodes the
+JSON (id, mode, decode name, lists of numbers) and answers through the
+simulator's own query, whose ValueError becomes a bad-request.
 """
 
 from __future__ import annotations
@@ -31,12 +37,15 @@ import sys
 
 import numpy as np
 
-from .blackbox import EvalBudget, check_decode_seed, z_rows
+from .blackbox import EvalBudget, check_decode_seeds, check_query
 from .errors import AccessDeniedError, BudgetExhaustedError, ProtocolError
 from .uqeval import check_probability_table
 
 PROTOCOL_VERSION = 1
 TIMEOUT = 30.0  # seconds a client waits to connect or for a server line
+# The failures a server reports by kind, and the client raises again; any
+# other failure, a ValueError from the simulator included, is a bad request.
+ERROR_KINDS = {"access-denied": AccessDeniedError, "budget": BudgetExhaustedError}
 
 
 def _encode(payload: dict) -> bytes:
@@ -102,7 +111,9 @@ class ExternalSimulator:
     """Client handle with the same query surface as the built-in simulator.
 
     The v1 wire carries one z per request, so a (K, d) query sends K requests
-    in row order and concatenates their answers.
+    in row order, each with its own sample-decode seed, and concatenates their
+    answers. The handshake does not carry the subspace dimension, so a z of
+    the wrong length is charged and then refused by the server.
     """
 
     def __init__(self, transport):
@@ -167,29 +178,25 @@ class ExternalSimulator:
         self._transport.writeline(_encode(request))
         response = self._read_payload()
         if "error" in response:
-            kind = response.get("kind", "")
-            message = f"server error: {response['error']}"
-            if kind == "access-denied":
-                raise AccessDeniedError(message)
-            if kind == "budget":
-                raise BudgetExhaustedError(message)
-            raise ProtocolError(message)
+            error = ERROR_KINDS.get(response.get("kind"), ProtocolError)
+            raise error(f"server error: {response['error']}")
         if response.get("id") != request_id:
             raise ProtocolError(
                 f"response id {response.get('id')} does not match request {request_id}")
         return response
 
-    def _query(self, mode: str, z: np.ndarray, inputs: np.ndarray, parse,
-               **fields) -> list[np.ndarray]:
-        """Charge every pair, then send one v1 request per row of ``z`` and
-        ``parse(response, n)`` each answer as it arrives, in row order."""
-        zs = z_rows(z)
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    def _query(self, mode: str, zs: np.ndarray, inputs: np.ndarray, parse,
+               fields: list[dict]) -> list[np.ndarray]:
+        """Charge a checked query, then send one v1 request per row of ``zs``
+        with that row's ``fields`` and ``parse(response, n)`` each answer as it
+        arrives, in row order. An empty query sends nothing."""
         self.budget.charge(len(zs) * len(inputs))
+        if len(inputs) == 0:
+            return []
         rows = inputs.tolist()
-        return [parse(self._roundtrip({"mode": mode, "z": [float(v) for v in row],
-                                       "inputs": rows, **fields}), len(inputs))
-                for row in zs]
+        return [parse(self._roundtrip({"mode": mode, "z": z, "inputs": rows, **extra}),
+                      len(rows))
+                for z, extra in zip(zs.tolist(), fields)]
 
     def _probabilities(self, response: dict, n: int) -> np.ndarray:
         try:
@@ -214,76 +221,59 @@ class ExternalSimulator:
         """Class probability vector per (z, input) pair, z-major, (K * n, classes)."""
         if "logits" not in self.modes:
             raise AccessDeniedError("server is labels-only; probabilities are hidden")
-        return np.concatenate([np.empty((0, self.classes)),
-                               *self._query("logits", z, inputs, self._probabilities)])
+        zs, inputs = check_query(z, inputs, self.feature_dim)
+        return np.concatenate([np.empty((0, self.classes)), *self._query(
+            "logits", zs, inputs, self._probabilities, [{}] * len(zs))])
 
-    def query_labels(self, z: np.ndarray, inputs: np.ndarray,
-                     seed: int | None = None) -> np.ndarray:
-        """Label per (z, input) pair, z-major, (K * n,); a seed sample-decodes one z."""
-        if seed is None:
-            fields = {"decode": "argmax", "seed": 0}
+    def query_labels(self, z: np.ndarray, inputs: np.ndarray, seeds=None) -> np.ndarray:
+        """Label per (z, input) pair, z-major, (K * n,); one seed per z sample-decodes."""
+        zs, inputs = check_query(z, inputs, self.feature_dim)
+        if seeds is None:
+            fields = [{"decode": "argmax", "seed": 0}] * len(zs)
         else:
-            fields = {"decode": "sample", "seed": check_decode_seed(seed, len(z_rows(z)))}
-        return np.concatenate([np.empty(0, dtype=np.int64),
-                               *self._query("labels", z, inputs, self._labels, **fields)])
+            fields = [{"decode": "sample", "seed": seed}
+                      for seed in check_decode_seeds(seeds, len(zs))]
+        return np.concatenate([np.empty(0, dtype=np.int64), *self._query(
+            "labels", zs, inputs, self._labels, fields)])
 
 
-def _finite_rows(rows: list) -> np.ndarray | None:
-    """``rows`` (lists of equal length) as a float array, or None unless every
-    entry is a finite JSON number."""
-    if not all(type(v) in (int, float) for row in rows for v in row):
-        return None
+def _number_rows(rows) -> np.ndarray:
+    """``rows`` as a float array; ValueError unless it is a list of lists of
+    JSON numbers (no bools) within the float range. Shapes and finiteness are
+    the simulator's to check."""
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            and all(type(v) in (int, float) for row in rows for v in row)):
+        raise ValueError("z and inputs must be lists of JSON numbers")
     try:
-        values = np.array(rows, dtype=float)
+        return np.array(rows, dtype=float)
     except OverflowError:  # an integer beyond the float range
-        return None
-    return values if np.isfinite(values).all() else None
+        raise ValueError("z and inputs must hold numbers within the float range") from None
 
 
 def _handle_request(sim, request: dict) -> dict:
+    """Decode one request's JSON and answer it with the simulator's own query,
+    which holds every rule on shapes, finiteness and seeds; its ValueError is
+    a bad request."""
     request_id = request.get("id")
     if not isinstance(request_id, int):
         return {"id": None, "error": "missing integer id", "kind": "bad-request"}
-
-    def failure(message: str, kind: str = "bad-request") -> dict:
-        return {"id": request_id, "error": message, "kind": kind}
-
     mode = request.get("mode")
-    z = request.get("z")
-    inputs = request.get("inputs")
-    if not isinstance(z, list) or len(z) != sim.subspace_dim:
-        return failure(f"z must have length {sim.subspace_dim}")
-    if (not isinstance(inputs, list) or len(inputs) == 0
-            or any(not isinstance(row, list) or len(row) != sim.feature_dim
-                   for row in inputs)):
-        return failure(f"inputs must be nonempty rows of length {sim.feature_dim}")
-    z_arr = _finite_rows([z])
-    x_arr = _finite_rows(inputs)
-    if z_arr is None or x_arr is None:
-        return failure("z and inputs must hold finite numbers only")
-    z_arr = z_arr[0]
-
+    decode = request.get("decode", "argmax")
     try:
+        if mode not in ("logits", "labels"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "labels" and decode not in ("argmax", "sample"):
+            raise ValueError(f"unknown decode {decode!r}")
+        z = _number_rows([request.get("z")])[0]
+        inputs = _number_rows(request.get("inputs"))
         if mode == "logits":
-            probs = sim.query_logits(z_arr, x_arr)
-            return {"id": request_id, "outputs": probs.tolist()}
-        if mode == "labels":
-            decode = request.get("decode", "argmax")
-            if decode == "argmax":
-                labels = sim.query_labels(z_arr, x_arr)
-            elif decode == "sample":
-                seed = request.get("seed")
-                if type(seed) is not int or not 0 <= seed < 2 ** 64:
-                    return failure("sample decode requires an integer seed in [0, 2^64)")
-                labels = sim.sampled_labels(z_arr, x_arr, seed)
-            else:
-                return failure(f"unknown decode {decode!r}")
-            return {"id": request_id, "labels": [int(v) for v in labels]}
-        return failure(f"unknown mode {mode!r}")
-    except AccessDeniedError as exc:
-        return failure(str(exc), kind="access-denied")
-    except BudgetExhaustedError as exc:
-        return failure(str(exc), kind="budget")
+            return {"id": request_id, "outputs": sim.query_logits(z, inputs).tolist()}
+        seeds = None if decode == "argmax" else [request.get("seed")]
+        return {"id": request_id, "labels": sim.query_labels(z, inputs, seeds).tolist()}
+    except (ValueError, *ERROR_KINDS.values()) as exc:
+        kind = next((kind for kind, error in ERROR_KINDS.items() if isinstance(exc, error)),
+                    "bad-request")
+        return {"id": request_id, "error": str(exc), "kind": kind}
 
 
 def serve(sim, rfile, wfile) -> None:

@@ -51,23 +51,6 @@ def score_rows(probs: np.ndarray, score: str) -> np.ndarray:
     return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)  # a zero adds 0 log 1
 
 
-def _score_one(distribution: np.ndarray, score: str) -> float:
-    p = np.asarray(distribution, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("expected a 1-D probability vector")
-    return float(score_rows(p[np.newaxis], score)[0])
-
-
-def entropy_score(distribution: np.ndarray) -> float:
-    """Shannon entropy in nats of one probability vector, with 0 log 0 = 0."""
-    return _score_one(distribution, SCORE_ENTROPY)
-
-
-def maxp_uncertainty(distribution: np.ndarray) -> float:
-    """1 - max class probability of one probability vector."""
-    return _score_one(distribution, SCORE_MAXP)
-
-
 def ece(probs: np.ndarray, labels: np.ndarray, bin_count: int = 10) -> float:
     """Expected calibration error over equal-width max-probability bins.
 

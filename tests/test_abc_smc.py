@@ -12,7 +12,7 @@ from promptuq.abc_smc import (RejectionConfig, SmcConfig, abc_smc, decay_toleran
                               update_kernel_variance, update_weights)
 from promptuq.blackbox import LabeledSet, make_synthetic_task
 from promptuq.errors import (BudgetExhaustedError, DegenerateWeightsError,
-                             StagnationError)
+                             NumericalBreakdownError, StagnationError)
 from promptuq.prompt_space import PriorSpec, prior_log_density, sample_prior
 
 
@@ -228,6 +228,11 @@ def test_kernel_variance_identical_particles_floored():
     weights = np.full(7, 1 / 7)
     variance = update_kernel_variance(particles, weights, 1e-8)
     assert np.array_equal(variance, np.full(3, 1e-8))
+
+
+def test_kernel_variance_that_overflows_is_a_numerical_breakdown():
+    with pytest.raises(NumericalBreakdownError, match="overflowed"):
+        update_kernel_variance(np.array([[-1e155], [1e155]]), np.array([0.5, 0.5]), 1e-8)
 
 
 def test_kernel_variance_analytic_case():

@@ -28,8 +28,7 @@ from promptuq.experiment import experiment_config_from_dict, run_experiment
 from promptuq.predictive import predictive_from_labels, predictive_from_logits
 from promptuq.prompt_space import PriorSpec, prior_log_density, sample_prior
 from promptuq.protocol import ExternalSimulator
-from promptuq.uqeval import (ece, entropy_score, maxp_uncertainty,
-                             oracle_lower_bound, risk_rejection_curve,
+from promptuq.uqeval import (ece, oracle_lower_bound, risk_rejection_curve, score_rows,
                              selective_classification_eval)
 
 
@@ -244,12 +243,12 @@ def test_criterion_6_indicator_estimator_exact():
 
 def test_criterion_7_metric_exactness():
     unit_ok = (
-        entropy_score(np.array([1.0, 0.0])) == 0.0
-        and abs(entropy_score(np.array([0.5, 0.5])) - np.log(2)) < 1e-12
-        and abs(entropy_score(np.array([0.75, 0.25]))
+        score_rows(np.array([1.0, 0.0])[None], "entropy")[0] == 0.0
+        and abs(score_rows(np.array([0.5, 0.5])[None], "entropy")[0] - np.log(2)) < 1e-12
+        and abs(score_rows(np.array([0.75, 0.25])[None], "entropy")[0]
                 - (-(0.75 * np.log(0.75) + 0.25 * np.log(0.25)))) < 1e-12
-        and maxp_uncertainty(np.array([0.0, 1.0])) == 0.0
-        and abs(maxp_uncertainty(np.full(4, 0.25)) - 0.75) < 1e-12
+        and score_rows(np.array([0.0, 1.0])[None], "maxp")[0] == 0.0
+        and abs(score_rows(np.full(4, 0.25)[None], "maxp")[0] - 0.75) < 1e-12
         and ece(np.eye(2)[np.array([0, 1])], np.array([0, 1])) == 0.0
         and abs(ece(np.array([[0.6, 0.4], [0.6, 0.4]]), np.array([0, 1])) - 0.1)
         < 1e-12)

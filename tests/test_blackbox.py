@@ -54,7 +54,7 @@ def test_sample_decode_frequency_matches_probs():
     z = np.zeros(2)
     x = np.zeros((1, 3))
     seeds = np.random.default_rng(5).integers(0, 2 ** 64, size=10_000, dtype=np.uint64)
-    labels = np.array([sim.query_labels(z, x, int(seed))[0] for seed in seeds])
+    labels = np.array([sim.query_labels(z, x, [int(seed)])[0] for seed in seeds])
     assert 0.73 <= np.mean(labels == 0) <= 0.77
 
 
@@ -108,9 +108,9 @@ class CountingWrapper:
         self.pairs += len(np.atleast_2d(z)) * len(np.atleast_2d(inputs))
         return self._sim.query_logits(z, inputs)
 
-    def query_labels(self, z, inputs, seed=None):
+    def query_labels(self, z, inputs, seeds=None):
         self.pairs += len(np.atleast_2d(z)) * len(np.atleast_2d(inputs))
-        return self._sim.query_labels(z, inputs, seed)
+        return self._sim.query_labels(z, inputs, seeds)
 
 
 def test_budget_audit_over_inference_run(criterion_task):
@@ -262,14 +262,11 @@ def test_malformed_z_is_refused_before_charging(criterion_task):
 def test_out_of_range_decode_seed_raises_before_charging(criterion_task, seed):
     sim = criterion_task.simulator()
     with pytest.raises(ValueError, match="seed"):
-        sim.query_labels(np.zeros(8), criterion_task.train.X, seed)
+        sim.query_labels(np.zeros(8), criterion_task.train.X, [seed])
     assert sim.budget.used == 0
 
 
-def test_sample_decode_takes_one_z(criterion_task):
+def test_sample_decode_of_a_one_row_stack_equals_the_vector(criterion_task):
     sim = criterion_task.simulator()
-    with pytest.raises(ValueError, match="one z"):
-        sim.query_labels(np.zeros((2, 8)), criterion_task.train.X, 5)
-    assert sim.budget.used == 0
-    assert np.array_equal(sim.query_labels(np.ones((1, 8)), criterion_task.train.X, 5),
-                          sim.query_labels(np.ones(8), criterion_task.train.X, 5))
+    assert np.array_equal(sim.query_labels(np.ones((1, 8)), criterion_task.train.X, [5]),
+                          sim.query_labels(np.ones(8), criterion_task.train.X, [5]))

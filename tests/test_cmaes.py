@@ -5,7 +5,7 @@ import pytest
 
 from promptuq import cmaes
 from promptuq.cmaes import ask, es_init, minimize, tell
-from promptuq.errors import EvaluationError
+from promptuq.errors import EvaluationError, NumericalBreakdownError
 
 
 def sphere(x):
@@ -186,6 +186,12 @@ def test_minimize_propagates_nonfinite_objective():
                  seed=11)
     with pytest.raises(EvaluationError, match="shape"):
         minimize(lambda xs: np.zeros(len(xs) + 1), np.zeros(2), 1.0, 4, 3, seed=11)
+
+
+def test_ask_refuses_a_population_past_the_float_range():
+    state = es_init(np.full(3, 1e308), 1e308, 4, seed=0)
+    with pytest.raises(NumericalBreakdownError, match="not finite"):
+        ask(state)
 
 
 def test_minimize_sphere_converges():

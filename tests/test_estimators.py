@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import build_uniform_simulator
 from promptuq import cmaes
 from promptuq.blackbox import LabeledSet
-from promptuq.errors import AccessDeniedError
+from promptuq.errors import AccessDeniedError, EvaluationError
 from promptuq.estimators import (EsConfig, GfviConfig, PosteriorEnsemble,
                                  VariationalParams, _decode_search_vector,
                                  derive_seeds, elbo_estimate,
@@ -188,6 +188,11 @@ def test_decode_search_vector_always_positive_alpha():
     for u in (np.full(6, 30.0), np.full(6, -30.0), np.array([0, 0, 0, -700, 0, 700.0])):
         params = _decode_search_vector(u, prior)
         assert (params.alpha > 0).all()
+
+
+def test_decode_search_vector_refuses_an_infinite_mean():
+    with pytest.raises(EvaluationError, match="mean"):
+        _decode_search_vector(np.array([1e308, 0, 0, 0, 0, 0.0]), PriorSpec(3, 50.0))
 
 
 def test_gfvi_returns_requested_samples_and_trace(uniform_sim, uniform_dataset,

@@ -688,3 +688,13 @@ def test_cli_exit_codes_hold_for_extreme_numbers(tmp_path_factory, capsys, run):
                            "--out", str(tmp / "eval_ood")]))
     assert set(codes) <= {0, 2, 3, 4}, codes
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_search_that_diverges_past_the_float_range_exits_3(tmp_path, capsys):
+    # a simulator refuses a non-finite z, so CMA-ES stops at such a population
+    config = write_json(tmp_path / "exp.json", {
+        "task": FUZZ_TASK, "method": "ensembles", "seed": 0,
+        "params": {"sigma0": 8.9e307, "population_size": 2, "max_generations": 2,
+                   "sample_count": 3}})
+    assert main(["tune", "--config", config, "--out", str(tmp_path / "run")]) == 3
+    assert "population is not finite" in capsys.readouterr().err

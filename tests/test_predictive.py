@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from promptuq.blackbox import MAX_KERNEL_PAIRS
 from promptuq.errors import AccessDeniedError
 
 from promptuq.estimators import PosteriorEnsemble
@@ -23,7 +24,7 @@ class StubSim:
             np.tile(np.asarray(self._logits_rows[int(row[0])], dtype=float), (n, 1))
             for row in np.atleast_2d(z)])
 
-    def query_labels(self, z, inputs, seed=None):
+    def query_labels(self, z, inputs, seeds=None):
         n = len(np.atleast_2d(inputs))
         return np.concatenate([np.full(n, self._label_rows[int(row[0])], dtype=np.int64)
                                for row in np.atleast_2d(z)])
@@ -76,6 +77,30 @@ def test_logits_path_chunks_accumulate_in_sample_order(criterion_task):
         expected += w * sim.query_logits(z, criterion_task.test.X)
     assert np.array_equal(table.probs, expected)
     assert sim.budget.used == 2 * 40 * len(criterion_task.test)
+
+
+@pytest.mark.parametrize("decode", ["argmax", "sample"])
+@pytest.mark.parametrize("n", [1, 256, MAX_KERNEL_PAIRS + 6])
+def test_labels_path_chunks_equal_a_per_sample_reference(criterion_task, n, decode):
+    # enough samples to cross a chunk edge: 1024 a chunk at n = 1, 4 at 256, 1 at 1030
+    size = MAX_KERNEL_PAIRS // n + 3
+    rng = np.random.default_rng(n)
+    ensemble = PosteriorEnsemble(rng.normal(size=(size, 8)) * 50,
+                                 rng.dirichlet(np.ones(size)), "abc_smc")
+    x = rng.normal(size=(n, 16))
+    sim = criterion_task.simulator()
+    chunked_rng = np.random.default_rng(7) if decode == "sample" else None
+    reference_rng = np.random.default_rng(7) if decode == "sample" else None
+    table = predictive_from_labels(ensemble, sim, x, chunked_rng)
+    expected = np.zeros((n, 2))
+    for w, z in zip(ensemble.weights, ensemble.samples):
+        seeds = (None if reference_rng is None
+                 else [int(reference_rng.integers(0, 2 ** 64, dtype=np.uint64))])
+        expected[np.arange(n), sim.query_labels(z, x, seeds)] += w
+    assert np.array_equal(table.probs, expected)
+    assert sim.budget.used == 2 * size * n
+    if decode == "sample":  # both streams stand at the same position afterwards
+        assert chunked_rng.integers(2 ** 63) == reference_rng.integers(2 ** 63)
 
 
 def test_labels_path_indicator_count():

@@ -64,7 +64,8 @@ def test_round_trip_sample_decode_identical(served, criterion_task):
     z = np.zeros(8)
     x = np.random.default_rng(2).normal(size=(8, 16))
     for seed in (0, 77, 2 ** 64 - 1):
-        assert np.array_equal(served.query_labels(z, x, seed), local.query_labels(z, x, seed))
+        assert np.array_equal(served.query_labels(z, x, [seed]),
+                              local.query_labels(z, x, [seed]))
 
 
 def test_client_budget_counts_pairs(served):
@@ -92,9 +93,9 @@ def test_client_refuses_out_of_range_decode_seed_before_sending(seed):
     transport = ScriptedTransport([HANDSHAKE])
     client = ExternalSimulator(transport)
     with pytest.raises(ValueError, match="seed"):
-        client.query_labels(np.zeros(2), np.zeros((4, 3)), seed)
-    with pytest.raises(ValueError, match="one z"):
-        client.query_labels(np.zeros((2, 2)), np.zeros((4, 3)), 5)
+        client.query_labels(np.zeros(2), np.zeros((4, 3)), [seed])
+    with pytest.raises(ValueError, match="seed"):  # one seed per z
+        client.query_labels(np.zeros((2, 2)), np.zeros((4, 3)), [5])
     assert client.budget.used == 0
     assert transport.sent == []
 

@@ -3,30 +3,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from promptuq.uqeval import (SCORES, ece, entropy_score, maxp_uncertainty,
-                             ood_detection_eval, oracle_lower_bound,
+from promptuq.uqeval import (SCORES, ece, ood_detection_eval, oracle_lower_bound,
                              risk_rejection_curve, save_curve_csv, score_rows,
                              selective_classification_eval)
 
 
 def test_entropy_values():
-    assert entropy_score(np.array([1.0, 0.0])) == 0.0
-    assert entropy_score(np.array([0.5, 0.5])) == pytest.approx(np.log(2), abs=1e-12)
+    assert score_rows(np.array([1.0, 0.0])[None], "entropy")[0] == 0.0
+    assert score_rows(np.array([0.5, 0.5])[None], "entropy")[0] == pytest.approx(
+        np.log(2), abs=1e-12)
     expected = -(0.75 * np.log(0.75) + 0.25 * np.log(0.25))
-    assert entropy_score(np.array([0.75, 0.25])) == pytest.approx(expected, abs=1e-12)
+    assert score_rows(np.array([0.75, 0.25])[None], "entropy")[0] == pytest.approx(
+        expected, abs=1e-12)
     assert expected == pytest.approx(0.56234, abs=5e-6)
 
 
 def test_maxp_values():
-    assert maxp_uncertainty(np.array([0.0, 1.0])) == 0.0
-    assert maxp_uncertainty(np.full(4, 0.25)) == pytest.approx(0.75, abs=1e-12)
-    assert maxp_uncertainty(np.array([0.75, 0.25])) == pytest.approx(0.25, abs=1e-12)
+    assert score_rows(np.array([0.0, 1.0])[None], "maxp")[0] == 0.0
+    assert score_rows(np.full(4, 0.25)[None], "maxp")[0] == pytest.approx(0.75, abs=1e-12)
+    assert score_rows(np.array([0.75, 0.25])[None], "maxp")[0] == pytest.approx(
+        0.25, abs=1e-12)
 
 
 def test_scores_reject_unnormalized_input():
-    for fn in (entropy_score, maxp_uncertainty):
+    for score in SCORES:
         with pytest.raises(ValueError):
-            fn(np.array([0.6, 0.6]))
+            score_rows(np.array([0.6, 0.6])[None], score)
 
 
 def dirichlet_rows_with_zeros(classes, rows, seed):
@@ -55,8 +57,8 @@ def test_score_rows_matches_per_row_reference(classes, rows, seed):
     else:  # numpy's pairwise sum groups 8 or more terms differently
         assert np.abs(entropy - reference).max() <= 8 * np.finfo(float).eps
     assert maxp.tobytes() == np.array([1 - row.max() for row in p]).tobytes()
-    assert [entropy_score(row) for row in p] == entropy.tolist()
-    assert [maxp_uncertainty(row) for row in p] == maxp.tolist()
+    assert [score_rows(row[None], "entropy")[0] for row in p] == entropy.tolist()
+    assert [score_rows(row[None], "maxp")[0] for row in p] == maxp.tolist()
 
 
 @settings(max_examples=50, deadline=None)
@@ -93,7 +95,7 @@ def test_score_rows_rejects_unknown_score():
 @given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
 def test_entropy_range(classes, seed):
     p = np.random.default_rng(seed).dirichlet(np.ones(classes))
-    value = entropy_score(p)
+    value = score_rows(p[None], "entropy")[0]
     assert -1e-12 <= value <= np.log(classes) + 1e-12
 
 
