@@ -11,10 +11,12 @@ distance. Two methods:
   reach zero. Each particle slot draws from its own (seed, t, slot) stream
   until a proposal is within tolerance: a prior draw at t = 1, later a
   weighted resample of the previous particles perturbed by a diagonal
-  Gaussian kernel. Weights are uniform at t = 1, then importance ratios of
-  prior to mixture proposal density in log space (one row per new particle
-  over the M previous ones: O(N*M*d) work, an (M, d) temporary per row), or
-  forced uniform to sidestep weight degeneracy.
+  Gaussian kernel. The slots still waiting move in lock-step rounds, one
+  labels query per round, so every slot makes exactly the draws and attempts
+  of a slot-by-slot loop. Weights are uniform at t = 1, then importance
+  ratios of prior to mixture proposal density in log space (one row per new
+  particle over the M previous ones: O(N*M*d) work, an (M, d) temporary per
+  row), or forced uniform to sidestep weight degeneracy.
 
 Acceptance comparisons: rejection sampling (and iteration one) accepts on
 distance < epsilon; SMC iterations t >= 2 accept on distance <= epsilon.
@@ -208,28 +210,38 @@ def abc_smc(sim, prior: PriorSpec, dataset: LabeledSet, config: SmcConfig,
                 break
             epsilon = next_epsilon
             kernel_sd = np.sqrt(kernel_variance)
+            # bit for bit what stream.choice(size, p=weights) computes and draws
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
 
         new_particles = np.empty((size, prior.dim))
         iter_attempts = 0
-        for s in range(size):
-            stream = _slot_stream(seed, t, s)
-            for attempt in range(1, config.max_attempts + 1):
-                if t == 1:
-                    z = sample_prior(prior, 1, stream)[0]
-                else:
-                    pick = stream.choice(size, p=weights)
-                    z = particles[pick] + kernel_sd * stream.standard_normal(prior.dim)
-                distance = distance_error_rate(sim.query_labels(z, dataset.X), dataset.y)
-                if distance < epsilon or (t > 1 and distance == epsilon):
-                    new_particles[s] = z
-                    iter_attempts += attempt
-                    break
+        streams = [_slot_stream(seed, t, s) for s in range(size)]
+        waiting = np.arange(size)
+        for attempt in range(1, config.max_attempts + 1):
+            # Lock-step: every waiting slot draws its next proposal from its
+            # own stream, and the round goes out as one query.
+            if t == 1:
+                zs = np.concatenate([sample_prior(prior, 1, streams[s]) for s in waiting])
             else:
-                raise StagnationError(
-                    f"particle {s} found no proposal within epsilon {epsilon} in "
-                    f"{config.max_attempts} attempts (iteration {t})",
-                    iteration=t, epsilon=epsilon,
-                    attempts=config.max_attempts)
+                picks = cdf.searchsorted([streams[s].random() for s in waiting],
+                                         side="right")
+                zs = particles[picks] + kernel_sd * np.array(
+                    [streams[s].standard_normal(prior.dim) for s in waiting])
+            labels = sim.query_labels(zs, dataset.X).reshape(len(zs), len(dataset))
+            distances = distance_error_rate(labels, dataset.y)
+            accepted = distances < epsilon if t == 1 else distances <= epsilon
+            new_particles[waiting[accepted]] = zs[accepted]
+            iter_attempts += attempt * int(np.count_nonzero(accepted))
+            waiting = waiting[~accepted]
+            if len(waiting) == 0:
+                break
+        else:
+            raise StagnationError(
+                f"particle {waiting[0]} found no proposal within epsilon {epsilon} in "
+                f"{config.max_attempts} attempts (iteration {t})",
+                iteration=t, epsilon=epsilon,
+                attempts=config.max_attempts)
 
         if t > 1 and config.weight_scheme == WEIGHT_IMPORTANCE:
             weights = update_weights(new_particles, particles, weights,

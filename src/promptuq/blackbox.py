@@ -25,7 +25,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import AccessDeniedError, BudgetExhaustedError, check_json_types
+from .errors import (AccessDeniedError, BudgetExhaustedError, NumericalBreakdownError,
+                     check_json_types)
 from .prompt_space import (PriorSpec, ProjectionSpec, check_sigma, make_projection,
                            project, sample_prior)
 
@@ -207,7 +208,9 @@ class SyntheticSimulator:
         return self.projection.prompt_dim
 
     def _raw_logits(self, zs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """Logits of every pair of a checked query, (K * n, classes), charged up front."""
+        """Logits of every pair of a checked query, (K * n, classes), charged up
+        front; NumericalBreakdownError, the pairs staying charged, if finite
+        numbers overflow the model into a non-finite row."""
         n = len(inputs)
         self.budget.charge(len(zs) * n)
         logits = np.empty((len(zs) * n, self.classes))
@@ -216,6 +219,8 @@ class SyntheticSimulator:
             chunk = zs[start:start + step]
             logits[start * n:(start + len(chunk)) * n] = self.classifier.logits(
                 project(self.projection, chunk), inputs).reshape(-1, self.classes)
+        if not np.isfinite(logits).all():
+            raise NumericalBreakdownError("the model overflowed: a query row is not finite")
         return logits
 
     def query_logits(self, z: np.ndarray, inputs: np.ndarray) -> np.ndarray:

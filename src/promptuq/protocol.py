@@ -38,14 +38,16 @@ import sys
 import numpy as np
 
 from .blackbox import EvalBudget, check_decode_seeds, check_query
-from .errors import AccessDeniedError, BudgetExhaustedError, ProtocolError
+from .errors import (AccessDeniedError, BudgetExhaustedError, NumericalBreakdownError,
+                     ProtocolError)
 from .uqeval import check_probability_table
 
 PROTOCOL_VERSION = 1
 TIMEOUT = 30.0  # seconds a client waits to connect or for a server line
 # The failures a server reports by kind, and the client raises again; any
 # other failure, a ValueError from the simulator included, is a bad request.
-ERROR_KINDS = {"access-denied": AccessDeniedError, "budget": BudgetExhaustedError}
+ERROR_KINDS = {"access-denied": AccessDeniedError, "budget": BudgetExhaustedError,
+               "numerical-breakdown": NumericalBreakdownError}
 
 
 def _encode(payload: dict) -> bytes:
@@ -304,7 +306,7 @@ def serve(sim, rfile, wfile) -> None:
             response = _handle_request(sim, request)
         try:
             data = (json.dumps(response, allow_nan=False) + "\n").encode("utf-8")
-        except ValueError:  # inputs that overflow the model yield NaN outputs
+        except ValueError:  # a non-finite answer (the built-in simulator raises first)
             data = _encode({"id": response["id"], "error": "non-finite result",
                             "kind": "bad-request"})
         wfile.write(data)

@@ -1,11 +1,14 @@
+import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from promptuq.blackbox import (FrozenClassifier, LabeledSet, SyntheticSimulator,
-                               TaskConfig, make_synthetic_task)
+                               TaskConfig, make_synthetic_task, task_config_to_dict)
 from promptuq.prompt_space import PriorSpec, make_projection
+from promptuq.protocol import ExternalSimulator
 
 # `python -m promptuq serve` children import the package from this checkout
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -22,6 +25,18 @@ CRITERION_TASK = TaskConfig(subspace_dim=8, prompt_dim=64, feature_dim=16,
 @pytest.fixture(scope="session")
 def criterion_task():
     return make_synthetic_task(CRITERION_TASK)
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """A client of a spawned ``promptuq serve`` of CRITERION_TASK, one per test
+    module; a test that needs a budget limit sets ``served.budget`` itself."""
+    path = tmp_path_factory.mktemp("served") / "task.json"
+    path.write_text(json.dumps(task_config_to_dict(CRITERION_TASK)))
+    client = ExternalSimulator.spawn(
+        [sys.executable, "-m", "promptuq", "serve", "--task", str(path)])
+    yield client
+    client.close()
 
 
 def build_uniform_simulator(subspace_dim=4, feature_dim=4, classes=2, seed=1,

@@ -10,10 +10,11 @@ from promptuq.abc_smc import (RejectionConfig, SmcConfig, abc_smc, decay_toleran
                               distance_error_rate, effective_sample_size,
                               initial_tolerance, rejection_abc,
                               update_kernel_variance, update_weights)
-from promptuq.blackbox import LabeledSet, make_synthetic_task
+from promptuq.blackbox import EvalBudget, LabeledSet, make_synthetic_task
 from promptuq.errors import (BudgetExhaustedError, DegenerateWeightsError,
                              NumericalBreakdownError, StagnationError)
 from promptuq.prompt_space import PriorSpec, prior_log_density, sample_prior
+from reference_abc_smc import reference_abc_smc
 
 
 def test_distance_basic_values():
@@ -381,3 +382,147 @@ def test_zero_initial_tolerance_stagnates_before_any_proposal(run):
         run(sim, PriorSpec(4, 50.0), dataset)
     assert excinfo.value.epsilon == 0.0
     assert sim.budget.used == 6  # the one tolerance query
+
+
+def run_both(task, cfg, seed):
+    """(posterior, budget used) of the lock-step run and of the sequential loop."""
+    runs = []
+    for run in (abc_smc, reference_abc_smc):
+        sim = task.simulator(allow_logits=False)
+        runs.append((run(sim, task.prior, task.train, cfg, seed), sim.budget.used))
+    return runs
+
+
+def assert_same_run(ours, reference):
+    (result, used), (expected, expected_used) = ours, reference
+    assert np.array_equal(result.samples, expected.samples)
+    assert np.array_equal(result.weights, expected.weights)
+    assert result.trace == expected.trace
+    assert result.diagnostics == expected.diagnostics
+    assert used == expected_used
+
+
+@pytest.mark.parametrize("scheme", ["importance", "uniform"])
+@pytest.mark.parametrize("seed", range(5))
+def test_lock_step_rounds_equal_the_sequential_loop(criterion_task, scheme, seed):
+    cfg = SmcConfig(sample_count=30, smc_iterations=5, weight_scheme=scheme)
+    assert_same_run(*run_both(criterion_task, cfg, seed))
+
+
+def test_a_thousand_particles_equal_the_sequential_loop(criterion_task):
+    cfg = SmcConfig(sample_count=1000, smc_iterations=2, weight_scheme="importance")
+    ours, reference = run_both(criterion_task, cfg, seed=0)
+    assert_same_run(ours, reference)
+    assert ours[0].size == 1000 and ours[0].diagnostics["iterations"] == 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+def test_the_hoisted_cdf_draws_what_choice_draws(size, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.full(size, 0.3))
+    if seed % 3 == 0:
+        weights = np.full(size, 1.0 / size)  # the uniform scheme's weights
+    elif seed % 3 == 1:
+        weights[1:][rng.random(size - 1) < 0.3] = 0.0  # vanished importance weights
+        weights /= weights.sum()
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for _ in range(20):
+        assert cdf.searchsorted(ours.random(), side="right") == theirs.choice(size, p=weights)
+        assert np.array_equal(ours.standard_normal(3), theirs.standard_normal(3))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+# Error semantics of lock-step rounds, in process and against a spawned
+# ``promptuq serve``: the same outcome either way.
+
+@pytest.fixture(params=["in_process", "served"])
+def labels_sim(request, criterion_task):
+    """Call with a budget limit for a fresh budget on the chosen simulator."""
+    def make(limit=None):
+        if request.param == "in_process":
+            return criterion_task.simulator(allow_logits=False, budget_limit=limit)
+        served = request.getfixturevalue("served")
+        served.budget = EvalBudget(limit=limit)
+        return served
+    return make
+
+
+BUDGET_CFG, BUDGET_SEED = SmcConfig(sample_count=20, smc_iterations=4), 6
+STAGNANT_CFG, STAGNANT_SEED = SmcConfig(sample_count=20, smc_iterations=12, max_attempts=3), 7
+
+
+def query_marks(sim, run) -> list[int]:
+    """``sim.budget.used`` after each query ``run(sim)`` makes."""
+    marks, query = [], sim.query_labels
+
+    def recording(*args):
+        labels = query(*args)
+        marks.append(sim.budget.used)
+        return labels
+
+    sim.query_labels = recording
+    try:
+        run(sim)
+    finally:
+        del sim.query_labels
+    return marks
+
+
+def test_a_run_that_fits_a_budget_still_fits(criterion_task, labels_sim):
+    # the per-iteration totals equal the sequential loop's, so its exact use
+    # is enough, and one pair less is not
+    args = (criterion_task.prior, criterion_task.train, BUDGET_CFG, BUDGET_SEED)
+    reference = criterion_task.simulator(allow_logits=False)
+    expected, used = reference_abc_smc(reference, *args), reference.budget.used
+    sim = labels_sim(used)
+    assert_same_run((abc_smc(sim, *args), sim.budget.used), (expected, used))
+    with pytest.raises(BudgetExhaustedError):
+        abc_smc(labels_sim(used - 1), *args)
+
+
+def test_a_round_that_would_overrun_the_budget_is_refused_whole(criterion_task,
+                                                                 labels_sim):
+    args = (criterion_task.prior, criterion_task.train, BUDGET_CFG, BUDGET_SEED)
+    marks = query_marks(criterion_task.simulator(allow_logits=False),
+                        lambda sim: abc_smc(sim, *args))
+    rounds = np.diff(marks)  # marks[0] is the initial tolerance query
+    largest = int(np.argmax(rounds)) + 1
+    assert rounds.max() > len(criterion_task.train)  # a round of several slots
+    sim = labels_sim(marks[largest] - 1)
+    with pytest.raises(BudgetExhaustedError) as excinfo:
+        abc_smc(sim, *args)
+    assert excinfo.value.used == sim.budget.used == marks[largest - 1]
+    assert excinfo.value.limit == marks[largest] - 1
+
+
+def test_stagnation_names_the_slot_the_sequential_loop_names(criterion_task, labels_sim):
+    args = (criterion_task.prior, criterion_task.train, STAGNANT_CFG, STAGNANT_SEED)
+    reference = criterion_task.simulator(allow_logits=False)
+    with pytest.raises(StagnationError) as expected:
+        reference_abc_smc(reference, *args)
+    sim = labels_sim()
+    with pytest.raises(StagnationError) as excinfo:
+        abc_smc(sim, *args)
+    assert str(excinfo.value) == str(expected.value)
+    assert str(expected.value).startswith("particle 2 ")
+    assert (excinfo.value.iteration, excinfo.value.epsilon, excinfo.value.attempts) == (
+        expected.value.iteration, expected.value.epsilon, expected.value.attempts)
+    # lock-step also spent attempts on the slots after particle 2
+    assert sim.budget.used > reference.budget.used
+
+
+def test_a_budget_can_run_out_before_stagnation(criterion_task, labels_sim):
+    args = (criterion_task.prior, criterion_task.train, STAGNANT_CFG, STAGNANT_SEED)
+    reference = criterion_task.simulator(allow_logits=False)
+    with pytest.raises(StagnationError):
+        reference_abc_smc(reference, *args)
+    limit = reference.budget.used
+    with pytest.raises(StagnationError):  # the sequential loop fits in that limit
+        reference_abc_smc(criterion_task.simulator(allow_logits=False,
+                                                   budget_limit=limit), *args)
+    with pytest.raises(BudgetExhaustedError) as excinfo:
+        abc_smc(labels_sim(limit), *args)
+    assert excinfo.value.limit == limit

@@ -698,3 +698,15 @@ def test_a_search_that_diverges_past_the_float_range_exits_3(tmp_path, capsys):
                    "sample_count": 3}})
     assert main(["tune", "--config", config, "--out", str(tmp_path / "run")]) == 3
     assert "population is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["logits", "labels"])
+def test_a_posterior_that_overflows_the_model_exits_3(tmp_path, capsys, mode):
+    # a finite z whose logits are not finite is a numerical breakdown
+    task = write_json(tmp_path / "task.json", FUZZ_TASK)
+    posterior = tmp_path / "posterior.ndjson"
+    posterior.write_text(json.dumps({"index": 0, "weight": 1.0,
+                                     "z": [1e308] * FUZZ_TASK["subspace_dim"]}) + "\n")
+    assert main(["predict", "--task", task, "--split", "test", "--posterior",
+                 str(posterior), "--mode", mode, "--out", str(tmp_path / "p.csv")]) == 3
+    assert "overflowed" in capsys.readouterr().err

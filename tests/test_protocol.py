@@ -23,14 +23,6 @@ def task_file(tmp_path_factory):
     return str(path)
 
 
-@pytest.fixture(scope="module")
-def served(task_file):
-    client = ExternalSimulator.spawn(
-        [sys.executable, "-m", "promptuq", "serve", "--task", task_file])
-    yield client
-    client.close()
-
-
 def test_handshake_fields(served, criterion_task):
     assert served.classes == criterion_task.config.classes
     assert served.feature_dim == criterion_task.config.feature_dim
@@ -259,14 +251,15 @@ def test_server_error_responses(criterion_task):
         {"mode": "labels", "decode": "sample", "seed": -1},
         {"mode": "labels", "decode": "sample", "seed": 2 ** 64},
         {"mode": "labels", "decode": "sample", "seed": True},
-        {"mode": "logits", "z": [1e308] * 8},  # finite, but the model overflows to NaN
     ]
+    overflowing = {"mode": "logits", "z": [1e308] * 8}  # finite, but the model overflows
     valid = {"mode": "logits", "z": [0.0] * 8, "inputs": [[0.0] * 16]}
     _, responses = _serve_lines(criterion_task.simulator(), ["[" * 100_000 + "\n"] + [
         json.dumps({**valid, "id": i, **fields}) + "\n"
-        for i, fields in enumerate(malformed + [{}])])
-    assert [r.get("kind") for r in responses] == ["bad-request"] * (len(malformed) + 1) + [None]
-    assert [r["id"] for r in responses] == [None] + list(range(len(malformed) + 1))
+        for i, fields in enumerate(malformed + [overflowing, {}])])
+    assert [r.get("kind") for r in responses] == \
+        ["bad-request"] * (len(malformed) + 1) + ["numerical-breakdown", None]
+    assert [r["id"] for r in responses] == [None] + list(range(len(malformed) + 2))
     assert len(responses[-1]["outputs"]) == 1
 
 

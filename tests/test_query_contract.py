@@ -8,8 +8,6 @@ budget use.
 """
 
 import dataclasses
-import json
-import sys
 
 import numpy as np
 import pytest
@@ -19,21 +17,10 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, r
                                  run_state_machine_as_test)
 
 from conftest import CRITERION_TASK
-from promptuq.blackbox import EvalBudget, make_synthetic_task, task_config_to_dict
-from promptuq.errors import BudgetExhaustedError
-from promptuq.protocol import ExternalSimulator
+from promptuq.blackbox import EvalBudget, make_synthetic_task
+from promptuq.errors import BudgetExhaustedError, NumericalBreakdownError
 
 D, F = CRITERION_TASK.subspace_dim, CRITERION_TASK.feature_dim
-
-
-@pytest.fixture(scope="module")
-def served(tmp_path_factory):
-    path = tmp_path_factory.mktemp("contract") / "task.json"
-    path.write_text(json.dumps(task_config_to_dict(CRITERION_TASK)))
-    client = ExternalSimulator.spawn(
-        [sys.executable, "-m", "promptuq", "serve", "--task", str(path)])
-    yield client
-    client.close()
 
 
 @pytest.fixture(scope="module", params=[2, 3, 5])
@@ -116,6 +103,18 @@ def test_non_finite_and_empty_queries_agree_in_process_and_served(served, criter
     assert (served.budget.used, served._next_id) == (before, sent)
 
 
+def test_a_query_that_overflows_the_model_is_a_numerical_breakdown(served, criterion_task):
+    # finite but huge z: the pairs are charged, then both sides raise the same
+    # error (exit 3), instead of NaN rows in process and a bad-request served
+    local = criterion_task.simulator()
+    before = served.budget.used
+    for sim in (local, served):
+        for query in (sim.query_logits, sim.query_labels):
+            with pytest.raises(NumericalBreakdownError, match="overflowed"):
+                query(np.full(D, 1e308), np.zeros((2, F)))
+    assert local.budget.used == served.budget.used - before == 4
+
+
 LIMIT = 60
 BAD_LINES = [b"garbage", b"[", b"{}", b"\xff\xfe", b'{"id": 3}',
              b'{"id": 4, "mode": "logits", "z": [NaN], "inputs": [[0.0]]}',
@@ -142,7 +141,7 @@ class QueryContract(RuleBasedStateMachine):
             query = sim.query_logits if mode == "logits" else sim.query_labels
             try:
                 outcomes.append(query(z, x, *seeds))
-            except (ValueError, BudgetExhaustedError) as exc:
+            except (ValueError, BudgetExhaustedError, NumericalBreakdownError) as exc:
                 outcomes.append(type(exc))
         return outcomes, self.served._next_id - sent
 
@@ -180,6 +179,19 @@ class QueryContract(RuleBasedStateMachine):
             x = np.zeros((n, F + 1))
         (local, served), sent = self._both(mode, z, x)
         assert local is served is ValueError and sent == 0
+
+    @rule(mode=st.sampled_from(["logits", "labels"]), k=st.integers(1, 3),
+          n=st.integers(1, 3), sign=st.sampled_from([1.0, -1.0]))
+    def huge_z(self, mode, k, n, sign):
+        # finite numbers that overflow the model: a numerical breakdown on both
+        # sides, raised after the pairs are charged
+        (local, served), sent = self._both(mode, np.full((k, D), sign * 1e308),
+                                           np.zeros((n, F)))
+        if self.expected_used + k * n > LIMIT:
+            assert local is served is BudgetExhaustedError and sent == 0
+        else:
+            assert local is served is NumericalBreakdownError and sent == 1
+            self.expected_used += k * n
 
     @rule(line=st.sampled_from(BAD_LINES))
     def bad_line(self, line):

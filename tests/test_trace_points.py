@@ -40,11 +40,15 @@ TINY_TASK = {"subspace_dim": 4, "prompt_dim": 16, "feature_dim": 4, "classes": 2
              "hidden": 8, "n_train": 8, "n_test": 8, "n_ood": 8, "ood_shift": 2.0,
              "seed": 3}
 TINY_PARAMS = {
+    "abc_smc": {"sample_count": 4, "smc_iterations": 3},
     "point_cmaes": {"population_size": 4, "max_generations": 3},
     "gfvi": {"population_size": 4, "max_generations": 2, "mc_samples": 3,
              "sample_count": 5},
     "rejection_abc": {"sample_count": 4, "epsilon": 0.6, "max_draws": 5000},
 }
+# At seed 1 ABC-SMC starts at tolerance 1/8 and stops after iteration one;
+# seed 7 starts at 1/2 and runs all three.
+TINY_SEEDS = {"abc_smc": 7}
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +80,8 @@ def served_task(tmp_path_factory):
 def test_traced_query_pairs_equal_simulator_calls(served_task, tmp_path, method, served):
     tracing = load_tracing()
     config = experiment_config_from_dict({
-        "task": served_task if served else TINY_TASK, "method": method, "seed": 1,
-        "params": TINY_PARAMS[method]})
+        "task": served_task if served else TINY_TASK, "method": method,
+        "seed": TINY_SEEDS.get(method, 1), "params": TINY_PARAMS[method]})
     tracer = tracing.Tracer()
     tracer.install()
     try:
