@@ -44,6 +44,7 @@ class SearchState:
     c_rank_mu: float        # c_mu
     chi_n: float            # E||N(0, I_n)||
     rng: np.random.Generator
+    eigen: tuple | None = None  # ask's _decompose(cov), reused by the next tell
 
     @property
     def dim(self) -> int:
@@ -97,7 +98,7 @@ def _decompose(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def ask(state: SearchState) -> np.ndarray:
     """Sample a (population_size, d) population from N(mean, step_size^2 * cov);
     NumericalBreakdownError once the search has diverged to non-finite candidates."""
-    vals, vecs = _decompose(state.cov)
+    state.eigen = vals, vecs = _decompose(state.cov)
     sqrt_cov = vecs * np.sqrt(vals)
     noise = state.rng.standard_normal((state.population_size, state.dim))
     xs = state.mean + state.step_size * (noise @ sqrt_cov.T)
@@ -131,7 +132,7 @@ def tell(state: SearchState, xs: np.ndarray, losses: np.ndarray) -> SearchState:
 
     state.mean = old_mean + state.step_size * step_w
 
-    vals, vecs = _decompose(state.cov)
+    vals, vecs = state.eigen or _decompose(state.cov)
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T            # C^(-1/2)
     state.path_sigma = ((1.0 - state.c_sigma) * state.path_sigma
                         + np.sqrt(state.c_sigma * (2.0 - state.c_sigma) * state.mu_eff)
@@ -158,7 +159,7 @@ def tell(state: SearchState, xs: np.ndarray, losses: np.ndarray) -> SearchState:
         vals, vecs = _decompose(cov)
         cov = (vecs * vals) @ vecs.T
         cov = (cov + cov.T) / 2.0
-    state.cov = cov
+    state.cov, state.eigen = cov, None
 
     state.generation += 1
     return state

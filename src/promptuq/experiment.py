@@ -236,12 +236,18 @@ def _open_context(config: ExperimentConfig) -> RunContext:
         sim = ExternalSimulator.spawn(list(task.argv))
     else:
         sim = ExternalSimulator.connect(task.host, task.port)
-    for name in ("train", "test"):
-        if name in splits and not ((splits[name].y >= 0)
-                                   & (splits[name].y < sim.classes)).all():
-            sim.close()
-            raise ConfigError(f"task.datasets.{name}",
-                              f"every row needs a label y in [0, {sim.classes})")
+    try:
+        if task.prior.dim != sim.subspace_dim:
+            raise ConfigError("task.prior.dim", f"is {task.prior.dim}, but the simulator's "
+                                                f"subspace dimension is {sim.subspace_dim}")
+        for name in ("train", "test"):
+            if name in splits and not ((splits[name].y >= 0)
+                                       & (splits[name].y < sim.classes)).all():
+                raise ConfigError(f"task.datasets.{name}",
+                                  f"every row needs a label y in [0, {sim.classes})")
+    except ConfigError:
+        sim.close()
+        raise
     return RunContext(
         sim=sim, prior=task.prior,
         train=splits["train"], test=splits.get("test"),

@@ -1,28 +1,35 @@
-"""External simulator protocol: newline-delimited JSON over stdio or TCP.
+"""External simulator protocol v2: newline-delimited JSON over stdio or TCP.
 
 The server speaks first with a handshake line
 
-    {"protocol": 1, "classes": C, "feature_dim": F, "prompt_dim": D,
-     "modes": ["logits", "labels"]}
+    {"protocol": 2, "classes": C, "feature_dim": F, "prompt_dim": D,
+     "subspace_dim": d, "modes": ["logits", "labels"]}
 
 then answers one request per line:
 
-    request  {"id": u64, "mode": "logits"|"labels", "z": [f64...],
-              "inputs": [[f64...]...], "decode": "argmax"|"sample", "seed": u64}
-    response {"id": u64, "outputs": [[f64...]...]}   (logits mode, rows sum to 1)
-             {"id": u64, "labels": [u32...]}         (labels mode)
-             {"id": u64, "error": str, "kind": str}  (failure)
+    register {"id": u64, "op": "register", "inputs": [[f64...]...]}
+          -> {"id": u64, "dataset": i}
+    query    {"id": u64, "mode": "logits"|"labels", "zs": [[f64...]...],
+              "dataset": i, "seeds": [u64...]}
+          -> {"id": u64, "outputs": [[f64...]...]}  (logits mode, rows sum to 1)
+             {"id": u64, "labels": [u32...]}        (labels mode)
+    failure  {"id": u64, "error": str, "kind": str}
 
-Every message is one line of UTF-8 JSON ending in a newline byte.
-``decode`` and ``seed`` only matter in labels mode; sample decoding is driven
-entirely by the request seed so a served simulator reproduces in-process
-results bit for bit.
+Every message is one line of UTF-8 JSON ending in a newline byte. A register
+request stores an input matrix under a dataset index that lives as long as
+the connection. A query names one dataset and carries a whole (K, d) stack of
+z; its answer holds all K * n rows in z-major order. ``seeds`` (labels mode
+only) holds one sample-decode seed per z; without it labels are argmax
+decoded. Sample decoding is driven entirely by the seeds, so a served
+simulator reproduces in-process results bit for bit.
 
 Both ends keep no query rules of their own. The client checks a query with
-``blackbox.check_query`` and ``check_decode_seeds`` before it charges or sends
-anything, and sends nothing for an empty one. The server only decodes the
-JSON (id, mode, decode name, lists of numbers) and answers through the
-simulator's own query, whose ValueError becomes a bad-request.
+``blackbox.check_query`` (the handshake gives it the subspace dimension) and
+``check_decode_seeds`` before it charges or sends anything, sends nothing for
+an empty query, and registers each distinct input matrix once per
+connection. The server only decodes the JSON (id, op, mode, dataset index,
+lists of numbers) and answers through the simulator's own query, whose
+ValueError becomes a bad-request.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .errors import (AccessDeniedError, BudgetExhaustedError, NumericalBreakdown
                      ProtocolError)
 from .uqeval import check_probability_table
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 TIMEOUT = 30.0  # seconds a client waits to connect or for a server line
 # The failures a server reports by kind, and the client raises again; any
 # other failure, a ValueError from the simulator included, is a bad request.
@@ -112,23 +119,27 @@ class SocketTransport(_LineTransport):
 class ExternalSimulator:
     """Client handle with the same query surface as the built-in simulator.
 
-    The v1 wire carries one z per request, so a (K, d) query sends K requests
-    in row order, each with its own sample-decode seed, and concatenates their
-    answers. The handshake does not carry the subspace dimension, so a z of
-    the wrong length is charged and then refused by the server.
+    A query is checked, charged and sent as one request carrying its whole
+    (K, d) stack of z; its input matrix is registered with the server the
+    first time this connection sees it, so a repeated matrix costs only its z.
     """
 
     def __init__(self, transport):
         self._transport = transport
         self._next_id = 0
+        self._datasets: dict[tuple, int] = {}  # (shape, bytes) -> server index
         self.budget = EvalBudget()
         handshake = self._read_payload()
         if handshake.get("protocol") != PROTOCOL_VERSION:
-            raise ProtocolError(f"unsupported handshake: {handshake}")
+            raise ProtocolError(
+                f"unsupported handshake: the server speaks protocol "
+                f"{handshake.get('protocol')!r}, this client protocol {PROTOCOL_VERSION}: "
+                f"{handshake}")
         try:
             self.classes = int(handshake["classes"])
             self.feature_dim = int(handshake["feature_dim"])
             self.prompt_dim = int(handshake["prompt_dim"])
+            self.subspace_dim = int(handshake["subspace_dim"])
             self.modes = tuple(handshake["modes"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed handshake: {handshake}") from exc
@@ -187,32 +198,41 @@ class ExternalSimulator:
                 f"response id {response.get('id')} does not match request {request_id}")
         return response
 
-    def _query(self, mode: str, zs: np.ndarray, inputs: np.ndarray, parse,
-               fields: list[dict]) -> list[np.ndarray]:
-        """Charge a checked query, then send one v1 request per row of ``zs``
-        with that row's ``fields`` and ``parse(response, n)`` each answer as it
-        arrives, in row order. An empty query sends nothing."""
-        self.budget.charge(len(zs) * len(inputs))
-        if len(inputs) == 0:
-            return []
-        rows = inputs.tolist()
-        return [parse(self._roundtrip({"mode": mode, "z": z, "inputs": rows, **extra}),
-                      len(rows))
-                for z, extra in zip(zs.tolist(), fields)]
+    def _dataset(self, inputs: np.ndarray) -> int:
+        """The server's index of ``inputs``, registering them on first use."""
+        key = (inputs.shape, inputs.tobytes())
+        if key not in self._datasets:
+            response = self._roundtrip({"op": "register", "inputs": inputs.tolist()})
+            index = response.get("dataset")
+            if type(index) is not int:
+                raise ProtocolError(f"malformed dataset index {index!r} for a register")
+            self._datasets[key] = index
+        return self._datasets[key]
 
-    def _probabilities(self, response: dict, n: int) -> np.ndarray:
+    def _query(self, request: dict, zs: np.ndarray, inputs: np.ndarray, parse, empty):
+        """Charge a checked query, then send it as one request and
+        ``parse(response, rows)`` its answer; an empty query sends nothing
+        and returns ``empty``."""
+        rows = len(zs) * len(inputs)
+        self.budget.charge(rows)
+        if rows == 0:
+            return empty
+        request.update(zs=zs.tolist(), dataset=self._dataset(inputs))
+        return parse(self._roundtrip(request), rows)
+
+    def _probabilities(self, response: dict, rows: int) -> np.ndarray:
         try:
             probs = check_probability_table(response.get("outputs"))
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"logits-mode outputs are not probability rows: {exc}") from exc
-        if probs.shape != (n, self.classes):
-            raise ProtocolError(f"malformed outputs for {n} inputs")
+        if probs.shape != (rows, self.classes):
+            raise ProtocolError(f"malformed outputs for {rows} pairs")
         return probs
 
-    def _labels(self, response: dict, n: int) -> np.ndarray:
+    def _labels(self, response: dict, rows: int) -> np.ndarray:
         labels = response.get("labels")
-        if not isinstance(labels, list) or len(labels) != n:
-            raise ProtocolError(f"malformed labels for {n} inputs")
+        if not isinstance(labels, list) or len(labels) != rows:
+            raise ProtocolError(f"malformed labels for {rows} pairs")
         values = np.asarray(labels)
         if (not np.issubdtype(values.dtype, np.integer)
                 or (values < 0).any() or (values >= self.classes).any()):
@@ -223,20 +243,17 @@ class ExternalSimulator:
         """Class probability vector per (z, input) pair, z-major, (K * n, classes)."""
         if "logits" not in self.modes:
             raise AccessDeniedError("server is labels-only; probabilities are hidden")
-        zs, inputs = check_query(z, inputs, self.feature_dim)
-        return np.concatenate([np.empty((0, self.classes)), *self._query(
-            "logits", zs, inputs, self._probabilities, [{}] * len(zs))])
+        zs, inputs = check_query(z, inputs, self.feature_dim, self.subspace_dim)
+        return self._query({"mode": "logits"}, zs, inputs, self._probabilities,
+                           np.empty((0, self.classes)))
 
     def query_labels(self, z: np.ndarray, inputs: np.ndarray, seeds=None) -> np.ndarray:
         """Label per (z, input) pair, z-major, (K * n,); one seed per z sample-decodes."""
-        zs, inputs = check_query(z, inputs, self.feature_dim)
-        if seeds is None:
-            fields = [{"decode": "argmax", "seed": 0}] * len(zs)
-        else:
-            fields = [{"decode": "sample", "seed": seed}
-                      for seed in check_decode_seeds(seeds, len(zs))]
-        return np.concatenate([np.empty(0, dtype=np.int64), *self._query(
-            "labels", zs, inputs, self._labels, fields)])
+        zs, inputs = check_query(z, inputs, self.feature_dim, self.subspace_dim)
+        request = {"mode": "labels"}
+        if seeds is not None:
+            request["seeds"] = check_decode_seeds(seeds, len(zs))
+        return self._query(request, zs, inputs, self._labels, np.empty(0, dtype=np.int64))
 
 
 def _number_rows(rows) -> np.ndarray:
@@ -245,33 +262,37 @@ def _number_rows(rows) -> np.ndarray:
     the simulator's to check."""
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
             and all(type(v) in (int, float) for row in rows for v in row)):
-        raise ValueError("z and inputs must be lists of JSON numbers")
+        raise ValueError("zs and inputs must be lists of lists of JSON numbers")
     try:
         return np.array(rows, dtype=float)
     except OverflowError:  # an integer beyond the float range
-        raise ValueError("z and inputs must hold numbers within the float range") from None
+        raise ValueError("zs and inputs must hold numbers within the float range") from None
 
 
-def _handle_request(sim, request: dict) -> dict:
-    """Decode one request's JSON and answer it with the simulator's own query,
-    which holds every rule on shapes, finiteness and seeds; its ValueError is
-    a bad request."""
+def _handle_request(sim, datasets: list, request: dict) -> dict:
+    """Decode one request's JSON and answer it: a register appends its inputs
+    to this connection's ``datasets``; a query is answered by the simulator's
+    own query, which holds every rule on shapes, finiteness and seeds. A
+    ValueError is a bad request."""
     request_id = request.get("id")
     if not isinstance(request_id, int):
         return {"id": None, "error": "missing integer id", "kind": "bad-request"}
-    mode = request.get("mode")
-    decode = request.get("decode", "argmax")
+    mode, index = request.get("mode"), request.get("dataset")
     try:
+        if "op" in request:
+            if request["op"] != "register":
+                raise ValueError(f"unknown op {request['op']!r}")
+            datasets.append(_number_rows(request.get("inputs")))
+            return {"id": request_id, "dataset": len(datasets) - 1}
         if mode not in ("logits", "labels"):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == "labels" and decode not in ("argmax", "sample"):
-            raise ValueError(f"unknown decode {decode!r}")
-        z = _number_rows([request.get("z")])[0]
-        inputs = _number_rows(request.get("inputs"))
+        if type(index) is not int or not 0 <= index < len(datasets):
+            raise ValueError(f"unknown dataset {index!r}")
+        zs, inputs = _number_rows(request.get("zs")), datasets[index]
         if mode == "logits":
-            return {"id": request_id, "outputs": sim.query_logits(z, inputs).tolist()}
-        seeds = None if decode == "argmax" else [request.get("seed")]
-        return {"id": request_id, "labels": sim.query_labels(z, inputs, seeds).tolist()}
+            return {"id": request_id, "outputs": sim.query_logits(zs, inputs).tolist()}
+        return {"id": request_id,
+                "labels": sim.query_labels(zs, inputs, request.get("seeds")).tolist()}
     except (ValueError, *ERROR_KINDS.values()) as exc:
         kind = next((kind for kind, error in ERROR_KINDS.items() if isinstance(exc, error)),
                     "bad-request")
@@ -281,18 +302,21 @@ def _handle_request(sim, request: dict) -> dict:
 def serve(sim, rfile, wfile) -> None:
     """Serve one connection worth of requests from binary streams until EOF.
 
-    Lines end at a newline byte and blank lines are skipped; a line that is
-    not a UTF-8 JSON object gets one bad-request response.
+    The datasets registered on the connection live until it ends. Lines end
+    at a newline byte and blank lines are skipped; a line that is not a UTF-8
+    JSON object gets one bad-request response.
     """
     handshake = {
         "protocol": PROTOCOL_VERSION,
         "classes": sim.classes,
         "feature_dim": sim.feature_dim,
         "prompt_dim": sim.prompt_dim,
+        "subspace_dim": sim.subspace_dim,
         "modes": ["logits", "labels"] if sim.allow_logits else ["labels"],
     }
     wfile.write(_encode(handshake))
     wfile.flush()
+    datasets: list[np.ndarray] = []
     for line in rfile:
         if not line.strip():
             continue
@@ -303,7 +327,7 @@ def serve(sim, rfile, wfile) -> None:
         except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError too
             response = {"id": None, "error": "unparseable request", "kind": "bad-request"}
         else:
-            response = _handle_request(sim, request)
+            response = _handle_request(sim, datasets, request)
         try:
             data = (json.dumps(response, allow_nan=False) + "\n").encode("utf-8")
         except ValueError:  # a non-finite answer (the built-in simulator raises first)

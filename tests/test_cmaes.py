@@ -106,6 +106,21 @@ def test_tell_permutation_invariant_bit_identical():
     assert forward.step_size == shuffled.step_size
 
 
+def test_tell_without_a_fresh_ask_decomposes_the_current_covariance():
+    # ask leaves its decomposition for the next tell; a tell with no ask since
+    # the last update must not reuse the decomposition of an older covariance
+    state = es_init(np.zeros(3), 1.0, 8, seed=9)
+    rng = np.random.default_rng(4)
+    tell(state, *_random_generation(state, rng))
+    asked = copy.deepcopy(state)
+    xs, losses = _random_generation(asked, rng)
+    tell(state, xs, losses)
+    tell(asked, xs, losses)
+    for field in ("mean", "cov", "path_sigma", "path_cov"):
+        assert np.array_equal(getattr(state, field), getattr(asked, field))
+    assert state.step_size == asked.step_size
+
+
 def test_tell_rejects_missing_or_nonfinite_losses():
     state = es_init(np.zeros(2), 1.0, 4, seed=7)
     xs = ask(state)

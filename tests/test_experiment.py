@@ -434,12 +434,19 @@ def test_experiment_against_external_endpoint(tmp_path):
 def test_tune_against_server_with_edge_probability_rows(tmp_path, row, code):
     server = "\n".join([
         "import json, sys",
-        "print(json.dumps({'protocol': 1, 'classes': 2, 'feature_dim': 8,"
-        " 'prompt_dim': 32, 'modes': ['logits', 'labels']}), flush=True)",
+        "print(json.dumps({'protocol': 2, 'classes': 2, 'feature_dim': 8,"
+        " 'prompt_dim': 32, 'subspace_dim': 4, 'modes': ['logits', 'labels']}),"
+        " flush=True)",
+        "sizes = []",
         "for line in sys.stdin:",
         "    request = json.loads(line)",
-        f"    print(json.dumps({{'id': request['id'], 'outputs': [{row!r}] * "
-        "len(request['inputs'])}), flush=True)"])
+        "    if request.get('op') == 'register':",
+        "        sizes.append(len(request['inputs']))",
+        "        answer = {'dataset': len(sizes) - 1}",
+        "    else:",
+        f"        answer = {{'outputs': [{row!r}] * len(request['zs'])"
+        " * sizes[request['dataset']]}",
+        "    print(json.dumps({'id': request['id'], **answer}), flush=True)"])
     split = tmp_path / "split.ndjson"
     split.write_text("".join(json.dumps({"x": [0.1 * i] * 8, "y": i % 2}) + "\n"
                              for i in range(4)))
@@ -451,6 +458,27 @@ def test_tune_against_server_with_edge_probability_rows(tmp_path, row, code):
         "params": {"population_size": 2, "max_generations": 1},
         "evaluation": ["calibration", "selective"]})
     assert main(["tune", "--config", config, "--out", str(tmp_path / "out")]) == code
+
+
+def test_prior_dimension_that_differs_from_the_server_fails_at_connect(tmp_path, capsys):
+    # the handshake's subspace dimension is checked before anything is charged,
+    # and the spawned server is closed and reaped
+    pid_file = tmp_path / "pid"
+    task_path = write_json(tmp_path / "task.json", SMALL_TASK)
+    server = (f"import os, sys; open({str(pid_file)!r}, 'w').write(str(os.getpid())); "
+              "from promptuq.cli import main; "
+              f"sys.exit(main(['serve', '--task', {task_path!r}]))")
+    split = tmp_path / "split.ndjson"
+    split.write_text(json.dumps({"x": [0.0] * 8, "y": 0}) + "\n")
+    config = write_json(tmp_path / "dim.json", {
+        "task": {"endpoint": {"argv": [sys.executable, "-c", server]},
+                 "prior": {"dim": SMALL_TASK["subspace_dim"] + 1, "sigma": 50.0},
+                 "datasets": {"train": str(split)}},
+        "method": "rejection_abc", "seed": 1, "evaluation": []})
+    assert main(["tune", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "config error: task.prior.dim" in capsys.readouterr().err
+    with pytest.raises(ProcessLookupError):  # closed and waited for, not a zombie
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_default_sample_counts_per_method():

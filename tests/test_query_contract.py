@@ -51,7 +51,7 @@ def test_served_seeded_stack_equals_in_process_single_queries(served, criterion_
     seeds = [0, 5, 12345678901, 2 ** 64 - 1]
     sent = served._next_id
     labels = served.query_labels(zs, x, seeds)
-    assert served._next_id - sent == 4
+    assert served._next_id - sent == 2  # x is registered, then the whole stack is sent
     assert np.array_equal(labels, np.concatenate(
         [local.query_labels(z, x, [seed]) for z, seed in zip(zs, seeds)]))
 
@@ -117,8 +117,10 @@ def test_a_query_that_overflows_the_model_is_a_numerical_breakdown(served, crite
 
 LIMIT = 60
 BAD_LINES = [b"garbage", b"[", b"{}", b"\xff\xfe", b'{"id": 3}',
-             b'{"id": 4, "mode": "logits", "z": [NaN], "inputs": [[0.0]]}',
-             b'{"id": 5, "mode": "labels", "z": [], "inputs": []}']
+             b'{"id": 4, "mode": "logits", "zs": [[NaN]], "dataset": 0}',
+             b'{"id": 5, "mode": "labels", "zs": [], "dataset": 0}',
+             b'{"id": 6, "mode": "labels", "zs": [[0.0]], "dataset": -1}',
+             b'{"id": 7, "op": "register", "inputs": [["a"]]}']
 
 
 class QueryContract(RuleBasedStateMachine):
@@ -133,9 +135,12 @@ class QueryContract(RuleBasedStateMachine):
         self.local = self.task.simulator(budget_limit=LIMIT)
         self.served.budget = EvalBudget(limit=LIMIT)
         self.expected_used = 0
+        self.registered = set()  # input matrices a sent query carried
 
     def _both(self, mode, z, x, *seeds):
-        """Each side's answer, or the type of what it raised, and the rows it sent."""
+        """Each side's answer, or the type of what it raised, and the queries
+        it sent; a query on an input matrix that an earlier one carried must
+        not register it again."""
         outcomes, sent = [], self.served._next_id
         for sim in (self.local, self.served):
             query = sim.query_logits if mode == "logits" else sim.query_labels
@@ -143,7 +148,11 @@ class QueryContract(RuleBasedStateMachine):
                 outcomes.append(query(z, x, *seeds))
             except (ValueError, BudgetExhaustedError, NumericalBreakdownError) as exc:
                 outcomes.append(type(exc))
-        return outcomes, self.served._next_id - sent
+        sent = self.served._next_id - sent
+        if sent:  # at most one register, and none for a matrix sent before
+            assert sent == 1 or (sent == 2 and x.tobytes() not in self.registered)
+            self.registered.add(x.tobytes())
+        return outcomes, min(sent, 1)
 
     @rule(mode=st.sampled_from(["logits", "labels"]), k=st.integers(0, 3),
           n=st.integers(0, 5), data_seed=st.integers(0, 2 ** 32 - 1),
@@ -161,15 +170,18 @@ class QueryContract(RuleBasedStateMachine):
             assert local is served is BudgetExhaustedError and sent == 0
         else:
             assert np.array_equal(local, served)
-            assert sent == (k if n else 0)
+            assert sent == (1 if k and n else 0)
             self.expected_used += k * n
 
     @rule(mode=st.sampled_from(["logits", "labels"]),
-          kind=st.sampled_from(["nan_z", "inf_input", "z_3d", "wrong_features"]),
+          kind=st.sampled_from(["nan_z", "inf_input", "z_3d", "wrong_features",
+                                "short_z", "long_z"]),
           k=st.integers(1, 3), n=st.integers(1, 3))
     def malformed(self, mode, kind, k, n):
         z, x = np.zeros((k, D)), np.zeros((n, F))
-        if kind == "nan_z":
+        if kind in ("short_z", "long_z"):  # refused by the client, nothing charged
+            z = np.zeros((k, D - 1 if kind == "short_z" else D + 1))
+        elif kind == "nan_z":
             z[-1, 0] = np.nan
         elif kind == "inf_input":
             x[0, -1] = -np.inf
