@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (AccessDeniedError, BudgetExhaustedError, NumericalBreakdownError,
-                     check_json_types)
+from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
+                     NumericalBreakdownError, check_positive)
 from .prompt_space import (PriorSpec, ProjectionSpec, check_sigma, make_projection,
                            project, sample_prior)
 
@@ -266,6 +266,9 @@ class LabeledSet:
 
 @dataclass(frozen=True)
 class TaskConfig:
+    """A synthetic task, its fields the keys of a task config; a bad value
+    raises ``ConfigError`` naming its key, such as ``n_train``."""
+
     subspace_dim: int
     prompt_dim: int
     feature_dim: int
@@ -281,18 +284,20 @@ class TaskConfig:
     pooled_dim: int | None = None
 
     def __post_init__(self):
-        if min(self.n_train, self.n_test, self.n_ood) < 1:
-            raise ValueError("dataset sizes must be positive")
+        # pooled_dim 0 would leave the prompt out of the model
+        check_positive(self, "subspace_dim", "prompt_dim", "feature_dim", "hidden",
+                       "n_train", "n_test", "n_ood", "pooled_dim")
+        if self.subspace_dim > self.prompt_dim:
+            raise ConfigError("subspace_dim", "must be at most prompt_dim")
         if self.classes < 2:
-            raise ValueError("need at least two classes")
-        if self.subspace_dim < 1 or self.subspace_dim > self.prompt_dim:
-            raise ValueError("need 1 <= subspace_dim <= prompt_dim")
-        if min(self.feature_dim, self.hidden) < 1:
-            raise ValueError("feature_dim and hidden must be positive")
+            raise ConfigError("classes", "must be at least 2")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be non-negative")
         if not 0.0 <= self.label_noise < 1.0:
-            raise ValueError("label_noise must be in [0, 1)")
+            raise ConfigError("label_noise", "must be in [0, 1)")
         if not np.isfinite(2.0 * self.ood_shift):  # the far-OOD mean's norm
-            raise ValueError(f"2 * ood_shift must be finite, got {self.ood_shift!r}")
+            raise ConfigError("ood_shift", f"must be finite when doubled, "
+                                           f"got {self.ood_shift!r}")
         check_sigma(self.prior_sigma, "prior_sigma")
 
 
@@ -385,14 +390,6 @@ def make_synthetic_task(cfg: TaskConfig) -> SyntheticTask:
     return SyntheticTask(cfg, classifier, projection, prior,
                          LabeledSet(X_train, y_train), LabeledSet(X_test, y_test),
                          near, far, z_star)
-
-
-def task_config_from_dict(payload: dict) -> TaskConfig:
-    extra = set(payload) - set(TaskConfig.__dataclass_fields__)
-    if extra:
-        raise ValueError(f"unknown task config keys: {sorted(extra)}")
-    check_json_types(TaskConfig, payload)
-    return TaskConfig(**payload)
 
 
 def task_config_to_dict(cfg: TaskConfig) -> dict:

@@ -16,10 +16,10 @@ import sys
 import numpy as np
 
 from . import estimators, predictive, uqeval
-from .blackbox import make_synthetic_task, task_config_from_dict, task_config_to_dict
+from .blackbox import TaskConfig, make_synthetic_task, task_config_to_dict
 from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      DegenerateWeightsError, EvaluationError, NumericalBreakdownError,
-                     ProtocolError, StagnationError)
+                     ProtocolError, StagnationError, config_from_dict)
 from .experiment import (compare_configs_from_dict, compare_methods, evaluate_ood,
                          evaluate_selective, experiment_config_from_dict,
                          run_experiment)
@@ -48,11 +48,8 @@ def _load_json(path):
     return data
 
 
-def _load_task(path):
-    try:
-        return task_config_from_dict(_load_json(path))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("task", str(exc)) from exc
+def _load_task(path) -> TaskConfig:
+    return config_from_dict(TaskConfig, _load_json(path), "task")
 
 
 def cmd_task(args) -> int:

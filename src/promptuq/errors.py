@@ -1,11 +1,15 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one config loader.
 
 Plain ``ValueError`` is used for dimension and argument validation; the
 classes here mark domain events a caller may want to catch and handle.
+
+``config_from_dict`` is the only way a JSON object becomes a config dataclass
+(a task, a prior, a method's params), so every config error names its dotted
+key, such as ``task.n_train`` or ``task.prior.sigma``.
 """
 
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 
 class AccessDeniedError(RuntimeError):
@@ -55,8 +59,8 @@ class ProtocolError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; ``field`` holds the offending key path (a method
-    config names its bare key, which the experiment parser prefixes)."""
+    """Invalid configuration; ``field`` holds the offending key path (a config
+    dataclass names its bare key, which ``config_from_dict`` prefixes)."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
@@ -64,19 +68,46 @@ class ConfigError(ValueError):
         self.message = message
 
 
-def check_json_types(cls, values: dict, path: str = "") -> None:
-    """Raise ConfigError unless each of ``values`` has the type annotated on the
-    same-named field of dataclass ``cls`` (int, float, str, None; a bool is no
-    number, and a float field takes an integer only within the float range)."""
+def _key(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def check_keys(payload, known, path: str, required=()) -> dict:
+    """Return ``payload`` if it is a JSON object whose keys are all ``known``
+    and include every ``required`` one; else raise ConfigError naming the
+    object at dotted ``path`` ("config" at the root) or its first bad key."""
+    if not isinstance(payload, dict):
+        raise ConfigError(path or "config", "must be a JSON object")
+    unknown = sorted(payload.keys() - set(known))
+    if unknown:
+        raise ConfigError(_key(path, unknown[0]), f"unknown field; known: {sorted(known)}")
+    for name in required:
+        if name not in payload:
+            raise ConfigError(_key(path, name), "missing required field")
+    return payload
+
+
+def config_from_dict(cls, payload, path: str):
+    """Build dataclass ``cls`` from the JSON object at dotted ``path``: refuse
+    bad keys (``check_keys``), then values not of their field's annotated type
+    (int, float, str, None; a bool is no number, and a float field takes an
+    integer only within the float range), then re-root the ``ConfigError(<key>)``
+    of the class's own checks as ``<path>.<key>``."""
+    check_keys(payload, [f.name for f in fields(cls)], path,
+               [f.name for f in fields(cls) if f.default is MISSING])
     kinds = {"int": int, "float": (int, float), "str": str, "None": type(None)}
     for f in fields(cls):
-        value = values.get(f.name)
-        if f.name in values and (isinstance(value, bool) or not any(
+        value = payload.get(f.name)
+        if f.name in payload and (isinstance(value, bool) or not any(
                 isinstance(value, kinds[kind]) for kind in f.type.split(" | "))):
-            raise ConfigError(f"{path}{f.name}",
+            raise ConfigError(_key(path, f.name),
                               f"must be {f.type}, got {type(value).__name__}")
         if "float" in f.type and type(value) is int and abs(value) > sys.float_info.max:
-            raise ConfigError(f"{path}{f.name}", "is beyond the float range")
+            raise ConfigError(_key(path, f.name), "is beyond the float range")
+    try:
+        return cls(**payload)
+    except ConfigError as exc:
+        raise ConfigError(_key(path, exc.field), exc.message) from exc
 
 
 def check_positive(config, *names: str) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -24,8 +24,8 @@ import numpy as np
 from . import estimators, predictive, uqeval
 from .abc_smc import RejectionConfig, SmcConfig, abc_smc, rejection_abc
 from .blackbox import (LabeledSet, SyntheticTask, TaskConfig, make_synthetic_task,
-                       task_config_from_dict, task_config_to_dict)
-from .errors import ConfigError, check_json_types
+                       task_config_to_dict)
+from .errors import ConfigError, check_keys, config_from_dict
 from .prompt_space import PriorSpec
 from .protocol import ExternalSimulator
 
@@ -60,28 +60,12 @@ class ExperimentConfig:
         return self.params.sample_count
 
 
-def _require(payload: dict, key: str, path: str):
-    if key not in payload:
-        raise ConfigError(f"{path}{key}", "missing required field")
-    return payload[key]
-
-
-def _object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(path, "must be a JSON object")
-    return value
-
-
-def _reject_unknown(payload: dict, known: set[str], path: str) -> None:
-    unknown = sorted(payload.keys() - known)
-    if unknown:
-        raise ConfigError(f"{path}{unknown[0]}", f"unknown field; known: {sorted(known)}")
-
-
-def external_task_from_dict(payload: dict) -> ExternalTaskSpec:
-    _reject_unknown(payload, {"endpoint", "prior", "datasets"}, "task.")
-    endpoint = _object(_require(payload, "endpoint", "task."), "task.endpoint")
-    _reject_unknown(endpoint, {"argv", "host", "port"}, "task.endpoint.")
+def external_task_from_dict(payload: dict, evaluation) -> ExternalTaskSpec:
+    """``datasets`` must hold train and each split ``evaluation`` reads: test
+    for any evaluation, and near_ood and far_ood for those two."""
+    check_keys(payload, {"endpoint", "prior", "datasets"}, "task",
+               ("endpoint", "prior", "datasets"))
+    endpoint = check_keys(payload["endpoint"], {"argv", "host", "port"}, "task.endpoint")
     argv = endpoint.get("argv")
     host = endpoint.get("host")
     port = endpoint.get("port")
@@ -90,42 +74,32 @@ def external_task_from_dict(payload: dict) -> ExternalTaskSpec:
     if argv is not None and not (isinstance(argv, list) and argv
                                  and all(isinstance(arg, str) for arg in argv)):
         raise ConfigError("task.endpoint.argv", "must be a nonempty list of strings")
-    prior = _object(_require(payload, "prior", "task."), "task.prior")
-    _reject_unknown(prior, {"dim", "sigma"}, "task.prior.")
-    check_json_types(PriorSpec, prior, "task.prior.")
-    try:
-        prior = PriorSpec(_require(prior, "dim", "task.prior."),
-                          _require(prior, "sigma", "task.prior."))
-    except ValueError as exc:
-        raise ConfigError("task.prior", str(exc)) from exc
-    datasets = _object(_require(payload, "datasets", "task."), "task.datasets")
-    if "train" not in datasets:
-        raise ConfigError("task.datasets.train", "missing required field")
-    if not all(isinstance(path, str) for path in datasets.values()):
-        raise ConfigError("task.datasets", "every split must name a file")
+    if port is not None and not (type(port) is int and 0 <= port <= 65535):
+        raise ConfigError("task.endpoint.port", "must be an integer in 0..65535")
+    prior = config_from_dict(PriorSpec, payload["prior"], "task.prior")
+    datasets = payload["datasets"]
+    if not (isinstance(datasets, dict)
+            and all(isinstance(path, str) for path in datasets.values())):
+        raise ConfigError("task.datasets", "must be an object naming a file per split")
+    needed = ["train", "test"] if evaluation else ["train"]
+    needed += [name for name in (EVAL_NEAR_OOD, EVAL_FAR_OOD) if name in evaluation]
+    for name in needed:
+        if name not in datasets:
+            raise ConfigError(f"task.datasets.{name}", "missing split; the run reads it")
     return ExternalTaskSpec(argv=tuple(argv) if argv is not None else None,
                             host=host, port=port, prior=prior, datasets=dict(datasets))
 
 
 def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
     # "out" is the output directory of `promptuq tune`; it is not read here
-    _reject_unknown(_object(payload, "config"), {"task", "method", "seed", "params", "out",
-                                                 "evaluation", "predictive_mode"}, "")
-    method = _require(payload, "method", "")
+    check_keys(payload, {"task", "method", "seed", "params", "out", "evaluation",
+                         "predictive_mode"}, "", ("method", "seed", "task"))
+    method = payload["method"]
     if method not in METHODS:
         raise ConfigError("method", f"unknown method {method!r}; choose from {METHODS}")
-    seed = _require(payload, "seed", "")
+    seed = payload["seed"]
     if type(seed) is not int or seed < 0:
         raise ConfigError("seed", "must be a non-negative integer")
-
-    task_payload = _object(_require(payload, "task", ""), "task")
-    if "endpoint" in task_payload:
-        task = external_task_from_dict(task_payload)
-    else:
-        try:
-            task = task_config_from_dict(task_payload)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("task", str(exc)) from exc
 
     evaluation = payload.get("evaluation", EVALUATIONS)
     if not isinstance(evaluation, (list, tuple)):
@@ -133,6 +107,12 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
     for name in evaluation:
         if name not in EVALUATIONS:
             raise ConfigError("evaluation", f"unknown evaluation {name!r}")
+
+    task = payload["task"]
+    if isinstance(task, dict) and "endpoint" in task:
+        task = external_task_from_dict(task, evaluation)
+    else:
+        task = config_from_dict(TaskConfig, task, "task")
 
     predictive_mode = payload.get("predictive_mode")
     if predictive_mode not in (None, "logits", "labels"):
@@ -143,15 +123,7 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
             f"{method} is likelihood-free: its predictive distribution uses the "
             f"labels path, probabilities are not observed")
 
-    params = _object(payload.get("params", {}), "params")
-    config_class = _REGISTRY[method].config
-    _reject_unknown(params, {f.name for f in fields(config_class)}, "params.")
-    check_json_types(config_class, params, "params.")
-    try:
-        params = config_class(**params)
-    except ConfigError as exc:
-        raise ConfigError(f"params.{exc.field}", exc.message) from exc
-
+    params = config_from_dict(_REGISTRY[method].config, payload.get("params", {}), "params")
     return ExperimentConfig(task=task, method=method, seed=seed,
                             evaluation=tuple(evaluation),
                             predictive_mode=predictive_mode, params=params)
@@ -159,9 +131,8 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
 
 def compare_configs_from_dict(payload: dict) -> list[ExperimentConfig]:
     """One config per ``methods`` entry; the task, seed and evaluation are shared."""
-    _reject_unknown(_object(payload, "config"),
-                    {"task", "seed", "evaluation", "methods"}, "")
-    methods = _require(payload, "methods", "")
+    check_keys(payload, {"task", "seed", "evaluation", "methods"}, "", ("methods",))
+    methods = payload["methods"]
     if not (isinstance(methods, list) and methods
             and all(isinstance(spec, dict) for spec in methods)):
         raise ConfigError("methods", "must be a nonempty list of objects")
@@ -169,7 +140,7 @@ def compare_configs_from_dict(payload: dict) -> list[ExperimentConfig]:
     entry_keys = {"method", "params", "predictive_mode"}
     configs = []
     for i, spec in enumerate(methods):
-        _reject_unknown(spec, entry_keys, f"methods[{i}].")
+        check_keys(spec, entry_keys, f"methods[{i}]")
         try:
             configs.append(experiment_config_from_dict({**shared, **spec}))
         except ConfigError as exc:
@@ -327,10 +298,10 @@ class ExperimentReport:
 
 def run_experiment(config: ExperimentConfig, out_dir: str,
                    trace: bool = False) -> ExperimentReport:
-    os.makedirs(out_dir, exist_ok=True)
-    ctx = _open_context(config)
+    ctx = _open_context(config)  # checks the data files before out_dir is made
     files: dict[str, str] = {}
     try:
+        os.makedirs(out_dir, exist_ok=True)
         ensemble = _REGISTRY[config.method].run(config.params, ctx, config.seed)
 
         posterior_path = os.path.join(out_dir, "posterior.ndjson")
@@ -356,9 +327,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str,
         if isinstance(config.task, TaskConfig):
             summary["task"] = task_config_to_dict(config.task)
 
-        if config.evaluation:
-            if ctx.test is None:
-                raise ConfigError("evaluation", "no test split available")
+        if config.evaluation:  # the parser checked that each split it reads exists
             test_table = _predictive(config, ctx, ensemble, ctx.test.X)
 
         if EVAL_CALIBRATION in config.evaluation or EVAL_SELECTIVE in config.evaluation:
@@ -375,8 +344,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str,
                              (EVAL_FAR_OOD, ctx.far_ood)):
             if name not in config.evaluation:
                 continue
-            if inputs is None:
-                raise ConfigError("evaluation", f"no {name} split available")
             ood_table = _predictive(config, ctx, ensemble, inputs)
             summary[name] = evaluate_ood(test_table.probs, ood_table.probs,
                                          out_dir, name, files)

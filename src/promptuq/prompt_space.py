@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError, check_positive
+
 
 @dataclass(frozen=True)
 class ProjectionSpec:
@@ -71,30 +73,30 @@ def project(spec: ProjectionSpec, z: np.ndarray) -> np.ndarray:
 
 
 def check_sigma(sigma, name: str) -> None:
-    """ValueError unless ``sigma`` is positive and its square a positive finite float."""
+    """ConfigError(name) unless ``sigma`` is positive with a positive finite square."""
     try:
         variance = float(sigma) * float(sigma)
     except OverflowError:  # an integer beyond the float range
         variance = float("inf")
     if not (sigma > 0 and 0.0 < variance < float("inf")):
-        raise ValueError(f"{name} must be positive with a positive finite square, "
-                         f"got {sigma!r}")
+        raise ConfigError(name, f"must be positive with a positive finite square, "
+                                f"got {sigma!r}")
 
 
 @dataclass(frozen=True)
 class PriorSpec:
     """Zero-mean isotropic Gaussian prior over the subspace.
 
-    ``sigma`` is the standard deviation: the covariance is sigma^2 * I.
+    ``sigma`` is the standard deviation: the covariance is sigma^2 * I. A bad
+    value raises ``ConfigError`` naming its key, ``dim`` or ``sigma``.
     """
 
     dim: int
     sigma: float
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("prior dimension must be positive")
-        check_sigma(self.sigma, "prior sigma")
+        check_positive(self, "dim")
+        check_sigma(self.sigma, "sigma")
 
 
 def sample_prior(prior: PriorSpec, count: int, rng: np.random.Generator) -> np.ndarray:

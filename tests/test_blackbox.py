@@ -5,9 +5,9 @@ import pytest
 
 from conftest import CRITERION_TASK, build_fixed_probs_simulator
 from promptuq.blackbox import (MAX_KERNEL_PAIRS, SyntheticSimulator, TaskConfig,
-                               make_synthetic_task, task_config_from_dict,
-                               task_config_to_dict)
-from promptuq.errors import AccessDeniedError, BudgetExhaustedError
+                               make_synthetic_task, task_config_to_dict)
+from promptuq.errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
+                             config_from_dict)
 from promptuq.estimators import EsConfig, negative_log_likelihood, point_estimate
 
 
@@ -169,20 +169,25 @@ def test_label_noise_flips_requested_fraction():
 @pytest.mark.parametrize("field,value", [
     ("classes", 1), ("n_train", 0), ("subspace_dim", 100),
     ("label_noise", 1.5), ("prior_sigma", 0.0), ("prior_sigma", 1e-300),
-    ("prior_sigma", 1e300),
+    ("prior_sigma", 1e300), ("pooled_dim", -1), ("pooled_dim", 0), ("seed", -1),
 ])
 def test_task_config_validation(field, value):
     payload = task_config_to_dict(CRITERION_TASK)
     payload[field] = value
-    with pytest.raises(ValueError):
-        task_config_from_dict(payload)
+    with pytest.raises(ConfigError) as excinfo:
+        TaskConfig(**payload)
+    assert excinfo.value.field == field
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict(TaskConfig, payload, "task")
+    assert excinfo.value.field == f"task.{field}"
 
 
 def test_task_config_rejects_unknown_keys():
     payload = task_config_to_dict(CRITERION_TASK)
     payload["bogus"] = 1
-    with pytest.raises(ValueError):
-        task_config_from_dict(payload)
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict(TaskConfig, payload, "task")
+    assert excinfo.value.field == "task.bogus"
 
 
 def test_inputs_feature_mismatch_rejected(uniform_sim):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import promptuq
 from promptuq import EnsembleConfig, EsConfig, GfviConfig, RejectionConfig, SmcConfig
-from promptuq.blackbox import make_synthetic_task, task_config_from_dict
+from promptuq.blackbox import TaskConfig, make_synthetic_task
 from promptuq.cli import main
 from promptuq.errors import ConfigError
 from promptuq.experiment import (METHODS, compare_configs_from_dict, compare_methods,
@@ -259,9 +259,10 @@ def test_cli_exit_codes(tmp_path, capsys):
             "task": {"endpoint": spawn_marker, "prior": {"dim": 4, "sigma": 50.0},
                      "datasets": {"train": str(tmp_path / "train.ndjson"),
                                   "test": str(path)}},
-            "method": "rejection_abc", "seed": 1})
+            "method": "rejection_abc", "seed": 1, "evaluation": ["calibration"]})
         assert main(["tune", "--config", config, "--out", str(tmp_path / name)]) == 2
         assert "task.datasets.test" in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
     assert not marker.exists()
 
     # dataset labels must lie in [0, classes) of the served task
@@ -276,7 +277,7 @@ def test_cli_exit_codes(tmp_path, capsys):
             "task": {"endpoint": serve, "prior": {"dim": 4, "sigma": 50.0},
                      "datasets": {"train": str(labeled), "test": str(labeled),
                                   split: str(bad)}},
-            "method": "rejection_abc", "seed": 1})
+            "method": "rejection_abc", "seed": 1, "evaluation": ["calibration"]})
         assert main(["tune", "--config", config,
                      "--out", str(tmp_path / f"labels_{split}")]) == 2
         assert f"task.datasets.{split}" in capsys.readouterr().err
@@ -396,7 +397,7 @@ def test_cli_serve_rejects_bad_tcp_port(tmp_path, capsys):
 
 
 def test_experiment_against_external_endpoint(tmp_path):
-    task = make_synthetic_task(task_config_from_dict(SMALL_TASK))
+    task = make_synthetic_task(TaskConfig(**SMALL_TASK))
     train_path = tmp_path / "train.ndjson"
     test_path = tmp_path / "test.ndjson"
     with open(train_path, "w") as fh:
@@ -528,18 +529,86 @@ COMPARE = {"task": SMALL_TASK, "seed": 3,
      "methods[1].params.mc_samples"),
     # the prior variance sigma^2 must be a positive finite float
     ({**payload("abc_smc"), "task": {**SMALL_TASK, "prior_sigma": 1e-300}},
-     "task: prior_sigma"),
+     "task.prior_sigma"),
     ({**payload("gfvi"), "task": {**SMALL_TASK, "prior_sigma": 1e300}},
-     "task: prior_sigma"),
+     "task.prior_sigma"),
     ({**payload("rejection_abc"),
       "task": {**EXTERNAL_TASK, "prior": {"dim": 4, "sigma": 1e-300}}},
-     "task.prior: prior sigma"),
+     "task.prior.sigma"),
+    # an endpoint port takes the 0..65535 rule of `serve --tcp`
+    ({**payload("rejection_abc"), "task": {
+        **EXTERNAL_TASK, "endpoint": {"host": "127.0.0.1", "port": 70000}}},
+     "task.endpoint.port"),
+    ({**payload("rejection_abc"), "task": {
+        **EXTERNAL_TASK, "endpoint": {"host": "127.0.0.1", "port": -1}}},
+     "task.endpoint.port"),
 ])
 def test_cli_tune_malformed_config_exits_2(tmp_path, capsys, config, field):
     path = write_json(tmp_path / "exp.json", config)
     command = "compare" if "methods" in config else "tune"
     assert main([command, "--config", path, "--out", str(tmp_path / "run")]) == 2
     assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+# one out-of-range value per task and prior key; a string is the wrong type for
+# each, and a key without a default may not be left out
+TASK_OUT_OF_RANGE = {"subspace_dim": 33, "prompt_dim": 0, "feature_dim": 0, "classes": 1,
+                     "hidden": 0, "n_train": 0, "n_test": 0, "n_ood": -1,
+                     "ood_shift": 1e308, "seed": -1, "prior_sigma": 1e-300,
+                     "label_noise": 1.0, "pooled_dim": 0}
+PRIOR_OUT_OF_RANGE = {"dim": 0, "sigma": 1e300}
+
+
+def bad_key_cases(base, out_of_range, path, as_task=lambda obj: obj):
+    for key, value in out_of_range.items():
+        bad = {"range": {**base, key: value}, "type": {**base, key: "x"}}
+        if key in base:
+            bad["missing"] = {k: v for k, v in base.items() if k != key}
+        for kind, obj in bad.items():
+            yield pytest.param(as_task(obj), f"{path}.{key}", id=f"{path}.{key}-{kind}")
+
+
+@pytest.mark.parametrize("task, field", [
+    *bad_key_cases(SMALL_TASK, TASK_OUT_OF_RANGE, "task"),
+    *bad_key_cases(EXTERNAL_TASK["prior"], PRIOR_OUT_OF_RANGE, "task.prior",
+                   lambda prior: {**EXTERNAL_TASK, "prior": prior}),
+])
+def test_cli_names_each_bad_task_and_prior_key(tmp_path, capsys, task, field):
+    config = write_json(tmp_path / "exp.json",
+                        {"task": task, "method": "rejection_abc", "seed": 1})
+    commands = [["tune", "--config", config, "--out", str(tmp_path / "run")]]
+    if "endpoint" not in task:  # the task file of every other subcommand
+        commands.append(["task", "--config", write_json(tmp_path / "task.json", task)])
+    for argv in commands:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"config error: {field}: " in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("splits, evaluation, field", [
+    (["train"], None, "task.datasets.test"),
+    (["train"], ["calibration"], "task.datasets.test"),
+    (["train", "test"], ["selective", "near_ood"], "task.datasets.near_ood"),
+    (["train", "test", "near_ood"], None, "task.datasets.far_ood"),
+    (["test"], [], "task.datasets.train"),
+])
+def test_a_split_the_run_needs_is_checked_before_anything_starts(
+        tmp_path, capsys, splits, evaluation, field):
+    started = tmp_path / "started"
+    config = {"task": {"endpoint": {"argv": [sys.executable, "-c",
+                                             f"open({str(started)!r}, 'w')"]},
+                       "prior": {"dim": 4, "sigma": 50.0},
+                       "datasets": {name: f"{name}.ndjson" for name in splits}},
+              "method": "point_cmaes", "seed": 1}
+    if evaluation is not None:
+        config["evaluation"] = evaluation
+    path = write_json(tmp_path / "exp.json", config)
+    assert main(["tune", "--config", path, "--out", str(tmp_path / "run")]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not started.exists()
     assert not (tmp_path / "run").exists()
 
 
@@ -676,6 +745,8 @@ def extreme_runs(draw):
     task = dict(FUZZ_TASK, n_train=draw(st.sampled_from([2, 16])))
     for key in draw(st.sets(st.sampled_from(["ood_shift", "prior_sigma", "label_noise"]))):
         task[key] = draw(extreme_floats)
+    for key in draw(st.sets(st.sampled_from(["pooled_dim", "seed"]))):
+        task[key] = draw(small_ints)
     method = draw(st.sampled_from(METHODS))
     params = {"population_size": 2, "max_generations": 2, "sample_count": 3,
               "mc_samples": 2, "max_draws": 50, "smc_iterations": 3, "max_attempts": 30}

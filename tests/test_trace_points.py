@@ -14,8 +14,8 @@ import sys
 
 import pytest
 
-from promptuq import experiment_config_from_dict, make_synthetic_task, run_experiment
-from promptuq.blackbox import task_config_from_dict
+from promptuq import (TaskConfig, experiment_config_from_dict, make_synthetic_task,
+                      run_experiment)
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -55,7 +55,7 @@ TINY_SEEDS = {"abc_smc": 7}
 def served_task(tmp_path_factory):
     """Task file and NDJSON splits of TINY_TASK for a ``promptuq serve`` child."""
     directory = tmp_path_factory.mktemp("served")
-    task = make_synthetic_task(task_config_from_dict(TINY_TASK))
+    task = make_synthetic_task(TaskConfig(**TINY_TASK))
     splits = {"train": (task.train.X, task.train.y), "test": (task.test.X, task.test.y),
               "near_ood": (task.near_ood, None), "far_ood": (task.far_ood, None)}
     paths = {}
