@@ -127,12 +127,19 @@ def cmd_eval(args) -> int:
     table = _load_table(args.pred, "pred")
     if args.pred_ood:
         ood_table = _load_table(args.pred_ood, "pred_ood")
+        if ood_table.classes != table.classes:
+            raise ConfigError("pred_ood", f"{args.pred_ood} has {ood_table.classes} classes, "
+                                          f"{args.pred} has {table.classes}")
         os.makedirs(args.out, exist_ok=True)
         summary = evaluate_ood(table.probs, ood_table.probs, args.out, "ood", {})
     else:
         if not args.task:
             raise ConfigError("task", "selective evaluation needs --task for labels")
-        task = make_synthetic_task(_load_task(args.task))
+        cfg = _load_task(args.task)
+        if table.classes != cfg.classes:
+            raise ConfigError("pred", f"{args.pred} has {table.classes} classes, "
+                                      f"the task has {cfg.classes}")
+        task = make_synthetic_task(cfg)
         labels = task.test.y if args.split == "test" else task.train.y
         if len(labels) != len(table.probs):
             raise ConfigError("split", f"{args.split} has {len(labels)} labels but "

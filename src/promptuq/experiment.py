@@ -3,7 +3,9 @@
 Each method is one row of the private ``_REGISTRY``: its library config
 (fields and defaults are its JSON ``params`` keys and defaults, and its
 ``__post_init__`` holds the range checks), its runner, and its access regime,
-which picks its simulator and predictive path.
+which picks its simulator and predictive path. The parser checks JSON shape
+and types; ``ExperimentConfig.__post_init__`` holds every rule relating its
+fields, so a config built in code fails as its JSON twin does.
 
 Every run is a pure function of (config, seed): the task is rebuilt from its
 config, methods consume named substreams of the experiment seed, and all
@@ -34,6 +36,13 @@ EVAL_SELECTIVE = "selective"
 EVAL_NEAR_OOD = "near_ood"
 EVAL_FAR_OOD = "far_ood"
 EVALUATIONS = (EVAL_CALIBRATION, EVAL_SELECTIVE, EVAL_NEAR_OOD, EVAL_FAR_OOD)
+SPLITS = ("train", "test", EVAL_NEAR_OOD, EVAL_FAR_OOD)
+
+
+def splits_read(evaluation) -> tuple[str, ...]:
+    """What a run reads: train, test for any evaluation, near_ood and far_ood for those."""
+    return tuple(name for name in SPLITS if name == "train"
+                 or (name == "test" and evaluation) or name in evaluation)
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,9 @@ class ExternalTaskSpec:
 
 @dataclass
 class ExperimentConfig:
+    """One run; building it checks the seed, the task type, evaluations, ``predictive_mode``
+    against the regime, the ``params`` class, and an external task's splits."""
+
     task: TaskConfig | ExternalTaskSpec
     method: str
     seed: int
@@ -56,13 +68,32 @@ class ExperimentConfig:
     evaluation: tuple[str, ...] = EVALUATIONS
     predictive_mode: str | None = None
 
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigError("method",
+                              f"unknown method {self.method!r}; choose from {METHODS}")
+        config_class, regime, _ = _REGISTRY[self.method]
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError("seed", "must be a non-negative integer")
+        if not isinstance(self.task, (TaskConfig, ExternalTaskSpec)):
+            raise ConfigError("task", "must be a TaskConfig or an ExternalTaskSpec")
+        if any(name not in EVALUATIONS for name in self.evaluation):
+            raise ConfigError("evaluation", f"must be drawn from {EVALUATIONS}")
+        modes = ("logits", "labels") if regime == "logits" else ("labels",)
+        if self.predictive_mode not in (None, *modes):
+            raise ConfigError("predictive_mode", f"{self.method} observes {regime}, so it "
+                                                 f"takes one of {modes}")
+        if type(self.params) is not config_class:
+            raise ConfigError("params", f"{self.method} takes {config_class.__name__}")
+        if isinstance(self.task, ExternalTaskSpec):
+            check_keys(self.task.datasets, SPLITS, "task.datasets",
+                       splits_read(self.evaluation))
+
     def resolved_sample_count(self) -> int:
         return self.params.sample_count
 
 
-def external_task_from_dict(payload: dict, evaluation) -> ExternalTaskSpec:
-    """``datasets`` must hold train and each split ``evaluation`` reads: test
-    for any evaluation, and near_ood and far_ood for those two."""
+def external_task_from_dict(payload: dict) -> ExternalTaskSpec:
     check_keys(payload, {"endpoint", "prior", "datasets"}, "task",
                ("endpoint", "prior", "datasets"))
     endpoint = check_keys(payload["endpoint"], {"argv", "host", "port"}, "task.endpoint")
@@ -81,11 +112,6 @@ def external_task_from_dict(payload: dict, evaluation) -> ExternalTaskSpec:
     if not (isinstance(datasets, dict)
             and all(isinstance(path, str) for path in datasets.values())):
         raise ConfigError("task.datasets", "must be an object naming a file per split")
-    needed = ["train", "test"] if evaluation else ["train"]
-    needed += [name for name in (EVAL_NEAR_OOD, EVAL_FAR_OOD) if name in evaluation]
-    for name in needed:
-        if name not in datasets:
-            raise ConfigError(f"task.datasets.{name}", "missing split; the run reads it")
     return ExternalTaskSpec(argv=tuple(argv) if argv is not None else None,
                             host=host, port=port, prior=prior, datasets=dict(datasets))
 
@@ -94,39 +120,21 @@ def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
     # "out" is the output directory of `promptuq tune`; it is not read here
     check_keys(payload, {"task", "method", "seed", "params", "out", "evaluation",
                          "predictive_mode"}, "", ("method", "seed", "task"))
-    method = payload["method"]
-    if method not in METHODS:
-        raise ConfigError("method", f"unknown method {method!r}; choose from {METHODS}")
-    seed = payload["seed"]
-    if type(seed) is not int or seed < 0:
-        raise ConfigError("seed", "must be a non-negative integer")
-
     evaluation = payload.get("evaluation", EVALUATIONS)
     if not isinstance(evaluation, (list, tuple)):
         raise ConfigError("evaluation", f"must be a list drawn from {EVALUATIONS}")
-    for name in evaluation:
-        if name not in EVALUATIONS:
-            raise ConfigError("evaluation", f"unknown evaluation {name!r}")
 
     task = payload["task"]
     if isinstance(task, dict) and "endpoint" in task:
-        task = external_task_from_dict(task, evaluation)
+        task = external_task_from_dict(task)
     else:
         task = config_from_dict(TaskConfig, task, "task")
-
-    predictive_mode = payload.get("predictive_mode")
-    if predictive_mode not in (None, "logits", "labels"):
-        raise ConfigError("predictive_mode", f"must be 'logits' or 'labels'")
-    if predictive_mode == "logits" and _REGISTRY[method].regime == "labels":
-        raise ConfigError(
-            "predictive_mode",
-            f"{method} is likelihood-free: its predictive distribution uses the "
-            f"labels path, probabilities are not observed")
-
-    params = config_from_dict(_REGISTRY[method].config, payload.get("params", {}), "params")
-    return ExperimentConfig(task=task, method=method, seed=seed,
+    method, params = payload["method"], payload.get("params", {})
+    if method in METHODS:  # ExperimentConfig refuses an unknown one
+        params = config_from_dict(_REGISTRY[method].config, params, "params")
+    return ExperimentConfig(task=task, method=method, seed=payload["seed"],
                             evaluation=tuple(evaluation),
-                            predictive_mode=predictive_mode, params=params)
+                            predictive_mode=payload.get("predictive_mode"), params=params)
 
 
 def compare_configs_from_dict(payload: dict) -> list[ExperimentConfig]:
@@ -182,23 +190,23 @@ def load_labeled_ndjson(path) -> LabeledSet:
 class RunContext:
     sim: object
     prior: PriorSpec
-    train: LabeledSet
-    test: LabeledSet | None
-    near_ood: np.ndarray | None
-    far_ood: np.ndarray | None
+    splits: dict[str, LabeledSet]  # the splits_read of the run; OOD rows have y = -1
     close: object = None
 
 
 def _open_context(config: ExperimentConfig) -> RunContext:
     task = config.task
+    names = splits_read(config.evaluation)
     if isinstance(task, TaskConfig):
         built: SyntheticTask = make_synthetic_task(task)
         sim = built.simulator(allow_logits=_REGISTRY[config.method].regime == "logits")
-        return RunContext(sim=sim, prior=built.prior, train=built.train,
-                          test=built.test, near_ood=built.near_ood,
-                          far_ood=built.far_ood)
+        splits = {"train": built.train, "test": built.test}
+        splits.update((name, LabeledSet(X, np.full(len(X), -1, dtype=np.int64))) for name, X
+                      in ((EVAL_NEAR_OOD, built.near_ood), (EVAL_FAR_OOD, built.far_ood)))
+        return RunContext(sim=sim, prior=built.prior, splits={n: splits[n] for n in names})
     splits = {}
-    for name, path in task.datasets.items():
+    for name in names:
+        path = task.datasets[name]
         try:
             splits[name] = load_labeled_ndjson(path)
         except (OSError, ValueError, RecursionError) as exc:  # deep JSON nesting
@@ -211,41 +219,40 @@ def _open_context(config: ExperimentConfig) -> RunContext:
         if task.prior.dim != sim.subspace_dim:
             raise ConfigError("task.prior.dim", f"is {task.prior.dim}, but the simulator's "
                                                 f"subspace dimension is {sim.subspace_dim}")
-        for name in ("train", "test"):
-            if name in splits and not ((splits[name].y >= 0)
-                                       & (splits[name].y < sim.classes)).all():
+        for name, split in splits.items():
+            if split.X.shape[1] != sim.feature_dim:
+                raise ConfigError(f"task.datasets.{name}",
+                                  f"rows have {split.X.shape[1]} features, the "
+                                  f"simulator's feature_dim is {sim.feature_dim}")
+            if name in ("train", "test") and not ((split.y >= 0)
+                                                  & (split.y < sim.classes)).all():
                 raise ConfigError(f"task.datasets.{name}",
                                   f"every row needs a label y in [0, {sim.classes})")
     except ConfigError:
         sim.close()
         raise
-    return RunContext(
-        sim=sim, prior=task.prior,
-        train=splits["train"], test=splits.get("test"),
-        near_ood=splits["near_ood"].X if "near_ood" in splits else None,
-        far_ood=splits["far_ood"].X if "far_ood" in splits else None,
-        close=sim.close)
+    return RunContext(sim=sim, prior=task.prior, splits=splits, close=sim.close)
 
 
 class _Method(NamedTuple):
     config: type
     regime: str  # "logits" or "labels": what the simulator may reveal
-    run: Callable[..., estimators.PosteriorEnsemble]  # (config, RunContext, seed)
+    run: Callable[..., estimators.PosteriorEnsemble]  # (params, sim, prior, train, seed)
 
 
 # Runners look inference functions up at call time, so patching them works.
 _REGISTRY = {
-    "point_cmaes": _Method(estimators.EsConfig, "logits", lambda p, ctx, seed:
-                           estimators.point_estimate(ctx.sim, ctx.train, ctx.prior, p, seed)),
-    "ensembles": _Method(estimators.EnsembleConfig, "logits", lambda p, ctx, seed:
-                         estimators.ensemble_tune(ctx.sim, ctx.train, ctx.prior, p,
+    "point_cmaes": _Method(estimators.EsConfig, "logits", lambda p, sim, prior, train, seed:
+                           estimators.point_estimate(sim, train, prior, p, seed)),
+    "ensembles": _Method(estimators.EnsembleConfig, "logits", lambda p, sim, prior, train, seed:
+                         estimators.ensemble_tune(sim, train, prior, p,
                                                   estimators.derive_seeds(seed, p.sample_count))),
-    "gfvi": _Method(estimators.GfviConfig, "logits", lambda p, ctx, seed:
-                    estimators.gfvi_tune(ctx.sim, ctx.train, ctx.prior, p, seed)),
-    "rejection_abc": _Method(RejectionConfig, "labels", lambda p, ctx, seed:
-                             rejection_abc(ctx.sim, ctx.prior, ctx.train, p, seed)),
-    "abc_smc": _Method(SmcConfig, "labels", lambda p, ctx, seed:
-                       abc_smc(ctx.sim, ctx.prior, ctx.train, p, seed)),
+    "gfvi": _Method(estimators.GfviConfig, "logits", lambda p, sim, prior, train, seed:
+                    estimators.gfvi_tune(sim, train, prior, p, seed)),
+    "rejection_abc": _Method(RejectionConfig, "labels", lambda p, sim, prior, train, seed:
+                             rejection_abc(sim, prior, train, p, seed)),
+    "abc_smc": _Method(SmcConfig, "labels", lambda p, sim, prior, train, seed:
+                       abc_smc(sim, prior, train, p, seed)),
 }
 METHODS = tuple(_REGISTRY)
 
@@ -302,7 +309,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str,
     files: dict[str, str] = {}
     try:
         os.makedirs(out_dir, exist_ok=True)
-        ensemble = _REGISTRY[config.method].run(config.params, ctx, config.seed)
+        ensemble = _REGISTRY[config.method].run(config.params, ctx.sim, ctx.prior,
+                                                ctx.splits["train"], config.seed)
 
         posterior_path = os.path.join(out_dir, "posterior.ndjson")
         estimators.save_ensemble(ensemble, posterior_path)
@@ -327,26 +335,21 @@ def run_experiment(config: ExperimentConfig, out_dir: str,
         if isinstance(config.task, TaskConfig):
             summary["task"] = task_config_to_dict(config.task)
 
-        if config.evaluation:  # the parser checked that each split it reads exists
-            test_table = _predictive(config, ctx, ensemble, ctx.test.X)
-
+        tables = {name: _predictive(config, ctx, ensemble, split.X)
+                  for name, split in ctx.splits.items() if name != "train"}
         if EVAL_CALIBRATION in config.evaluation or EVAL_SELECTIVE in config.evaluation:
             selective = EVAL_SELECTIVE in config.evaluation
-            block = evaluate_selective(test_table.probs, ctx.test.y,
+            block = evaluate_selective(tables["test"].probs, ctx.splits["test"].y,
                                        out_dir if selective else None, files)
             summary["accuracy"], ece = block.pop("accuracy"), block.pop("ece")
             if EVAL_CALIBRATION in config.evaluation:
                 summary["ece"] = ece
             if selective:
                 summary["selective"] = block
-
-        for name, inputs in ((EVAL_NEAR_OOD, ctx.near_ood),
-                             (EVAL_FAR_OOD, ctx.far_ood)):
-            if name not in config.evaluation:
-                continue
-            ood_table = _predictive(config, ctx, ensemble, inputs)
-            summary[name] = evaluate_ood(test_table.probs, ood_table.probs,
-                                         out_dir, name, files)
+        for name in (EVAL_NEAR_OOD, EVAL_FAR_OOD):
+            if name in tables:
+                summary[name] = evaluate_ood(tables["test"].probs, tables[name].probs,
+                                             out_dir, name, files)
 
         summary["simulator_calls"] = ctx.sim.budget.used
         summary_path = os.path.join(out_dir, "summary.json")

@@ -5,7 +5,7 @@ import os
 import re
 import socket
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,9 +17,11 @@ from promptuq import EnsembleConfig, EsConfig, GfviConfig, RejectionConfig, SmcC
 from promptuq.blackbox import TaskConfig, make_synthetic_task
 from promptuq.cli import main
 from promptuq.errors import ConfigError
-from promptuq.experiment import (METHODS, compare_configs_from_dict, compare_methods,
+from promptuq.experiment import (EVALUATIONS, METHODS, ExperimentConfig, ExternalTaskSpec,
+                                 compare_configs_from_dict, compare_methods,
                                  experiment_config_from_dict, load_labeled_ndjson,
                                  run_experiment)
+from promptuq.prompt_space import PriorSpec
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
@@ -265,22 +267,25 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert not (tmp_path / name).exists()
     assert not marker.exists()
 
-    # dataset labels must lie in [0, classes) of the served task
+    # rows of every split the run reads must have the served task's feature_dim,
+    # and train and test labels must lie in its [0, classes)
     task_path = write_json(tmp_path / "task.json", SMALL_TASK)
     serve = {"argv": [sys.executable, "-m", "promptuq", "serve", "--task", task_path]}
     labeled = tmp_path / "labeled.ndjson"
     labeled.write_text(json.dumps({"x": [0.0] * 8, "y": 0}) + "\n")
-    for split, record in (("test", {"x": [0.0] * 8, "y": 7}), ("train", {"x": [0.0] * 8})):
-        bad = tmp_path / f"bad_{split}.ndjson"
+    for i, (split, record) in enumerate((
+            ("test", {"x": [0.0] * 8, "y": 7}), ("train", {"x": [0.0] * 8}),
+            ("train", {"x": [0.0] * 2, "y": 0}), ("far_ood", {"x": [0.0] * 2}))):
+        bad = tmp_path / f"bad_{i}.ndjson"
         bad.write_text(json.dumps(record) + "\n")
-        config = write_json(tmp_path / f"labels_{split}.json", {
+        datasets = {name: str(labeled) for name in ("train", "test", "near_ood", "far_ood")}
+        config = write_json(tmp_path / f"rows_{i}.json", {
             "task": {"endpoint": serve, "prior": {"dim": 4, "sigma": 50.0},
-                     "datasets": {"train": str(labeled), "test": str(labeled),
-                                  split: str(bad)}},
-            "method": "rejection_abc", "seed": 1, "evaluation": ["calibration"]})
-        assert main(["tune", "--config", config,
-                     "--out", str(tmp_path / f"labels_{split}")]) == 2
-        assert f"task.datasets.{split}" in capsys.readouterr().err
+                     "datasets": {**datasets, split: str(bad)}},
+            "method": "rejection_abc", "seed": 1})
+        assert main(["tune", "--config", config, "--out", str(tmp_path / f"rows_{i}")]) == 2
+        assert f"config error: task.datasets.{split}: " in capsys.readouterr().err
+        assert not (tmp_path / f"rows_{i}").exists()
 
     # selective evaluation needs one label per predictive row
     assert main(["tune", "--config", write_json(tmp_path / "point.json", payload(
@@ -316,7 +321,16 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "eval")]) == 2
     assert "pred: cannot load" in capsys.readouterr().err
     assert not (tmp_path / "eval").exists()
-    capsys.readouterr()
+    # class counts must agree: the OOD table with the ID table, the ID table with the task
+    two_csv = tmp_path / "two.csv"
+    two_csv.write_text("p_0,p_1,predicted\n0.5,0.5,0\n")
+    three_csv = tmp_path / "three.csv"
+    three_csv.write_text("p_0,p_1,p_2,predicted\n" + "0.2,0.3,0.5,2\n" * SMALL_TASK["n_test"])
+    for argv, field in ((["--pred", str(two_csv), "--pred-ood", str(ood_csv)], "pred_ood"),
+                        (["--pred", str(three_csv), "--task", task_path], "pred")):
+        assert main(["eval", *argv, "--out", str(tmp_path / "eval")]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
 
 def test_cli_eval_takes_rows_within_the_table_tolerance(tmp_path, capsys):
@@ -413,7 +427,9 @@ def test_experiment_against_external_endpoint(tmp_path):
             "endpoint": {"argv": [sys.executable, "-m", "promptuq", "serve",
                                   "--task", task_json]},
             "prior": {"dim": SMALL_TASK["subspace_dim"], "sigma": 50.0},
-            "datasets": {"train": str(train_path), "test": str(test_path)},
+            # a split no evaluation reads is never opened
+            "datasets": {"train": str(train_path), "test": str(test_path),
+                         "far_ood": str(tmp_path / "missing.ndjson")},
         },
         "method": "rejection_abc", "seed": 5,
         "params": {"sample_count": 8, "epsilon": 0.6, "max_draws": 5000},
@@ -489,9 +505,10 @@ def test_default_sample_counts_per_method():
                       "rejection_abc": 100, "abc_smc": 100}
 
 
+SPLITS = ["train", "test", "near_ood", "far_ood"]
 EXTERNAL_TASK = {"endpoint": {"argv": ["simulator"]},
                  "prior": {"dim": 4, "sigma": 50.0},
-                 "datasets": {"train": "train.ndjson"}}
+                 "datasets": {name: f"{name}.ndjson" for name in SPLITS}}
 COMPARE = {"task": SMALL_TASK, "seed": 3,
            "methods": [{"method": "point_cmaes"}, {"method": "gfvi", "parms": {}}]}
 
@@ -594,21 +611,52 @@ def test_cli_names_each_bad_task_and_prior_key(tmp_path, capsys, task, field):
     (["train", "test"], ["selective", "near_ood"], "task.datasets.near_ood"),
     (["train", "test", "near_ood"], None, "task.datasets.far_ood"),
     (["test"], [], "task.datasets.train"),
+    # a split name no evaluation could read is refused, whatever the evaluation
+    (["train", "valid"], [], "task.datasets.valid"),
+    (["train", "test", "near_ood", "far_ood", "ood"], None, "task.datasets.ood"),
 ])
 def test_a_split_the_run_needs_is_checked_before_anything_starts(
         tmp_path, capsys, splits, evaluation, field):
     started = tmp_path / "started"
-    config = {"task": {"endpoint": {"argv": [sys.executable, "-c",
-                                             f"open({str(started)!r}, 'w')"]},
-                       "prior": {"dim": 4, "sigma": 50.0},
-                       "datasets": {name: f"{name}.ndjson" for name in splits}},
+    endpoint = {"argv": [sys.executable, "-c", f"open({str(started)!r}, 'w')"]}
+    datasets = {name: f"{name}.ndjson" for name in splits}
+    config = {"task": {"endpoint": endpoint, "prior": {"dim": 4, "sigma": 50.0},
+                       "datasets": datasets},
               "method": "point_cmaes", "seed": 1}
     if evaluation is not None:
         config["evaluation"] = evaluation
     path = write_json(tmp_path / "exp.json", config)
     assert main(["tune", "--config", path, "--out", str(tmp_path / "run")]) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
+    # the same config built in code is refused with the same field
+    task = ExternalTaskSpec(argv=tuple(endpoint["argv"]), host=None, port=None,
+                            prior=PriorSpec(dim=4, sigma=50.0), datasets=datasets)
+    evaluation = {} if evaluation is None else {"evaluation": tuple(evaluation)}
+    with pytest.raises(ConfigError) as excinfo:
+        run_experiment(ExperimentConfig(task=task, method="point_cmaes", seed=1,
+                                        params=EsConfig(), **evaluation),
+                       str(tmp_path / "run"))
+    assert excinfo.value.field == field
     assert not started.exists()
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("edit, field", [
+    ({"predictive_mode": "logits"}, "predictive_mode"),  # rejection_abc sees labels only
+    ({"evaluation": ("calibration", "bogus")}, "evaluation"),
+    ({"params": SmcConfig()}, "params"),
+    # EnsembleConfig subclasses EsConfig, but point_cmaes takes EsConfig itself
+    ({"method": "point_cmaes", "params": EnsembleConfig()}, "params"),
+    ({"method": "sgd"}, "method"),
+    ({"seed": -1}, "seed"),
+    ({"task": dict(SMALL_TASK)}, "task"),
+])
+def test_a_config_built_in_code_is_refused_before_inference(tmp_path, edit, field):
+    config = experiment_config_from_dict(payload("rejection_abc", sample_count=4,
+                                                 epsilon=0.6))
+    with pytest.raises(ConfigError) as excinfo:
+        run_experiment(replace(config, **edit), str(tmp_path / "run"))
+    assert excinfo.value.field == field
     assert not (tmp_path / "run").exists()
 
 
@@ -660,8 +708,8 @@ in_range = st.none() | st.integers(2, 50) | st.floats(0.01, 1.0)
 FIELD_PATHS = ([(key,) for key in TOP_KEYS]
                + [("task", key) for key in list(SMALL_TASK) + list(EXTERNAL_TASK)]
                + [("task", "endpoint", key) for key in ("argv", "host", "port")]
-               + [("task", "prior", "dim"), ("task", "prior", "sigma"),
-                  ("task", "datasets", "train")]
+               + [("task", "prior", "dim"), ("task", "prior", "sigma")]
+               + [("task", "datasets", name) for name in SPLITS + ["valid"]]
                + [("params", key) for key in PARAM_KEYS])
 DELETE = object()
 
@@ -707,9 +755,46 @@ def compare_configs(draw):
     return payload
 
 
+@st.composite
+def accepted_configs(draw):
+    """A config the parser accepts: any method, task kind and evaluation."""
+    return {"task": copy.deepcopy(draw(st.sampled_from([SMALL_TASK, EXTERNAL_TASK]))),
+            "method": draw(st.sampled_from(METHODS)), "seed": 3,
+            "evaluation": draw(st.lists(st.sampled_from(EVALUATIONS), unique=True))}
+
+
+LABELS_METHODS = ("rejection_abc", "abc_smc")
+CROSS_FIELD_RULES = ("evaluation", "predictive_mode", "missing split", "unknown split")
+
+
+def break_one_rule(config, parsed, rule):
+    """JSON ``config`` and a function building ``parsed``, its parsed twin,
+    both with one cross-field rule broken, and the field the error names."""
+    config = copy.deepcopy(config)
+    if rule == "evaluation":
+        config["evaluation"] = [*parsed.evaluation, "bogus"]
+        return config, lambda: replace(parsed, evaluation=(*parsed.evaluation, "bogus")), rule
+    if rule == "predictive_mode" or not isinstance(parsed.task, ExternalTaskSpec):
+        mode = "logits" if parsed.method in LABELS_METHODS else "probs"
+        config["predictive_mode"] = mode
+        return config, lambda: replace(parsed, predictive_mode=mode), "predictive_mode"
+    datasets = dict(parsed.task.datasets)
+    name = "train" if rule == "missing split" else "valid"  # train is always read
+    if rule == "missing split":
+        del datasets[name]
+    else:
+        datasets[name] = "valid.ndjson"
+    config["task"]["datasets"] = datasets
+    return (config, lambda: replace(parsed, task=replace(parsed.task, datasets=datasets)),
+            f"task.datasets.{name}")
+
+
 @settings(max_examples=300, deadline=None)
-@given(edited_configs() | compare_configs() | json_values)
-def test_config_parser_accepts_or_raises_config_error(config):
+@given(edited_configs() | compare_configs() | json_values | accepted_configs(),
+       st.sampled_from(CROSS_FIELD_RULES))
+def test_config_parser_accepts_or_raises_config_error(config, rule):
+    """Whatever the parser accepts also builds in code; with one cross-field
+    rule broken, the JSON config and its in-code twin name the same field."""
     compare = isinstance(config, dict) and "methods" in config
     try:
         parsed = (compare_configs_from_dict(config) if compare
@@ -727,6 +812,14 @@ def test_config_parser_accepts_or_raises_config_error(config):
     for entry, cfg in zip(entries, parsed):
         assert set(entry.get("params", {})) <= set(PARAMS[cfg.method])
         assert cfg.resolved_sample_count() >= 1
+        assert ExperimentConfig(**vars(cfg)) == cfg
+    if compare:
+        return
+    broken, build_in_code, field = break_one_rule(config, parsed[0], rule)
+    for build in (lambda: experiment_config_from_dict(broken), build_in_code):
+        with pytest.raises(ConfigError) as excinfo:
+            build()
+        assert excinfo.value.field == field
 
 
 # Extreme but JSON-valid numbers: float fields get any finite float or an
