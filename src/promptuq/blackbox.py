@@ -35,9 +35,9 @@ from .prompt_space import (PriorSpec, ProjectionSpec, check_sigma, make_projecti
 # input-dominated.
 PROMPT_GAIN = 3.0
 
-# At most this many (z, input) pairs go through one kernel call, which bounds
-# the (k, n, features) block a stacked query builds.
-MAX_KERNEL_PAIRS = 1024
+# At most this many (z, input) pairs go through one kernel call; with 32 hidden
+# units, calls of 960-1536 pairs cost twice as much per pair (allocator churn).
+MAX_KERNEL_PAIRS = 512
 
 
 @dataclass
@@ -321,6 +321,12 @@ class SyntheticTask:
         return SyntheticSimulator(self.classifier, self.projection,
                                   allow_logits=allow_logits,
                                   budget=EvalBudget(limit=budget_limit))
+
+    def split(self, name: str) -> LabeledSet:
+        """The split named train, test, near_ood or far_ood; OOD rows have y = -1."""
+        rows = getattr(self, name)
+        return rows if isinstance(rows, LabeledSet) else LabeledSet(
+            rows, np.full(len(rows), -1, dtype=np.int64))
 
 
 def _flip_labels(labels: np.ndarray, fraction: float, classes: int,

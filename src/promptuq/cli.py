@@ -20,8 +20,8 @@ from .blackbox import TaskConfig, make_synthetic_task, task_config_to_dict
 from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      DegenerateWeightsError, EvaluationError, NumericalBreakdownError,
                      ProtocolError, StagnationError, config_from_dict)
-from .experiment import (compare_configs_from_dict, compare_methods, evaluate_ood,
-                         evaluate_selective, experiment_config_from_dict,
+from .experiment import (SPLITS, compare_configs_from_dict, compare_methods,
+                         evaluate_ood, evaluate_selective, experiment_config_from_dict,
                          run_experiment)
 from .prompt_space import sample_prior
 from .protocol import serve_stdio, serve_tcp
@@ -102,8 +102,7 @@ def cmd_predict(args) -> int:
         raise ConfigError("posterior", f"z has {ensemble.samples.shape[1]} entries, "
                                        f"the task's prior dim is {task.prior.dim}")
     sim = task.simulator(allow_logits=(args.mode == "logits"))
-    inputs = {"train": task.train.X, "test": task.test.X,
-              "near_ood": task.near_ood, "far_ood": task.far_ood}[args.split]
+    inputs = task.split(args.split).X
     if args.seed < 0:
         raise ConfigError("seed", "must be a non-negative integer")
     if args.mode == "logits":
@@ -139,8 +138,7 @@ def cmd_eval(args) -> int:
         if table.classes != cfg.classes:
             raise ConfigError("pred", f"{args.pred} has {table.classes} classes, "
                                       f"the task has {cfg.classes}")
-        task = make_synthetic_task(cfg)
-        labels = task.test.y if args.split == "test" else task.train.y
+        labels = make_synthetic_task(cfg).split(args.split).y
         if len(labels) != len(table.probs):
             raise ConfigError("split", f"{args.split} has {len(labels)} labels but "
                                        f"{args.pred} has {len(table.probs)} rows")
@@ -238,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predictive table from a saved posterior")
     p.add_argument("--task", required=True, help="task config JSON")
     p.add_argument("--posterior", required=True, help="posterior NDJSON")
-    p.add_argument("--split", default="test",
-                   choices=["train", "test", "near_ood", "far_ood"])
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--mode", default="logits", choices=["logits", "labels"])
     p.add_argument("--decode", default="argmax", choices=["argmax", "sample"])
     p.add_argument("--seed", type=int, default=0, help="seed for sample decode")
@@ -250,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="predictive CSV (ID rows)")
     p.add_argument("--pred-ood", help="predictive CSV of OOD rows (OOD evaluation)")
     p.add_argument("--task", help="task config JSON (labels for selective eval)")
-    p.add_argument("--split", default="test", choices=["train", "test"])
+    p.add_argument("--split", default="test", choices=SPLITS[:2])  # the labeled ones
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_eval)
 

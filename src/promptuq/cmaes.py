@@ -8,10 +8,10 @@ uses the top half of the population with log-linear weights.
 The state is single-owner: one coordinator calls ``ask`` and ``tell``.
 A population is a (population_size, d) matrix, one candidate per row.
 ``ask`` returns it, the caller evaluates it into a loss vector, and ``tell``
-takes both back. ``minimize`` runs that loop over a batched objective, one
-that maps the whole population to its loss vector in a single call, so an
-inference method can score a generation with one simulator query. A plain
-vector-to-scalar ``f`` becomes one with ``lambda xs: np.array([f(x) for x in xs])``.
+takes both back. ``minimize`` runs E member states in lock-step over a batched
+objective that maps the member-major (E * population_size, d) stack to its
+losses in one call, so a generation of every member is one simulator query.
+A vector-to-scalar ``f`` becomes one with ``lambda xs: np.array([f(x) for x in xs])``.
 """
 
 from __future__ import annotations
@@ -166,43 +166,47 @@ def tell(state: SearchState, xs: np.ndarray, losses: np.ndarray) -> SearchState:
 
 
 @dataclass
-class MinimizeResult:
-    best_x: np.ndarray
-    best_loss: float
-    history: list[float]   # best-so-far loss per generation, nonincreasing
-    step_sizes: list[float]  # sigma after each generation's update
-    generations: int
+class MinimizeResult:  # E members, G generations
+    best_x: np.ndarray      # (E, d): each member's best candidate
+    best_loss: np.ndarray   # (E,)
+    history: np.ndarray     # (G, E): best-so-far loss per generation, nonincreasing
+    step_sizes: np.ndarray  # (G, E): sigma after each generation's update
 
 
-def minimize(objective, mean0: np.ndarray, sigma0: float, population_size: int,
-             max_generations: int, seed: int) -> MinimizeResult:
-    """Ask/evaluate/tell loop; ``objective`` maps the (population_size, d)
-    population to one loss per row, so each generation is one call."""
+def minimize(objective, states: list[SearchState], max_generations: int) -> MinimizeResult:
+    """Ask/evaluate/tell over members of one population size in lock-step, one
+    ``objective`` call per generation; each member follows the trajectory of a
+    run on its own. A member whose ``ask`` diverges, or the first with a
+    non-finite loss, stops the run at that generation; the error names it."""
     if max_generations < 1:
         raise ValueError("max_generations must be at least 1")
-    state = es_init(mean0, sigma0, population_size, seed)
-    best_x = np.asarray(mean0, dtype=float).copy()
-    best_loss = np.inf
-    history: list[float] = []
-    step_sizes: list[float] = []
+    best_x = np.array([state.mean for state in states])
+    best_loss = np.full(len(states), np.inf)
+    history, step_sizes = [], []
 
     for _ in range(max_generations):
-        xs = ask(state)
+        populations = []
+        for k, state in enumerate(states):
+            try:
+                populations.append(ask(state))
+            except NumericalBreakdownError as exc:
+                raise NumericalBreakdownError(f"member {k}: {exc}") from exc
+        xs = np.concatenate(populations)
         losses = np.asarray(objective(xs), dtype=float)
         if losses.shape != (len(xs),):
-            raise EvaluationError(
-                f"objective returned shape {losses.shape} for {len(xs)} candidates")
+            raise EvaluationError(f"objective returned shape {losses.shape} for {len(xs)} rows")
         bad = np.flatnonzero(~np.isfinite(losses))
         if len(bad):
-            raise EvaluationError(
-                f"objective returned {float(losses[bad[0]])!r} at candidate {xs[bad[0]]}")
-        best = int(np.argmin(losses))  # the first of tied minima, as a row-by-row scan
-        if losses[best] < best_loss:
-            best_loss = float(losses[best])
-            best_x = xs[best].copy()
-        tell(state, xs, losses)
-        history.append(best_loss)
-        step_sizes.append(state.step_size)
+            member = bad[0] // len(populations[0])
+            raise EvaluationError(f"member {member}: objective returned "
+                                  f"{float(losses[bad[0]])!r} at candidate {xs[bad[0]]}")
+        for k, (state, population, member_losses) in enumerate(
+                zip(states, populations, losses.reshape(len(states), -1))):
+            best = int(np.argmin(member_losses))  # the first of tied minima
+            if member_losses[best] < best_loss[k]:
+                best_loss[k], best_x[k] = member_losses[best], population[best]
+            tell(state, population, member_losses)
+        history.append(best_loss.copy())
+        step_sizes.append([state.step_size for state in states])
 
-    return MinimizeResult(best_x, float(best_loss), history, step_sizes,
-                          generations=state.generation)
+    return MinimizeResult(best_x, best_loss, np.array(history), np.array(step_sizes))

@@ -4,19 +4,21 @@ Three producers of posterior sample sets over the subspace vector z:
 
 * ``point_estimate``: minimize the cross-entropy loss with CMA-ES; a
   one-sample "posterior" (the usual tuned-prompt baseline).
-* ``ensemble_tune``: independent CMA-ES runs from randomized initial mean
-  and step size, pooled with uniform weights.
+* ``ensemble_tune``: E independent CMA-ES members from randomized initial
+  mean and step size, run in lock-step and pooled with uniform weights.
 * ``gfvi_tune``: variational inference without gradients. A diagonal
   Gaussian q(z; mu, alpha) is fit by running CMA-ES over the stacked
   parameter vector (mu, log alpha), scoring each candidate by a Monte-Carlo
   estimate of the evidence lower bound.
 
 All entry points take an integer seed and derive named substreams from it,
-so parallel candidate evaluation cannot change results. Each CMA-ES
-generation is scored with one simulator query: the population's rows for the
-point and ensemble fits, every candidate's Monte-Carlo draws for GFVI. A
-stacked query's rows equal single-z queries bit for bit, so batching changes
-no result.
+so parallel candidate evaluation cannot change results. All three are one
+lock-step ``cmaes.minimize`` search (point: 1 member, ensemble: E, GFVI: 1),
+each generation one query of the E * population rows (a 100 KB probability
+block at E = 10, population 20, 32 inputs, 2 classes) or of every GFVI
+candidate's draws. Stacked rows equal single-z rows bit for bit, so each
+member's trajectory and its member-major ``trace.csv`` rows are unchanged.
+A member that diverges or meets a non-finite loss stops the whole fit.
 """
 
 from __future__ import annotations
@@ -148,50 +150,42 @@ def negative_log_likelihood(sim, z: np.ndarray, dataset: LabeledSet):
     return float(losses[0]) if zs.ndim == 1 else losses
 
 
-def _single_cma_fit(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
-                    seed: int) -> cmaes.MinimizeResult:
-    """One CMA-ES run over z with mean and step size randomized from ``seed``;
-    each generation is one query."""
-    init_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    mean0 = sample_prior(prior, 1, init_rng)[0]
-    sigma0 = es.sigma0 if es.sigma0 is not None else prior.sigma
-    sigma0 *= init_rng.uniform(0.5, 1.5)
-    cma_seed = int(init_rng.integers(2 ** 63))
-    return cmaes.minimize(lambda zs: negative_log_likelihood(sim, zs, dataset),
-                          mean0, sigma0, es.population_size, es.max_generations,
-                          seed=cma_seed)
-
-
-def _cma_trace(results: list[cmaes.MinimizeResult]) -> dict[str, list]:
-    """Per-generation columns of consecutive CMA-ES runs."""
-    return {"generation": [g for r in results for g in range(1, r.generations + 1)],
-            "best_loss": [v for r in results for v in r.history],
-            "step_size": [v for r in results for v in r.step_sizes]}
+def _lockstep_fit(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
+                  seeds: list[int]) -> tuple[cmaes.MinimizeResult, dict[str, list]]:
+    """Lock-step CMA-ES over z, one member per seed; the result and its trace."""
+    states = []
+    for seed in seeds:
+        init_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        mean0 = sample_prior(prior, 1, init_rng)[0]
+        sigma0 = (es.sigma0 or prior.sigma) * init_rng.uniform(0.5, 1.5)
+        states.append(cmaes.es_init(mean0, sigma0, es.population_size,
+                                    seed=int(init_rng.integers(2 ** 63))))
+    result = cmaes.minimize(lambda zs: negative_log_likelihood(sim, zs, dataset), states,
+                            es.max_generations)
+    return result, {"generation": list(range(1, es.max_generations + 1)) * len(seeds),
+                    "best_loss": result.history.T.ravel().tolist(),
+                    "step_size": result.step_sizes.T.ravel().tolist()}
 
 
 def point_estimate(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
                    seed: int) -> PosteriorEnsemble:
     """Single tuned prompt: the degenerate one-sample ensemble with weight 1."""
-    result = _single_cma_fit(sim, dataset, prior, es, seed)
-    return PosteriorEnsemble(result.best_x[None, :], np.array([1.0]), POINT_ESTIMATE,
-                             diagnostics={"final_nll": result.best_loss},
-                             trace=_cma_trace([result]))
+    result, trace = _lockstep_fit(sim, dataset, prior, es, [seed])
+    return PosteriorEnsemble(result.best_x, np.array([1.0]), POINT_ESTIMATE,
+                             diagnostics={"final_nll": float(result.best_loss[0])},
+                             trace=trace)
 
 
 def ensemble_tune(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
                   seeds: list[int]) -> PosteriorEnsemble:
     """Independent CMA-ES runs, one per seed, pooled with uniform weights."""
-    if len(seeds) < 1:
-        raise ValueError("need at least one seed")
-    results = [_single_cma_fit(sim, dataset, prior, es, s) for s in seeds]
-    samples = np.array([r.best_x for r in results])
+    result, trace = _lockstep_fit(sim, dataset, prior, es, seeds)
     size = len(seeds)
-    losses = [r.best_loss for r in results]
-    member = [k for k, r in enumerate(results) for _ in range(r.generations)]
-    return PosteriorEnsemble(samples, np.full(size, 1.0 / size), ENSEMBLES,
-                             diagnostics={"best_final_nll": float(min(losses)),
-                                          "mean_final_nll": float(np.mean(losses))},
-                             trace={"member": member, **_cma_trace(results)})
+    member = np.repeat(np.arange(size), es.max_generations).tolist()
+    return PosteriorEnsemble(result.best_x, np.full(size, 1.0 / size), ENSEMBLES,
+                             diagnostics={"best_final_nll": float(result.best_loss.min()),
+                                          "mean_final_nll": float(result.best_loss.mean())},
+                             trace={"member": member, **trace})
 
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:
@@ -292,12 +286,12 @@ def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, config: GfviConfig,
             seed, spawn_key=(1, next(counter)))) for _ in candidates]
         return -elbo_estimate(candidates, sim, dataset, prior, config.mc_samples, streams)
 
-    result = cmaes.minimize(
-        negative_elbos, np.zeros(2 * d), config.search_step, config.population_size,
-        config.max_generations, seed=int(np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(0,))).integers(2 ** 63)))
-    best_params = _decode_search_vector(result.best_x, prior)
-    best_elbos = [-v for v in result.history]
+    state = cmaes.es_init(np.zeros(2 * d), config.search_step, config.population_size,
+                          seed=int(np.random.default_rng(
+                              np.random.SeedSequence(seed, spawn_key=(0,))).integers(2 ** 63)))
+    result = cmaes.minimize(negative_elbos, [state], config.max_generations)
+    best_params = _decode_search_vector(result.best_x[0], prior)
+    best_elbos = [-v for v in result.history[:, 0].tolist()]
 
     count = config.sample_count
     final_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
@@ -305,7 +299,7 @@ def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, config: GfviConfig,
         (count, d))
     return PosteriorEnsemble(
         draws, np.full(count, 1.0 / count), VARIATIONAL_INFERENCE,
-        diagnostics={"best_elbo": -result.best_loss,
+        diagnostics={"best_elbo": -float(result.best_loss[0]),
                      "final_kl": kl_diag_gaussian_to_prior(best_params, prior)},
         trace={"generation": list(range(1, len(best_elbos) + 1)),
                "best_elbo": best_elbos})

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import estimators, predictive, uqeval
 from .abc_smc import RejectionConfig, SmcConfig, abc_smc, rejection_abc
-from .blackbox import (LabeledSet, SyntheticTask, TaskConfig, make_synthetic_task,
-                       task_config_to_dict)
+from .blackbox import LabeledSet, TaskConfig, make_synthetic_task, task_config_to_dict
 from .errors import ConfigError, check_keys, config_from_dict
 from .prompt_space import PriorSpec
 from .protocol import ExternalSimulator
@@ -198,12 +197,9 @@ def _open_context(config: ExperimentConfig) -> RunContext:
     task = config.task
     names = splits_read(config.evaluation)
     if isinstance(task, TaskConfig):
-        built: SyntheticTask = make_synthetic_task(task)
+        built = make_synthetic_task(task)
         sim = built.simulator(allow_logits=_REGISTRY[config.method].regime == "logits")
-        splits = {"train": built.train, "test": built.test}
-        splits.update((name, LabeledSet(X, np.full(len(X), -1, dtype=np.int64))) for name, X
-                      in ((EVAL_NEAR_OOD, built.near_ood), (EVAL_FAR_OOD, built.far_ood)))
-        return RunContext(sim=sim, prior=built.prior, splits={n: splits[n] for n in names})
+        return RunContext(sim, built.prior, {name: built.split(name) for name in names})
     splits = {}
     for name in names:
         path = task.datasets[name]
@@ -216,6 +212,8 @@ def _open_context(config: ExperimentConfig) -> RunContext:
     else:
         sim = ExternalSimulator.connect(task.host, task.port)
     try:
+        if _REGISTRY[config.method].regime == "logits" and "logits" not in sim.modes:
+            raise ConfigError("method", f"{config.method} needs logits; the server hides them")
         if task.prior.dim != sim.subspace_dim:
             raise ConfigError("task.prior.dim", f"is {task.prior.dim}, but the simulator's "
                                                 f"subspace dimension is {sim.subspace_dim}")

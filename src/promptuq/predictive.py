@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackbox import MAX_KERNEL_PAIRS
 from .estimators import PosteriorEnsemble
 from .uqeval import check_probability_table
+
+QUERY_PAIRS = 1024  # (z, input) pairs per query; the kernel splits them further
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,9 @@ class PredictiveTable:
 def _sample_blocks(ensemble: PosteriorEnsemble, inputs: np.ndarray, query):
     """(weight, rows) of every sample in sample order, the rows being that
     sample's answers for the ``n`` inputs; ``query(chunk, inputs)`` answers a
-    chunk of about ``MAX_KERNEL_PAIRS`` pairs with its z-major rows."""
+    chunk of about ``QUERY_PAIRS`` pairs with its z-major rows."""
     n = len(inputs)
-    step = max(1, MAX_KERNEL_PAIRS // max(n, 1))
+    step = max(1, QUERY_PAIRS // max(n, 1))
     for start in range(0, ensemble.size, step):
         chunk = ensemble.samples[start:start + step]
         rows = query(chunk, inputs)

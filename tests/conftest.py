@@ -39,6 +39,48 @@ def served(tmp_path_factory):
     client.close()
 
 
+# A task and method params small enough to run every method many times, in
+# process and against a spawned ``promptuq serve`` (the ``served_task`` fixture).
+TINY_TASK = {"subspace_dim": 4, "prompt_dim": 16, "feature_dim": 4, "classes": 2,
+             "hidden": 8, "n_train": 8, "n_test": 8, "n_ood": 8, "ood_shift": 2.0,
+             "seed": 3}
+TINY_PARAMS = {
+    "abc_smc": {"sample_count": 4, "smc_iterations": 3},
+    "ensembles": {"population_size": 4, "max_generations": 3, "sample_count": 3},
+    "point_cmaes": {"population_size": 4, "max_generations": 3},
+    "gfvi": {"population_size": 4, "max_generations": 2, "mc_samples": 3,
+             "sample_count": 5},
+    "rejection_abc": {"sample_count": 4, "epsilon": 0.6, "max_draws": 5000},
+}
+# At seed 1 ABC-SMC starts at tolerance 1/8 and stops after iteration one;
+# seed 7 starts at 1/2 and runs all three.
+TINY_SEEDS = {"abc_smc": 7}
+
+
+@pytest.fixture(scope="module")
+def served_task(tmp_path_factory):
+    """Task file and NDJSON splits of TINY_TASK for a ``promptuq serve`` child."""
+    directory = tmp_path_factory.mktemp("served")
+    task = make_synthetic_task(TaskConfig(**TINY_TASK))
+    splits = {"train": (task.train.X, task.train.y), "test": (task.test.X, task.test.y),
+              "near_ood": (task.near_ood, None), "far_ood": (task.far_ood, None)}
+    paths = {}
+    for name, (xs, ys) in splits.items():
+        paths[name] = str(directory / f"{name}.ndjson")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            for i, x in enumerate(xs):
+                record = {"x": [float(v) for v in x]}
+                if ys is not None:
+                    record["y"] = int(ys[i])
+                fh.write(json.dumps(record) + "\n")
+    task_path = directory / "task.json"
+    task_path.write_text(json.dumps(TINY_TASK))
+    return {"endpoint": {"argv": [sys.executable, "-m", "promptuq", "serve",
+                                  "--task", str(task_path)]},
+            "prior": {"dim": TINY_TASK["subspace_dim"], "sigma": 50.0},
+            "datasets": paths}
+
+
 def build_uniform_simulator(subspace_dim=4, feature_dim=4, classes=2, seed=1,
                             allow_logits=True):
     """Simulator whose final layer is zeroed: every query returns 1/C."""

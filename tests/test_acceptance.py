@@ -19,7 +19,7 @@ from promptuq.abc_smc import (SmcConfig, abc_smc, distance_error_rate,
                               effective_sample_size, update_kernel_variance,
                               update_weights)
 from promptuq.blackbox import LabeledSet, make_synthetic_task
-from promptuq.cmaes import minimize
+from promptuq.cmaes import es_init, minimize
 from promptuq.errors import AccessDeniedError
 from promptuq.estimators import (EsConfig, GfviConfig, VariationalParams, derive_seeds,
                                  elbo_estimate, ensemble_tune, gfvi_tune,
@@ -54,11 +54,11 @@ def floored_log10(value):
 def test_criterion_1_optimizer_correctness():
     t0 = time.time()
     ours_sphere = minimize(lambda xs: np.array([sphere(x) for x in xs]),
-                           np.full(5, 3.0), 1.0, 20, 300, seed=2).best_loss
+                           [es_init(np.full(5, 3.0), 1.0, 20, seed=2)], 300).best_loss[0]
     sphere_time = time.time() - t0
     t0 = time.time()
     ours_rosen = minimize(lambda xs: np.array([rosenbrock(x) for x in xs]),
-                          np.zeros(5), 0.5, 20, 300, seed=2).best_loss
+                          [es_init(np.zeros(5), 0.5, 20, seed=2)], 300).best_loss[0]
     rosen_time = time.time() - t0
 
     ref_sphere = reference_minimize(sphere, np.full(5, 3.0), 1.0, 20, 300, seed=2)

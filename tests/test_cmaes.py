@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptuq import cmaes
 from promptuq.cmaes import ask, es_init, minimize, tell
@@ -20,6 +22,11 @@ def rosenbrock(x):
 def rowwise(f):
     """The batched objective ``minimize`` takes, from a vector-to-scalar ``f``."""
     return lambda xs: np.array([f(x) for x in xs])
+
+
+def one(mean0, sigma0, population_size, seed):
+    """The member list of a one-member run."""
+    return [es_init(mean0, sigma0, population_size, seed)]
 
 
 def test_init_rejects_bad_arguments():
@@ -161,21 +168,21 @@ def test_tell_ranks_like_a_stable_sort_on_loss_then_entries():
 
 
 def test_minimize_constant_objective():
-    result = minimize(rowwise(lambda x: 3.25), np.zeros(3), 1.0, 8, 5, seed=8)
+    result = minimize(rowwise(lambda x: 3.25), one(np.zeros(3), 1.0, 8, seed=8), 5)
     assert result.best_loss == 3.25
-    assert result.generations == 5
+    assert len(result.history) == 5
 
 
 def test_minimize_keeps_the_first_of_tied_best_candidates():
-    result = minimize(rowwise(lambda x: 3.25), np.zeros(3), 1.0, 8, 5, seed=8)
-    assert np.array_equal(result.best_x, ask(es_init(np.zeros(3), 1.0, 8, seed=8))[0])
+    result = minimize(rowwise(lambda x: 3.25), one(np.zeros(3), 1.0, 8, seed=8), 5)
+    assert np.array_equal(result.best_x[0], ask(es_init(np.zeros(3), 1.0, 8, seed=8))[0])
 
 
 def test_minimize_history_monotone_nonincreasing():
-    result = minimize(rowwise(sphere), np.full(4, 2.0), 1.0, 10, 40, seed=9)
-    history = np.array(result.history)
-    assert (np.diff(history) <= 0).all()
-    assert len(history) == result.generations
+    result = minimize(rowwise(sphere), one(np.full(4, 2.0), 1.0, 10, seed=9), 40)
+    history = result.history
+    assert (np.diff(history, axis=0) <= 0).all()
+    assert history.shape == (40, 1)
 
 
 def test_minimize_counts_objective_calls_exactly():
@@ -185,8 +192,8 @@ def test_minimize_counts_objective_calls_exactly():
         calls.append(1)
         return sphere(x)
 
-    result = minimize(rowwise(counted), np.full(3, 1.0), 0.5, 6, 25, seed=10)
-    assert len(calls) == 6 * result.generations == 6 * 25
+    result = minimize(rowwise(counted), one(np.full(3, 1.0), 0.5, 6, seed=10), 25)
+    assert len(calls) == 6 * len(result.history) == 6 * 25
 
 
 def test_minimize_propagates_nonfinite_objective():
@@ -194,13 +201,13 @@ def test_minimize_propagates_nonfinite_objective():
         return float("inf")
 
     with pytest.raises(EvaluationError):
-        minimize(rowwise(bad), np.zeros(2), 1.0, 4, 3, seed=11)
+        minimize(rowwise(bad), one(np.zeros(2), 1.0, 4, seed=11), 3)
     # the first non-finite loss is named, and a loss vector must match the rows
     with pytest.raises(EvaluationError, match="nan at candidate"):
-        minimize(lambda xs: np.array([1.0, np.nan, np.inf, 2.0]), np.zeros(2), 1.0, 4, 3,
-                 seed=11)
+        minimize(lambda xs: np.array([1.0, np.nan, np.inf, 2.0]),
+                 one(np.zeros(2), 1.0, 4, seed=11), 3)
     with pytest.raises(EvaluationError, match="shape"):
-        minimize(lambda xs: np.zeros(len(xs) + 1), np.zeros(2), 1.0, 4, 3, seed=11)
+        minimize(lambda xs: np.zeros(len(xs) + 1), one(np.zeros(2), 1.0, 4, seed=11), 3)
 
 
 def test_ask_refuses_a_population_past_the_float_range():
@@ -210,25 +217,25 @@ def test_ask_refuses_a_population_past_the_float_range():
 
 
 def test_minimize_sphere_converges():
-    result = minimize(rowwise(sphere), np.full(5, 3.0), 1.0, 20, 300, seed=12)
+    result = minimize(rowwise(sphere), one(np.full(5, 3.0), 1.0, 20, seed=12), 300)
     assert result.best_loss < 1e-8
 
 
 def test_minimize_rosenbrock_converges():
-    result = minimize(rowwise(rosenbrock), np.zeros(5), 0.5, 20, 300, seed=12)
+    result = minimize(rowwise(rosenbrock), one(np.zeros(5), 0.5, 20, seed=12), 300)
     assert result.best_loss < 1e-6
 
 
 def test_trajectories_deterministic_for_identical_seeds():
-    r1 = minimize(rowwise(sphere), np.full(3, 2.0), 1.0, 8, 30, seed=14)
-    r2 = minimize(rowwise(sphere), np.full(3, 2.0), 1.0, 8, 30, seed=14)
-    assert r1.history == r2.history
+    r1 = minimize(rowwise(sphere), one(np.full(3, 2.0), 1.0, 8, seed=14), 30)
+    r2 = minimize(rowwise(sphere), one(np.full(3, 2.0), 1.0, 8, seed=14), 30)
+    assert np.array_equal(r1.history, r2.history)
     assert np.array_equal(r1.best_x, r2.best_x)
 
 
 def test_minimize_calls_ask_and_tell_once_per_generation(monkeypatch):
     # ask and tell are looked up on the module, so wrappers installed there
-    # (as span tracers do) see every generation
+    # (as span tracers do) see every member of every generation
     calls = {"ask": 0, "tell": 0}
 
     def counted(name):
@@ -241,6 +248,69 @@ def test_minimize_calls_ask_and_tell_once_per_generation(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(cmaes, name, counted(name))
-    result = minimize(rowwise(sphere), np.full(3, 1.0), 0.5, 6, 7, seed=16)
-    assert result.generations == 7
-    assert calls == {"ask": 7, "tell": 7}
+    rows = []
+
+    def objective(xs):
+        rows.append(len(xs))
+        return rowwise(sphere)(xs)
+
+    states = [es_init(np.full(3, 1.0), 0.5, 6, seed=16 + k) for k in range(3)]
+    result = minimize(objective, states, 7)
+    assert result.history.shape == result.step_sizes.shape == (7, 3)
+    assert rows == [3 * 6] * 7  # one objective call of E * lambda rows per generation
+    assert calls == {"ask": 3 * 7, "tell": 3 * 7}
+
+
+@st.composite
+def lockstep_runs(draw):
+    """E member states of one small lambda and d, each from its own seeds."""
+    members, dim, lam = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    seeds = st.integers(0, 2 ** 32)
+    states = [es_init(np.random.default_rng(draw(seeds)).normal(size=dim),
+                      draw(st.floats(0.1, 3.0)), lam, draw(seeds))
+              for _ in range(members)]
+    return states, draw(st.integers(1, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lockstep_runs())
+def test_a_lockstep_member_equals_its_run_alone_bit_for_bit(run):
+    states, generations = run
+    solo_states = copy.deepcopy(states)
+    alone = [minimize(rowwise(rosenbrock), [state], generations) for state in solo_states]
+    together = minimize(rowwise(rosenbrock), states, generations)
+    for k, (state, solo_state, solo) in enumerate(zip(states, solo_states, alone)):
+        assert np.array_equal(together.best_x[k], solo.best_x[0])
+        assert together.best_loss[k] == solo.best_loss[0] == rosenbrock(solo.best_x[0])
+        assert np.array_equal(together.history[:, k], solo.history[:, 0])
+        assert np.array_equal(together.step_sizes[:, k], solo.step_sizes[:, 0])
+        assert np.array_equal(state.mean, solo_state.mean)
+        assert np.array_equal(state.cov, solo_state.cov)
+        assert state.step_size == solo_state.step_size
+
+
+def test_the_first_nonfinite_loss_names_the_lowest_member_of_its_generation():
+    generations = []
+
+    def objective(xs):
+        generations.append(len(generations) + 1)
+        losses = rowwise(sphere)(xs)
+        if len(generations) == 2:  # members 1 and 2 (rows 4..7, 8..11) go bad
+            losses[[4 + 3, 4 + 1, 8 + 0]] = [np.inf, np.nan, np.nan]
+        return losses
+
+    states = [es_init(np.zeros(2), 1.0, 4, seed=k) for k in range(3)]
+    with pytest.raises(EvaluationError,
+                       match=r"^member 1: objective returned nan at candidate"):
+        minimize(objective, states, 5)
+    assert generations == [1, 2]
+    assert [state.generation for state in states] == [1, 1, 1]  # none told the bad losses
+
+
+def test_a_member_whose_ask_diverges_stops_the_run_before_any_query():
+    states = [es_init(np.zeros(3), 1.0, 4, seed=0),
+              es_init(np.full(3, 1e308), 1e308, 4, seed=0)]
+    calls = []
+    with pytest.raises(NumericalBreakdownError, match="^member 1: .*not finite"):
+        minimize(lambda xs: calls.append(xs) or rowwise(sphere)(xs), states, 3)
+    assert calls == []

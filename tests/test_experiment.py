@@ -13,10 +13,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import promptuq
+from conftest import TINY_PARAMS, TINY_SEEDS, TINY_TASK
 from promptuq import EnsembleConfig, EsConfig, GfviConfig, RejectionConfig, SmcConfig
 from promptuq.blackbox import TaskConfig, make_synthetic_task
 from promptuq.cli import main
-from promptuq.errors import ConfigError
+from promptuq.errors import ConfigError, NumericalBreakdownError, StagnationError
 from promptuq.experiment import (EVALUATIONS, METHODS, ExperimentConfig, ExternalTaskSpec,
                                  compare_configs_from_dict, compare_methods,
                                  experiment_config_from_dict, load_labeled_ndjson,
@@ -477,23 +478,29 @@ def test_tune_against_server_with_edge_probability_rows(tmp_path, row, code):
     assert main(["tune", "--config", config, "--out", str(tmp_path / "out")]) == code
 
 
-def test_prior_dimension_that_differs_from_the_server_fails_at_connect(tmp_path, capsys):
-    # the handshake's subspace dimension is checked before anything is charged,
+@pytest.mark.parametrize("serve_flags, extra_dim, method, field", [
+    ([], 1, "rejection_abc", "task.prior.dim"),
+    (["--labels-only"], 0, "point_cmaes", "method"),  # a logits method, a labels server
+], ids=["prior_dim", "labels_only"])
+def test_prior_dimension_that_differs_from_the_server_fails_at_connect(
+        tmp_path, capsys, serve_flags, extra_dim, method, field):
+    # the handshake is checked before anything is charged or out_dir is made,
     # and the spawned server is closed and reaped
     pid_file = tmp_path / "pid"
     task_path = write_json(tmp_path / "task.json", SMALL_TASK)
     server = (f"import os, sys; open({str(pid_file)!r}, 'w').write(str(os.getpid())); "
               "from promptuq.cli import main; "
-              f"sys.exit(main(['serve', '--task', {task_path!r}]))")
+              f"sys.exit(main(['serve', '--task', {task_path!r}, *{serve_flags!r}]))")
     split = tmp_path / "split.ndjson"
     split.write_text(json.dumps({"x": [0.0] * 8, "y": 0}) + "\n")
     config = write_json(tmp_path / "dim.json", {
         "task": {"endpoint": {"argv": [sys.executable, "-c", server]},
-                 "prior": {"dim": SMALL_TASK["subspace_dim"] + 1, "sigma": 50.0},
+                 "prior": {"dim": SMALL_TASK["subspace_dim"] + extra_dim, "sigma": 50.0},
                  "datasets": {"train": str(split)}},
-        "method": "rejection_abc", "seed": 1, "evaluation": []})
+        "method": method, "seed": 1, "evaluation": []})
     assert main(["tune", "--config", config, "--out", str(tmp_path / "out")]) == 2
-    assert "config error: task.prior.dim" in capsys.readouterr().err
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     with pytest.raises(ProcessLookupError):  # closed and waited for, not a zombie
         os.kill(int(pid_file.read_text()), 0)
 
@@ -902,3 +909,43 @@ def test_a_posterior_that_overflows_the_model_exits_3(tmp_path, capsys, mode):
     assert main(["predict", "--task", task, "--split", "test", "--posterior",
                  str(posterior), "--mode", mode, "--out", str(tmp_path / "p.csv")]) == 3
     assert "overflowed" in capsys.readouterr().err
+
+
+# id: (method, seed, params, predictive_mode, the error both runs raise)
+SERVED_CASES = {
+    **{method: (method, TINY_SEEDS.get(method, 1), params, None, None)
+       for method, params in TINY_PARAMS.items()},
+    **{f"{method}-labels": (method, 1, TINY_PARAMS[method], "labels", None)
+       for method in ("point_cmaes", "ensembles", "gfvi")},
+    # the divergence of test_a_search_that_diverges_past_the_float_range_exits_3
+    "ensembles-diverges": ("ensembles", 0, {"sigma0": 8.9e307, "population_size": 2,
+                                            "max_generations": 2, "sample_count": 3},
+                           None, NumericalBreakdownError),
+    "abc_smc-stagnates": ("abc_smc", 7, {**TINY_PARAMS["abc_smc"], "max_attempts": 3},
+                          None, StagnationError),
+}
+
+
+@pytest.mark.parametrize("method, seed, params, mode, error", SERVED_CASES.values(),
+                         ids=SERVED_CASES)
+def test_served_runs_equal_in_process_runs_end_to_end(served_task, tmp_path, method, seed,
+                                                      params, mode, error):
+    # every artifact byte for byte, or the same error and the same files left
+    # behind; only a built-in task's summary records its task block
+    outcomes = []
+    for task in (TINY_TASK, served_task):
+        out = tmp_path / str(len(outcomes))
+        payload = {"task": task, "method": method, "seed": seed, "params": params}
+        if mode:
+            payload["predictive_mode"] = mode
+        try:
+            run_experiment(experiment_config_from_dict(payload), str(out), trace=True)
+        except RuntimeError as exc:
+            outcomes.append((type(exc), str(exc), sorted(os.listdir(out))))
+            continue
+        artifacts = read_artifacts(out)
+        summary = json.loads(artifacts.pop("summary.json"))
+        summary.pop("task", None)
+        outcomes.append((None, summary, artifacts))
+    assert outcomes[0][0] is error
+    assert outcomes[0] == outcomes[1]

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from promptuq.blackbox import MAX_KERNEL_PAIRS
 from promptuq.errors import AccessDeniedError
 
 from promptuq.estimators import PosteriorEnsemble
-from promptuq.predictive import (PredictiveTable, load_predictive_csv,
+from promptuq.predictive import (QUERY_PAIRS, PredictiveTable, load_predictive_csv,
                                  predictive_from_labels, predictive_from_logits,
                                  save_predictive_csv)
 
@@ -80,10 +79,10 @@ def test_logits_path_chunks_accumulate_in_sample_order(criterion_task):
 
 
 @pytest.mark.parametrize("decode", ["argmax", "sample"])
-@pytest.mark.parametrize("n", [1, 256, MAX_KERNEL_PAIRS + 6])
+@pytest.mark.parametrize("n", [1, 256, QUERY_PAIRS + 6])
 def test_labels_path_chunks_equal_a_per_sample_reference(criterion_task, n, decode):
     # enough samples to cross a chunk edge: 1024 a chunk at n = 1, 4 at 256, 1 at 1030
-    size = MAX_KERNEL_PAIRS // n + 3
+    size = QUERY_PAIRS // n + 3
     rng = np.random.default_rng(n)
     ensemble = PosteriorEnsemble(rng.normal(size=(size, 8)) * 50,
                                  rng.dirichlet(np.ones(size)), "abc_smc")
