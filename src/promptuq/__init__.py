@@ -11,7 +11,7 @@ from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      DegenerateWeightsError, EvaluationError,
                      NumericalBreakdownError, ProtocolError, StagnationError)
 from .estimators import (EnsembleConfig, EsConfig, GfviConfig, PosteriorEnsemble,
-                         VariationalParams, elbo_estimate, ensemble_tune, gfvi_tune,
+                         elbo_estimate, ensemble_tune, gfvi_tune,
                          kl_diag_gaussian_to_prior, load_ensemble,
                          negative_log_likelihood, point_estimate, save_ensemble)
 from .experiment import (ExperimentConfig, compare_methods,

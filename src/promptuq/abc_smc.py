@@ -179,7 +179,8 @@ def update_kernel_variance(particles: np.ndarray, weights: np.ndarray,
     particles = np.atleast_2d(particles)
     weights = np.asarray(weights, dtype=float)
     mean = weights @ particles
-    variance = weights @ (particles - mean) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = weights @ (particles - mean) ** 2
     if not np.isfinite(variance).all():
         raise NumericalBreakdownError("the perturbation kernel variance overflowed")
     return np.maximum(variance, variance_floor)

@@ -215,10 +215,11 @@ class SyntheticSimulator:
         self.budget.charge(len(zs) * n)
         logits = np.empty((len(zs) * n, self.classes))
         step = max(1, MAX_KERNEL_PAIRS // max(n, 1))
-        for start in range(0, len(zs), step):
-            chunk = zs[start:start + step]
-            logits[start * n:(start + len(chunk)) * n] = self.classifier.logits(
-                project(self.projection, chunk), inputs).reshape(-1, self.classes)
+        with np.errstate(over="ignore", invalid="ignore"):  # the isfinite check below
+            for start in range(0, len(zs), step):
+                chunk = zs[start:start + step]
+                logits[start * n:(start + len(chunk)) * n] = self.classifier.logits(
+                    project(self.projection, chunk), inputs).reshape(-1, self.classes)
         if not np.isfinite(logits).all():
             raise NumericalBreakdownError("the model overflowed: a query row is not finite")
         return logits

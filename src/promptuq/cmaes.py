@@ -101,7 +101,8 @@ def ask(state: SearchState) -> np.ndarray:
     state.eigen = vals, vecs = _decompose(state.cov)
     sqrt_cov = vecs * np.sqrt(vals)
     noise = state.rng.standard_normal((state.population_size, state.dim))
-    xs = state.mean + state.step_size * (noise @ sqrt_cov.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = state.mean + state.step_size * (noise @ sqrt_cov.T)
     if not np.isfinite(xs).all():
         raise NumericalBreakdownError("the search distribution overflowed: "
                                       "the population is not finite")
@@ -180,6 +181,12 @@ def minimize(objective, states: list[SearchState], max_generations: int) -> Mini
     non-finite loss, stops the run at that generation; the error names it."""
     if max_generations < 1:
         raise ValueError("max_generations must be at least 1")
+    if not states:
+        raise ValueError("need at least one member state")
+    for k, state in enumerate(states):
+        if state.population_size != states[0].population_size:
+            raise ValueError(f"member {k}: population_size {state.population_size} "
+                             f"differs from member 0's {states[0].population_size}")
     best_x = np.array([state.mean for state in states])
     best_loss = np.full(len(states), np.inf)
     history, step_sizes = [], []

@@ -7,9 +7,10 @@ Three producers of posterior sample sets over the subspace vector z:
 * ``ensemble_tune``: E independent CMA-ES members from randomized initial
   mean and step size, run in lock-step and pooled with uniform weights.
 * ``gfvi_tune``: variational inference without gradients. A diagonal
-  Gaussian q(z; mu, alpha) is fit by running CMA-ES over the stacked
-  parameter vector (mu, log alpha), scoring each candidate by a Monte-Carlo
-  estimate of the evidence lower bound.
+  Gaussian q(z) = N(mu, diag(exp(log_alpha))) is fit by running CMA-ES over
+  the stacked vector (mu, log_alpha), scoring each candidate by a
+  Monte-Carlo estimate of the evidence lower bound. A generation is scored
+  as arrays: its (K, d) ``mu`` and ``log_alpha`` rows give K ELBOs.
 
 All entry points take an integer seed and derive named substreams from it,
 so parallel candidate evaluation cannot change results. All three are one
@@ -132,22 +133,21 @@ def load_ensemble(path) -> PosteriorEnsemble:
     return PosteriorEnsemble(np.asarray(samples), np.asarray(weights), "loaded")
 
 
-def negative_log_likelihood(sim, z: np.ndarray, dataset: LabeledSet):
-    """Cross-entropy of the dataset under the simulator at z: a float for one
-    z, one value per row for a (K, d) stack, all from one query.
+def negative_log_likelihood(sim, z: np.ndarray, dataset: LabeledSet) -> np.ndarray:
+    """Cross-entropy of the dataset under the simulator at each row of a (K, d)
+    stack (a (d,) z is K = 1), shape (K,), all from one query.
 
     Probabilities are floored at 1e-12 before the log so a confidently wrong
     simulator yields a large finite loss instead of -inf.
     """
-    zs = np.asarray(z, dtype=float)
-    if len(dataset) == 0:
-        return 0.0 if zs.ndim == 1 else np.zeros(len(zs))
+    zs = np.atleast_2d(np.asarray(z, dtype=float))
     n = len(dataset)
+    if n == 0:
+        return np.zeros(len(zs))
     probs = sim.query_logits(zs, dataset.X).reshape(-1, n, sim.classes)
     # a contiguous copy keeps each row's sum in the order of a single-z query
     picked = np.ascontiguousarray(probs[:, np.arange(n), dataset.y])
-    losses = -np.log(np.maximum(picked, PROB_FLOOR)).sum(axis=1)
-    return float(losses[0]) if zs.ndim == 1 else losses
+    return -np.log(np.maximum(picked, PROB_FLOOR)).sum(axis=1)
 
 
 def _lockstep_fit(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
@@ -194,77 +194,56 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(2 ** 63, size=count)]
 
 
-@dataclass(frozen=True)
-class VariationalParams:
-    """Diagonal Gaussian q(z) = N(mu, diag(alpha)), parameterized by log variances."""
-
-    mu: np.ndarray
-    log_alpha: np.ndarray
-
-    def __post_init__(self):
-        if self.mu.shape != self.log_alpha.shape or self.mu.ndim != 1:
-            raise ValueError("mu and log_alpha must be 1-D with equal length")
-        if not (np.isfinite(self.mu).all() and np.isfinite(np.exp(self.log_alpha)).all()):
-            raise ValueError("the mean or the variances overflow")
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return np.exp(self.log_alpha)
-
-    @property
-    def dim(self) -> int:
-        return len(self.mu)
-
-
-def kl_diag_gaussian_to_prior(params: VariationalParams, prior: PriorSpec) -> float:
-    """Closed-form KL( N(mu, diag(alpha)) || N(0, sigma^2 I) )."""
-    if params.dim != prior.dim:
-        raise ValueError(f"params dim {params.dim} != prior dim {prior.dim}")
+def kl_diag_gaussian_to_prior(mu: np.ndarray, log_alpha: np.ndarray,
+                              prior: PriorSpec) -> np.ndarray:
+    """Closed-form KL( N(mu_k, diag(exp(log_alpha_k))) || N(0, sigma^2 I) ) of
+    each row k of the (K, d) arrays, shape (K,)."""
+    if mu.shape[1] != prior.dim:
+        raise ValueError(f"params dim {mu.shape[1]} != prior dim {prior.dim}")
     var = prior.sigma ** 2
-    alpha = params.alpha
-    terms = alpha / var + params.mu ** 2 / var - 1.0 + np.log(var / alpha)
-    return float(0.5 * terms.sum())
+    alpha = np.exp(log_alpha)
+    terms = alpha / var + mu ** 2 / var - 1.0 + np.log(var / alpha)
+    return 0.5 * terms.sum(axis=1)
 
 
-def elbo_estimate(params, sim, dataset: LabeledSet, prior: PriorSpec,
-                  mc_samples: int, rng):
-    """Monte-Carlo evidence lower bound.
+def elbo_estimate(mu: np.ndarray, log_alpha: np.ndarray, sim, dataset: LabeledSet,
+                  prior: PriorSpec, mc_samples: int, streams) -> np.ndarray:
+    """Monte-Carlo evidence lower bound of each row of the (K, d) arrays, (K,).
 
-    Averages the dataset log likelihood over ``mc_samples`` draws from q and
-    subtracts the exact KL to the prior. One ``VariationalParams`` with one
-    generator gives a float; a list of them with one generator each gives
-    one value per candidate, all draws in a single query. Each candidate's
-    draws come from its own generator and its likelihood terms are summed
-    in draw order, so a candidate's value does not depend on the batch.
+    Averages the dataset log likelihood over ``mc_samples`` draws from q_k and
+    subtracts the exact KL to the prior. Row k draws from ``streams[k]`` and
+    its likelihood terms are summed in draw order, so its value does not
+    depend on the batch; all draws go out as one query.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be positive")
-    single = isinstance(params, VariationalParams)
-    candidates, streams = ([params], [rng]) if single else (params, rng)
-    draws = [q.mu + np.sqrt(q.alpha) * stream.standard_normal((mc_samples, q.dim))
-             for q, stream in zip(candidates, streams, strict=True)]
-    nll = negative_log_likelihood(sim, np.concatenate(draws), dataset)
-    values = np.empty(len(candidates))
-    for k, (q, terms) in enumerate(zip(candidates, np.reshape(nll, (-1, mc_samples)))):
-        total = 0.0
-        for term in terms:
-            total += -term
-        values[k] = total / mc_samples - kl_diag_gaussian_to_prior(q, prior)
-    return float(values[0]) if single else values
+    if len(streams) != len(mu):
+        raise ValueError(f"need one stream per row, got {len(streams)} for {len(mu)}")
+    noise = np.array([stream.standard_normal((mc_samples, prior.dim)) for stream in streams])
+    draws = mu[:, None] + np.sqrt(np.exp(log_alpha))[:, None] * noise
+    nll = negative_log_likelihood(sim, draws.reshape(-1, prior.dim), dataset)
+    log_likelihood = -np.cumsum(nll.reshape(len(mu), mc_samples), axis=1)[:, -1]
+    return log_likelihood / mc_samples - kl_diag_gaussian_to_prior(mu, log_alpha, prior)
 
 
-def _decode_search_vector(u: np.ndarray, prior: PriorSpec) -> VariationalParams:
-    """Search coordinates are prior-normalized: u = 0 decodes to q = prior.
+def _decode_search_matrix(us: np.ndarray, prior: PriorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, log_alpha) of each row of a (K, 2d) search matrix; EvaluationError,
+    naming the first such row, if a mean or a variance is not finite.
 
-    The first block scales to the mean in units of the prior sigma; the
-    second block offsets log alpha from the prior's log variance, so every
-    candidate decodes to strictly positive variances.
+    Search coordinates are prior-normalized: u = 0 decodes to q = prior. The
+    first block scales to the mean in units of the prior sigma; the second
+    offsets log alpha from the prior's log variance, so every candidate
+    decodes to strictly positive variances.
     """
     d = prior.dim
-    try:
-        return VariationalParams(prior.sigma * u[:d], 2.0 * np.log(prior.sigma) + u[d:])
-    except ValueError as exc:  # the mean or the variances overflow
-        raise EvaluationError(f"a search vector decodes to no distribution: {exc}") from exc
+    with np.errstate(over="ignore"):
+        mu = prior.sigma * us[:, :d]
+        log_alpha = 2.0 * np.log(prior.sigma) + us[:, d:]
+        finite = np.isfinite(mu).all(axis=1) & np.isfinite(np.exp(log_alpha)).all(axis=1)
+    if not finite.all():
+        raise EvaluationError(f"a search vector decodes to no distribution: candidate "
+                              f"{int(np.argmin(finite))}: the mean or the variances overflow")
+    return mu, log_alpha
 
 
 def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, config: GfviConfig,
@@ -281,25 +260,24 @@ def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, config: GfviConfig,
     counter = itertools.count()
 
     def negative_elbos(us: np.ndarray) -> np.ndarray:
-        candidates = [_decode_search_vector(u, prior) for u in us]
+        mu, log_alpha = _decode_search_matrix(us, prior)
         streams = [np.random.default_rng(np.random.SeedSequence(
-            seed, spawn_key=(1, next(counter)))) for _ in candidates]
-        return -elbo_estimate(candidates, sim, dataset, prior, config.mc_samples, streams)
+            seed, spawn_key=(1, next(counter)))) for _ in us]
+        return -elbo_estimate(mu, log_alpha, sim, dataset, prior, config.mc_samples, streams)
 
     state = cmaes.es_init(np.zeros(2 * d), config.search_step, config.population_size,
                           seed=int(np.random.default_rng(
                               np.random.SeedSequence(seed, spawn_key=(0,))).integers(2 ** 63)))
     result = cmaes.minimize(negative_elbos, [state], config.max_generations)
-    best_params = _decode_search_vector(result.best_x[0], prior)
+    mu, log_alpha = _decode_search_matrix(result.best_x, prior)
     best_elbos = [-v for v in result.history[:, 0].tolist()]
 
     count = config.sample_count
     final_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
-    draws = best_params.mu + np.sqrt(best_params.alpha) * final_rng.standard_normal(
-        (count, d))
+    draws = mu[0] + np.sqrt(np.exp(log_alpha[0])) * final_rng.standard_normal((count, d))
     return PosteriorEnsemble(
         draws, np.full(count, 1.0 / count), VARIATIONAL_INFERENCE,
         diagnostics={"best_elbo": -float(result.best_loss[0]),
-                     "final_kl": kl_diag_gaussian_to_prior(best_params, prior)},
+                     "final_kl": float(kl_diag_gaussian_to_prior(mu, log_alpha, prior)[0])},
         trace={"generation": list(range(1, len(best_elbos) + 1)),
                "best_elbo": best_elbos})

@@ -190,9 +190,11 @@ class ExternalSimulator:
         request["id"] = request_id
         self._transport.writeline(_encode(request))
         response = self._read_payload()
-        if "error" in response:
-            error = ERROR_KINDS.get(response.get("kind"), ProtocolError)
-            raise error(f"server error: {response['error']}")
+        if "error" in response:  # a simulator's own failure keeps its message
+            kind = response.get("kind")
+            if isinstance(kind, str) and kind in ERROR_KINDS:
+                raise ERROR_KINDS[kind](response["error"])
+            raise ProtocolError(f"server error: {response['error']}")
         if response.get("id") != request_id:
             raise ProtocolError(
                 f"response id {response.get('id')} does not match request {request_id}")

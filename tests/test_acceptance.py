@@ -21,8 +21,7 @@ from promptuq.abc_smc import (SmcConfig, abc_smc, distance_error_rate,
 from promptuq.blackbox import LabeledSet, make_synthetic_task
 from promptuq.cmaes import es_init, minimize
 from promptuq.errors import AccessDeniedError
-from promptuq.estimators import (EsConfig, GfviConfig, VariationalParams, derive_seeds,
-                                 elbo_estimate, ensemble_tune, gfvi_tune,
+from promptuq.estimators import (EsConfig, GfviConfig, derive_seeds, elbo_estimate, ensemble_tune, gfvi_tune,
                                  kl_diag_gaussian_to_prior, point_estimate)
 from promptuq.experiment import experiment_config_from_dict, run_experiment
 from promptuq.predictive import predictive_from_labels, predictive_from_logits
@@ -80,20 +79,17 @@ def test_criterion_2_elbo_machinery():
                          np.zeros(4, dtype=np.int64))
     prior = PriorSpec(4, 50.0)
 
-    at_prior = VariationalParams(np.zeros(4), np.full(4, 2 * np.log(prior.sigma)))
-    elbo = elbo_estimate(at_prior, sim, dataset, prior, mc_samples=10,
-                         rng=np.random.default_rng(1))
+    at_prior = (np.zeros((1, 4)), np.full((1, 4), 2 * np.log(prior.sigma)))
+    elbo = elbo_estimate(*at_prior, sim, dataset, prior, mc_samples=10,
+                         streams=[np.random.default_rng(1)])[0]
     elbo_ok = abs(elbo - (-4 * np.log(2))) < 1e-9
 
     p1 = PriorSpec(1, 3.0)
     s2 = p1.sigma ** 2
     kl_values = (
-        kl_diag_gaussian_to_prior(
-            VariationalParams(np.zeros(1), np.array([np.log(s2)])), p1),
-        kl_diag_gaussian_to_prior(
-            VariationalParams(np.array([p1.sigma]), np.array([np.log(s2)])), p1),
-        kl_diag_gaussian_to_prior(
-            VariationalParams(np.zeros(1), np.array([np.log(s2 * np.e)])), p1),
+        kl_diag_gaussian_to_prior(np.zeros((1, 1)), np.array([[np.log(s2)]]), p1)[0],
+        kl_diag_gaussian_to_prior(np.array([[p1.sigma]]), np.array([[np.log(s2)]]), p1)[0],
+        kl_diag_gaussian_to_prior(np.zeros((1, 1)), np.array([[np.log(s2 * np.e)]]), p1)[0],
     )
     targets = (0.0, 0.5, (np.e - 2) / 2)
     kl_ok = all(abs(a - b) < 1e-12 for a, b in zip(kl_values, targets))

@@ -314,3 +314,18 @@ def test_a_member_whose_ask_diverges_stops_the_run_before_any_query():
     with pytest.raises(NumericalBreakdownError, match="^member 1: .*not finite"):
         minimize(lambda xs: calls.append(xs) or rowwise(sphere)(xs), states, 3)
     assert calls == []
+
+
+@pytest.mark.parametrize("sizes, match", [
+    ([], "^need at least one member state"),
+    ([2, 3], "^member 1: population_size 3 differs from member 0's 2"),
+    ([2, 4], "^member 1: population_size 4 differs from member 0's 2"),
+    ([4, 4, 2], "^member 2: population_size 2 differs from member 0's 4"),
+])
+def test_minimize_refuses_members_before_the_first_ask(sizes, match):
+    states = [es_init(np.zeros(2), 1.0, lam, seed=k) for k, lam in enumerate(sizes)]
+    calls = []
+    with pytest.raises(ValueError, match=match):
+        minimize(lambda xs: calls.append(xs) or rowwise(sphere)(xs), states, 3)
+    assert calls == []
+    assert all(state.eigen is None for state in states)  # no member was asked

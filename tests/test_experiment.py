@@ -17,7 +17,8 @@ from conftest import TINY_PARAMS, TINY_SEEDS, TINY_TASK
 from promptuq import EnsembleConfig, EsConfig, GfviConfig, RejectionConfig, SmcConfig
 from promptuq.blackbox import TaskConfig, make_synthetic_task
 from promptuq.cli import main
-from promptuq.errors import ConfigError, NumericalBreakdownError, StagnationError
+from promptuq.errors import (BudgetExhaustedError, ConfigError, NumericalBreakdownError,
+                             StagnationError)
 from promptuq.experiment import (EVALUATIONS, METHODS, ExperimentConfig, ExternalTaskSpec,
                                  compare_configs_from_dict, compare_methods,
                                  experiment_config_from_dict, load_labeled_ndjson,
@@ -923,6 +924,13 @@ SERVED_CASES = {
                            None, NumericalBreakdownError),
     "abc_smc-stagnates": ("abc_smc", 7, {**TINY_PARAMS["abc_smc"], "max_attempts": 3},
                           None, StagnationError),
+    # finite candidates whose logits are not: the model's own overflow message
+    "point_cmaes-overflows": ("point_cmaes", 2, {"sigma0": 5e307, "population_size": 2,
+                                                 "max_generations": 2},
+                              None, NumericalBreakdownError),
+    "rejection_abc-runs-out": ("rejection_abc", 1, {"sample_count": 4, "epsilon": 0.01,
+                                                    "max_draws": 5},
+                               None, BudgetExhaustedError),
 }
 
 

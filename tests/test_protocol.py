@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import CRITERION_TASK
 from promptuq.blackbox import EvalBudget, task_config_to_dict
-from promptuq.errors import AccessDeniedError, BudgetExhaustedError, ProtocolError
+from promptuq.errors import (AccessDeniedError, BudgetExhaustedError,
+                             NumericalBreakdownError, ProtocolError)
 from promptuq.protocol import ExternalSimulator, serve, serve_tcp
 
 
@@ -231,6 +232,26 @@ def test_client_rejects_out_of_range_label():
     client = ExternalSimulator(transport)
     with pytest.raises(ProtocolError, match="labels outside"):
         client.query_labels(np.zeros(2), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("kind, error, message", [
+    ("numerical-breakdown", NumericalBreakdownError, "the model overflowed"),
+    ("budget", BudgetExhaustedError, "the model overflowed"),
+    ("access-denied", AccessDeniedError, "the model overflowed"),
+    ("bad-request", ProtocolError, "server error: the model overflowed"),
+    ("no-such-kind", ProtocolError, "server error: the model overflowed"),
+    (["not", "a", "kind"], ProtocolError, "server error: the model overflowed"),
+])
+def test_a_server_error_keeps_the_simulators_message(kind, error, message):
+    # the simulator's own failures read as they do in process; only a request
+    # the server could not take is a protocol error
+    transport = ScriptedTransport([
+        HANDSHAKE, REGISTERED,
+        json.dumps({"id": 1, "error": "the model overflowed", "kind": kind}),
+    ])
+    with pytest.raises(RuntimeError) as info:
+        ExternalSimulator(transport).query_labels(np.zeros(2), np.zeros((1, 3)))
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_client_rejects_unparseable_line():
