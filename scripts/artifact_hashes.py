@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Hash every artifact of a fixed matrix of CLI runs.
+
+The matrix runs `promptuq tune --trace` for the five methods on three
+synthetic tasks (2 classes; 5 classes with 4,096 test rows; 9 classes) under
+the default evaluation. On the 2-class task it adds the evaluation subsets
+below and, for the methods that observe logits, `predictive_mode: labels`.
+On each task it then runs `promptuq predict` and `promptuq eval`, selective
+and OOD.
+
+Everything is written under a temporary directory, which is the working
+directory of the runs. One `sha256  path` line is printed per artifact, in
+path order, with paths relative to that directory. A command's stdout counts
+as the artifact `<its output>.stdout`. Reruns print the same lines, so diffing
+the output of two checkouts shows whether a change keeps every artifact
+byte-identical:
+
+    PYTHONPATH=src python3 scripts/artifact_hashes.py > after.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from promptuq.cli import main as promptuq
+
+TASKS = {
+    "c2": {"subspace_dim": 4, "prompt_dim": 32, "feature_dim": 8, "classes": 2,
+           "hidden": 16, "n_train": 16, "n_test": 24, "n_ood": 16, "ood_shift": 2.0,
+           "seed": 21},
+    "c5": {"subspace_dim": 4, "prompt_dim": 32, "feature_dim": 8, "classes": 5,
+           "hidden": 16, "n_train": 24, "n_test": 4096, "n_ood": 64, "ood_shift": 3.0,
+           "seed": 5},
+    "c9": {"subspace_dim": 6, "prompt_dim": 48, "feature_dim": 12, "classes": 9,
+           "hidden": 24, "n_train": 32, "n_test": 64, "n_ood": 32, "ood_shift": 2.0,
+           "seed": 9, "label_noise": 0.1},
+}
+PARAMS = {
+    "point_cmaes": {"population_size": 6, "max_generations": 8},
+    "ensembles": {"sample_count": 3, "population_size": 6, "max_generations": 5},
+    "gfvi": {"population_size": 6, "max_generations": 5, "sample_count": 20,
+             "mc_samples": 4},
+    "rejection_abc": {"sample_count": 10, "max_draws": 20_000},
+    "abc_smc": {"sample_count": 20, "smc_iterations": 3},
+}
+LOGITS_METHODS = ("point_cmaes", "ensembles", "gfvi")
+SUBSETS = {"calibration": ["calibration"], "selective": ["selective"],
+           "near_ood": ["near_ood"], "far_ood_calibration": ["far_ood", "calibration"]}
+
+
+def _write_json(path, data) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    return path
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv, output, hashes) -> None:
+    """Run one CLI command; its stdout is hashed as ``<output>.stdout``."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = promptuq(argv)
+    if code != 0:
+        sys.exit(f"promptuq {' '.join(argv)} exited {code}")
+    hashes[f"{output}.stdout"] = _digest(buffer.getvalue().encode("utf-8"))
+
+
+def _tune(name, task, method, hashes, **fields) -> None:
+    config = _write_json(f"configs/{name}.json", {"task": task, "method": method,
+                                                  "seed": 0, "params": PARAMS[method],
+                                                  **fields})
+    _run(["tune", "--config", config, "--out", f"runs/{name}", "--trace"],
+         f"runs/{name}", hashes)
+
+
+def run_matrix() -> dict[str, str]:
+    hashes: dict[str, str] = {}
+    os.makedirs("configs")
+    os.makedirs("pred")
+    for label, task in TASKS.items():
+        task_path = _write_json(f"configs/{label}_task.json", task)
+        _run(["task", "--config", task_path, "--out", f"tasks/{label}"],
+             f"tasks/{label}", hashes)
+        for method in PARAMS:
+            _tune(f"{label}_{method}", task, method, hashes)
+        posterior = f"runs/{label}_ensembles/posterior.ndjson"
+        for split in ("test", "far_ood"):
+            _run(["predict", "--task", task_path, "--posterior", posterior,
+                  "--split", split, "--out", f"pred/{label}_{split}.csv"],
+                 f"pred/{label}_{split}.csv", hashes)
+        _run(["eval", "--pred", f"pred/{label}_test.csv", "--task", task_path,
+              "--out", f"eval/{label}_selective"], f"eval/{label}_selective", hashes)
+        _run(["eval", "--pred", f"pred/{label}_test.csv",
+              "--pred-ood", f"pred/{label}_far_ood.csv",
+              "--out", f"eval/{label}_ood"], f"eval/{label}_ood", hashes)
+    for method in PARAMS:
+        for subset, evaluation in SUBSETS.items():
+            _tune(f"c2_{method}_{subset}", TASKS["c2"], method, hashes,
+                  evaluation=evaluation)
+    for method in LOGITS_METHODS:
+        _tune(f"c2_{method}_labels", TASKS["c2"], method, hashes,
+              predictive_mode="labels")
+    for top in ("tasks", "runs", "pred", "eval"):
+        for root, _, files in os.walk(top):
+            for name in files:
+                path = os.path.join(root, name)
+                with open(path, "rb") as fh:
+                    hashes[path] = _digest(fh.read())
+    return hashes
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as scratch:
+        previous = os.getcwd()
+        os.chdir(scratch)
+        try:
+            hashes = run_matrix()
+        finally:
+            os.chdir(previous)
+    for path in sorted(hashes):
+        print(f"{hashes[path]}  {path}")
+
+
+if __name__ == "__main__":
+    main()

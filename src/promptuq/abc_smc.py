@@ -66,29 +66,27 @@ class SmcConfig:
                               f"must be '{WEIGHT_IMPORTANCE}' or '{WEIGHT_UNIFORM}'")
 
 
-def distance_error_rate(predicted: np.ndarray, actual: np.ndarray):
-    """Fraction of positions where the label lists disagree: a float for one
-    list, one value per row for a (K, n) matrix of them.
+def distance_error_rate(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
+    """Fraction of positions where each row of a (K, n) label matrix disagrees
+    with the n labels, as a (K,) array.
 
     A mismatch count divided by n is exact, so a row's value does not depend
     on the other rows.
     """
     predicted = np.asarray(predicted)
     actual = np.asarray(actual)
-    if predicted.ndim not in (1, 2) or actual.ndim != 1 \
-            or predicted.shape[-1:] != actual.shape:
-        raise ValueError("label lists must be 1-D with equal length, or rows of one")
+    if predicted.ndim != 2 or actual.ndim != 1 or predicted.shape[1:] != actual.shape:
+        raise ValueError("need a (K, n) label matrix and n labels")
     if len(actual) == 0:
         raise ValueError("label lists must be nonempty")
-    rates = np.count_nonzero(predicted != actual, axis=-1) / len(actual)
-    return float(rates) if predicted.ndim == 1 else rates
+    return np.count_nonzero(predicted != actual, axis=1) / len(actual)
 
 
 def initial_tolerance(sim, prior: PriorSpec, dataset: LabeledSet,
                       rng: np.random.Generator) -> float:
     """Error rate of a single arbitrary prior draw against the dataset labels."""
-    z = sample_prior(prior, 1, rng)[0]
-    return distance_error_rate(sim.query_labels(z, dataset.X), dataset.y)
+    labels = sim.query_labels(sample_prior(prior, 1, rng), dataset.X).reshape(1, -1)
+    return float(distance_error_rate(labels, dataset.y)[0])
 
 
 def _nonzero(epsilon: float) -> float:

@@ -8,6 +8,7 @@ breakdown, 4 simulator or protocol error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -21,8 +22,7 @@ from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      DegenerateWeightsError, EvaluationError, NumericalBreakdownError,
                      ProtocolError, StagnationError, config_from_dict)
 from .experiment import (SPLITS, compare_configs_from_dict, compare_methods,
-                         evaluate_ood, evaluate_selective, experiment_config_from_dict,
-                         run_experiment)
+                         experiment_config_from_dict, run_experiment, save_curves)
 from .prompt_space import sample_prior
 from .protocol import serve_stdio, serve_tcp
 
@@ -48,6 +48,16 @@ def _load_json(path):
     return data
 
 
+@contextlib.contextmanager
+def _oserror_names(option: str):
+    """An OSError in the block, an output that cannot be written or a port
+    that cannot be bound, is a config error naming ``option``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(option, str(exc)) from exc
+
+
 def _load_task(path) -> TaskConfig:
     return config_from_dict(TaskConfig, _load_json(path), "task")
 
@@ -56,9 +66,10 @@ def cmd_task(args) -> int:
     cfg = _load_task(args.config)
     task = make_synthetic_task(cfg)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "task.json")
-        uqeval.save_summary_json(task_config_to_dict(cfg), path)
+        with _oserror_names("out"):
+            os.makedirs(args.out, exist_ok=True)
+            uqeval.save_summary_json(task_config_to_dict(cfg), path)
         print(f"wrote {path}")
     if args.inspect:
         sim = task.simulator()
@@ -82,7 +93,8 @@ def cmd_tune(args) -> int:
     if not isinstance(payload.get("out", ""), str):
         raise ConfigError("out", "must be a string")
     out_dir = args.out or payload.get("out") or "out"
-    report = run_experiment(config, out_dir, trace=args.trace)
+    with _oserror_names("out"):  # the run converts its reads and simulator I/O itself
+        report = run_experiment(config, out_dir, trace=args.trace)
     print(f"wrote {report.files['summary']}")
     for key in ("accuracy", "ece"):
         if key in report.summary:
@@ -110,7 +122,8 @@ def cmd_predict(args) -> int:
     else:
         rng = np.random.default_rng(args.seed) if args.decode == "sample" else None
         table = predictive.predictive_from_labels(ensemble, sim, inputs, rng)
-    predictive.save_predictive_csv(table, args.out)
+    with _oserror_names("out"):
+        predictive.save_predictive_csv(table, args.out)
     print(f"wrote {args.out} ({len(table.probs)} rows, {table.classes} classes)")
     return 0
 
@@ -129,8 +142,7 @@ def cmd_eval(args) -> int:
         if ood_table.classes != table.classes:
             raise ConfigError("pred_ood", f"{args.pred_ood} has {ood_table.classes} classes, "
                                           f"{args.pred} has {table.classes}")
-        os.makedirs(args.out, exist_ok=True)
-        summary = evaluate_ood(table.probs, ood_table.probs, args.out, "ood", {})
+        summary, curves = uqeval.ood_detection_eval(table.probs, ood_table.probs)
     else:
         if not args.task:
             raise ConfigError("task", "selective evaluation needs --task for labels")
@@ -142,10 +154,12 @@ def cmd_eval(args) -> int:
         if len(labels) != len(table.probs):
             raise ConfigError("split", f"{args.split} has {len(labels)} labels but "
                                        f"{args.pred} has {len(table.probs)} rows")
-        os.makedirs(args.out, exist_ok=True)
-        summary = evaluate_selective(table.probs, labels, args.out, {})
+        summary, curves = uqeval.selective_classification_eval(table.probs, labels)
     path = os.path.join(args.out, "eval.json")
-    uqeval.save_summary_json(summary, path)
+    with _oserror_names("out"):
+        os.makedirs(args.out, exist_ok=True)
+        save_curves(curves, args.out, "ood" if args.pred_ood else "selective", {})
+        uqeval.save_summary_json(summary, path)
     print(f"wrote {path}")
     for key, value in sorted(summary.items()):
         print(f"{key}: {value:.6f}")
@@ -158,7 +172,8 @@ def cmd_compare(args) -> int:
         payload["seed"] = args.seed
     configs = compare_configs_from_dict(payload)
     out_dir = args.out or "compare_out"
-    rows = compare_methods(configs, out_dir, trace=args.trace)
+    with _oserror_names("out"):
+        rows = compare_methods(configs, out_dir, trace=args.trace)
     headers = list(rows[0].keys())
     print("\t".join(headers))
     for row in rows:
@@ -193,7 +208,8 @@ def cmd_lower_bound(args) -> int:
     value = uqeval.oracle_lower_bound(flags)
     if args.out:
         curve = uqeval.risk_rejection_curve(np.where(flags, 100.0, 0.0), flags)
-        uqeval.save_curve_csv(curve, args.out)
+        with _oserror_names("out"):
+            uqeval.save_curve_csv(curve, args.out)
         print(f"wrote {args.out}")
     print(f"lower bound: {value:.6f}")
     return 0
@@ -207,7 +223,8 @@ def cmd_serve(args) -> int:
     task = make_synthetic_task(_load_task(args.task))
     sim = task.simulator(allow_logits=not args.labels_only)
     if args.tcp:
-        serve_tcp(sim, host or "127.0.0.1", int(port))
+        with _oserror_names("tcp"):  # the bind; connections fail in their own threads
+            serve_tcp(sim, host or "127.0.0.1", int(port))
     else:
         serve_stdio(sim)
     return 0

@@ -264,34 +264,12 @@ def _predictive(config: ExperimentConfig, ctx: RunContext,
     return predictive.predictive_from_labels(ensemble, ctx.sim, inputs)
 
 
-def _save_curve(curve, out_dir: str | None, name: str, files: dict) -> None:
-    if out_dir is not None:
+def save_curves(curves: dict, out_dir: str, block: str, files: dict[str, str]) -> None:
+    """Each score's curve to ``curve_<block>_<score>.csv``, its path into ``files``."""
+    for score, curve in curves.items():
+        name = f"curve_{block}_{score}"
         files[name] = os.path.join(out_dir, f"{name}.csv")
         uqeval.save_curve_csv(curve, files[name])
-
-
-def evaluate_selective(probs: np.ndarray, labels: np.ndarray, out_dir: str | None,
-                       files: dict[str, str]) -> dict:
-    """Accuracy, ECE, lower bound, AURRRCs; curves to ``out_dir`` unless None."""
-    metrics = {}
-    for score in uqeval.SCORES:
-        report = uqeval.selective_classification_eval(probs, labels, score)
-        metrics.update({f"aurrrc_{score}": report.aurrrc, "accuracy": report.accuracy,
-                        "ece": report.ece, "lower_bound": report.lower_bound})
-        _save_curve(report.curve, out_dir, f"curve_selective_{score}", files)
-    return metrics
-
-
-def evaluate_ood(id_probs: np.ndarray, ood_probs: np.ndarray, out_dir: str,
-                 prefix: str, files: dict[str, str]) -> dict:
-    """OOD-detection lower bound and AURRRCs; curves to ``out_dir``."""
-    metrics = {}
-    for score in uqeval.SCORES:
-        report = uqeval.ood_detection_eval(id_probs, ood_probs, score)
-        metrics.update({f"aurrrc_{score}": report.aurrrc,
-                        "lower_bound": report.lower_bound})
-        _save_curve(report.curve, out_dir, f"curve_{prefix}_{score}", files)
-    return metrics
 
 
 @dataclass
@@ -336,18 +314,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str,
         tables = {name: _predictive(config, ctx, ensemble, split.X)
                   for name, split in ctx.splits.items() if name != "train"}
         if EVAL_CALIBRATION in config.evaluation or EVAL_SELECTIVE in config.evaluation:
-            selective = EVAL_SELECTIVE in config.evaluation
-            block = evaluate_selective(tables["test"].probs, ctx.splits["test"].y,
-                                       out_dir if selective else None, files)
+            block, curves = uqeval.selective_classification_eval(tables["test"].probs,
+                                                                 ctx.splits["test"].y)
             summary["accuracy"], ece = block.pop("accuracy"), block.pop("ece")
             if EVAL_CALIBRATION in config.evaluation:
                 summary["ece"] = ece
-            if selective:
-                summary["selective"] = block
+            if EVAL_SELECTIVE in config.evaluation:
+                summary[EVAL_SELECTIVE] = block
+                save_curves(curves, out_dir, EVAL_SELECTIVE, files)
         for name in (EVAL_NEAR_OOD, EVAL_FAR_OOD):
             if name in tables:
-                summary[name] = evaluate_ood(tables["test"].probs, tables[name].probs,
-                                             out_dir, name, files)
+                summary[name], curves = uqeval.ood_detection_eval(tables["test"].probs,
+                                                                  tables[name].probs)
+                save_curves(curves, out_dir, name, files)
 
         summary["simulator_calls"] = ctx.sim.budget.used
         summary_path = os.path.join(out_dir, "summary.json")

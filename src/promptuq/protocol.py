@@ -62,7 +62,8 @@ def _encode(payload: dict) -> bytes:
 
 
 class _LineTransport:
-    """Line framing over a readable file descriptor; a subclass writes lines."""
+    """Line framing over a readable file descriptor; a subclass writes lines.
+    An OSError either way is a ``ProtocolError``: the simulator connection is lost."""
 
     def __init__(self, fd: int):
         self._fd = fd
@@ -72,7 +73,10 @@ class _LineTransport:
         while b"\n" not in self._buffer:
             if not select.select([self._fd], [], [], TIMEOUT)[0]:
                 raise ProtocolError(f"timed out after {TIMEOUT}s waiting for server")
-            chunk = os.read(self._fd, 65536)
+            try:
+                chunk = os.read(self._fd, 65536)
+            except OSError as exc:
+                raise ProtocolError(f"lost the simulator connection: {exc}") from exc
             if not chunk:
                 raise ProtocolError("server closed the connection")
             self._buffer.extend(chunk)
@@ -89,8 +93,11 @@ class PipeTransport(_LineTransport):
         self._proc = proc
 
     def writeline(self, data: bytes) -> None:
-        self._proc.stdin.write(data)
-        self._proc.stdin.flush()
+        try:
+            self._proc.stdin.write(data)
+            self._proc.stdin.flush()
+        except OSError as exc:
+            raise ProtocolError(f"lost the simulator connection: {exc}") from exc
 
     def close(self) -> None:
         try:
@@ -110,7 +117,10 @@ class SocketTransport(_LineTransport):
         self._sock = sock
 
     def writeline(self, data: bytes) -> None:
-        self._sock.sendall(data)
+        try:
+            self._sock.sendall(data)
+        except OSError as exc:
+            raise ProtocolError(f"lost the simulator connection: {exc}") from exc
 
     def close(self) -> None:
         self._sock.close()

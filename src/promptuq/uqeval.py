@@ -6,6 +6,10 @@ rate for selective classification, OOD fraction for detection). The area
 under that curve, averaged over every rejection count, is the headline
 number; the oracle lower bound scores flagged items as maximally uncertain
 and is the best any score could do on the same flags.
+
+One call evaluates a table under every score in ``SCORES`` and returns
+``(metrics, curves)``: the lower bound and each ``aurrrc_<score>`` (plus
+accuracy and ECE for selective classification), and each score's curve.
 """
 
 from __future__ import annotations
@@ -15,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCORE_ENTROPY = "entropy"
-SCORE_MAXP = "maxp"
-SCORES = (SCORE_ENTROPY, SCORE_MAXP)
+SCORES = ("entropy", "maxp")
 
 
 def check_probability_table(probs) -> np.ndarray:
@@ -46,7 +48,7 @@ def score_rows(probs: np.ndarray, score: str) -> np.ndarray:
     if score not in SCORES:
         raise ValueError(f"unknown score {score!r}")
     p = check_probability_table(probs)
-    if score == SCORE_MAXP:
+    if score == "maxp":
         return 1.0 - p.max(axis=1)
     return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)  # a zero adds 0 log 1
 
@@ -84,9 +86,6 @@ class RiskRejectionCurve:
     risks: np.ndarray
     aurrrc: float
 
-    def __len__(self) -> int:
-        return len(self.risks)
-
 
 def risk_rejection_curve(uncertainties: np.ndarray,
                          flags: np.ndarray) -> RiskRejectionCurve:
@@ -116,56 +115,43 @@ def oracle_lower_bound(flags: np.ndarray) -> float:
     return risk_rejection_curve(np.where(flags, 100.0, 0.0), flags).aurrrc
 
 
-@dataclass(frozen=True)
-class SelectiveReport:
-    curve: RiskRejectionCurve
-    aurrrc: float
-    lower_bound: float
-    accuracy: float
-    ece: float
+def _score_curves(probs: np.ndarray, flags: np.ndarray) -> tuple[dict, dict]:
+    """The oracle lower bound and each score's AURRRC, and each score's curve."""
+    curves = {score: risk_rejection_curve(score_rows(probs, score), flags)
+              for score in SCORES}
+    metrics = {f"aurrrc_{score}": curve.aurrrc for score, curve in curves.items()}
+    metrics["lower_bound"] = oracle_lower_bound(flags)
+    return metrics, curves
 
 
-def selective_classification_eval(probs: np.ndarray, labels: np.ndarray,
-                                  score: str = SCORE_ENTROPY) -> SelectiveReport:
-    """Flags are misclassifications of the argmax prediction."""
+def selective_classification_eval(probs: np.ndarray, labels: np.ndarray) -> tuple[dict, dict]:
+    """Flags are misclassifications of the argmax prediction; the metrics add
+    accuracy and ECE to the lower bound and AURRRCs."""
     probs = np.atleast_2d(np.asarray(probs, dtype=float))
     labels = np.asarray(labels)
     if len(probs) != len(labels):
         raise ValueError("need one label per probability row")
     flags = np.argmax(probs, axis=1) != labels
-    curve = risk_rejection_curve(score_rows(probs, score), flags)
-    return SelectiveReport(curve=curve, aurrrc=curve.aurrrc,
-                           lower_bound=oracle_lower_bound(flags),
-                           accuracy=float(1.0 - flags.mean()),
-                           ece=ece(probs, labels))
+    metrics, curves = _score_curves(probs, flags)
+    metrics.update(accuracy=float(1.0 - flags.mean()), ece=ece(probs, labels))
+    return metrics, curves
 
 
-@dataclass(frozen=True)
-class OodReport:
-    curve: RiskRejectionCurve
-    aurrrc: float
-    lower_bound: float
-
-
-def ood_detection_eval(id_probs: np.ndarray, ood_probs: np.ndarray,
-                       score: str = SCORE_ENTROPY) -> OodReport:
+def ood_detection_eval(id_probs: np.ndarray, ood_probs: np.ndarray) -> tuple[dict, dict]:
     """Flags are OOD membership; rows are concatenated ID first for tie-breaks."""
     id_probs = np.atleast_2d(np.asarray(id_probs, dtype=float))
     ood_probs = np.atleast_2d(np.asarray(ood_probs, dtype=float))
     if id_probs.shape[1] != ood_probs.shape[1]:
         raise ValueError("ID and OOD tables must have the same class count")
-    stacked = np.vstack([id_probs, ood_probs])
     flags = np.concatenate([np.zeros(len(id_probs), dtype=bool),
                             np.ones(len(ood_probs), dtype=bool)])
-    curve = risk_rejection_curve(score_rows(stacked, score), flags)
-    return OodReport(curve=curve, aurrrc=curve.aurrrc,
-                     lower_bound=oracle_lower_bound(flags))
+    return _score_curves(np.vstack([id_probs, ood_probs]), flags)
 
 
 def save_curve_csv(curve: RiskRejectionCurve, path) -> None:
     """Columns k, rejection_rate and risk, floats as repr, in the csv module's
     default dialect: no field needs quoting and lines end in CRLF."""
-    m = len(curve)
+    m = len(curve.risks)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("k,rejection_rate,risk\r\n")
         fh.writelines(f"{k},{k / m!r},{risk!r}\r\n"

@@ -44,7 +44,8 @@ def reference_abc_smc(sim, prior, dataset, config, seed):
                 else:
                     pick = stream.choice(size, p=weights)
                     z = particles[pick] + kernel_sd * stream.standard_normal(prior.dim)
-                distance = distance_error_rate(sim.query_labels(z, dataset.X), dataset.y)
+                distance = distance_error_rate(sim.query_labels(z, dataset.X)[None],
+                                               dataset.y)[0]
                 if distance < epsilon or (t > 1 and distance == epsilon):
                     new_particles[s] = z
                     iter_attempts += attempt

@@ -18,18 +18,18 @@ from reference_abc_smc import reference_abc_smc
 
 
 def test_distance_basic_values():
-    assert distance_error_rate([0, 1, 2], [0, 1, 2]) == 0.0
-    assert distance_error_rate([0, 0], [1, 1]) == 1.0
-    assert distance_error_rate([0, 1, 0, 1], [0, 1, 1, 0]) == 0.5
+    assert distance_error_rate([[0, 1, 2]], [0, 1, 2]).tolist() == [0.0]
+    assert distance_error_rate([[0, 0]], [1, 1]).tolist() == [1.0]
+    assert distance_error_rate([[0, 1, 0, 1]], [0, 1, 1, 0]).tolist() == [0.5]
     rows = distance_error_rate([[0, 1, 2], [0, 0, 0], [2, 2, 2]], [0, 1, 2])
-    assert rows.tolist() == [0.0, distance_error_rate([0, 0, 0], [0, 1, 2]), 2 / 3]
+    assert rows.tolist() == [0.0, distance_error_rate([[0, 0, 0]], [0, 1, 2])[0], 2 / 3]
 
 
 def test_distance_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        distance_error_rate([0, 1], [0])
+        distance_error_rate([0, 1], [0, 1])  # one label list is a (1, n) matrix
     with pytest.raises(ValueError):
-        distance_error_rate([], [])
+        distance_error_rate([[]], [])
     with pytest.raises(ValueError):
         distance_error_rate([[0, 1]], [0])
     with pytest.raises(ValueError):
@@ -86,8 +86,8 @@ def test_rejection_abc_particles_recheck(criterion_task):
     result = rejection_abc(sim, criterion_task.prior, criterion_task.train,
                            RejectionConfig(15, epsilon=epsilon, max_draws=20_000), seed=1)
     for z in result.samples:
-        dist = distance_error_rate(sim.query_labels(z, criterion_task.train.X),
-                                   criterion_task.train.y)
+        dist = distance_error_rate(sim.query_labels(z, criterion_task.train.X)[None],
+                                   criterion_task.train.y)[0]
         assert dist < epsilon
 
 
@@ -98,7 +98,7 @@ def sequential_rejection(sim, prior, dataset, count, epsilon, max_draws, seed):
     while len(accepted) < count and draws < max_draws:
         z = sample_prior(prior, 1, rng)[0]
         draws += 1
-        if distance_error_rate(sim.query_labels(z, dataset.X), dataset.y) < epsilon:
+        if distance_error_rate(sim.query_labels(z, dataset.X)[None], dataset.y)[0] < epsilon:
             accepted.append(z)
     return accepted, draws
 
@@ -292,8 +292,8 @@ def test_abc_smc_tolerance_trace_and_recheck(criterion_task):
     final_eps = result.diagnostics["final_epsilon"]
     assert final_eps == eps[-1]
     for z in result.samples:
-        dist = distance_error_rate(sim.query_labels(z, criterion_task.train.X),
-                                   criterion_task.train.y)
+        dist = distance_error_rate(sim.query_labels(z, criterion_task.train.X)[None],
+                                   criterion_task.train.y)[0]
         assert dist <= final_eps
 
 

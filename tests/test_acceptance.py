@@ -121,8 +121,8 @@ def test_criterion_3_abc_smc_contract(criterion_task):
 
     final_eps = result.diagnostics["final_epsilon"]
     recheck_ok = all(
-        distance_error_rate(sim.query_labels(z, criterion_task.train.X),
-                            criterion_task.train.y) <= final_eps
+        distance_error_rate(sim.query_labels(z, criterion_task.train.X)[None],
+                            criterion_task.train.y)[0] <= final_eps
         for z in result.samples)
 
     logits_blocked = False
@@ -141,8 +141,8 @@ def test_criterion_3_abc_smc_contract(criterion_task):
 def test_criterion_4_posterior_usefulness(criterion_task):
     sim = criterion_task.simulator(allow_logits=False)
     baseline = np.mean([
-        distance_error_rate(sim.query_labels(z, criterion_task.train.X),
-                            criterion_task.train.y)
+        distance_error_rate(sim.query_labels(z, criterion_task.train.X)[None],
+                            criterion_task.train.y)[0]
         for z in sample_prior(criterion_task.prior, 100,
                               np.random.default_rng(12345))])
     wins = 0
@@ -285,9 +285,9 @@ def test_criterion_8_ensemble_vs_point_trend():
         point_table = predictive_from_logits(point, sim, task.test.X)
         ens_table = predictive_from_logits(ensemble, sim, task.test.X)
         point_aurrrc = selective_classification_eval(
-            point_table.probs, task.test.y, "entropy").aurrrc
+            point_table.probs, task.test.y)[0]["aurrrc_entropy"]
         ens_aurrrc = selective_classification_eval(
-            ens_table.probs, task.test.y, "entropy").aurrrc
+            ens_table.probs, task.test.y)[0]["aurrrc_entropy"]
         margins.append(point_aurrrc - ens_aurrrc)
         wins += ens_aurrrc <= point_aurrrc
     report(8, wins >= 7,

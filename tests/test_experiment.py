@@ -186,8 +186,11 @@ def test_cli_task_tune_predict_eval_pipeline(tmp_path, capsys):
                  "--out", str(tmp_path / "eval")]) == 0
     evaluated = json.loads((tmp_path / "eval" / "eval.json").read_text())
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    assert evaluated["aurrrc_entropy"] == pytest.approx(
-        summary["selective"]["aurrrc_entropy"], abs=1e-12)
+    assert evaluated == {**summary["selective"], "accuracy": summary["accuracy"],
+                         "ece": summary["ece"]}
+    for score in promptuq.uqeval.SCORES:
+        name = f"curve_selective_{score}.csv"
+        assert (tmp_path / "eval" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
     capsys.readouterr()
 
 
@@ -290,9 +293,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert not (tmp_path / f"rows_{i}").exists()
 
     # selective evaluation needs one label per predictive row
-    assert main(["tune", "--config", write_json(tmp_path / "point.json", payload(
-        "point_cmaes", population_size=4, max_generations=2)),
-                 "--out", str(tmp_path / "point")]) == 0
+    exp_path_point = write_json(tmp_path / "point.json", payload(
+        "point_cmaes", population_size=4, max_generations=2))
+    assert main(["tune", "--config", exp_path_point, "--out", str(tmp_path / "point")]) == 0
     pred_csv = str(tmp_path / "pred.csv")
     assert main(["predict", "--task", task_path, "--split", "test", "--out", pred_csv,
                  "--posterior", str(tmp_path / "point" / "posterior.ndjson")]) == 0
@@ -333,6 +336,29 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["eval", *argv, "--out", str(tmp_path / "eval")]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
+
+    # an output that cannot be written, or a port already bound, is a config error
+    a_file = tmp_path / "task.json"
+    missing_dir = tmp_path / "no-such-dir"
+    posterior = str(tmp_path / "point" / "posterior.ndjson")
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        for argv, field in (
+                (["lower-bound", "--n-id", "3", "--n-ood", "2",
+                  "--out", str(missing_dir / "curve.csv")], "out"),
+                (["predict", "--task", task_path, "--posterior", posterior,
+                  "--out", str(missing_dir / "p.csv")], "out"),
+                (["tune", "--config", exp_path_point, "--out", str(a_file)], "out"),
+                (["eval", "--pred", pred_csv, "--task", task_path, "--out", str(a_file)],
+                 "out"),
+                (["task", "--config", task_path, "--out", str(a_file)], "out"),
+                (["serve", "--task", task_path,
+                  "--tcp", f"127.0.0.1:{busy.getsockname()[1]}"], "tcp")):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1, err
+    assert not missing_dir.exists()
 
 
 def test_cli_eval_takes_rows_within_the_table_tolerance(tmp_path, capsys):

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import socket
+import struct
 import sys
 import threading
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import CRITERION_TASK
 from promptuq.blackbox import EvalBudget, task_config_to_dict
+from promptuq.cli import main
 from promptuq.errors import (AccessDeniedError, BudgetExhaustedError,
                              NumericalBreakdownError, ProtocolError)
 from promptuq.protocol import ExternalSimulator, serve, serve_tcp
@@ -293,6 +295,39 @@ def test_spawn_reaps_child_after_failed_handshake(tmp_path):
         ExternalSimulator.spawn([sys.executable, "-c", script])
     with pytest.raises(ProcessLookupError):  # killed and waited for, not a zombie
         os.kill(int(pid_file.read_text()), 0)
+
+
+def _resetting_server():
+    """An endpoint that sends the handshake, lets the first request arrive unread
+    and resets the connection."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        with listener, listener.accept()[0] as conn:
+            conn.sendall(HANDSHAKE.encode() + b"\n")
+            conn.recv(1, socket.MSG_PEEK)
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    threading.Thread(target=run, daemon=True).start()
+    return {"host": "127.0.0.1", "port": listener.getsockname()[1]}
+
+
+# the stdio simulator drops its stdin before the handshake, so the first write breaks the pipe
+@pytest.mark.parametrize("endpoint", [
+    lambda: {"argv": [sys.executable, "-c", "import os; os.dup2(os.open(os.devnull, "
+                      f"os.O_RDONLY), 0); print({HANDSHAKE!r})"]},
+    _resetting_server,
+], ids=["stdio", "tcp"])
+def test_a_lost_simulator_connection_exits_4(endpoint, tmp_path, capsys):
+    train = tmp_path / "train.ndjson"
+    train.write_text(json.dumps({"x": [0.0] * 3, "y": 0}) + "\n")
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "task": {"endpoint": endpoint(), "prior": {"dim": 2, "sigma": 1.0},
+                 "datasets": {"train": str(train)}},
+        "method": "rejection_abc", "seed": 0, "evaluation": []}))
+    assert main(["tune", "--config", str(config), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("tune: lost the simulator connection: ") and err.count("\n") == 1
 
 
 def test_client_rejects_unnormalized_logit_rows():

@@ -206,19 +206,18 @@ def test_oracle_lower_bound_dominates_all_scores():
 def test_selective_eval_perfect_predictions():
     probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
     labels = np.array([0, 1, 0])
-    report = selective_classification_eval(probs, labels)
-    assert report.accuracy == 1.0
-    assert report.aurrrc == 0.0
-    assert report.lower_bound == 0.0
+    metrics, curves = selective_classification_eval(probs, labels)
+    assert metrics["accuracy"] == 1.0
+    assert metrics["aurrrc_entropy"] == 0.0
+    assert metrics["lower_bound"] == 0.0
 
 
 def test_selective_eval_entropy_maxp_agree_for_binary():
     rng = np.random.default_rng(2)
     probs = rng.dirichlet(np.ones(2), size=40)
     labels = rng.integers(2, size=40)
-    by_entropy = selective_classification_eval(probs, labels, "entropy")
-    by_maxp = selective_classification_eval(probs, labels, "maxp")
-    assert np.array_equal(by_entropy.curve.risks, by_maxp.curve.risks)
+    metrics, curves = selective_classification_eval(probs, labels)
+    assert np.array_equal(curves["entropy"].risks, curves["maxp"].risks)
 
 
 def test_selective_eval_dominates_lower_bound():
@@ -226,25 +225,25 @@ def test_selective_eval_dominates_lower_bound():
     for _ in range(100):
         probs = rng.dirichlet(np.ones(3), size=25)
         labels = rng.integers(3, size=25)
-        report = selective_classification_eval(probs, labels)
-        assert report.lower_bound <= report.aurrrc + 1e-12
+        metrics, curves = selective_classification_eval(probs, labels)
+        assert metrics["lower_bound"] <= metrics["aurrrc_entropy"] + 1e-12
 
 
 def test_ood_eval_perfectly_separated_scores():
     id_probs = np.eye(2)[np.zeros(6, dtype=int)]      # one-hot rows, entropy 0
     ood_probs = np.full((6, 2), 0.5)                  # uniform rows, entropy ln 2
-    report = ood_detection_eval(id_probs, ood_probs, "entropy")
-    assert report.aurrrc == pytest.approx(report.lower_bound, abs=1e-12)
+    metrics, curves = ood_detection_eval(id_probs, ood_probs)
+    assert metrics["aurrrc_entropy"] == pytest.approx(metrics["lower_bound"], abs=1e-12)
 
 
 def test_ood_eval_invariant_to_id_permutation():
     rng = np.random.default_rng(4)
     id_probs = rng.dirichlet(np.full(2, 5.0), size=15)
     ood_probs = rng.dirichlet(np.ones(2), size=15)
-    base = ood_detection_eval(id_probs, ood_probs, "entropy").aurrrc
+    base = ood_detection_eval(id_probs, ood_probs)[0]["aurrrc_entropy"]
     for _ in range(20):
         perm = rng.permutation(15)
-        scrambled = ood_detection_eval(id_probs[perm], ood_probs, "entropy").aurrrc
+        scrambled = ood_detection_eval(id_probs[perm], ood_probs)[0]["aurrrc_entropy"]
         assert scrambled == pytest.approx(base, abs=1e-12)
 
 
