@@ -4,7 +4,8 @@
 The matrix runs `promptuq tune --trace` for the five methods on three
 synthetic tasks (2 classes; 5 classes with 4,096 test rows; 9 classes) under
 the default evaluation. On the 2-class task it adds the evaluation subsets
-below and, for the methods that observe logits, `predictive_mode: labels`.
+below, for the methods that observe logits `predictive_mode: labels`, and a
+wide ensemble (10 members, 100 generations).
 On each task it then runs `promptuq predict` and `promptuq eval`, selective
 and OOD.
 
@@ -72,9 +73,9 @@ def _run(argv, output, hashes) -> None:
     hashes[f"{output}.stdout"] = _digest(buffer.getvalue().encode("utf-8"))
 
 
-def _tune(name, task, method, hashes, **fields) -> None:
+def _tune(name, task, method, hashes, params=None, **fields) -> None:
     config = _write_json(f"configs/{name}.json", {"task": task, "method": method,
-                                                  "seed": 0, "params": PARAMS[method],
+                                                  "seed": 0, "params": params or PARAMS[method],
                                                   **fields})
     _run(["tune", "--config", config, "--out", f"runs/{name}", "--trace"],
          f"runs/{name}", hashes)
@@ -107,6 +108,8 @@ def run_matrix() -> dict[str, str]:
     for method in LOGITS_METHODS:
         _tune(f"c2_{method}_labels", TASKS["c2"], method, hashes,
               predictive_mode="labels")
+    _tune("c2_ensembles_wide", TASKS["c2"], "ensembles", hashes,
+          params={**PARAMS["ensembles"], "sample_count": 10, "max_generations": 100})
     for top in ("tasks", "runs", "pred", "eval"):
         for root, _, files in os.walk(top):
             for name in files:

@@ -14,7 +14,7 @@ Three producers of posterior sample sets over the subspace vector z:
 
 All entry points take an integer seed and derive named substreams from it,
 so parallel candidate evaluation cannot change results. All three are one
-lock-step ``cmaes.minimize`` search (point: 1 member, ensemble: E, GFVI: 1),
+``cmaes.minimize`` search of one E-member state (point: 1, ensemble: E, GFVI: 1),
 each generation one query of the E * population rows (a 100 KB probability
 block at E = 10, population 20, 32 inputs, 2 classes) or of every GFVI
 candidate's draws. Stacked rows equal single-z rows bit for bit, so each
@@ -153,14 +153,13 @@ def negative_log_likelihood(sim, z: np.ndarray, dataset: LabeledSet) -> np.ndarr
 def _lockstep_fit(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
                   seeds: list[int]) -> tuple[cmaes.MinimizeResult, dict[str, list]]:
     """Lock-step CMA-ES over z, one member per seed; the result and its trace."""
-    states = []
-    for seed in seeds:
-        init_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-        mean0 = sample_prior(prior, 1, init_rng)[0]
-        sigma0 = (es.sigma0 or prior.sigma) * init_rng.uniform(0.5, 1.5)
-        states.append(cmaes.es_init(mean0, sigma0, es.population_size,
-                                    seed=int(init_rng.integers(2 ** 63))))
-    result = cmaes.minimize(lambda zs: negative_log_likelihood(sim, zs, dataset), states,
+    init_rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+                 for seed in seeds]
+    means0 = np.concatenate([sample_prior(prior, 1, rng) for rng in init_rngs])
+    sigmas0 = [(es.sigma0 or prior.sigma) * rng.uniform(0.5, 1.5) for rng in init_rngs]
+    state = cmaes.es_init(means0, sigmas0, es.population_size,
+                          [int(rng.integers(2 ** 63)) for rng in init_rngs])
+    result = cmaes.minimize(lambda zs: negative_log_likelihood(sim, zs, dataset), state,
                             es.max_generations)
     return result, {"generation": list(range(1, es.max_generations + 1)) * len(seeds),
                     "best_loss": result.history.T.ravel().tolist(),
@@ -265,10 +264,10 @@ def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, config: GfviConfig,
             seed, spawn_key=(1, next(counter)))) for _ in us]
         return -elbo_estimate(mu, log_alpha, sim, dataset, prior, config.mc_samples, streams)
 
-    state = cmaes.es_init(np.zeros(2 * d), config.search_step, config.population_size,
-                          seed=int(np.random.default_rng(
-                              np.random.SeedSequence(seed, spawn_key=(0,))).integers(2 ** 63)))
-    result = cmaes.minimize(negative_elbos, [state], config.max_generations)
+    state = cmaes.es_init(np.zeros((1, 2 * d)), [config.search_step], config.population_size,
+                          [int(np.random.default_rng(
+                              np.random.SeedSequence(seed, spawn_key=(0,))).integers(2 ** 63))])
+    result = cmaes.minimize(negative_elbos, state, config.max_generations)
     mu, log_alpha = _decode_search_matrix(result.best_x, prior)
     best_elbos = [-v for v in result.history[:, 0].tolist()]
 

@@ -173,7 +173,11 @@ class ExternalSimulator:
             sock = socket.create_connection((host, port), timeout=TIMEOUT)
         except OSError as exc:
             raise ProtocolError(f"cannot connect to simulator at {host}:{port}: {exc}") from exc
-        return cls(SocketTransport(sock))
+        try:
+            return cls(SocketTransport(sock))
+        except BaseException:
+            sock.close()
+            raise
 
     def close(self) -> None:
         self._transport.close()
@@ -312,7 +316,8 @@ def _handle_request(sim, datasets: list, request: dict) -> dict:
 
 
 def serve(sim, rfile, wfile) -> None:
-    """Serve one connection worth of requests from binary streams until EOF.
+    """Serve one connection worth of requests from binary streams until EOF. A
+    client that hangs up (a broken pipe or a reset connection) ends it too.
 
     The datasets registered on the connection live until it ends. Lines end
     at a newline byte and blank lines are skipped; a line that is not a UTF-8
@@ -326,31 +331,40 @@ def serve(sim, rfile, wfile) -> None:
         "subspace_dim": sim.subspace_dim,
         "modes": ["logits", "labels"] if sim.allow_logits else ["labels"],
     }
-    wfile.write(_encode(handshake))
-    wfile.flush()
-    datasets: list[np.ndarray] = []
-    for line in rfile:
-        if not line.strip():
-            continue
-        try:
-            request = json.loads(line.decode("utf-8"))
-            if not isinstance(request, dict):
-                raise ValueError("not an object")
-        except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError too
-            response = {"id": None, "error": "unparseable request", "kind": "bad-request"}
-        else:
-            response = _handle_request(sim, datasets, request)
-        try:
-            data = (json.dumps(response, allow_nan=False) + "\n").encode("utf-8")
-        except ValueError:  # a non-finite answer (the built-in simulator raises first)
-            data = _encode({"id": response["id"], "error": "non-finite result",
-                            "kind": "bad-request"})
-        wfile.write(data)
+    try:
+        wfile.write(_encode(handshake))
         wfile.flush()
+        datasets: list[np.ndarray] = []
+        for line in rfile:
+            if not line.strip():
+                continue
+            try:
+                request = json.loads(line.decode("utf-8"))
+                if not isinstance(request, dict):
+                    raise ValueError("not an object")
+            except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError too
+                response = {"id": None, "error": "unparseable request", "kind": "bad-request"}
+            else:
+                response = _handle_request(sim, datasets, request)
+            try:
+                data = (json.dumps(response, allow_nan=False) + "\n").encode("utf-8")
+            except ValueError:  # a non-finite answer (the built-in simulator raises first)
+                data = _encode({"id": response["id"], "error": "non-finite result",
+                                "kind": "bad-request"})
+            wfile.write(data)
+            wfile.flush()
+    except (BrokenPipeError, ConnectionResetError):
+        pass
 
 
 def serve_stdio(sim) -> None:
     serve(sim, sys.stdin.buffer, sys.stdout.buffer)
+    # Bytes a hung-up client did not take stay in stdout's buffer, and the
+    # interpreter's last flush would fail on them; the session is over, so
+    # stdout goes to the null device.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def serve_tcp(sim, host: str, port: int, ready_callback=None) -> None:

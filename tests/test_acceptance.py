@@ -53,11 +53,11 @@ def floored_log10(value):
 def test_criterion_1_optimizer_correctness():
     t0 = time.time()
     ours_sphere = minimize(lambda xs: np.array([sphere(x) for x in xs]),
-                           [es_init(np.full(5, 3.0), 1.0, 20, seed=2)], 300).best_loss[0]
+                           es_init(np.full((1, 5), 3.0), [1.0], 20, [2]), 300).best_loss[0]
     sphere_time = time.time() - t0
     t0 = time.time()
     ours_rosen = minimize(lambda xs: np.array([rosenbrock(x) for x in xs]),
-                          [es_init(np.zeros(5), 0.5, 20, seed=2)], 300).best_loss[0]
+                          es_init(np.zeros((1, 5)), [0.5], 20, [2]), 300).best_loss[0]
     rosen_time = time.time() - t0
 
     ref_sphere = reference_minimize(sphere, np.full(5, 3.0), 1.0, 20, 300, seed=2)

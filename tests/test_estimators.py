@@ -239,9 +239,9 @@ def test_gfvi_matches_a_candidate_by_candidate_reference(criterion_task):
 
     reference = cmaes.minimize(
         lambda us: np.array([negative_elbo(u) for u in us]),
-        [cmaes.es_init(np.zeros(2 * prior.dim), config.search_step, 6,
-                       seed=int(np.random.default_rng(
-                           np.random.SeedSequence(9, spawn_key=(0,))).integers(2 ** 63)))], 4)
+        cmaes.es_init(np.zeros((1, 2 * prior.dim)), [config.search_step], 6,
+                      [int(np.random.default_rng(
+                          np.random.SeedSequence(9, spawn_key=(0,))).integers(2 ** 63))]), 4)
     assert result.trace["best_elbo"] == [-v for v in reference.history[:, 0]]
     assert result.diagnostics["best_elbo"] == -reference.best_loss[0]
 

@@ -3,6 +3,7 @@ import json
 import os
 import socket
 import struct
+import subprocess
 import sys
 import threading
 
@@ -295,6 +296,38 @@ def test_spawn_reaps_child_after_failed_handshake(tmp_path):
         ExternalSimulator.spawn([sys.executable, "-c", script])
     with pytest.raises(ProcessLookupError):  # killed and waited for, not a zombie
         os.kill(int(pid_file.read_text()), 0)
+
+
+def test_connect_closes_its_socket_after_failed_handshake(monkeypatch):
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        with listener, listener.accept()[0] as conn:
+            conn.sendall(b'{"protocol": 99}\n')
+            conn.recv(1)  # until the client closes
+    threading.Thread(target=run, daemon=True).start()
+    sockets = []
+    create_connection = socket.create_connection
+    monkeypatch.setattr(socket, "create_connection",
+                        lambda *args, **kwargs: sockets.append(
+                            create_connection(*args, **kwargs)) or sockets[-1])
+    with pytest.raises(ProtocolError, match="unsupported handshake"):
+        ExternalSimulator.connect("127.0.0.1", listener.getsockname()[1])
+    assert sockets[0].fileno() == -1
+
+
+@pytest.mark.parametrize("read_handshake", [False, True], ids=["handshake", "answer"])
+def test_a_client_that_hangs_up_ends_a_stdio_session_quietly(task_file, read_handshake):
+    # closing the server's stdout first breaks the write of the handshake, or of
+    # the answer to the request: the session ends as EOF ends it, with exit 0
+    proc = subprocess.Popen([sys.executable, "-m", "promptuq", "serve", "--task", task_file],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    if read_handshake:
+        proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(REGISTER.encode() + b"\n", timeout=60)
+    assert proc.returncode == 0 and err == b""
 
 
 def _resetting_server():
