@@ -6,8 +6,9 @@ synthetic tasks (2 classes; 5 classes with 4,096 test rows; 9 classes) under
 the default evaluation. On the 2-class task it adds the evaluation subsets
 below, for the methods that observe logits `predictive_mode: labels`, and a
 wide ensemble (10 members, 100 generations).
-On each task it then runs `promptuq predict` and `promptuq eval`, selective
-and OOD.
+On each task it then runs `promptuq predict` (logits on the test and far-OOD
+splits, and the seeded sample decode of labels on the test split) and
+`promptuq eval`, selective and OOD.
 
 Everything is written under a temporary directory, which is the working
 directory of the runs. One `sha256  path` line is printed per artifact, in
@@ -96,6 +97,10 @@ def run_matrix() -> dict[str, str]:
             _run(["predict", "--task", task_path, "--posterior", posterior,
                   "--split", split, "--out", f"pred/{label}_{split}.csv"],
                  f"pred/{label}_{split}.csv", hashes)
+        _run(["predict", "--task", task_path, "--posterior", posterior,
+              "--split", "test", "--mode", "labels", "--decode", "sample", "--seed", "3",
+              "--out", f"pred/{label}_test_sampled.csv"],
+             f"pred/{label}_test_sampled.csv", hashes)
         _run(["eval", "--pred", f"pred/{label}_test.csv", "--task", task_path,
               "--out", f"eval/{label}_selective"], f"eval/{label}_selective", hashes)
         _run(["eval", "--pred", f"pred/{label}_test.csv",

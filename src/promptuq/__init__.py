@@ -18,8 +18,7 @@ from .experiment import (ExperimentConfig, compare_methods,
                          experiment_config_from_dict, run_experiment)
 from .predictive import (PredictiveTable, predictive_from_labels,
                          predictive_from_logits)
-from .prompt_space import (PriorSpec, ProjectionSpec, make_projection,
-                           prior_log_density, project, sample_prior)
+from .prompt_space import PriorSpec, make_projection, prior_log_density, sample_prior
 from .protocol import ExternalSimulator, serve, serve_stdio, serve_tcp
 from .uqeval import (RiskRejectionCurve, ece, ood_detection_eval, oracle_lower_bound,
                      risk_rejection_curve, selective_classification_eval)

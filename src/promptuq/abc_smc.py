@@ -143,7 +143,9 @@ def update_weights(new_particles: np.ndarray, prev_particles: np.ndarray,
     """Importance weights: prior density over the resample-and-perturb mixture.
 
     Everything happens in log space; the naive product form underflows well
-    before d = 20.
+    before d = 20. A kernel variance near the float range overflows 2 pi var
+    and (z - prev)^2 although their logs and ratio are finite; only those
+    entries are recomputed in scaled form.
     """
     new_particles = np.atleast_2d(new_particles)
     prev_particles = np.atleast_2d(prev_particles)
@@ -151,11 +153,18 @@ def update_weights(new_particles: np.ndarray, prev_particles: np.ndarray,
     kernel_variance = np.asarray(kernel_variance, dtype=float)
     with np.errstate(divide="ignore"):
         log_prev_w = np.log(prev_weights)
-    log_norm = np.log(2.0 * np.pi * kernel_variance)
+    with np.errstate(over="ignore"):
+        log_norm = np.log(2.0 * np.pi * kernel_variance)
+    log_norm = np.where(np.isfinite(log_norm), log_norm,
+                        np.log(2.0 * np.pi) + np.log(kernel_variance))
     log_w = np.empty(len(new_particles))
     for s, z in enumerate(new_particles):
-        log_mix = log_prev_w - 0.5 * np.sum(
-            (z - prev_particles) ** 2 / kernel_variance + log_norm, axis=1)
+        with np.errstate(over="ignore"):  # an entry still infinite has no mixture mass
+            squares = (z - prev_particles) ** 2 / kernel_variance
+            if not np.isfinite(squares).all():
+                squares = np.where(np.isfinite(squares), squares,
+                                   ((z - prev_particles) / np.sqrt(kernel_variance)) ** 2)
+        log_mix = log_prev_w - 0.5 * np.sum(squares + log_norm, axis=1)
         log_sum = log_mix.max()
         if np.isfinite(log_sum):  # an all -inf row has no mixture mass to sum
             log_sum += np.log(np.exp(log_mix - log_sum).sum())

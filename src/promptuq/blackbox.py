@@ -11,10 +11,10 @@ Every rule on what a query may hold is here: ``check_query`` and
 client and server answer through them too, so a query refused in process is
 refused served, and an empty one (K = 0 or n = 0) is an empty answer on both.
 
-The built-in classifier is a frozen two-layer tanh network. The full prompt
-enters through a linear pooling down to a few dimensions, concatenated with
-the input features; the pooling is scaled so the pooled values are O(1) when
-z is drawn from the task prior, which keeps the loss landscape smooth.
+The built-in classifier is a frozen two-layer tanh network holding the
+task's projection, so z becomes the full prompt A z there alone. The prompt
+is pooled down to a few dimensions, scaled to be O(1) under the task prior
+(which keeps the loss landscape smooth), and concatenated with the inputs.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      NumericalBreakdownError, check_positive)
-from .prompt_space import (PriorSpec, ProjectionSpec, check_sigma, make_projection,
-                           project, sample_prior)
+from .prompt_space import PriorSpec, check_sigma, make_projection, sample_prior
 
 # Amplifies the pooled prompt block's first-layer weights so a random prompt
 # relabels data near chance level rather than leaving the labeling
@@ -65,18 +64,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrozenClassifier:
-    """Fixed-weight two-layer network: logits = w2 @ tanh(w1 @ [x; pool @ prompt] + b1) + b2."""
+    """Two-layer net over z: logits = w2 @ tanh(w1 @ [x; pool @ projection @ z] + b1) + b2."""
 
-    w1: np.ndarray    # (hidden, feature_dim + pooled_dim)
-    b1: np.ndarray    # (hidden,)
-    w2: np.ndarray    # (classes, hidden)
-    b2: np.ndarray    # (classes,)
-    pool: np.ndarray  # (pooled_dim, prompt_dim)
+    projection: np.ndarray  # (prompt_dim, subspace_dim)
+    w1: np.ndarray          # (hidden, feature_dim + pooled_dim)
+    b1: np.ndarray          # (hidden,)
+    w2: np.ndarray          # (classes, hidden)
+    b2: np.ndarray          # (classes,)
+    pool: np.ndarray        # (pooled_dim, prompt_dim)
     classes: int
-    seed: int
 
     def __post_init__(self):
-        for name in ("w1", "b1", "w2", "b2", "pool"):
+        if self.projection.ndim != 2 or len(self.projection) != self.prompt_dim:
+            raise ValueError(f"projection shape {self.projection.shape} != ({self.prompt_dim}, d)")
+        for name in ("projection", "w1", "b1", "w2", "b2", "pool"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"classifier weight {name} contains non-finite entries")
 
@@ -88,11 +89,15 @@ class FrozenClassifier:
     def prompt_dim(self) -> int:
         return self.pool.shape[1]
 
+    @property
+    def subspace_dim(self) -> int:
+        return self.projection.shape[1]
+
     @classmethod
-    def create(cls, feature_dim: int, prompt_dim: int, classes: int, hidden: int,
+    def create(cls, feature_dim: int, projection: np.ndarray, classes: int, hidden: int,
                seed: int, pooled_dim: int | None = None,
                prompt_scale: float = 1.0) -> "FrozenClassifier":
-        """Draw weights deterministically from ``seed``.
+        """Draw weights deterministically from ``seed`` around ``projection``.
 
         ``prompt_scale`` is the expected standard deviation of full-prompt
         entries under the task prior; the pooling map is shrunk by it so the
@@ -100,6 +105,7 @@ class FrozenClassifier:
         """
         if classes < 2:
             raise ValueError("need at least two classes")
+        prompt_dim = len(projection)
         if min(feature_dim, prompt_dim, hidden) < 1:
             raise ValueError("dimensions must be positive")
         if pooled_dim is None:
@@ -113,18 +119,19 @@ class FrozenClassifier:
         b2 = rng.normal(0.0, 0.1, size=classes)
         pool = rng.normal(0.0, 1.0 / (np.sqrt(prompt_dim) * prompt_scale),
                           size=(pooled_dim, prompt_dim))
-        return cls(w1, b1, w2, b2, pool, classes, int(seed))
+        return cls(projection, w1, b1, w2, b2, pool, classes)
 
-    def logits(self, prompts: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """Logits for a (D,) prompt, (n, C), or for each row of a (K, D) stack,
+    def logits(self, zs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+        """Logits for a (d,) z, (n, C), or for each row of a (K, d) stack,
         (K, n, C).
 
-        Each stacked matmul makes one BLAS call per prompt with the shapes of
-        a single-prompt call, so every block equals its single-prompt result
-        bit for bit, whatever the stack size.
+        Each stacked matmul makes one BLAS call per z with the shapes of a
+        single-z call, so every block equals its single-z result bit for bit,
+        whatever the stack size.
         """
         features = inputs.shape[1]
-        pooled = np.matmul(self.pool, prompts[..., None])[..., 0]
+        prompts = np.matmul(self.projection, zs[..., None])
+        pooled = np.matmul(self.pool, prompts)[..., 0]
         batch = np.empty(pooled.shape[:-1] + (len(inputs), features + len(self.pool)))
         batch[..., :features] = inputs
         batch[..., features:] = pooled[..., None, :]
@@ -171,7 +178,7 @@ def check_decode_seeds(seeds, rows: int) -> list[int]:
 
 
 class SyntheticSimulator:
-    """Query handle binding a frozen classifier to a projection.
+    """Query handle over a frozen classifier, with its access policy and budget.
 
     A query takes one z or a (K, d) stack and answers every (z, input) pair
     in z-major order: rows k*n .. k*n + n - 1 belong to z number k. Each row
@@ -180,14 +187,9 @@ class SyntheticSimulator:
     Immutable except for the budget counter, so concurrent readers are safe.
     """
 
-    def __init__(self, classifier: FrozenClassifier, projection: ProjectionSpec,
-                 allow_logits: bool = True, budget: EvalBudget | None = None):
-        if projection.prompt_dim != classifier.prompt_dim:
-            raise ValueError(
-                f"projection prompt_dim {projection.prompt_dim} != classifier "
-                f"prompt_dim {classifier.prompt_dim}")
+    def __init__(self, classifier: FrozenClassifier, allow_logits: bool = True,
+                 budget: EvalBudget | None = None):
         self.classifier = classifier
-        self.projection = projection
         self.allow_logits = allow_logits
         self.budget = budget if budget is not None else EvalBudget()
 
@@ -201,11 +203,11 @@ class SyntheticSimulator:
 
     @property
     def subspace_dim(self) -> int:
-        return self.projection.subspace_dim
+        return self.classifier.subspace_dim
 
     @property
     def prompt_dim(self) -> int:
-        return self.projection.prompt_dim
+        return self.classifier.prompt_dim
 
     def _raw_logits(self, zs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Logits of every pair of a checked query, (K * n, classes), charged up
@@ -219,7 +221,7 @@ class SyntheticSimulator:
             for start in range(0, len(zs), step):
                 chunk = zs[start:start + step]
                 logits[start * n:(start + len(chunk)) * n] = self.classifier.logits(
-                    project(self.projection, chunk), inputs).reshape(-1, self.classes)
+                    chunk, inputs).reshape(-1, self.classes)
         if not np.isfinite(logits).all():
             raise NumericalBreakdownError("the model overflowed: a query row is not finite")
         return logits
@@ -308,7 +310,6 @@ class SyntheticTask:
 
     config: TaskConfig
     classifier: FrozenClassifier
-    projection: ProjectionSpec
     prior: PriorSpec
     train: LabeledSet
     test: LabeledSet
@@ -319,8 +320,7 @@ class SyntheticTask:
     def simulator(self, allow_logits: bool = True,
                   budget_limit: int | None = None) -> SyntheticSimulator:
         """A fresh query handle with its own budget counter."""
-        return SyntheticSimulator(self.classifier, self.projection,
-                                  allow_logits=allow_logits,
+        return SyntheticSimulator(self.classifier, allow_logits=allow_logits,
                                   budget=EvalBudget(limit=budget_limit))
 
     def split(self, name: str) -> LabeledSet:
@@ -357,12 +357,12 @@ def make_synthetic_task(cfg: TaskConfig) -> SyntheticTask:
     projection = make_projection(cfg.subspace_dim, cfg.prompt_dim,
                                  seed=int(rng_proj.integers(2 ** 63)))
     classifier = FrozenClassifier.create(
-        cfg.feature_dim, cfg.prompt_dim, cfg.classes, cfg.hidden,
+        cfg.feature_dim, projection, cfg.classes, cfg.hidden,
         seed=int(rng_net.integers(2 ** 63)), pooled_dim=cfg.pooled_dim,
         prompt_scale=cfg.prior_sigma)
     prior = PriorSpec(cfg.subspace_dim, cfg.prior_sigma)
 
-    labeler = SyntheticSimulator(classifier, projection)
+    labeler = SyntheticSimulator(classifier)
     X_train = rng_inputs.normal(size=(cfg.n_train, cfg.feature_dim))
     X_test = rng_inputs.normal(size=(cfg.n_test, cfg.feature_dim))
 
@@ -394,7 +394,7 @@ def make_synthetic_task(cfg: TaskConfig) -> SyntheticTask:
     far_mu = 2.0 * cfg.ood_shift * far_direction
     far = far_mu + np.sqrt(2.0) * rng_ood.normal(size=(cfg.n_ood, cfg.feature_dim))
 
-    return SyntheticTask(cfg, classifier, projection, prior,
+    return SyntheticTask(cfg, classifier, prior,
                          LabeledSet(X_train, y_train), LabeledSet(X_test, y_test),
                          near, far, z_star)
 

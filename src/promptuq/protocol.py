@@ -50,6 +50,7 @@ from .errors import (AccessDeniedError, BudgetExhaustedError, NumericalBreakdown
 from .uqeval import check_probability_table
 
 PROTOCOL_VERSION = 2
+MODES = ("logits", "labels")
 TIMEOUT = 30.0  # seconds a client waits to connect or for a server line
 # The failures a server reports by kind, and the client raises again; any
 # other failure, a ValueError from the simulator included, is a bad request.
@@ -145,14 +146,16 @@ class ExternalSimulator:
                 f"unsupported handshake: the server speaks protocol "
                 f"{handshake.get('protocol')!r}, this client protocol {PROTOCOL_VERSION}: "
                 f"{handshake}")
-        try:
-            self.classes = int(handshake["classes"])
-            self.feature_dim = int(handshake["feature_dim"])
-            self.prompt_dim = int(handshake["prompt_dim"])
-            self.subspace_dim = int(handshake["subspace_dim"])
-            self.modes = tuple(handshake["modes"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed handshake: {handshake}") from exc
+        dims = [handshake.get(key)
+                for key in ("classes", "feature_dim", "prompt_dim", "subspace_dim")]
+        modes = handshake.get("modes")
+        # positive JSON integers, at least two classes, distinct known modes
+        if not (all(type(dim) is int and dim > 0 for dim in dims) and dims[0] >= 2
+                and isinstance(modes, list) and modes and all(m in MODES for m in modes)
+                and len(set(modes)) == len(modes)):
+            raise ProtocolError(f"malformed handshake: {handshake}")
+        self.classes, self.feature_dim, self.prompt_dim, self.subspace_dim = dims
+        self.modes = tuple(modes)
 
     @classmethod
     def spawn(cls, argv: list[str]) -> "ExternalSimulator":
@@ -300,7 +303,7 @@ def _handle_request(sim, datasets: list, request: dict) -> dict:
                 raise ValueError(f"unknown op {request['op']!r}")
             datasets.append(_number_rows(request.get("inputs")))
             return {"id": request_id, "dataset": len(datasets) - 1}
-        if mode not in ("logits", "labels"):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if type(index) is not int or not 0 <= index < len(datasets):
             raise ValueError(f"unknown dataset {index!r}")

@@ -84,26 +84,24 @@ def served_task(tmp_path_factory):
 def build_uniform_simulator(subspace_dim=4, feature_dim=4, classes=2, seed=1,
                             allow_logits=True):
     """Simulator whose final layer is zeroed: every query returns 1/C."""
-    prompt_dim = 4 * subspace_dim
-    base = FrozenClassifier.create(feature_dim, prompt_dim, classes, hidden=8,
+    projection = make_projection(subspace_dim, 4 * subspace_dim, seed=seed)
+    base = FrozenClassifier.create(feature_dim, projection, classes, hidden=8,
                                    seed=seed)
-    net = FrozenClassifier(base.w1, base.b1, np.zeros_like(base.w2),
-                           np.zeros_like(base.b2), base.pool, classes, seed)
-    projection = make_projection(subspace_dim, prompt_dim, seed=seed)
-    return SyntheticSimulator(net, projection, allow_logits=allow_logits)
+    net = FrozenClassifier(projection, base.w1, base.b1, np.zeros_like(base.w2),
+                           np.zeros_like(base.b2), base.pool, classes)
+    return SyntheticSimulator(net, allow_logits=allow_logits)
 
 
 def build_fixed_probs_simulator(log_probs, feature_dim=3, seed=0):
     """Simulator returning the same distribution for every (z, input)."""
     classes = len(log_probs)
-    prompt_dim = 8
-    base = FrozenClassifier.create(feature_dim, prompt_dim, classes, hidden=4,
+    projection = make_projection(2, 8, seed=seed)
+    base = FrozenClassifier.create(feature_dim, projection, classes, hidden=4,
                                    seed=seed)
-    net = FrozenClassifier(np.zeros_like(base.w1), np.zeros_like(base.b1),
+    net = FrozenClassifier(projection, np.zeros_like(base.w1), np.zeros_like(base.b1),
                            np.zeros_like(base.w2), np.asarray(log_probs, dtype=float),
-                           base.pool, classes, seed)
-    projection = make_projection(2, prompt_dim, seed=seed)
-    return SyntheticSimulator(net, projection)
+                           base.pool, classes)
+    return SyntheticSimulator(net)
 
 
 @pytest.fixture

@@ -217,6 +217,17 @@ def test_update_weights_matches_brute_force_mixture():
         assert np.allclose(ours, proof, rtol=1e-8, atol=0)
 
 
+def test_update_weights_near_the_float_range_stay_finite():
+    # 2 pi var and (z - prev)^2 overflow here although every log weight is finite
+    rng = np.random.default_rng(0)
+    prior = PriorSpec(2, 1e154)
+    prev = rng.normal(size=(4, 2)) * prior.sigma
+    new = prev[[0, 1, 1, 3]] + rng.normal(size=(4, 2)) * prior.sigma
+    weights = update_weights(new, prev, np.full(4, 0.25), np.full(2, 1e308), prior)
+    assert np.isfinite(weights).all() and (weights > 0).all()
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_update_weights_degenerate_error():
     prior = PriorSpec(2, 1.0)
     with pytest.raises(DegenerateWeightsError):

@@ -4,17 +4,28 @@ import numpy as np
 import pytest
 
 from conftest import CRITERION_TASK, build_fixed_probs_simulator
-from promptuq.blackbox import (SyntheticSimulator, TaskConfig, make_synthetic_task,
-                               task_config_to_dict)
+from promptuq.blackbox import (FrozenClassifier, SyntheticSimulator, TaskConfig,
+                               make_synthetic_task, task_config_to_dict)
 from promptuq.errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                              config_from_dict)
 from promptuq.estimators import EsConfig, negative_log_likelihood, point_estimate
+from promptuq.prompt_space import make_projection
 
 
 def test_uniform_simulator_returns_uniform_rows(uniform_sim):
     rng = np.random.default_rng(0)
     probs = uniform_sim.query_logits(rng.normal(size=4), rng.normal(size=(5, 4)))
     assert np.allclose(probs, 0.5)
+
+
+@pytest.mark.parametrize("projection,match", [
+    (make_projection(2, 6, seed=0), "projection shape"),  # rows != the pooling's 8
+    (np.array([[1.0, 0.0]] * 7 + [[np.nan, 0.0]]), "projection contains non-finite"),
+])
+def test_classifier_refuses_a_projection_that_does_not_fit(projection, match):
+    base = FrozenClassifier.create(3, make_projection(2, 8, seed=0), 2, hidden=4, seed=0)
+    with pytest.raises(ValueError, match=match):
+        FrozenClassifier(projection, base.w1, base.b1, base.w2, base.b2, base.pool, 2)
 
 
 def test_query_logits_deterministic(criterion_task):
@@ -67,7 +78,7 @@ class AffineLogitSimulator(SyntheticSimulator):
 
 def test_argmax_invariant_under_increasing_logit_transform(criterion_task):
     plain = criterion_task.simulator()
-    hooked = AffineLogitSimulator(criterion_task.classifier, criterion_task.projection)
+    hooked = AffineLogitSimulator(criterion_task.classifier)
     rng = np.random.default_rng(6)
     for _ in range(10):
         z = rng.normal(size=8) * 50

@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import promptuq
@@ -894,6 +894,10 @@ def extreme_runs(draw):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(extreme_runs())
+# kernel variances near 1e308 once overflowed the importance weights
+@example(({"task": dict(FUZZ_TASK, prior_sigma=1e154), "method": "abc_smc", "seed": 1,
+           "params": {"sample_count": 3, "smc_iterations": 3, "max_attempts": 30}},
+          "logits", 0))
 def test_cli_exit_codes_hold_for_extreme_numbers(tmp_path_factory, capsys, run):
     config, mode, sample_seed = run
     tmp = tmp_path_factory.mktemp("extreme")

@@ -4,21 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptuq.prompt_space import (PriorSpec, make_projection, prior_log_density,
-                                   project, sample_prior)
+                                   sample_prior)
 
 
 def test_projection_shape_and_finiteness():
-    spec = make_projection(2, 4, seed=7)
-    assert spec.matrix.shape == (4, 2)
-    assert np.isfinite(spec.matrix).all()
-    assert np.array_equal(spec.anchor, np.zeros(4))
+    matrix = make_projection(2, 4, seed=7)
+    assert matrix.shape == (4, 2)
+    assert np.isfinite(matrix).all()
 
 
 def test_projection_deterministic_in_seed():
     a = make_projection(3, 10, seed=42)
     b = make_projection(3, 10, seed=42)
-    assert np.array_equal(a.matrix, b.matrix)
-    assert not np.array_equal(a.matrix, make_projection(3, 10, seed=43).matrix)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, make_projection(3, 10, seed=43))
 
 
 def test_projection_entry_variance_matches_one_over_d():
@@ -26,7 +25,7 @@ def test_projection_entry_variance_matches_one_over_d():
     # chi-square band on the sample variance of 8000 draws is far inside
     # [0.45, 0.55].
     entries = np.concatenate([
-        make_projection(2, 4, seed=s).matrix.ravel() for s in range(1000)])
+        make_projection(2, 4, seed=s).ravel() for s in range(1000)])
     assert 0.45 <= entries.var() <= 0.55
 
 
@@ -34,36 +33,6 @@ def test_projection_entry_variance_matches_one_over_d():
 def test_projection_dimension_errors(d, D):
     with pytest.raises(ValueError):
         make_projection(d, D, seed=0)
-
-
-def test_project_zero_gives_anchor():
-    spec = make_projection(2, 6, seed=3, anchor=np.arange(6.0))
-    assert np.array_equal(project(spec, np.zeros(2)), np.arange(6.0))
-
-
-def test_project_identity_case():
-    spec = make_projection(2, 2, seed=0)
-    ident = type(spec)(2, 2, np.eye(2), np.zeros(2), 0)
-    assert np.allclose(project(ident, np.array([1.0, 2.0])), [1.0, 2.0])
-
-
-def test_project_rejects_wrong_length():
-    spec = make_projection(2, 4, seed=1)
-    with pytest.raises(ValueError):
-        project(spec, np.zeros(3))
-
-
-@settings(max_examples=50)
-@given(st.integers(0, 2 ** 32 - 1),
-       st.floats(-3, 3), st.floats(-3, 3))
-def test_project_linearity(seed, a, b):
-    spec = make_projection(3, 8, seed=11)
-    rng = np.random.default_rng(seed)
-    z1, z2 = rng.normal(size=3), rng.normal(size=3)
-    lhs = project(spec, a * z1 + b * z2) - spec.anchor
-    rhs = (a * (project(spec, z1) - spec.anchor)
-           + b * (project(spec, z2) - spec.anchor))
-    assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
 
 def test_prior_requires_positive_sigma():

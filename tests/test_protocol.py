@@ -282,6 +282,17 @@ def test_client_refuses_a_handshake_without_the_subspace_dimension():
         ExternalSimulator(ScriptedTransport([json.dumps(handshake)]))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("classes", True), ("classes", -3), ("classes", 1), ("feature_dim", 4.9),
+    ("prompt_dim", 0), ("subspace_dim", "2"), ("modes", "logits"), ("modes", []),
+    ("modes", ["logits", "logits"]), ("modes", ["logits", "probs"]), ("modes", [["labels"]]),
+])
+def test_client_refuses_a_handshake_with_a_malformed_field(field, value):
+    handshake = {**json.loads(HANDSHAKE), field: value}
+    with pytest.raises(ProtocolError, match="malformed handshake"):
+        ExternalSimulator(ScriptedTransport([json.dumps(handshake)]))
+
+
 def test_client_rejects_a_malformed_dataset_index():
     transport = ScriptedTransport([HANDSHAKE, json.dumps({"id": 0, "dataset": "0"})])
     with pytest.raises(ProtocolError, match="dataset index"):
