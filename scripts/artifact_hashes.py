@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Hash every artifact of a fixed matrix of CLI runs.
 
-The matrix runs `promptuq tune --trace` for the five methods on three
-synthetic tasks (2 classes; 5 classes with 4,096 test rows; 9 classes) under
-the default evaluation. On the 2-class task it adds the evaluation subsets
+The matrix runs `promptuq tune` for the five methods on three synthetic
+tasks (2 classes; 5 classes with 4,096 test rows; 9 classes) under the
+default evaluation. On the 2-class task it adds the evaluation subsets
 below, for the methods that observe logits `predictive_mode: labels`, and a
 wide ensemble (10 members, 100 generations).
 On each task it then runs `promptuq predict` (logits on the test and far-OOD
@@ -78,8 +78,7 @@ def _tune(name, task, method, hashes, params=None, **fields) -> None:
     config = _write_json(f"configs/{name}.json", {"task": task, "method": method,
                                                   "seed": 0, "params": params or PARAMS[method],
                                                   **fields})
-    _run(["tune", "--config", config, "--out", f"runs/{name}", "--trace"],
-         f"runs/{name}", hashes)
+    _run(["tune", "--config", config, "--out", f"runs/{name}"], f"runs/{name}", hashes)
 
 
 def run_matrix() -> dict[str, str]:

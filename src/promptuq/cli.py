@@ -90,11 +90,8 @@ def cmd_tune(args) -> int:
     if args.seed is not None:
         payload["seed"] = args.seed
     config = experiment_config_from_dict(payload)
-    if not isinstance(payload.get("out", ""), str):
-        raise ConfigError("out", "must be a string")
-    out_dir = args.out or payload.get("out") or "out"
     with _oserror_names("out"):  # the run converts its reads and simulator I/O itself
-        report = run_experiment(config, out_dir, trace=args.trace)
+        report = run_experiment(config, args.out)
     print(f"wrote {report.files['summary']}")
     for key in ("accuracy", "ece"):
         if key in report.summary:
@@ -108,7 +105,8 @@ def cmd_predict(args) -> int:
     task = make_synthetic_task(cfg)
     try:
         ensemble = estimators.load_ensemble(args.posterior)
-    except (OSError, ValueError, LookupError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, RecursionError,
+            OverflowError) as exc:  # OverflowError: an integer beyond the float range
         raise ConfigError("posterior", f"cannot load {args.posterior}: {exc}") from exc
     if ensemble.samples.shape[1] != task.prior.dim:
         raise ConfigError("posterior", f"z has {ensemble.samples.shape[1]} entries, "
@@ -171,9 +169,8 @@ def cmd_compare(args) -> int:
     if args.seed is not None:
         payload["seed"] = args.seed
     configs = compare_configs_from_dict(payload)
-    out_dir = args.out or "compare_out"
     with _oserror_names("out"):
-        rows = compare_methods(configs, out_dir, trace=args.trace)
+        rows = compare_methods(configs, args.out)
     headers = list(rows[0].keys())
     print("\t".join(headers))
     for row in rows:
@@ -246,8 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="run one inference method end to end")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--trace", action="store_true", help="write trace.csv")
+    p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("predict", help="predictive table from a saved posterior")
@@ -271,8 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run several methods on one task")
     p.add_argument("--config", required=True, help="comparison config JSON")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--trace", action="store_true")
+    p.add_argument("--out", default="compare_out", help="output directory")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("lower-bound", help="oracle risk-rejection lower bound")

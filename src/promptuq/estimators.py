@@ -96,10 +96,11 @@ class PosteriorEnsemble:
     trace: dict[str, list] = field(default_factory=dict)  # trace.csv columns, in order
 
     def __post_init__(self):
-        self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
+        self.samples = np.asarray(self.samples, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        if len(self.samples) < 1 or len(self.samples) != len(self.weights):
-            raise ValueError("need equally many samples and weights, at least one")
+        if (self.samples.ndim != 2 or len(self.samples) < 1
+                or len(self.samples) != len(self.weights)):
+            raise ValueError("need a (size, d) sample matrix, one weight per row, size >= 1")
         if not (np.isfinite(self.samples).all() and np.isfinite(self.weights).all()):
             raise ValueError("samples and weights must be finite")
         if (self.weights < 0).any():
@@ -121,15 +122,19 @@ def save_ensemble(ensemble: PosteriorEnsemble, path) -> None:
 
 
 def load_ensemble(path) -> PosteriorEnsemble:
+    """Records {"weight": number, "z": [numbers]}, as ``save_ensemble`` writes them."""
     samples, weights = [], []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
             record = json.loads(line)
-            samples.append(record["z"])
-            weights.append(record["weight"])
+            z, weight = record["z"], record["weight"]
+            if not (isinstance(z, list) and all(type(v) in (int, float) for v in z)
+                    and type(weight) in (int, float)):
+                raise ValueError(f"line {number}: need {{\"weight\": number, \"z\": [numbers]}}")
+            samples.append(z)
+            weights.append(weight)
     return PosteriorEnsemble(np.asarray(samples), np.asarray(weights), "loaded")
 
 

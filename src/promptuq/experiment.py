@@ -9,7 +9,7 @@ fields, so a config built in code fails as its JSON twin does.
 
 Every run is a pure function of (config, seed): the task is rebuilt from its
 config, methods consume named substreams of the experiment seed, and all
-artifacts (summary JSON, posterior NDJSON, curve CSVs) are written with
+artifacts (summary JSON, posterior NDJSON, trace and curve CSVs) are written with
 deterministic formatting so reruns are byte-identical.
 """
 
@@ -96,15 +96,15 @@ def external_task_from_dict(payload: dict) -> ExternalTaskSpec:
     check_keys(payload, {"endpoint", "prior", "datasets"}, "task",
                ("endpoint", "prior", "datasets"))
     endpoint = check_keys(payload["endpoint"], {"argv", "host", "port"}, "task.endpoint")
-    argv = endpoint.get("argv")
-    host = endpoint.get("host")
-    port = endpoint.get("port")
-    if argv is None and not (isinstance(host, str) and type(port) is int):
-        raise ConfigError("task.endpoint", "need argv, or a string host and integer port")
-    if argv is not None and not (isinstance(argv, list) and argv
-                                 and all(isinstance(arg, str) for arg in argv)):
+    argv, host, port = endpoint.get("argv"), endpoint.get("host"), endpoint.get("port")
+    if set(endpoint) not in ({"argv"}, {"host", "port"}):
+        raise ConfigError("task.endpoint", "need argv, or host and port, never both")
+    if "argv" in endpoint and not (isinstance(argv, list) and argv
+                                   and all(isinstance(arg, str) for arg in argv)):
         raise ConfigError("task.endpoint.argv", "must be a nonempty list of strings")
-    if port is not None and not (type(port) is int and 0 <= port <= 65535):
+    if "host" in endpoint and not isinstance(host, str):
+        raise ConfigError("task.endpoint.host", "must be a string")
+    if "port" in endpoint and not (type(port) is int and 0 <= port <= 65535):
         raise ConfigError("task.endpoint.port", "must be an integer in 0..65535")
     prior = config_from_dict(PriorSpec, payload["prior"], "task.prior")
     datasets = payload["datasets"]
@@ -116,9 +116,8 @@ def external_task_from_dict(payload: dict) -> ExternalTaskSpec:
 
 
 def experiment_config_from_dict(payload: dict) -> ExperimentConfig:
-    # "out" is the output directory of `promptuq tune`; it is not read here
-    check_keys(payload, {"task", "method", "seed", "params", "out", "evaluation",
-                         "predictive_mode"}, "", ("method", "seed", "task"))
+    check_keys(payload, {"task", "method", "seed", "params", "evaluation", "predictive_mode"},
+               "", ("method", "seed", "task"))
     evaluation = payload.get("evaluation", EVALUATIONS)
     if not isinstance(evaluation, (list, tuple)):
         raise ConfigError("evaluation", f"must be a list drawn from {EVALUATIONS}")
@@ -275,12 +274,10 @@ def save_curves(curves: dict, out_dir: str, block: str, files: dict[str, str]) -
 @dataclass
 class ExperimentReport:
     summary: dict
-    out_dir: str
     files: dict[str, str] = field(default_factory=dict)
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str,
-                   trace: bool = False) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
     ctx = _open_context(config)  # checks the data files before out_dir is made
     files: dict[str, str] = {}
     try:
@@ -291,7 +288,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str,
         posterior_path = os.path.join(out_dir, "posterior.ndjson")
         estimators.save_ensemble(ensemble, posterior_path)
         files["posterior"] = posterior_path
-        if trace and ensemble.trace:
+        if ensemble.trace:
             files["trace"] = os.path.join(out_dir, "trace.csv")
             with open(files["trace"], "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
@@ -332,14 +329,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str,
         summary_path = os.path.join(out_dir, "summary.json")
         uqeval.save_summary_json(summary, summary_path)
         files["summary"] = summary_path
-        return ExperimentReport(summary=summary, out_dir=out_dir, files=files)
+        return ExperimentReport(summary=summary, files=files)
     finally:
         if ctx.close is not None:
             ctx.close()
 
 
-def compare_methods(configs: list[ExperimentConfig], out_dir: str,
-                    trace: bool = False) -> list[dict]:
+def compare_methods(configs: list[ExperimentConfig], out_dir: str) -> list[dict]:
     """Run several methods on one task and tabulate the headline metrics."""
     if not configs:
         raise ConfigError("configs", "need at least one experiment")
@@ -353,7 +349,7 @@ def compare_methods(configs: list[ExperimentConfig], out_dir: str,
     rows = []
     for index, cfg in enumerate(configs):
         run_dir = os.path.join(out_dir, f"{index:02d}_{cfg.method}")
-        report = run_experiment(cfg, run_dir, trace=trace).summary
+        report = run_experiment(cfg, run_dir).summary
         row = {"method": cfg.method,
                "accuracy": report.get("accuracy"),
                "ece": report.get("ece")}

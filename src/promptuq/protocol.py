@@ -149,9 +149,9 @@ class ExternalSimulator:
         dims = [handshake.get(key)
                 for key in ("classes", "feature_dim", "prompt_dim", "subspace_dim")]
         modes = handshake.get("modes")
-        # positive JSON integers, at least two classes, distinct known modes
+        # positive JSON integers, at least two classes, distinct known modes with labels
         if not (all(type(dim) is int and dim > 0 for dim in dims) and dims[0] >= 2
-                and isinstance(modes, list) and modes and all(m in MODES for m in modes)
+                and isinstance(modes, list) and "labels" in modes and all(m in MODES for m in modes)
                 and len(set(modes)) == len(modes)):
             raise ProtocolError(f"malformed handshake: {handshake}")
         self.classes, self.feature_dim, self.prompt_dim, self.subspace_dim = dims

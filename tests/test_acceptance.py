@@ -334,8 +334,8 @@ def test_criterion_10_experiment_determinism(tmp_path):
         "params": {"sample_count": 50, "smc_iterations": 5},
     }
     config = experiment_config_from_dict(payload)
-    first = run_experiment(config, str(tmp_path / "a"), trace=True)
-    second = run_experiment(config, str(tmp_path / "b"), trace=True)
+    first = run_experiment(config, str(tmp_path / "a"))
+    second = run_experiment(config, str(tmp_path / "b"))
 
     identical = True
     names = sorted(p.name for p in (tmp_path / "a").iterdir())

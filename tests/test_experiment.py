@@ -82,9 +82,9 @@ def test_run_experiment_trace_not_accumulated(tmp_path):
     config = experiment_config_from_dict(
         payload("abc_smc", sample_count=10, smc_iterations=2))
     out = tmp_path / "run"
-    first = run_experiment(config, str(out), trace=True)
+    first = run_experiment(config, str(out))
     trace_once = (out / "trace.csv").read_bytes()
-    run_experiment(config, str(out), trace=True)
+    run_experiment(config, str(out))
     assert (out / "trace.csv").read_bytes() == trace_once
 
 
@@ -92,7 +92,7 @@ def test_point_cmaes_trace_csv(tmp_path):
     config = experiment_config_from_dict(
         {**payload("point_cmaes", population_size=6, max_generations=4),
          "evaluation": []})
-    report = run_experiment(config, str(tmp_path / "run"), trace=True)
+    report = run_experiment(config, str(tmp_path / "run"))
     lines = (tmp_path / "run" / "trace.csv").read_text().strip().splitlines()
     assert lines[0] == "generation,best_loss,step_size"
     assert len(lines) == 5
@@ -103,7 +103,7 @@ def test_ensembles_trace_has_member_column(tmp_path):
     config = experiment_config_from_dict(
         {**payload("ensembles", sample_count=3, population_size=4, max_generations=5),
          "evaluation": []})
-    run_experiment(config, str(tmp_path / "run"), trace=True)
+    run_experiment(config, str(tmp_path / "run"))
     with open(tmp_path / "run" / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["member", "generation", "best_loss", "step_size"]
@@ -114,7 +114,7 @@ def test_ensembles_trace_has_member_column(tmp_path):
 def test_rejection_abc_writes_no_trace(tmp_path):
     config = experiment_config_from_dict(
         {**payload("rejection_abc", sample_count=4, epsilon=0.6), "evaluation": []})
-    report = run_experiment(config, str(tmp_path / "run"), trace=True)
+    report = run_experiment(config, str(tmp_path / "run"))
     assert "trace" not in report.files
     assert not (tmp_path / "run" / "trace.csv").exists()
 
@@ -151,6 +151,22 @@ def test_compare_methods_identical_rows_and_shared_lower_bound(tmp_path):
     assert (tmp_path / "cmp" / "compare.json").exists()
 
 
+def test_compare_writes_the_trace_of_each_method_that_has_one(tmp_path, capsys):
+    config = write_json(tmp_path / "compare.json", {
+        "task": SMALL_TASK, "seed": 3, "evaluation": [],
+        "methods": [{"method": "point_cmaes",
+                     "params": {"population_size": 4, "max_generations": 3}},
+                    {"method": "rejection_abc", "params": {"sample_count": 4, "epsilon": 0.6}},
+                    {"method": "abc_smc", "params": {"sample_count": 10, "smc_iterations": 2}}]})
+    assert main(["compare", "--config", config, "--out", str(tmp_path / "cmp")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "cmp" / "00_point_cmaes" / "trace.csv").read_text().startswith(
+        "generation,best_loss,step_size")
+    assert not (tmp_path / "cmp" / "01_rejection_abc" / "trace.csv").exists()
+    assert (tmp_path / "cmp" / "02_abc_smc" / "trace.csv").read_text().startswith(
+        "iteration,epsilon,ess,total_attempts,simulator_calls")
+
+
 def test_compare_methods_rejects_mismatched_tasks(tmp_path):
     config_a = experiment_config_from_dict(payload("point_cmaes"))
     other = payload("point_cmaes")
@@ -173,10 +189,9 @@ def test_cli_task_tune_predict_eval_pipeline(tmp_path, capsys):
 
     assert main(["task", "--config", task_path, "--out", str(tmp_path / "t"),
                  "--inspect"]) == 0
-    assert main(["tune", "--config", exp_path, "--out", str(tmp_path / "run"),
-                 "--trace"]) == 0
+    assert main(["tune", "--config", exp_path, "--out", str(tmp_path / "run")]) == 0
     assert (tmp_path / "run" / "summary.json").exists()
-    assert (tmp_path / "run" / "trace.csv").exists()
+    assert (tmp_path / "run" / "trace.csv").exists()  # every run writes its trace
 
     pred_csv = str(tmp_path / "pred.csv")
     assert main(["predict", "--task", task_path,
@@ -308,8 +323,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     short_z.write_text('{"index": 0, "weight": 1.0, "z": [0.0, 0.0]}\n')
     nan_z = tmp_path / "nan_z.ndjson"
     nan_z.write_text('{"index": 0, "weight": 1.0, "z": [NaN, 0, 0, 0]}\n')
+    # a z of nested lists, whose second axis matches the prior dim; a bool weight;
+    # an integer beyond the float range
+    nested_z = tmp_path / "nested_z.ndjson"
+    nested_z.write_text('{"index": 0, "weight": 1.0, "z": [[0.5], [0.5], [0.5], [0.5]]}\n')
+    bool_weight = tmp_path / "bool_weight.ndjson"
+    bool_weight.write_text('{"index": 0, "weight": true, "z": [0.5, 0.5, 0.5, 0.5]}\n')
+    huge_z = tmp_path / "huge_z.ndjson"
+    huge_z.write_text('{"index": 0, "weight": 1.0, "z": [1%s, 0, 0, 0]}\n' % ("0" * 400))
     for posterior, mode in ((tmp_path / "missing.ndjson", "logits"), (short_z, "logits"),
-                            (nan_z, "logits"), (nan_z, "labels")):
+                            (nan_z, "logits"), (nan_z, "labels"), (nested_z, "logits"),
+                            (bool_weight, "logits"), (huge_z, "logits")):
         assert main(["predict", "--task", task_path, "--posterior", str(posterior),
                      "--mode", mode, "--out", pred_csv]) == 2
         assert "posterior" in capsys.readouterr().err
@@ -593,6 +617,15 @@ COMPARE = {"task": SMALL_TASK, "seed": 3,
     ({**payload("rejection_abc"), "task": {
         **EXTERNAL_TASK, "endpoint": {"host": "127.0.0.1", "port": -1}}},
      "task.endpoint.port"),
+    # an endpoint names argv, or host and port, never both
+    ({**payload("rejection_abc"), "task": {
+        **EXTERNAL_TASK, "endpoint": {"argv": ["simulator"], "host": 5}}},
+     "task.endpoint"),
+    ({**payload("rejection_abc"), "task": {
+        **EXTERNAL_TASK, "endpoint": {"argv": ["simulator"], "host": "h", "port": 9}}},
+     "task.endpoint"),
+    # `tune --out` alone names the output directory
+    ({**payload("point_cmaes"), "out": "dir"}, "out: unknown field"),
 ])
 def test_cli_tune_malformed_config_exits_2(tmp_path, capsys, config, field):
     path = write_json(tmp_path / "exp.json", config)
@@ -977,7 +1010,7 @@ def test_served_runs_equal_in_process_runs_end_to_end(served_task, tmp_path, met
         if mode:
             payload["predictive_mode"] = mode
         try:
-            run_experiment(experiment_config_from_dict(payload), str(out), trace=True)
+            run_experiment(experiment_config_from_dict(payload), str(out))
         except RuntimeError as exc:
             outcomes.append((type(exc), str(exc), sorted(os.listdir(out))))
             continue

@@ -286,6 +286,7 @@ def test_client_refuses_a_handshake_without_the_subspace_dimension():
     ("classes", True), ("classes", -3), ("classes", 1), ("feature_dim", 4.9),
     ("prompt_dim", 0), ("subspace_dim", "2"), ("modes", "logits"), ("modes", []),
     ("modes", ["logits", "logits"]), ("modes", ["logits", "probs"]), ("modes", [["labels"]]),
+    ("modes", ["logits"]),  # every server answers labels queries
 ])
 def test_client_refuses_a_handshake_with_a_malformed_field(field, value):
     handshake = {**json.loads(HANDSHAKE), field: value}
