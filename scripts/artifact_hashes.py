@@ -8,7 +8,9 @@ below, for the methods that observe logits `predictive_mode: labels`, and a
 wide ensemble (10 members, 100 generations).
 On each task it then runs `promptuq predict` (logits on the test and far-OOD
 splits, and the seeded sample decode of labels on the test split) and
-`promptuq eval`, selective and OOD.
+`promptuq eval`, selective and OOD. Last come `promptuq compare` of two
+methods on the 2-class task and `promptuq lower-bound` with a curve, so every
+subcommand that writes files is covered.
 
 Everything is written under a temporary directory, which is the working
 directory of the runs. One `sha256  path` line is printed per artifact, in
@@ -114,7 +116,15 @@ def run_matrix() -> dict[str, str]:
               predictive_mode="labels")
     _tune("c2_ensembles_wide", TASKS["c2"], "ensembles", hashes,
           params={**PARAMS["ensembles"], "sample_count": 10, "max_generations": 100})
-    for top in ("tasks", "runs", "pred", "eval"):
+    compare = _write_json("configs/c2_compare.json", {
+        "task": TASKS["c2"], "seed": 0,
+        "methods": [{"method": method, "params": PARAMS[method]}
+                    for method in ("point_cmaes", "rejection_abc")]})
+    _run(["compare", "--config", compare, "--out", "compare/c2"], "compare/c2", hashes)
+    os.makedirs("bounds")
+    _run(["lower-bound", "--n-id", "5", "--n-ood", "5", "--out", "bounds/curve.csv"],
+         "bounds/curve.csv", hashes)
+    for top in ("tasks", "runs", "pred", "eval", "compare", "bounds"):
         for root, _, files in os.walk(top):
             for name in files:
                 path = os.path.join(root, name)

@@ -38,6 +38,9 @@ PROMPT_GAIN = 3.0
 # units, calls of 960-1536 pairs cost twice as much per pair (allocator churn).
 MAX_KERNEL_PAIRS = 512
 
+# What a simulator may reveal per (z, input) pair; every simulator answers labels.
+MODES = ("logits", "labels")
+
 
 @dataclass
 class EvalBudget:
@@ -144,15 +147,15 @@ class FrozenClassifier:
 
 
 def check_query(z, inputs, feature_dim: int,
-                subspace_dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                subspace_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """A query's z as a (K, d) matrix (one z is K = 1) and its inputs as an
     (n, feature_dim) matrix; ValueError unless they have those shapes, with
-    d = ``subspace_dim`` where the caller knows it, and all entries finite."""
+    d = ``subspace_dim``, and all entries finite."""
     zs = np.asarray(z, dtype=float)
     if zs.ndim not in (1, 2):
         raise ValueError(f"z must be a (d,) vector or a (K, d) matrix, got shape {zs.shape}")
     zs = zs if zs.ndim == 2 else zs[None]
-    if subspace_dim is not None and zs.shape[1] != subspace_dim:
+    if zs.shape[1] != subspace_dim:
         raise ValueError(f"z has {zs.shape[1]} entries, expected {subspace_dim}")
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.ndim != 2 or inputs.shape[1] != feature_dim:
@@ -184,30 +187,24 @@ class SyntheticSimulator:
     in z-major order: rows k*n .. k*n + n - 1 belong to z number k. Each row
     equals the single-z query's row bit for bit, whatever K is.
 
-    Immutable except for the budget counter, so concurrent readers are safe.
+    It presents the protocol client's handle: ``modes`` names what it reveals
+    (``allow_logits=False`` hides probabilities), the four dimensions are
+    plain attributes set once, and ``close()`` releases nothing. A query
+    changes only the budget counter, so concurrent readers are safe.
     """
 
     def __init__(self, classifier: FrozenClassifier, allow_logits: bool = True,
                  budget: EvalBudget | None = None):
         self.classifier = classifier
-        self.allow_logits = allow_logits
+        self.modes = MODES if allow_logits else ("labels",)
         self.budget = budget if budget is not None else EvalBudget()
+        self.classes = classifier.classes
+        self.feature_dim = classifier.feature_dim
+        self.subspace_dim = classifier.subspace_dim
+        self.prompt_dim = classifier.prompt_dim
 
-    @property
-    def classes(self) -> int:
-        return self.classifier.classes
-
-    @property
-    def feature_dim(self) -> int:
-        return self.classifier.feature_dim
-
-    @property
-    def subspace_dim(self) -> int:
-        return self.classifier.subspace_dim
-
-    @property
-    def prompt_dim(self) -> int:
-        return self.classifier.prompt_dim
+    def close(self) -> None:
+        """Nothing to release; present so every simulator a run opens ends alike."""
 
     def _raw_logits(self, zs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Logits of every pair of a checked query, (K * n, classes), charged up
@@ -228,7 +225,7 @@ class SyntheticSimulator:
 
     def query_logits(self, z: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Class probability vector per (z, input) pair, shape (K * n, classes)."""
-        if not self.allow_logits:
+        if "logits" not in self.modes:
             raise AccessDeniedError("simulator is labels-only; probabilities are hidden")
         zs, inputs = check_query(z, inputs, self.feature_dim, self.subspace_dim)
         return softmax(self._raw_logits(zs, inputs))

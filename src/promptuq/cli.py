@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import estimators, predictive, uqeval
-from .blackbox import TaskConfig, make_synthetic_task, task_config_to_dict
+from .blackbox import MODES, TaskConfig, make_synthetic_task, task_config_to_dict
 from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      DegenerateWeightsError, EvaluationError, NumericalBreakdownError,
                      ProtocolError, StagnationError, config_from_dict)
@@ -35,16 +35,17 @@ def _finite_number(text: str) -> float:
     return value
 
 
-def _load_json(path):
+def _load_json(path, option: str):
+    """The JSON object in ``path``; a config error naming ``option`` otherwise."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
+        raise ConfigError(option, f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # JSONDecodeError; deep nesting
-        raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
+        raise ConfigError(option, f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("config", f"{path} must hold a JSON object")
+        raise ConfigError(option, f"{path} must hold a JSON object")
     return data
 
 
@@ -58,12 +59,12 @@ def _oserror_names(option: str):
         raise ConfigError(option, str(exc)) from exc
 
 
-def _load_task(path) -> TaskConfig:
-    return config_from_dict(TaskConfig, _load_json(path), "task")
+def _load_task(path, option: str = "task") -> TaskConfig:
+    return config_from_dict(TaskConfig, _load_json(path, option), "task")
 
 
 def cmd_task(args) -> int:
-    cfg = _load_task(args.config)
+    cfg = _load_task(args.config, "config")
     task = make_synthetic_task(cfg)
     if args.out:
         path = os.path.join(args.out, "task.json")
@@ -86,10 +87,7 @@ def cmd_task(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    payload = _load_json(args.config)
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    config = experiment_config_from_dict(payload)
+    config = experiment_config_from_dict(_load_json(args.config, "config"))
     with _oserror_names("out"):  # the run converts its reads and simulator I/O itself
         report = run_experiment(config, args.out)
     print(f"wrote {report.files['summary']}")
@@ -165,10 +163,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    payload = _load_json(args.config)
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    configs = compare_configs_from_dict(payload)
+    configs = compare_configs_from_dict(_load_json(args.config, "config"))
     with _oserror_names("out"):
         rows = compare_methods(configs, args.out)
     headers = list(rows[0].keys())
@@ -242,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="run one inference method end to end")
     p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_tune)
 
@@ -250,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, help="task config JSON")
     p.add_argument("--posterior", required=True, help="posterior NDJSON")
     p.add_argument("--split", default="test", choices=SPLITS)
-    p.add_argument("--mode", default="logits", choices=["logits", "labels"])
+    p.add_argument("--mode", default="logits", choices=MODES)
     p.add_argument("--decode", default="argmax", choices=["argmax", "sample"])
     p.add_argument("--seed", type=int, default=0, help="seed for sample decode")
     p.add_argument("--out", required=True, help="output CSV")
@@ -266,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run several methods on one task")
     p.add_argument("--config", required=True, help="comparison config JSON")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", default="compare_out", help="output directory")
     p.set_defaults(func=cmd_compare)
 

@@ -15,6 +15,7 @@ deterministic formatting so reruns are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import estimators, predictive, uqeval
 from .abc_smc import RejectionConfig, SmcConfig, abc_smc, rejection_abc
-from .blackbox import LabeledSet, TaskConfig, make_synthetic_task, task_config_to_dict
+from .blackbox import MODES, LabeledSet, TaskConfig, make_synthetic_task, task_config_to_dict
 from .errors import ConfigError, check_keys, config_from_dict
 from .prompt_space import PriorSpec
 from .protocol import ExternalSimulator
@@ -78,7 +79,7 @@ class ExperimentConfig:
             raise ConfigError("task", "must be a TaskConfig or an ExternalTaskSpec")
         if any(name not in EVALUATIONS for name in self.evaluation):
             raise ConfigError("evaluation", f"must be drawn from {EVALUATIONS}")
-        modes = ("logits", "labels") if regime == "logits" else ("labels",)
+        modes = MODES if regime == "logits" else ("labels",)
         if self.predictive_mode not in (None, *modes):
             raise ConfigError("predictive_mode", f"{self.method} observes {regime}, so it "
                                                  f"takes one of {modes}")
@@ -184,21 +185,16 @@ def load_labeled_ndjson(path) -> LabeledSet:
     return data
 
 
-@dataclass
-class RunContext:
-    sim: object
-    prior: PriorSpec
-    splits: dict[str, LabeledSet]  # the splits_read of the run; OOD rows have y = -1
-    close: object = None
-
-
-def _open_context(config: ExperimentConfig) -> RunContext:
+def _open_context(config: ExperimentConfig) -> tuple[object, PriorSpec,
+                                                     dict[str, LabeledSet]]:
+    """The run's simulator, prior and the splits_read of the run (OOD rows
+    have y = -1); the caller closes the simulator."""
     task = config.task
     names = splits_read(config.evaluation)
     if isinstance(task, TaskConfig):
         built = make_synthetic_task(task)
         sim = built.simulator(allow_logits=_REGISTRY[config.method].regime == "logits")
-        return RunContext(sim, built.prior, {name: built.split(name) for name in names})
+        return sim, built.prior, {name: built.split(name) for name in names}
     splits = {}
     for name in names:
         path = task.datasets[name]
@@ -228,7 +224,7 @@ def _open_context(config: ExperimentConfig) -> RunContext:
     except ConfigError:
         sim.close()
         raise
-    return RunContext(sim=sim, prior=task.prior, splits=splits, close=sim.close)
+    return sim, task.prior, splits
 
 
 class _Method(NamedTuple):
@@ -254,13 +250,10 @@ _REGISTRY = {
 METHODS = tuple(_REGISTRY)
 
 
-def _predictive(config: ExperimentConfig, ctx: RunContext,
-                ensemble: estimators.PosteriorEnsemble,
-                inputs: np.ndarray) -> predictive.PredictiveTable:
-    mode = config.predictive_mode or _REGISTRY[config.method].regime
-    if mode == "logits":
-        return predictive.predictive_from_logits(ensemble, ctx.sim, inputs)
-    return predictive.predictive_from_labels(ensemble, ctx.sim, inputs)
+# Every file a run can write into its out_dir; other files there are left alone.
+RUN_FILES = ("summary.json", "posterior.ndjson", "trace.csv") + tuple(
+    f"curve_{block}_{score}.csv"
+    for block in (EVAL_SELECTIVE, EVAL_NEAR_OOD, EVAL_FAR_OOD) for score in uqeval.SCORES)
 
 
 def save_curves(curves: dict, out_dir: str, block: str, files: dict[str, str]) -> None:
@@ -278,12 +271,15 @@ class ExperimentReport:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
-    ctx = _open_context(config)  # checks the data files before out_dir is made
+    sim, prior, splits = _open_context(config)  # checks the data files before out_dir is made
     files: dict[str, str] = {}
     try:
         os.makedirs(out_dir, exist_ok=True)
-        ensemble = _REGISTRY[config.method].run(config.params, ctx.sim, ctx.prior,
-                                                ctx.splits["train"], config.seed)
+        for name in RUN_FILES:  # no file of an earlier run stays beside this run's
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
+        ensemble = _REGISTRY[config.method].run(config.params, sim, prior,
+                                                splits["train"], config.seed)
 
         posterior_path = os.path.join(out_dir, "posterior.ndjson")
         estimators.save_ensemble(ensemble, posterior_path)
@@ -308,11 +304,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
         if isinstance(config.task, TaskConfig):
             summary["task"] = task_config_to_dict(config.task)
 
-        tables = {name: _predictive(config, ctx, ensemble, split.X)
-                  for name, split in ctx.splits.items() if name != "train"}
+        # looked up per run, so a hook on the predictive module sees every table
+        if (config.predictive_mode or _REGISTRY[config.method].regime) == "logits":
+            predict = predictive.predictive_from_logits
+        else:
+            predict = predictive.predictive_from_labels
+        tables = {name: predict(ensemble, sim, split.X)
+                  for name, split in splits.items() if name != "train"}
         if EVAL_CALIBRATION in config.evaluation or EVAL_SELECTIVE in config.evaluation:
             block, curves = uqeval.selective_classification_eval(tables["test"].probs,
-                                                                 ctx.splits["test"].y)
+                                                                 splits["test"].y)
             summary["accuracy"], ece = block.pop("accuracy"), block.pop("ece")
             if EVAL_CALIBRATION in config.evaluation:
                 summary["ece"] = ece
@@ -325,14 +326,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
                                                                   tables[name].probs)
                 save_curves(curves, out_dir, name, files)
 
-        summary["simulator_calls"] = ctx.sim.budget.used
+        summary["simulator_calls"] = sim.budget.used
         summary_path = os.path.join(out_dir, "summary.json")
         uqeval.save_summary_json(summary, summary_path)
         files["summary"] = summary_path
         return ExperimentReport(summary=summary, files=files)
     finally:
-        if ctx.close is not None:
-            ctx.close()
+        sim.close()
 
 
 def compare_methods(configs: list[ExperimentConfig], out_dir: str) -> list[dict]:

@@ -44,13 +44,12 @@ import sys
 
 import numpy as np
 
-from .blackbox import EvalBudget, check_decode_seeds, check_query
+from .blackbox import MODES, EvalBudget, check_decode_seeds, check_query
 from .errors import (AccessDeniedError, BudgetExhaustedError, NumericalBreakdownError,
                      ProtocolError)
 from .uqeval import check_probability_table
 
 PROTOCOL_VERSION = 2
-MODES = ("logits", "labels")
 TIMEOUT = 30.0  # seconds a client waits to connect or for a server line
 # The failures a server reports by kind, and the client raises again; any
 # other failure, a ValueError from the simulator included, is a bad request.
@@ -128,7 +127,9 @@ class SocketTransport(_LineTransport):
 
 
 class ExternalSimulator:
-    """Client handle with the same query surface as the built-in simulator.
+    """Client of a protocol server, with the same handle as the built-in
+    simulator: the handshake sets ``modes`` and the four dimensions, and
+    ``close()`` ends the connection.
 
     A query is checked, charged and sent as one request carrying its whole
     (K, d) stack of z; its input matrix is registered with the server the
@@ -332,7 +333,7 @@ def serve(sim, rfile, wfile) -> None:
         "feature_dim": sim.feature_dim,
         "prompt_dim": sim.prompt_dim,
         "subspace_dim": sim.subspace_dim,
-        "modes": ["logits", "labels"] if sim.allow_logits else ["labels"],
+        "modes": list(sim.modes),
     }
     try:
         wfile.write(_encode(handshake))

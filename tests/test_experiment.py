@@ -88,6 +88,20 @@ def test_run_experiment_trace_not_accumulated(tmp_path):
     assert (out / "trace.csv").read_bytes() == trace_once
 
 
+def test_run_experiment_removes_an_earlier_runs_files(tmp_path):
+    # a calibration-only rejection ABC run writes no trace and no curve, so none
+    # of the ABC-SMC run's may stay beside its summary; other files stay
+    out = tmp_path / "run"
+    run_experiment(experiment_config_from_dict(
+        payload("abc_smc", sample_count=10, smc_iterations=2)), str(out))
+    (out / "notes.txt").write_text("kept")
+    run_experiment(experiment_config_from_dict(
+        {**payload("rejection_abc", sample_count=4, epsilon=0.6),
+         "evaluation": ["calibration"]}), str(out))
+    assert sorted(path.name for path in out.iterdir()) == [
+        "notes.txt", "posterior.ndjson", "summary.json"]
+
+
 def test_point_cmaes_trace_csv(tmp_path):
     config = experiment_config_from_dict(
         {**payload("point_cmaes", population_size=6, max_generations=4),
@@ -273,7 +287,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     for name, text in (("missing", None), ("garbage", "not json\n"),
                        ("ragged", '{"x": [0.0]}\n{"x": [0.0, 1.0]}\n'),
                        ("labels", '{"x": [0.0], "y": "a"}\n'), ("empty", ""),
-                       ("nested", "[" * 100_000 + "\n")):
+                       ("nested", "[" * 100_000 + "\n"),
+                       ("huge", '{"x": [1%s], "y": 0}\n' % ("0" * 400)),
+                       ("list", "[0.0, 1.0]\n")):
         path = tmp_path / f"{name}.ndjson"
         if text is not None:
             path.write_text(text)
@@ -383,6 +399,22 @@ def test_cli_exit_codes(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1, err
     assert not missing_dir.exists()
+
+    # a task or config file that cannot be read, or holds no JSON object, names its option
+    missing_json = str(tmp_path / "no-such-config.json")
+    list_json = write_json(tmp_path / "array.json", [SMALL_TASK])
+    for argv, field, message in (
+            (["predict", "--task", missing_json, "--posterior", posterior,
+              "--out", pred_csv], "task", "cannot read"),
+            (["eval", "--pred", pred_csv, "--task", list_json,
+              "--out", str(tmp_path / "eval")], "task", "must hold a JSON object"),
+            (["serve", "--task", list_json], "task", "must hold a JSON object"),
+            (["task", "--config", missing_json], "config", "cannot read"),
+            (["tune", "--config", list_json, "--out", str(tmp_path / "run")], "config",
+             "must hold a JSON object")):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and message in err, err
 
 
 def test_cli_eval_takes_rows_within_the_table_tolerance(tmp_path, capsys):

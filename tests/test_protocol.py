@@ -228,13 +228,16 @@ def test_client_rejects_mismatched_response_id():
 
 
 def test_client_rejects_out_of_range_label():
-    transport = ScriptedTransport([
-        HANDSHAKE, REGISTERED,
-        json.dumps({"id": 1, "labels": [2]}),
-    ])
-    client = ExternalSimulator(transport)
-    with pytest.raises(ProtocolError, match="labels outside"):
-        client.query_labels(np.zeros(2), np.zeros((1, 3)))
+    for labels, message in (([2], "labels outside"),
+                            ([0, 1], "malformed labels for 1 pairs"),  # a row too many
+                            (0, "malformed labels for 1 pairs")):      # no list
+        transport = ScriptedTransport([
+            HANDSHAKE, REGISTERED,
+            json.dumps({"id": 1, "labels": labels}),
+        ])
+        client = ExternalSimulator(transport)
+        with pytest.raises(ProtocolError, match=message):
+            client.query_labels(np.zeros(2), np.zeros((1, 3)))
 
 
 @pytest.mark.parametrize("kind, error, message", [
@@ -258,10 +261,12 @@ def test_a_server_error_keeps_the_simulators_message(kind, error, message):
 
 
 def test_client_rejects_unparseable_line():
-    transport = ScriptedTransport([HANDSHAKE, REGISTERED, "not json"])
-    client = ExternalSimulator(transport)
-    with pytest.raises(ProtocolError, match="unparseable"):
-        client.query_labels(np.zeros(2), np.zeros((1, 3)))
+    for line, message in (("not json", "unparseable"),
+                          ('[{"id": 1, "labels": [0]}]', "expected a JSON object")):
+        transport = ScriptedTransport([HANDSHAKE, REGISTERED, line])
+        client = ExternalSimulator(transport)
+        with pytest.raises(ProtocolError, match=message):
+            client.query_labels(np.zeros(2), np.zeros((1, 3)))
 
 
 def test_client_rejects_unknown_protocol_version():
@@ -378,7 +383,8 @@ def test_a_lost_simulator_connection_exits_4(endpoint, tmp_path, capsys):
 def test_client_rejects_unnormalized_logit_rows():
     for outputs, message in (([[0.9, 0.9]], "probability"),
                              ([[1.5, -0.5]], "nonnegative"),  # sums to 1, no distribution
-                             ([0.5, 0.5], "2-D")):            # a flat row, not a list of rows
+                             ([0.5, 0.5], "2-D"),             # a flat row, not a list of rows
+                             ([[0.5, 0.5]] * 2, "malformed outputs for 1 pairs")):
         transport = ScriptedTransport([HANDSHAKE, REGISTERED,
                                        json.dumps({"id": 1, "outputs": outputs})])
         client = ExternalSimulator(transport)
