@@ -94,7 +94,7 @@ def _nonzero(epsilon: float) -> float:
     the first proposal rather than spend every attempt."""
     if epsilon == 0.0:
         raise StagnationError("the initial tolerance is 0, which no proposal can "
-                              "strictly beat", iteration=1, epsilon=0.0, attempts=0)
+                              "strictly beat")
     return epsilon
 
 
@@ -123,8 +123,7 @@ def rejection_abc(sim, prior: PriorSpec, dataset: LabeledSet, config: RejectionC
         if draws >= max_draws:
             raise BudgetExhaustedError(
                 f"rejection sampling used all {max_draws} draws with "
-                f"{len(accepted)}/{count} acceptances at epsilon {epsilon}",
-                used=draws, limit=max_draws, accepted=len(accepted))
+                f"{len(accepted)}/{count} acceptances at epsilon {epsilon}")
         # A block cannot hold more acceptances than are still needed, so the
         # draws and queries equal those of a one-at-a-time loop.
         zs = sample_prior(prior, min(count - len(accepted), max_draws - draws), rng)
@@ -247,9 +246,7 @@ def abc_smc(sim, prior: PriorSpec, dataset: LabeledSet, config: SmcConfig,
         else:
             raise StagnationError(
                 f"particle {waiting[0]} found no proposal within epsilon {epsilon} in "
-                f"{config.max_attempts} attempts (iteration {t})",
-                iteration=t, epsilon=epsilon,
-                attempts=config.max_attempts)
+                f"{config.max_attempts} attempts (iteration {t})")
 
         if t > 1 and config.weight_scheme == WEIGHT_IMPORTANCE:
             weights = update_weights(new_particles, particles, weights,

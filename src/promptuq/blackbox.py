@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class EvalBudget:
             if self.limit is not None and self.used + count > self.limit:
                 raise BudgetExhaustedError(
                     f"evaluation budget exhausted: {self.used} used + {count} requested "
-                    f"> limit {self.limit}", used=self.used, limit=self.limit)
+                    f"> limit {self.limit}")
             self.used += count
 
 
@@ -189,15 +189,16 @@ class SyntheticSimulator:
 
     It presents the protocol client's handle: ``modes`` names what it reveals
     (``allow_logits=False`` hides probabilities), the four dimensions are
-    plain attributes set once, and ``close()`` releases nothing. A query
-    changes only the budget counter, so concurrent readers are safe.
+    plain attributes set once, ``budget`` starts unlimited (either handle
+    takes a limit as ``sim.budget = EvalBudget(limit=n)``), and ``close()``
+    releases nothing. A query changes only the budget counter, so concurrent
+    readers are safe.
     """
 
-    def __init__(self, classifier: FrozenClassifier, allow_logits: bool = True,
-                 budget: EvalBudget | None = None):
+    def __init__(self, classifier: FrozenClassifier, allow_logits: bool = True):
         self.classifier = classifier
         self.modes = MODES if allow_logits else ("labels",)
-        self.budget = budget if budget is not None else EvalBudget()
+        self.budget = EvalBudget()
         self.classes = classifier.classes
         self.feature_dim = classifier.feature_dim
         self.subspace_dim = classifier.subspace_dim
@@ -314,11 +315,9 @@ class SyntheticTask:
     far_ood: np.ndarray
     z_star: np.ndarray
 
-    def simulator(self, allow_logits: bool = True,
-                  budget_limit: int | None = None) -> SyntheticSimulator:
+    def simulator(self, allow_logits: bool = True) -> SyntheticSimulator:
         """A fresh query handle with its own budget counter."""
-        return SyntheticSimulator(self.classifier, allow_logits=allow_logits,
-                                  budget=EvalBudget(limit=budget_limit))
+        return SyntheticSimulator(self.classifier, allow_logits=allow_logits)
 
     def split(self, name: str) -> LabeledSet:
         """The split named train, test, near_ood or far_ood; OOD rows have y = -1."""
@@ -394,7 +393,3 @@ def make_synthetic_task(cfg: TaskConfig) -> SyntheticTask:
     return SyntheticTask(cfg, classifier, prior,
                          LabeledSet(X_train, y_train), LabeledSet(X_test, y_test),
                          near, far, z_star)
-
-
-def task_config_to_dict(cfg: TaskConfig) -> dict:
-    return asdict(cfg)

@@ -13,11 +13,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import estimators, predictive, uqeval
-from .blackbox import MODES, TaskConfig, make_synthetic_task, task_config_to_dict
+from .blackbox import MODES, TaskConfig, make_synthetic_task
 from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      DegenerateWeightsError, EvaluationError, NumericalBreakdownError,
                      ProtocolError, StagnationError, config_from_dict)
@@ -70,7 +71,7 @@ def cmd_task(args) -> int:
         path = os.path.join(args.out, "task.json")
         with _oserror_names("out"):
             os.makedirs(args.out, exist_ok=True)
-            uqeval.save_summary_json(task_config_to_dict(cfg), path)
+            uqeval.save_summary_json(asdict(cfg), path)
         print(f"wrote {path}")
     if args.inspect:
         sim = task.simulator()
@@ -103,8 +104,7 @@ def cmd_predict(args) -> int:
     task = make_synthetic_task(cfg)
     try:
         ensemble = estimators.load_ensemble(args.posterior)
-    except (OSError, ValueError, LookupError, TypeError, RecursionError,
-            OverflowError) as exc:  # OverflowError: an integer beyond the float range
+    except (OSError, ValueError, RecursionError) as exc:  # deep JSON nesting
         raise ConfigError("posterior", f"cannot load {args.posterior}: {exc}") from exc
     if ensemble.samples.shape[1] != task.prior.dim:
         raise ConfigError("posterior", f"z has {ensemble.samples.shape[1]} entries, "
@@ -216,7 +216,9 @@ def cmd_serve(args) -> int:
     sim = task.simulator(allow_logits=not args.labels_only)
     if args.tcp:
         with _oserror_names("tcp"):  # the bind; connections fail in their own threads
-            serve_tcp(sim, host or "127.0.0.1", int(port))
+            # the bound address, its port chosen by the system for PORT 0
+            serve_tcp(sim, host or "127.0.0.1", int(port),
+                      ready_callback=lambda address: print("%s:%d" % address, flush=True))
     else:
         serve_stdio(sim)
     return 0
@@ -273,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="serve the built-in simulator over the protocol")
     p.add_argument("--task", required=True, help="task config JSON")
     p.add_argument("--labels-only", action="store_true")
-    p.add_argument("--tcp", help="HOST:PORT to serve over TCP instead of stdio")
+    p.add_argument("--tcp", help="HOST:PORT to serve over TCP instead of stdio; "
+                                 "prints the bound HOST:PORT once listening")
     p.set_defaults(func=cmd_serve)
 
     return parser

@@ -17,18 +17,9 @@ class AccessDeniedError(RuntimeError):
 
 
 class BudgetExhaustedError(RuntimeError):
-    """An evaluation or draw budget ran out before the operation finished.
-
-    ``accepted`` carries the partial result count when the operation was
-    accumulating acceptances (rejection sampling).
-    """
-
-    def __init__(self, message: str, used: int = 0, limit: int | None = None,
-                 accepted: int | None = None):
-        super().__init__(message)
-        self.used = used
-        self.limit = limit
-        self.accepted = accepted
+    """An evaluation or draw budget ran out before the operation finished; the
+    message names what was used and the limit (and, for rejection sampling,
+    the acceptances so far), and reads the same in process and served."""
 
 
 class EvaluationError(RuntimeError):
@@ -45,13 +36,8 @@ class DegenerateWeightsError(RuntimeError):
 
 class StagnationError(RuntimeError):
     """A particle exceeded its proposal attempt limit at the current tolerance,
-    or the tolerance is 0, which no proposal can strictly beat."""
-
-    def __init__(self, message: str, iteration: int, epsilon: float, attempts: int):
-        super().__init__(message)
-        self.iteration = iteration
-        self.epsilon = epsilon
-        self.attempts = attempts
+    or the tolerance is 0, which no proposal can strictly beat; the message
+    names the particle, the tolerance, the attempt limit and the iteration."""
 
 
 class ProtocolError(RuntimeError):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -121,17 +122,26 @@ def save_ensemble(ensemble: PosteriorEnsemble, path) -> None:
                                  "z": [float(v) for v in z]}) + "\n")
 
 
+def _is_float(value) -> bool:
+    """A JSON number (not a bool) within the float range."""
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+
 def load_ensemble(path) -> PosteriorEnsemble:
-    """Records {"weight": number, "z": [numbers]}, as ``save_ensemble`` writes them."""
+    """Records {"weight": number, "z": [numbers]}, as ``save_ensemble`` writes them.
+
+    Raises OSError if the file cannot be read and ValueError if it is malformed.
+    """
     samples, weights = [], []
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             record = json.loads(line)
-            z, weight = record["z"], record["weight"]
-            if not (isinstance(z, list) and all(type(v) in (int, float) for v in z)
-                    and type(weight) in (int, float)):
+            if not isinstance(record, dict):
+                record = {}
+            z, weight = record.get("z"), record.get("weight")
+            if not (isinstance(z, list) and all(map(_is_float, z)) and _is_float(weight)):
                 raise ValueError(f"line {number}: need {{\"weight\": number, \"z\": [numbers]}}")
             samples.append(z)
             weights.append(weight)

@@ -19,14 +19,14 @@ import contextlib
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import estimators, predictive, uqeval
 from .abc_smc import RejectionConfig, SmcConfig, abc_smc, rejection_abc
-from .blackbox import MODES, LabeledSet, TaskConfig, make_synthetic_task, task_config_to_dict
+from .blackbox import MODES, LabeledSet, TaskConfig, make_synthetic_task
 from .errors import ConfigError, check_keys, config_from_dict
 from .prompt_space import PriorSpec
 from .protocol import ExternalSimulator
@@ -302,7 +302,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
             },
         }
         if isinstance(config.task, TaskConfig):
-            summary["task"] = task_config_to_dict(config.task)
+            summary["task"] = asdict(config.task)
 
         # looked up per run, so a hook on the predictive module sees every table
         if (config.predictive_mode or _REGISTRY[config.method].regime) == "logits":

@@ -186,17 +186,11 @@ class ExternalSimulator:
     def close(self) -> None:
         self._transport.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
     def _read_payload(self) -> dict:
         line = self._transport.readline()
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON; deep nesting
             raise ProtocolError(f"unparseable server line: {line[:200]!r}") from exc
         if not isinstance(payload, dict):
             raise ProtocolError(f"expected a JSON object, got: {line[:200]!r}")
@@ -243,21 +237,21 @@ class ExternalSimulator:
     def _probabilities(self, response: dict, rows: int) -> np.ndarray:
         try:
             probs = check_probability_table(response.get("outputs"))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge integer
             raise ProtocolError(f"logits-mode outputs are not probability rows: {exc}") from exc
         if probs.shape != (rows, self.classes):
             raise ProtocolError(f"malformed outputs for {rows} pairs")
         return probs
 
     def _labels(self, response: dict, rows: int) -> np.ndarray:
+        """A flat list of ``rows`` JSON integers (no bools) in [0, classes),
+        range-checked before conversion; ProtocolError otherwise."""
         labels = response.get("labels")
         if not isinstance(labels, list) or len(labels) != rows:
             raise ProtocolError(f"malformed labels for {rows} pairs")
-        values = np.asarray(labels)
-        if (not np.issubdtype(values.dtype, np.integer)
-                or (values < 0).any() or (values >= self.classes).any()):
+        if not (set(map(type, labels)) <= {int} and set(labels) <= set(range(self.classes))):
             raise ProtocolError(f"labels outside [0, {self.classes})")
-        return values.astype(np.int64)
+        return np.array(labels, dtype=np.int64)
 
     def query_logits(self, z: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Class probability vector per (z, input) pair, z-major, (K * n, classes)."""

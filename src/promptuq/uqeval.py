@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SCORES = ("entropy", "maxp")
+ECE_BINS = 10  # equal-width max-probability bins of ``ece``
 
 
 def check_probability_table(probs) -> np.ndarray:
@@ -53,8 +54,8 @@ def score_rows(probs: np.ndarray, score: str) -> np.ndarray:
     return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)  # a zero adds 0 log 1
 
 
-def ece(probs: np.ndarray, labels: np.ndarray, bin_count: int = 10) -> float:
-    """Expected calibration error over equal-width max-probability bins.
+def ece(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Expected calibration error over ``ECE_BINS`` equal-width max-probability bins.
 
     Confidence exactly 1.0 falls in the top bin; empty bins contribute zero.
     """
@@ -62,14 +63,12 @@ def ece(probs: np.ndarray, labels: np.ndarray, bin_count: int = 10) -> float:
     labels = np.asarray(labels)
     if len(probs) != len(labels):
         raise ValueError("need one label per probability row")
-    if bin_count < 1:
-        raise ValueError("bin_count must be positive")
     confidence = probs.max(axis=1)
     correct = (np.argmax(probs, axis=1) == labels)
-    bins = np.minimum((confidence * bin_count).astype(int), bin_count - 1)
+    bins = np.minimum((confidence * ECE_BINS).astype(int), ECE_BINS - 1)
     total = len(labels)
     value = 0.0
-    for b in range(bin_count):
+    for b in range(ECE_BINS):
         members = bins == b
         count = int(members.sum())
         if count == 0:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from promptuq.blackbox import (FrozenClassifier, LabeledSet, SyntheticSimulator,
-                               TaskConfig, make_synthetic_task, task_config_to_dict)
+                               TaskConfig, make_synthetic_task)
 from promptuq.prompt_space import PriorSpec, make_projection
 from promptuq.protocol import ExternalSimulator
 
@@ -32,7 +33,7 @@ def served(tmp_path_factory):
     """A client of a spawned ``promptuq serve`` of CRITERION_TASK, one per test
     module; a test that needs a budget limit sets ``served.budget`` itself."""
     path = tmp_path_factory.mktemp("served") / "task.json"
-    path.write_text(json.dumps(task_config_to_dict(CRITERION_TASK)))
+    path.write_text(json.dumps(dataclasses.asdict(CRITERION_TASK)))
     client = ExternalSimulator.spawn(
         [sys.executable, "-m", "promptuq", "serve", "--task", str(path)])
     yield client

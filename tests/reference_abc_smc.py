@@ -53,8 +53,7 @@ def reference_abc_smc(sim, prior, dataset, config, seed):
             else:
                 raise StagnationError(
                     f"particle {s} found no proposal within epsilon {epsilon} in "
-                    f"{config.max_attempts} attempts (iteration {t})",
-                    iteration=t, epsilon=epsilon, attempts=config.max_attempts)
+                    f"{config.max_attempts} attempts (iteration {t})")
 
         if t > 1 and config.weight_scheme == WEIGHT_IMPORTANCE:
             weights = update_weights(new_particles, particles, weights,

@@ -296,10 +296,8 @@ def test_criterion_8_ensemble_vs_point_trend():
 
 
 def test_criterion_9_protocol_fidelity(criterion_task, tmp_path):
-    from promptuq.blackbox import task_config_to_dict
-
     task_path = tmp_path / "task.json"
-    task_path.write_text(json.dumps(task_config_to_dict(CRITERION_TASK)))
+    task_path.write_text(json.dumps(dataclasses.asdict(CRITERION_TASK)))
     local = criterion_task.simulator()
     client = ExternalSimulator.spawn(
         [sys.executable, "-m", "promptuq", "serve", "--task", str(task_path)])

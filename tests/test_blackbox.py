@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import CRITERION_TASK, build_fixed_probs_simulator
-from promptuq.blackbox import (FrozenClassifier, SyntheticSimulator, TaskConfig,
-                               make_synthetic_task, task_config_to_dict)
+from promptuq.blackbox import (EvalBudget, FrozenClassifier, SyntheticSimulator, TaskConfig,
+                               make_synthetic_task)
 from promptuq.errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                              config_from_dict)
 from promptuq.estimators import EsConfig, negative_log_likelihood, point_estimate
@@ -95,7 +95,8 @@ def test_labels_only_policy_blocks_probabilities(criterion_task):
 
 
 def test_budget_counts_and_enforces_limit(criterion_task):
-    sim = criterion_task.simulator(budget_limit=10)
+    sim = criterion_task.simulator()
+    sim.budget = EvalBudget(limit=10)
     sim.query_logits(np.zeros(8), np.zeros((6, 16)))
     assert sim.budget.used == 6
     sim.query_labels(np.zeros(8), np.zeros((4, 16)))
@@ -169,7 +170,7 @@ def test_far_ood_center_and_spread():
 
 
 def test_label_noise_flips_requested_fraction():
-    noisy_cfg = TaskConfig(**{**task_config_to_dict(CRITERION_TASK),
+    noisy_cfg = TaskConfig(**{**dataclasses.asdict(CRITERION_TASK),
                               "label_noise": 0.25})
     noisy = make_synthetic_task(noisy_cfg)
     clean = make_synthetic_task(CRITERION_TASK)
@@ -183,7 +184,7 @@ def test_label_noise_flips_requested_fraction():
     ("prior_sigma", 1e300), ("pooled_dim", -1), ("pooled_dim", 0), ("seed", -1),
 ])
 def test_task_config_validation(field, value):
-    payload = task_config_to_dict(CRITERION_TASK)
+    payload = dataclasses.asdict(CRITERION_TASK)
     payload[field] = value
     with pytest.raises(ConfigError) as excinfo:
         TaskConfig(**payload)
@@ -194,7 +195,7 @@ def test_task_config_validation(field, value):
 
 
 def test_task_config_rejects_unknown_keys():
-    payload = task_config_to_dict(CRITERION_TASK)
+    payload = dataclasses.asdict(CRITERION_TASK)
     payload["bogus"] = 1
     with pytest.raises(ConfigError) as excinfo:
         config_from_dict(TaskConfig, payload, "task")
@@ -257,7 +258,8 @@ def test_rowwise_nll_equals_single_z_floats_bit_for_bit(batch_task, k):
 
 
 def test_stacked_query_past_the_budget_charges_nothing(criterion_task):
-    sim = criterion_task.simulator(budget_limit=100)
+    sim = criterion_task.simulator()
+    sim.budget = EvalBudget(limit=100)
     sim.query_logits(np.zeros((2, 8)), np.zeros((30, 16)))
     assert sim.budget.used == 60
     for query in (sim.query_logits, sim.query_labels):

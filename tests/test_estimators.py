@@ -314,6 +314,25 @@ def test_ensemble_ndjson_roundtrip(tmp_path):
     assert np.allclose(loaded.weights, ensemble.weights)
 
 
+@pytest.mark.parametrize("record", [
+    "[0.5, 1.0]",                                       # not an object
+    '"weight"',
+    '{"z": [0.5, 0.5]}',                                # no weight
+    '{"weight": 1.0}',                                  # no z
+    '{"weight": 1.0, "z": [1%s, 0.5]}' % ("0" * 400),   # beyond the float range
+    '{"weight": 1%s, "z": [0.5, 0.5]}' % ("0" * 400),
+    '{"weight": true, "z": [0.5, 0.5]}',
+    '{"weight": 1.0, "z": [[0.5], [0.5]]}',
+    '{"weight": 1.0, "z": ["0.5", 0.5]}',
+], ids=["list", "string", "no-weight", "no-z", "huge-z", "huge-weight", "bool-weight",
+        "nested-z", "string-z"])
+def test_load_ensemble_names_the_line_of_a_malformed_record(tmp_path, record):
+    path = tmp_path / "posterior.ndjson"
+    path.write_text('{"index": 0, "weight": 0.5, "z": [0.5, 0.5]}\n\n' + record + "\n")
+    with pytest.raises(ValueError, match="^line 3: "):
+        load_ensemble(path)
+
+
 def test_derive_seeds_stable():
     assert derive_seeds(7, 4) == derive_seeds(7, 4)
     assert derive_seeds(7, 4) != derive_seeds(8, 4)

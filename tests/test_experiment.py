@@ -589,7 +589,7 @@ def test_prior_dimension_that_differs_from_the_server_fails_at_connect(
 
 
 def test_default_sample_counts_per_method():
-    counts = {method: experiment_config_from_dict(payload(method)).resolved_sample_count()
+    counts = {method: experiment_config_from_dict(payload(method)).params.sample_count
               for method in METHODS}
     assert counts == {"point_cmaes": 1, "ensembles": 10, "gfvi": 100,
                       "rejection_abc": 100, "abc_smc": 100}
@@ -910,7 +910,7 @@ def test_config_parser_accepts_or_raises_config_error(config, rule):
         assert set(config) <= set(TOP_KEYS) - {"methods"}
     for entry, cfg in zip(entries, parsed):
         assert set(entry.get("params", {})) <= set(PARAMS[cfg.method])
-        assert cfg.resolved_sample_count() >= 1
+        assert cfg.params.sample_count >= 1
         assert ExperimentConfig(**vars(cfg)) == cfg
     if compare:
         return

@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import json
 import os
+import select
 import socket
 import struct
 import subprocess
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CRITERION_TASK
-from promptuq.blackbox import EvalBudget, task_config_to_dict
+from promptuq.blackbox import EvalBudget
 from promptuq.cli import main
 from promptuq.errors import (AccessDeniedError, BudgetExhaustedError,
                              NumericalBreakdownError, ProtocolError)
@@ -23,7 +25,7 @@ from promptuq.protocol import ExternalSimulator, serve, serve_tcp
 @pytest.fixture(scope="module")
 def task_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("task") / "task.json"
-    path.write_text(json.dumps(task_config_to_dict(CRITERION_TASK)))
+    path.write_text(json.dumps(dataclasses.asdict(CRITERION_TASK)))
     return str(path)
 
 
@@ -179,11 +181,14 @@ def test_tcp_transport_round_trip(criterion_task):
     assert ready.wait(timeout=10)
     host, port = address["value"]
 
-    with ExternalSimulator.connect(host, port) as client:
+    client = ExternalSimulator.connect(host, port)
+    try:
         rng = np.random.default_rng(3)
         z = rng.normal(size=8) * 50
         x = rng.normal(size=(3, 16))
         assert np.abs(client.query_logits(z, x) - sim.query_logits(z, x)).max() < 1e-9
+    finally:
+        client.close()
 
     # a line that is not UTF-8 is a bad request, not the end of the connection
     with socket.create_connection((host, port), timeout=10) as raw:
@@ -196,9 +201,30 @@ def test_tcp_transport_round_trip(criterion_task):
         assert "labels" in json.loads(reader.readline())
 
 
+def test_serve_tcp_prints_the_address_it_bound(task_file):
+    # port 0 lets the system choose; the printed line is how a client finds it
+    proc = subprocess.Popen([sys.executable, "-m", "promptuq", "serve", "--task", task_file,
+                             "--tcp", "127.0.0.1:0"], stdout=subprocess.PIPE)
+    try:
+        assert select.select([proc.stdout], [], [], 30)[0], "no address line"
+        host, _, port = proc.stdout.readline().decode().rstrip("\n").rpartition(":")
+        assert host == "127.0.0.1" and 0 < int(port) <= 65535
+        client = ExternalSimulator.connect(host, int(port))
+        try:
+            assert client.modes == ("logits", "labels")
+            assert (client.classes, client.feature_dim, client.prompt_dim,
+                    client.subspace_dim) == (2, 16, 64, 8)
+        finally:
+            client.close()
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
 class ScriptedTransport:
     def __init__(self, lines):
-        self.lines = [line.encode() for line in lines]
+        self.lines = [line if isinstance(line, bytes) else line.encode() for line in lines]
         self.sent = []
 
     def readline(self):
@@ -228,16 +254,52 @@ def test_client_rejects_mismatched_response_id():
 
 
 def test_client_rejects_out_of_range_label():
-    for labels, message in (([2], "labels outside"),
-                            ([0, 1], "malformed labels for 1 pairs"),  # a row too many
-                            (0, "malformed labels for 1 pairs")):      # no list
+    # (answer, pairs asked for, message): only a flat list of JSON integers
+    # in [0, classes) is a labels answer
+    for labels, pairs, message in (
+            ([2], 1, "labels outside"),
+            ([0, 1], 1, "malformed labels for 1 pairs"),  # a row too many
+            (0, 1, "malformed labels for 1 pairs"),       # no list
+            ([[0]], 1, "labels outside"),                 # nested rows
+            ([[0], [1]], 2, "labels outside"),
+            ([0, [1]], 2, "labels outside"),              # ragged
+            ([True], 1, "labels outside"),                # a bool is no label
+            ([1.0], 1, "labels outside"),
+            ([2 ** 64], 1, "labels outside"),             # beyond int64
+            ([-2 ** 70, 0], 2, "labels outside")):
         transport = ScriptedTransport([
             HANDSHAKE, REGISTERED,
             json.dumps({"id": 1, "labels": labels}),
         ])
         client = ExternalSimulator(transport)
         with pytest.raises(ProtocolError, match=message):
-            client.query_labels(np.zeros(2), np.zeros((1, 3)))
+            client.query_labels(np.zeros(2), np.zeros((pairs, 3)))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.integers()
+    | st.sampled_from([2 ** 63, 2 ** 64, 10 ** 400]) | st.floats(0, 1)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(["labels", "outputs"]), value=_JSON_VALUES,
+       pairs=st.integers(1, 3))
+def test_any_json_answer_is_an_array_of_its_shape_or_a_protocol_error(key, value, pairs):
+    client = ExternalSimulator(ScriptedTransport([
+        HANDSHAKE, REGISTERED, json.dumps({"id": 1, key: value})]))
+    query = client.query_labels if key == "labels" else client.query_logits
+    try:
+        answer = query(np.zeros(2), np.zeros((pairs, 3)))
+    except ProtocolError:
+        return
+    if key == "labels":
+        assert answer.shape == (pairs,) and answer.dtype == np.int64
+    else:
+        assert answer.shape == (pairs, 2)
 
 
 @pytest.mark.parametrize("kind, error, message", [
@@ -262,6 +324,8 @@ def test_a_server_error_keeps_the_simulators_message(kind, error, message):
 
 def test_client_rejects_unparseable_line():
     for line, message in (("not json", "unparseable"),
+                          (b"\xff\xfe", "unparseable"),  # not UTF-8
+                          ("[" * 100_000, "unparseable"),  # nested past the recursion limit
                           ('[{"id": 1, "labels": [0]}]', "expected a JSON object")):
         transport = ScriptedTransport([HANDSHAKE, REGISTERED, line])
         client = ExternalSimulator(transport)

@@ -132,7 +132,8 @@ class QueryContract(RuleBasedStateMachine):
 
     @initialize()
     def reset(self):
-        self.local = self.task.simulator(budget_limit=LIMIT)
+        self.local = self.task.simulator()
+        self.local.budget = EvalBudget(limit=LIMIT)
         self.served.budget = EvalBudget(limit=LIMIT)
         self.expected_used = 0
         self.registered = set()  # input matrices a sent query carried

@@ -108,7 +108,7 @@ def test_ece_perfectly_confident_and_correct():
 def test_ece_single_bin_hand_value():
     probs = np.array([[0.6, 0.4], [0.6, 0.4]])
     labels = np.array([0, 1])  # one correct prediction at confidence 0.6
-    assert ece(probs, labels, bin_count=10) == pytest.approx(0.1, abs=1e-12)
+    assert ece(probs, labels) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_ece_matches_definition_oracle():
@@ -130,13 +130,13 @@ def test_ece_matches_definition_oracle():
         conf = confidence[members].mean()
         expected += (members.sum() / 500) * abs(acc - conf)
 
-    assert ece(probs, labels, bins) == pytest.approx(expected, abs=1e-12)
-    assert 0.0 <= ece(probs, labels, bins) <= 1.0
+    assert ece(probs, labels) == pytest.approx(expected, abs=1e-12)
+    assert 0.0 <= ece(probs, labels) <= 1.0
 
 
 def test_ece_top_bin_contains_confidence_one():
     probs = np.array([[1.0, 0.0]])
-    assert ece(probs, np.array([0]), bin_count=10) == 0.0
+    assert ece(probs, np.array([0])) == 0.0
 
 
 def test_curve_all_good():
