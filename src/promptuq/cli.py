@@ -104,7 +104,7 @@ def cmd_predict(args) -> int:
     task = make_synthetic_task(cfg)
     try:
         ensemble = estimators.load_ensemble(args.posterior)
-    except (OSError, ValueError, RecursionError) as exc:  # deep JSON nesting
+    except (OSError, ValueError) as exc:
         raise ConfigError("posterior", f"cannot load {args.posterior}: {exc}") from exc
     if ensemble.samples.shape[1] != task.prior.dim:
         raise ConfigError("posterior", f"z has {ensemble.samples.shape[1]} entries, "

@@ -122,29 +122,43 @@ def save_ensemble(ensemble: PosteriorEnsemble, path) -> None:
                                  "z": [float(v) for v in z]}) + "\n")
 
 
-def _is_float(value) -> bool:
+def is_json_number(value) -> bool:
     """A JSON number (not a bool) within the float range."""
     return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+
+def ndjson_records(path):
+    """(line number, record) for each non-blank line of an NDJSON file; a line
+    holding a JSON value that is not an object gives an empty record.
+
+    Raises OSError if the file cannot be read and ValueError naming the line
+    if a line is not JSON.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # not JSON; deep nesting
+                raise ValueError(f"line {number}: {exc}") from exc
+            yield number, record if isinstance(record, dict) else {}
 
 
 def load_ensemble(path) -> PosteriorEnsemble:
     """Records {"weight": number, "z": [numbers]}, as ``save_ensemble`` writes them.
 
-    Raises OSError if the file cannot be read and ValueError if it is malformed.
+    Raises OSError if the file cannot be read and ValueError naming the line
+    of a malformed record.
     """
     samples, weights = [], []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                record = {}
-            z, weight = record.get("z"), record.get("weight")
-            if not (isinstance(z, list) and all(map(_is_float, z)) and _is_float(weight)):
-                raise ValueError(f"line {number}: need {{\"weight\": number, \"z\": [numbers]}}")
-            samples.append(z)
-            weights.append(weight)
+    for number, record in ndjson_records(path):
+        z, weight = record.get("z"), record.get("weight")
+        if not (isinstance(z, list) and all(map(is_json_number, z))
+                and is_json_number(weight)):
+            raise ValueError(f"line {number}: need {{\"weight\": number, \"z\": [numbers]}}")
+        samples.append(z)
+        weights.append(weight)
     return PosteriorEnsemble(np.asarray(samples), np.asarray(weights), "loaded")
 
 

@@ -163,22 +163,16 @@ def load_labeled_ndjson(path) -> LabeledSet:
     Raises OSError if the file cannot be read and ValueError if it is malformed.
     """
     xs, ys = [], []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                record = {}
-            x, y = record.get("x"), record.get("y", -1)
-            if not (isinstance(x, list) and all(type(v) in (int, float) for v in x)
-                    and type(y) is int):
-                raise ValueError(f"line {number}: need {{\"x\": [numbers], \"y\": int}}")
-            xs.append(x)
-            ys.append(y)
+    for number, record in estimators.ndjson_records(path):
+        x, y = record.get("x"), record.get("y", -1)
+        if not (isinstance(x, list) and all(map(estimators.is_json_number, x))
+                and type(y) is int):
+            raise ValueError(f"line {number}: need {{\"x\": [numbers], \"y\": int}}")
+        xs.append(x)
+        ys.append(y)
     try:
         data = LabeledSet(np.array(xs, dtype=float), np.array(ys, dtype=np.int64))
-    except OverflowError as exc:
+    except OverflowError as exc:  # a label beyond int64
         raise ValueError(f"number out of range: {exc}") from exc
     if data.X.ndim != 2 or data.X.size == 0 or not np.isfinite(data.X).all():
         raise ValueError("need one or more records with equal-length finite x rows")
@@ -200,7 +194,7 @@ def _open_context(config: ExperimentConfig) -> tuple[object, PriorSpec,
         path = task.datasets[name]
         try:
             splits[name] = load_labeled_ndjson(path)
-        except (OSError, ValueError, RecursionError) as exc:  # deep JSON nesting
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"task.datasets.{name}", f"{path}: {exc}") from exc
     if task.argv is not None:
         sim = ExternalSimulator.spawn(list(task.argv))

@@ -165,8 +165,9 @@ def test_rejection_abc_budget_error_carries_partial_count(criterion_task):
     with pytest.raises(BudgetExhaustedError) as excinfo:
         rejection_abc(sim, criterion_task.prior, criterion_task.train,
                       RejectionConfig(50, epsilon=0.05, max_draws=30), seed=3)
-    assert re.fullmatch(r"rejection sampling used all 30 draws with \d+/50 acceptances "
-                        r"at epsilon 0\.05", str(excinfo.value))
+    match = re.fullmatch(r"rejection sampling used all 30 draws with (\d+)/50 acceptances "
+                         r"at epsilon 0\.05", str(excinfo.value))
+    assert match and 0 <= int(match[1]) < 50
 
 
 def test_update_weights_single_particle_is_one():

@@ -324,8 +324,10 @@ def test_ensemble_ndjson_roundtrip(tmp_path):
     '{"weight": true, "z": [0.5, 0.5]}',
     '{"weight": 1.0, "z": [[0.5], [0.5]]}',
     '{"weight": 1.0, "z": ["0.5", 0.5]}',
+    '{"weight": 1.0, "z": [0.5, 0.5]',                  # not JSON
+    "[" * 100_000,                                      # nested too deeply to parse
 ], ids=["list", "string", "no-weight", "no-z", "huge-z", "huge-weight", "bool-weight",
-        "nested-z", "string-z"])
+        "nested-z", "string-z", "not-json", "deep"])
 def test_load_ensemble_names_the_line_of_a_malformed_record(tmp_path, record):
     path = tmp_path / "posterior.ndjson"
     path.write_text('{"index": 0, "weight": 0.5, "z": [0.5, 0.5]}\n\n' + record + "\n")
