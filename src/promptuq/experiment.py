@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import json
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
