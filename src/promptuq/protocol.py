@@ -1,39 +1,42 @@
-"""External simulator protocol v2: newline-delimited JSON over stdio or TCP.
+"""External simulator protocol v3: newline-delimited JSON over stdio or TCP.
 
 The server speaks first with a handshake line
 
-    {"protocol": 2, "classes": C, "feature_dim": F, "prompt_dim": D,
+    {"protocol": 3, "classes": C, "feature_dim": F, "prompt_dim": D,
      "subspace_dim": d, "modes": ["logits", "labels"]}
 
 then answers one request per line:
 
-    register {"id": u64, "op": "register", "inputs": [[f64...]...]}
+    register {"id": u64, "op": "register", "inputs": <(n, F) f8>}
           -> {"id": u64, "dataset": i}
-    query    {"id": u64, "mode": "logits"|"labels", "zs": [[f64...]...],
+    query    {"id": u64, "mode": "logits"|"labels", "zs": <(K, d) f8>,
               "dataset": i, "seeds": [u64...]}
-          -> {"id": u64, "outputs": [[f64...]...]}  (logits mode, rows sum to 1)
-             {"id": u64, "labels": [u32...]}        (labels mode)
-    failure  {"id": u64, "error": str, "kind": str}
+          -> {"id": u64, "outputs": <(K * n, C) f8>}  (logits mode, rows sum to 1)
+             {"id": u64, "labels": <(K * n,) i8>}     (labels mode)
+    failure  {"id": u64|null, "error": str, "kind": str}
 
-Every message is one line of UTF-8 JSON ending in a newline byte. A register
-request stores an input matrix under a dataset index that lives as long as
-the connection. A query names one dataset and carries a whole (K, d) stack of
-z; its answer holds all K * n rows in z-major order. ``seeds`` (labels mode
-only) holds one sample-decode seed per z; without it labels are argmax
-decoded. Sample decoding is driven entirely by the seeds, so a served
-simulator reproduces in-process results bit for bit.
+Every message is one line of UTF-8 JSON ending in a newline byte. Every
+array is base64 of its C-order little-endian bytes (``pack``); the handshake
+gives its row width and its length its rows, so "" is an empty stack. A
+register request stores an input matrix under a dataset index that lives as
+long as the connection. A query names one dataset and carries a whole (K, d)
+stack of z; its answer holds all K * n rows in z-major order. ``seeds``
+(labels mode only) holds one sample-decode seed per z; without it labels are
+argmax decoded. The seeds drive sample decoding and floats cross as their
+own bytes, so a served simulator reproduces in-process results bit for bit.
 
 Both ends keep no query rules of their own. The client checks a query with
 ``blackbox.check_query`` (the handshake gives it the subspace dimension) and
 ``check_decode_seeds`` before it charges or sends anything, sends nothing for
 an empty query, and registers each distinct input matrix once per
-connection. The server only decodes the JSON (id, op, mode, dataset index,
-lists of numbers) and answers through the simulator's own query, whose
-ValueError becomes a bad-request.
+connection. The server only decodes the JSON (an id in [0, 2^64), op, mode,
+dataset index, packed arrays) and answers through the simulator's own query,
+whose ValueError becomes a bad-request.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import select
@@ -49,7 +52,7 @@ from .errors import (AccessDeniedError, BudgetExhaustedError, NumericalBreakdown
                      ProtocolError)
 from .uqeval import check_probability_table
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 TIMEOUT = 30.0  # seconds a client waits to connect or for a server line
 # The failures a server reports by kind, and the client raises again; any
 # other failure, a ValueError from the simulator included, is a bad request.
@@ -59,6 +62,22 @@ ERROR_KINDS = {"access-denied": AccessDeniedError, "budget": BudgetExhaustedErro
 
 def _encode(payload: dict) -> bytes:
     return (json.dumps(payload) + "\n").encode("utf-8")
+
+
+def pack(array, dtype: str) -> str:
+    """``array`` as base64 of its C-order ``dtype`` (``"<f8"`` or ``"<i8"``) bytes."""
+    return base64.b64encode(np.ascontiguousarray(array, dtype=dtype)).decode("ascii")
+
+
+def unpack(text, width: int, dtype: str) -> np.ndarray:
+    """The (rows, ``width``) array ``pack`` wrote as ``text``, in native byte
+    order; ValueError unless ``text`` is a base64 string of whole rows."""
+    if not isinstance(text, str):
+        raise ValueError("an array must be a base64 string")
+    data = base64.b64decode(text, validate=True)  # binascii.Error is a ValueError
+    if len(data) % (np.dtype(dtype).itemsize * width):
+        raise ValueError(f"{len(data)} bytes are not whole rows of {width} {dtype}")
+    return np.frombuffer(data, dtype).reshape(-1, width).astype(np.dtype(dtype).newbyteorder("="))
 
 
 class _LineTransport:
@@ -139,13 +158,14 @@ class ExternalSimulator:
     def __init__(self, transport):
         self._transport = transport
         self._next_id = 0
-        self._datasets: dict[tuple, int] = {}  # (shape, bytes) -> server index
+        self._datasets: dict[str, int] = {}  # packed inputs -> server index
         self.budget = EvalBudget()
         handshake = self._read_payload()
-        if handshake.get("protocol") != PROTOCOL_VERSION:
+        version = handshake.get("protocol")
+        if type(version) is not int or version != PROTOCOL_VERSION:
             raise ProtocolError(
                 f"unsupported handshake: the server speaks protocol "
-                f"{handshake.get('protocol')!r}, this client protocol {PROTOCOL_VERSION}: "
+                f"{version!r}, this client protocol {PROTOCOL_VERSION}: "
                 f"{handshake}")
         dims = [handshake.get(key)
                 for key in ("classes", "feature_dim", "prompt_dim", "subspace_dim")]
@@ -212,54 +232,45 @@ class ExternalSimulator:
                 f"response id {response.get('id')} does not match request {request_id}")
         return response
 
-    def _dataset(self, inputs: np.ndarray) -> int:
-        """The server's index of ``inputs``, registering them on first use."""
-        key = (inputs.shape, inputs.tobytes())
-        if key not in self._datasets:
-            response = self._roundtrip({"op": "register", "inputs": inputs.tolist()})
+    def _dataset(self, inputs: str) -> int:
+        """The server's index of the packed ``inputs``, registering them on first use."""
+        if inputs not in self._datasets:
+            response = self._roundtrip({"op": "register", "inputs": inputs})
             index = response.get("dataset")
             if type(index) is not int:
                 raise ProtocolError(f"malformed dataset index {index!r} for a register")
-            self._datasets[key] = index
-        return self._datasets[key]
+            self._datasets[inputs] = index
+        return self._datasets[inputs]
 
-    def _query(self, request: dict, zs: np.ndarray, inputs: np.ndarray, parse, empty):
-        """Charge a checked query, then send it as one request and
-        ``parse(response, rows)`` its answer; an empty query sends nothing
-        and returns ``empty``."""
+    def _query(self, request: dict, zs: np.ndarray, inputs: np.ndarray, key: str,
+               width: int, dtype: str) -> np.ndarray:
+        """Charge a checked query, then send it as one request and unpack the
+        answer's ``key`` field into its (K * n, ``width``) rows; an empty query
+        sends nothing."""
         rows = len(zs) * len(inputs)
         self.budget.charge(rows)
         if rows == 0:
-            return empty
-        request.update(zs=zs.tolist(), dataset=self._dataset(inputs))
-        return parse(self._roundtrip(request), rows)
-
-    def _probabilities(self, response: dict, rows: int) -> np.ndarray:
+            return np.empty((0, width), dtype)
+        request.update(zs=pack(zs, "<f8"), dataset=self._dataset(pack(inputs, "<f8")))
+        answer = self._roundtrip(request).get(key)
         try:
-            probs = check_probability_table(response.get("outputs"))
-        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge integer
-            raise ProtocolError(f"logits-mode outputs are not probability rows: {exc}") from exc
-        if probs.shape != (rows, self.classes):
-            raise ProtocolError(f"malformed outputs for {rows} pairs")
-        return probs
-
-    def _labels(self, response: dict, rows: int) -> np.ndarray:
-        """A flat list of ``rows`` JSON integers (no bools) in [0, classes),
-        range-checked before conversion; ProtocolError otherwise."""
-        labels = response.get("labels")
-        if not isinstance(labels, list) or len(labels) != rows:
-            raise ProtocolError(f"malformed labels for {rows} pairs")
-        if not (set(map(type, labels)) <= {int} and set(labels) <= set(range(self.classes))):
-            raise ProtocolError(f"labels outside [0, {self.classes})")
-        return np.array(labels, dtype=np.int64)
+            answer = unpack(answer, width, dtype)
+        except ValueError as exc:
+            raise ProtocolError(f"malformed {key} for {rows} pairs: {exc}") from exc
+        if len(answer) != rows:
+            raise ProtocolError(f"malformed {key} for {rows} pairs: {len(answer)} rows")
+        return answer
 
     def query_logits(self, z: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Class probability vector per (z, input) pair, z-major, (K * n, classes)."""
         if "logits" not in self.modes:
             raise AccessDeniedError("server is labels-only; probabilities are hidden")
         zs, inputs = check_query(z, inputs, self.feature_dim, self.subspace_dim)
-        return self._query({"mode": "logits"}, zs, inputs, self._probabilities,
-                           np.empty((0, self.classes)))
+        probs = self._query({"mode": "logits"}, zs, inputs, "outputs", self.classes, "<f8")
+        try:
+            return check_probability_table(probs) if len(probs) else probs
+        except ValueError as exc:
+            raise ProtocolError(f"logits-mode outputs are not probability rows: {exc}") from exc
 
     def query_labels(self, z: np.ndarray, inputs: np.ndarray, seeds=None) -> np.ndarray:
         """Label per (z, input) pair, z-major, (K * n,); one seed per z sample-decodes."""
@@ -267,20 +278,10 @@ class ExternalSimulator:
         request = {"mode": "labels"}
         if seeds is not None:
             request["seeds"] = check_decode_seeds(seeds, len(zs))
-        return self._query(request, zs, inputs, self._labels, np.empty(0, dtype=np.int64))
-
-
-def _number_rows(rows) -> np.ndarray:
-    """``rows`` as a float array; ValueError unless it is a list of lists of
-    JSON numbers (no bools) within the float range. Shapes and finiteness are
-    the simulator's to check."""
-    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
-            and all(type(v) in (int, float) for row in rows for v in row)):
-        raise ValueError("zs and inputs must be lists of lists of JSON numbers")
-    try:
-        return np.array(rows, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError("zs and inputs must hold numbers within the float range") from None
+        labels = self._query(request, zs, inputs, "labels", 1, "<i8")[:, 0]
+        if ((labels < 0) | (labels >= self.classes)).any():
+            raise ProtocolError(f"labels outside [0, {self.classes})")
+        return labels
 
 
 def _handle_request(sim, datasets: list, request: dict) -> dict:
@@ -289,24 +290,26 @@ def _handle_request(sim, datasets: list, request: dict) -> dict:
     own query, which holds every rule on shapes, finiteness and seeds. A
     ValueError is a bad request."""
     request_id = request.get("id")
-    if not isinstance(request_id, int):
-        return {"id": None, "error": "missing integer id", "kind": "bad-request"}
+    if type(request_id) is not int or not 0 <= request_id < 2 ** 64:
+        return {"id": None, "error": "missing u64 id", "kind": "bad-request"}
     mode, index = request.get("mode"), request.get("dataset")
     try:
         if "op" in request:
             if request["op"] != "register":
                 raise ValueError(f"unknown op {request['op']!r}")
-            datasets.append(_number_rows(request.get("inputs")))
+            datasets.append(unpack(request.get("inputs"), sim.feature_dim, "<f8"))
             return {"id": request_id, "dataset": len(datasets) - 1}
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if type(index) is not int or not 0 <= index < len(datasets):
             raise ValueError(f"unknown dataset {index!r}")
-        zs, inputs = _number_rows(request.get("zs")), datasets[index]
+        zs, inputs = unpack(request.get("zs"), sim.subspace_dim, "<f8"), datasets[index]
         if mode == "logits":
-            return {"id": request_id, "outputs": sim.query_logits(zs, inputs).tolist()}
-        return {"id": request_id,
-                "labels": sim.query_labels(zs, inputs, request.get("seeds")).tolist()}
+            if "seeds" in request:
+                raise ValueError("seeds are for labels queries only")
+            return {"id": request_id, "outputs": pack(sim.query_logits(zs, inputs), "<f8")}
+        labels = sim.query_labels(zs, inputs, request.get("seeds"))
+        return {"id": request_id, "labels": pack(labels, "<i8")}
     except (ValueError, *ERROR_KINDS.values()) as exc:
         kind = next((kind for kind, error in ERROR_KINDS.items() if isinstance(exc, error)),
                     "bad-request")
@@ -344,12 +347,7 @@ def serve(sim, rfile, wfile) -> None:
                 response = {"id": None, "error": "unparseable request", "kind": "bad-request"}
             else:
                 response = _handle_request(sim, datasets, request)
-            try:
-                data = (json.dumps(response, allow_nan=False) + "\n").encode("utf-8")
-            except ValueError:  # a non-finite answer (the built-in simulator raises first)
-                data = _encode({"id": response["id"], "error": "non-finite result",
-                                "kind": "bad-request"})
-            wfile.write(data)
+            wfile.write(_encode(response))
             wfile.flush()
     except (BrokenPipeError, ConnectionResetError):
         pass

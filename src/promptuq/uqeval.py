@@ -33,7 +33,8 @@ def check_probability_table(probs) -> np.ndarray:
         raise ValueError("probabilities must be finite")
     if (p < 0).any():
         raise ValueError("probabilities must be nonnegative")
-    sums = p.sum(axis=1)
+    with np.errstate(over="ignore"):  # a sum past the float range is refused below
+        sums = p.sum(axis=1)
     row = int(np.argmax(np.abs(sums - 1.0)))
     if abs(sums[row] - 1.0) > 1e-6:
         raise ValueError(f"row {row} is not a probability vector (sum {sums[row]})")

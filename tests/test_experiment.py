@@ -534,19 +534,20 @@ def test_experiment_against_external_endpoint(tmp_path):
 ])
 def test_tune_against_server_with_edge_probability_rows(tmp_path, row, code):
     server = "\n".join([
-        "import json, sys",
-        "print(json.dumps({'protocol': 2, 'classes': 2, 'feature_dim': 8,"
+        "import base64, json, struct, sys",
+        "print(json.dumps({'protocol': 3, 'classes': 2, 'feature_dim': 8,"
         " 'prompt_dim': 32, 'subspace_dim': 4, 'modes': ['logits', 'labels']}),"
         " flush=True)",
         "sizes = []",
         "for line in sys.stdin:",
         "    request = json.loads(line)",
-        "    if request.get('op') == 'register':",
-        "        sizes.append(len(request['inputs']))",
+        "    if request.get('op') == 'register':",  # rows of 8 float64 features
+        "        sizes.append(len(base64.b64decode(request['inputs'])) // 64)",
         "        answer = {'dataset': len(sizes) - 1}",
-        "    else:",
-        f"        answer = {{'outputs': [{row!r}] * len(request['zs'])"
-        " * sizes[request['dataset']]}",
+        "    else:",  # rows of 4 float64 entries of z
+        "        pairs = len(base64.b64decode(request['zs'])) // 32 * sizes[request['dataset']]",
+        f"        answer = {{'outputs': base64.b64encode(struct.pack('<2d', *{row!r}) * pairs)"
+        ".decode()}",
         "    print(json.dumps({'id': request['id'], **answer}), flush=True)"])
     split = tmp_path / "split.ndjson"
     split.write_text("".join(json.dumps({"x": [0.1 * i] * 8, "y": i % 2}) + "\n"

@@ -1,7 +1,9 @@
+import base64
 import dataclasses
 import io
 import json
 import os
+import re
 import select
 import socket
 import struct
@@ -19,7 +21,7 @@ from promptuq.blackbox import EvalBudget
 from promptuq.cli import main
 from promptuq.errors import (AccessDeniedError, BudgetExhaustedError,
                              NumericalBreakdownError, ProtocolError)
-from promptuq.protocol import ExternalSimulator, serve, serve_tcp
+from promptuq.protocol import ExternalSimulator, pack, serve, serve_tcp, unpack
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +96,7 @@ def test_stacked_query_is_one_request(served, criterion_task, sent):
     before = served.budget.used
     probs = served.query_logits(zs, x)
     assert [request.get("op", "query") for request in sent] == ["register", "query"]
-    assert sent[1]["zs"] == zs.tolist() and "seeds" not in sent[1]
+    assert sent[1]["zs"] == pack(zs, "<f8") and "seeds" not in sent[1]
     assert served.budget.used == before + 15
     assert probs.shape == (15, 2)
     assert np.abs(probs - local.query_logits(zs, x)).max() < 1e-9
@@ -119,7 +121,7 @@ def test_a_repeated_input_matrix_is_registered_once(served, criterion_task, sent
                           local.query_labels(z, x, [9]))
     registers = [request for request in sent if request.get("op") == "register"]
     queries = [request for request in sent if "op" not in request]
-    assert len(registers) == 1 and registers[0]["inputs"] == x.tolist()
+    assert len(registers) == 1 and registers[0]["inputs"] == pack(x, "<f8")
     assert len(queries) == 4 and len({request["dataset"] for request in queries}) == 1
     assert all(request.keys() <= {"id", "mode", "zs", "dataset", "seeds"}
                for request in queries)
@@ -194,8 +196,8 @@ def test_tcp_transport_round_trip(criterion_task):
     with socket.create_connection((host, port), timeout=10) as raw:
         reader = raw.makefile("rb")
         reader.readline()  # handshake
-        raw.sendall(b"\xff\xfe\n" + REGISTER.encode() + b"\n" + json.dumps(
-            {"id": 1, "mode": "labels", "zs": [[0.0] * 8], "dataset": 0}).encode() + b"\n")
+        raw.sendall(b"\xff\xfe\n" + REGISTER.encode() + b"\n"
+                    + _query_line(1, "labels", np.zeros((1, 8))).encode())
         assert json.loads(reader.readline())["kind"] == "bad-request"
         assert json.loads(reader.readline()) == {"id": 0, "dataset": 0}
         assert "labels" in json.loads(reader.readline())
@@ -237,16 +239,16 @@ class ScriptedTransport:
         pass
 
 
-HANDSHAKE = json.dumps({"protocol": 2, "classes": 2, "feature_dim": 3,
+HANDSHAKE = json.dumps({"protocol": 3, "classes": 2, "feature_dim": 3,
                         "prompt_dim": 8, "subspace_dim": 2, "modes": ["logits", "labels"]})
 REGISTERED = json.dumps({"id": 0, "dataset": 0})  # the answer to a client's first register
-REGISTER = json.dumps({"id": 0, "op": "register", "inputs": [[0.0] * 16]})
+REGISTER = json.dumps({"id": 0, "op": "register", "inputs": pack(np.zeros((1, 16)), "<f8")})
 
 
 def test_client_rejects_mismatched_response_id():
     transport = ScriptedTransport([
         HANDSHAKE, REGISTERED,
-        json.dumps({"id": 99, "outputs": [[0.5, 0.5]]}),
+        json.dumps({"id": 99, "outputs": pack([[0.5, 0.5]], "<f8")}),
     ])
     client = ExternalSimulator(transport)
     with pytest.raises(ProtocolError, match="does not match"):
@@ -254,19 +256,26 @@ def test_client_rejects_mismatched_response_id():
 
 
 def test_client_rejects_out_of_range_label():
-    # (answer, pairs asked for, message): only a flat list of JSON integers
-    # in [0, classes) is a labels answer
+    # (answer, pairs asked for, message): only packed <i8 labels in
+    # [0, classes), one per pair, are a labels answer
+    not_packed = "malformed labels for {} pairs: an array must be a base64 string"
     for labels, pairs, message in (
-            ([2], 1, "labels outside"),
-            ([0, 1], 1, "malformed labels for 1 pairs"),  # a row too many
-            (0, 1, "malformed labels for 1 pairs"),       # no list
-            ([[0]], 1, "labels outside"),                 # nested rows
-            ([[0], [1]], 2, "labels outside"),
-            ([0, [1]], 2, "labels outside"),              # ragged
-            ([True], 1, "labels outside"),                # a bool is no label
-            ([1.0], 1, "labels outside"),
-            ([2 ** 64], 1, "labels outside"),             # beyond int64
-            ([-2 ** 70, 0], 2, "labels outside")):
+            (pack([2], "<i8"), 1, "labels outside"),
+            (pack([-1, 0], "<i8"), 2, "labels outside"),
+            (pack([2 ** 63 - 1], "<i8"), 1, "labels outside"),
+            (pack([-2 ** 63], "<i8"), 1, "labels outside"),
+            (pack([0, 1], "<i8"), 1, "malformed labels for 1 pairs: 2 rows"),  # a row too many
+            (pack([0], "<i4"), 1, "4 bytes are not whole rows"),  # half a row
+            ("AA=A", 1, "malformed labels for 1 pairs: .*padding"),  # not base64
+            (0, 1, not_packed.format(1)),
+            ([0], 1, not_packed.format(1)),  # a JSON list, as protocol v2 sent
+            ([[0]], 1, not_packed.format(1)),
+            ([[0], [1]], 2, not_packed.format(2)),
+            ([0, [1]], 2, not_packed.format(2)),
+            ([True], 1, not_packed.format(1)),
+            ([1.0], 1, not_packed.format(1)),
+            ([2 ** 64], 1, not_packed.format(1)),
+            ([-2 ** 70, 0], 2, not_packed.format(2))):
         transport = ScriptedTransport([
             HANDSHAKE, REGISTERED,
             json.dumps({"id": 1, "labels": labels}),
@@ -285,21 +294,52 @@ _JSON_VALUES = st.recursive(
     max_leaves=12)
 
 
+_PROBABILITY_ROWS = st.lists(st.floats(0, 1).map(lambda p: [p, 1 - p])
+                             | st.lists(st.floats(), min_size=2, max_size=2), max_size=4)
+# any JSON, any text, base64 of any bytes, and packed arrays of any length
+_ANSWERS = {key: _JSON_VALUES | st.text(max_size=12)
+            | st.binary(max_size=40).map(lambda data: base64.b64encode(data).decode())
+            | packed for key, packed in (
+                ("labels", st.lists(st.integers(0, 1) | st.integers(-2 ** 63, 2 ** 63 - 1),
+                                    max_size=4).map(lambda labels: pack(labels, "<i8"))),
+                ("outputs", _PROBABILITY_ROWS.map(lambda rows: pack(rows, "<f8"))))}
+
+
+def _valid_answer(key, value, pairs):
+    """The array ``value`` holds if it is a valid answer for ``pairs`` pairs, else None."""
+    if not isinstance(value, str):
+        return None
+    try:
+        data = base64.b64decode(value, validate=True)
+    except ValueError:
+        return None
+    width, dtype = (1, "<i8") if key == "labels" else (2, "<f8")
+    if len(data) != 8 * width * pairs:
+        return None
+    array = np.frombuffer(data, dtype).reshape(pairs, width)
+    if key == "labels":
+        return array[:, 0] if np.isin(array, (0, 1)).all() else None
+    with np.errstate(over="ignore"):
+        valid = (np.isfinite(array).all() and (array >= 0).all()
+                 and (abs(array.sum(axis=1) - 1) <= 1e-6).all())
+    return array if valid else None
+
+
 @settings(max_examples=300, deadline=None)
-@given(key=st.sampled_from(["labels", "outputs"]), value=_JSON_VALUES,
-       pairs=st.integers(1, 3))
-def test_any_json_answer_is_an_array_of_its_shape_or_a_protocol_error(key, value, pairs):
+@given(key=st.sampled_from(["labels", "outputs"]), data=st.data(), pairs=st.integers(1, 3))
+def test_any_json_answer_is_an_array_of_its_shape_or_a_protocol_error(key, data, pairs):
+    value = data.draw(_ANSWERS[key])
     client = ExternalSimulator(ScriptedTransport([
         HANDSHAKE, REGISTERED, json.dumps({"id": 1, key: value})]))
     query = client.query_labels if key == "labels" else client.query_logits
-    try:
-        answer = query(np.zeros(2), np.zeros((pairs, 3)))
-    except ProtocolError:
-        return
-    if key == "labels":
-        assert answer.shape == (pairs,) and answer.dtype == np.int64
+    expected = _valid_answer(key, value, pairs)
+    if expected is None:
+        with pytest.raises(ProtocolError):
+            query(np.zeros(2), np.zeros((pairs, 3)))
     else:
-        assert answer.shape == (pairs, 2)
+        answer = query(np.zeros(2), np.zeros((pairs, 3)))
+        assert answer.shape == expected.shape and answer.dtype == expected.dtype
+        assert answer.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("kind, error, message", [
@@ -334,13 +374,14 @@ def test_client_rejects_unparseable_line():
 
 
 def test_client_rejects_unknown_protocol_version():
-    # a v1 server (one z and the whole input matrix per request) is refused
-    # at connect, naming both versions
-    for version in (1, 3):
+    # a v1 server (one z and the whole input matrix per request) or a v2 one
+    # (arrays as JSON numbers) is refused at connect, naming both versions;
+    # the version is the JSON integer 3, not a float equal to it
+    for version in (1, 2, 4, 3.0, "3"):
         transport = ScriptedTransport([json.dumps({**json.loads(HANDSHAKE),
                                                    "protocol": version})])
-        with pytest.raises(ProtocolError,
-                           match=f"speaks protocol {version}, this client protocol 2"):
+        with pytest.raises(ProtocolError, match=re.escape(
+                f"speaks protocol {version!r}, this client protocol 3")):
             ExternalSimulator(transport)
 
 
@@ -445,15 +486,60 @@ def test_a_lost_simulator_connection_exits_4(endpoint, tmp_path, capsys):
 
 
 def test_client_rejects_unnormalized_logit_rows():
-    for outputs, message in (([[0.9, 0.9]], "probability"),
-                             ([[1.5, -0.5]], "nonnegative"),  # sums to 1, no distribution
-                             ([0.5, 0.5], "2-D"),             # a flat row, not a list of rows
-                             ([[0.5, 0.5]] * 2, "malformed outputs for 1 pairs")):
+    # only packed <f8 probability rows, one per pair, are an outputs answer;
+    # JSON numbers, strings and bools are none
+    not_packed = "malformed outputs for 1 pairs: an array must be a base64 string"
+    for outputs, message in ((pack([[0.9, 0.9]], "<f8"), "probability"),
+                             (pack([[1.5, -0.5]], "<f8"), "nonnegative"),  # sums to 1
+                             (pack([[1e308, 1e308]], "<f8"), "not a probability vector"),
+                             (pack([[np.nan, np.nan]], "<f8"), "finite"),
+                             (pack([0.5, 0.5, 0.5], "<f8"), "24 bytes are not whole rows"),
+                             (pack([[0.5, 0.5]] * 2, "<f8"), "malformed outputs for 1 pairs: 2"),
+                             ([[0.5, 0.5]], not_packed),  # a JSON list, as protocol v2 sent
+                             ([0.5, 0.5], not_packed),
+                             ([["0.5", "0.5"]], not_packed),
+                             ([[True, False]], not_packed)):
         transport = ScriptedTransport([HANDSHAKE, REGISTERED,
                                        json.dumps({"id": 1, "outputs": outputs})])
         client = ExternalSimulator(transport)
         with pytest.raises(ProtocolError, match=message):
             client.query_logits(np.zeros(2), np.zeros((1, 3)))
+
+
+# every float64 bit pattern, and the ones a generator rarely draws: zeros of
+# both signs, both infinities, the largest finite, a subnormal, quiet and
+# signalling NaNs with payloads
+_F8_BITS = st.integers(0, 2 ** 64 - 1) | st.sampled_from(
+    np.array([0.0, -0.0, np.inf, -np.inf, 1.7976931348623157e308, 5e-324, -2.2e-310])
+    .view(np.uint64).tolist() + [0x7FF8000000000000, 0xFFF8DEADBEEF0001, 0x7FF0000000000001])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 4), width=st.integers(1, 5), data=st.data())
+def test_pack_unpack_round_trips_every_float64_bit_for_bit(rows, width, data):
+    bits = data.draw(st.lists(_F8_BITS, min_size=rows * width, max_size=rows * width))
+    array = np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, width)
+    text = pack(array, "<f8")
+    assert pack(array.astype(">f8"), "<f8") == text  # the wire order, whatever the input's
+    back = unpack(text, width, "<f8")
+    assert back.shape == (rows, width) and back.dtype == np.float64
+    assert back.tobytes() == array.tobytes()
+    assert back.flags.writeable and back.flags.c_contiguous
+    labels = array.view(np.int64)
+    assert unpack(pack(labels, "<i8"), width, "<i8").tobytes() == labels.tobytes()
+
+
+@pytest.mark.parametrize("text, width", [
+    (None, 1), (8, 1), (b"AAAAAAAAAAA=", 1), (["AAAAAAAAAAA="], 1),  # not a string
+    ("AAAA*AAAAAA=", 1), ("AAAA AAAAAA=", 1), ("AAAAAAAAAAA=\n", 1),  # outside the alphabet
+    ("\u00c0AAAAAAAAAA=", 1),
+    ("AAAAAAAAAAA", 1), ("AAAAAAAAAA=A", 1), ("=AAAAAAAAAAA", 1), ("A", 1),  # bad padding
+    ("AAAA", 1), (pack(np.zeros(3), "<f8"), 2), (pack(np.zeros(4), "<f8"), 3),  # not whole rows
+])
+def test_unpack_refuses_what_is_not_base64_of_whole_rows(text, width):
+    assert unpack("AAAAAAAAAAA=", 1, "<f8").shape == (1, 1)  # the valid form
+    with pytest.raises(ValueError):
+        unpack(text, width, "<f8")
 
 
 def _strict_json(line):
@@ -470,8 +556,8 @@ def _serve_lines(sim, request_lines):
 
 
 def _query_line(request_id, mode, zs, dataset=0, **fields):
-    return json.dumps({"id": request_id, "mode": mode, "zs": zs, "dataset": dataset,
-                       **fields}) + "\n"
+    return json.dumps({"id": request_id, "mode": mode, "zs": pack(zs, "<f8"),
+                       "dataset": dataset, **fields}) + "\n"
 
 
 def test_server_error_responses(criterion_task):
@@ -488,17 +574,21 @@ def test_server_error_responses(criterion_task):
     assert responses[0]["kind"] == "bad-request"
     assert responses[1] == {"id": 0, "dataset": 0}
     assert responses[2]["kind"] == "access-denied"
-    assert responses[3]["kind"] == "bad-request"  # z has the wrong length
-    assert responses[4]["labels"] == [int(v) for v in sim.query_labels(
-        np.array([[0.0] * 8, [1.0] * 8]), np.zeros((1, 16)))]
+    assert responses[3]["kind"] == "bad-request"  # z has the wrong length: not whole rows
+    assert responses[4]["labels"] == pack(sim.query_labels(
+        np.array([[0.0] * 8, [1.0] * 8]), np.zeros((1, 16))), "<i8")
 
     # each malformed line gets one bad-request and the server keeps serving
     malformed = [
-        {"mode": "labels", "zs": [["a", 1] + [0.0] * 6]},
-        {"mode": "logits", "zs": [[float("nan"), 1] + [0.0] * 6]},
-        {"mode": "logits", "zs": [[10 ** 400] + [0.0] * 7]},
-        {"mode": "logits", "zs": [0.0] * 8},  # one z, not a list of rows
-        {"mode": "logits", "zs": [[0.0] * 8, [0.0] * 7]},  # ragged
+        {"mode": "labels", "zs": "not base64!"},
+        {"mode": "labels", "zs": [[0.0] * 8]},  # JSON numbers, as protocol v2 sent
+        {"mode": "logits", "zs": pack([[np.nan, 1] + [0.0] * 6], "<f8")},
+        {"mode": "logits", "zs": pack([[np.inf] + [0.0] * 7], "<f8")},
+        {"mode": "logits", "zs": pack([0.0] * 4, "<f8")},  # half a z: not whole rows
+        {"mode": "logits", "zs": pack([0.0] * 15, "<f8")},
+        {"mode": "logits", "zs": "AAAAAAA"},  # bad padding
+        {"mode": "logits", "seeds": [0]},  # seeds are for labels queries only
+        {"mode": "logits", "seeds": ["junk"]},
         {"mode": "labels", "dataset": 0},  # registered, but holds an infinite input
         {"mode": "labels", "dataset": 2},  # never registered
         {"mode": "labels", "dataset": -1},
@@ -507,27 +597,32 @@ def test_server_error_responses(criterion_task):
         {"mode": "labels", "seeds": [2 ** 64]},
         {"mode": "labels", "seeds": [True]},
         {"mode": "labels", "seeds": [0, 1]},  # two seeds for one z
-        {"op": "register", "inputs": [[True] + [0.0] * 15]},
-        {"op": "register", "inputs": [["a"] * 16]},
-        {"op": "register", "inputs": [[0.0] * 16, [0.0] * 15]},
+        {"op": "register", "inputs": True},
+        {"op": "register", "inputs": [[0.0] * 16]},
+        {"op": "register", "inputs": pack([0.0] * 31, "<f8")},
         {"op": "register"},
-        {"op": "drop", "inputs": [[0.0] * 16]},
+        {"op": "drop", "inputs": pack([[0.0] * 16], "<f8")},
     ]
-    overflowing = {"mode": "logits", "zs": [[1e308] * 8]}  # finite, but the model overflows
-    valid = {"mode": "logits", "zs": [[0.0] * 8], "dataset": 1}
+    overflowing = {"mode": "logits", "zs": pack([[1e308] * 8], "<f8")}  # the model overflows
+    valid = {"mode": "logits", "zs": pack([[0.0] * 8], "<f8"), "dataset": 1}
+    bad_ids = [True, -5, 2 ** 64, 1.0, "3", None]  # an id is an integer in [0, 2^64)
     registers = [json.dumps({"id": 0, "op": "register",
-                             "inputs": [[float("inf")] + [0.0] * 15]}),
-                 json.dumps({"id": 1, "op": "register", "inputs": [[0.0] * 16]})]
+                             "inputs": pack([[np.inf] + [0.0] * 15], "<f8")}),
+                 json.dumps({"id": 1, "op": "register", "inputs": pack([[0.0] * 16], "<f8")})]
     _, responses = _serve_lines(criterion_task.simulator(), ["[" * 100_000 + "\n"] + [
         line + "\n" for line in registers] + [
         json.dumps({**valid, "id": i, **fields}) + "\n"
-        for i, fields in enumerate(malformed + [overflowing, {}], start=2)])
+        for i, fields in enumerate(malformed + [overflowing, {}], start=2)] + [
+        json.dumps({**valid, "id": request_id}) + "\n" for request_id in bad_ids])
     assert [r.get("dataset") for r in responses[1:3]] == [0, 1]
-    responses = responses[:1] + responses[3:]
+    id_responses = responses[-len(bad_ids):]
+    responses = responses[:1] + responses[3:-len(bad_ids)]
     assert [r.get("kind") for r in responses] == \
         ["bad-request"] * (len(malformed) + 1) + ["numerical-breakdown", None]
     assert [r["id"] for r in responses] == [None] + list(range(2, len(malformed) + 4))
-    assert len(responses[-1]["outputs"]) == 1
+    assert unpack(responses[-1]["outputs"], 2, "<f8").shape == (1, 2)
+    assert id_responses == [{"id": None, "error": "missing u64 id", "kind": "bad-request"}
+                            ] * len(bad_ids)
 
 
 def test_server_answers_a_non_utf8_line_once_and_keeps_serving(criterion_task):
@@ -539,7 +634,7 @@ def test_server_answers_a_non_utf8_line_once_and_keeps_serving(criterion_task):
         _strict_json(line) for line in out.getvalue().decode().split("\n")[:-1]]
     assert bad == {"id": None, "error": "unparseable request", "kind": "bad-request"}
     assert registered == {"id": 0, "dataset": 0}
-    assert good["id"] == 1 and len(good["labels"]) == 1
+    assert good["id"] == 1 and unpack(good["labels"], 1, "<i8").shape == (1, 1)
 
 
 def test_registered_datasets_live_as_long_as_the_connection(criterion_task):
@@ -547,9 +642,22 @@ def test_registered_datasets_live_as_long_as_the_connection(criterion_task):
     lines = [REGISTER + "\n", _query_line(1, "labels", [[0.0] * 8])]
     for _ in range(2):
         _, responses = _serve_lines(criterion_task.simulator(), lines)
-        assert responses[0] == {"id": 0, "dataset": 0} and len(responses[1]["labels"]) == 1
+        assert responses[0] == {"id": 0, "dataset": 0}
+        assert unpack(responses[1]["labels"], 1, "<i8").shape == (1, 1)
     _, responses = _serve_lines(criterion_task.simulator(), lines[1:])
     assert responses[0]["kind"] == "bad-request" and "dataset" in responses[0]["error"]
+
+
+def test_server_answers_an_empty_stack_with_an_empty_array(criterion_task):
+    # "" is a (0, d) stack of z, as in process a (0, d) query is answered by no rows
+    _, responses = _serve_lines(criterion_task.simulator(), [
+        REGISTER + "\n", _query_line(1, "logits", np.zeros((0, 8))),
+        _query_line(2, "labels", np.zeros((0, 8))), _query_line(3, "labels", [], seeds=[]),
+        json.dumps({"id": 4, "op": "register", "inputs": ""}) + "\n",
+        _query_line(5, "logits", [[0.0] * 8], dataset=1)])
+    assert responses == [
+        {"id": 0, "dataset": 0}, {"id": 1, "outputs": ""}, {"id": 2, "labels": ""},
+        {"id": 3, "labels": ""}, {"id": 4, "dataset": 1}, {"id": 5, "outputs": ""}]
 
 
 _json = st.recursive(
@@ -557,22 +665,24 @@ _json = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=8)
-_number = st.integers(-2 ** 70, 2 ** 70) | st.floats()  # floats include NaN and inf
 
 
-def _vector(size):  # the right length (a repeated number reaches overflow), then anything
-    return (_number.map(lambda value: [value] * size)
-            | st.lists(_number, min_size=size, max_size=size)
-            | st.lists(_number | _json, min_size=size, max_size=size) | _json)
+def _packed(size):
+    """Rows of ``size`` floats packed (a repeated number reaches overflow;
+    floats include NaN and inf), then base64 of any bytes, then anything."""
+    return (st.floats().map(lambda value: pack([value] * size, "<f8"))
+            | st.lists(st.floats(), max_size=2 * size + 1).map(lambda values: pack(values, "<f8"))
+            | st.binary(max_size=3 * size).map(lambda data: base64.b64encode(data).decode())
+            | st.text(max_size=8) | _json)
 
 
 _FIELDS = {
     "id": st.integers() | _json,
     "op": st.just("register") | _json,
     "mode": st.sampled_from(["logits", "labels"]) | _json,
-    "zs": st.lists(_vector(8), min_size=1, max_size=2) | _json,
+    "zs": _packed(8),
     "dataset": st.integers(-1, 2) | _json,
-    "inputs": st.lists(_vector(16), min_size=1, max_size=2) | _json,
+    "inputs": _packed(16),
     "seeds": st.lists(st.integers() | st.sampled_from([-1, 2 ** 64 - 1, 2 ** 64]) | _json,
                       max_size=2) | _json,
 }
@@ -583,10 +693,12 @@ def _request(draw):
     """A valid register or query request with up to three fields replaced,
     added or removed."""
     if draw(st.booleans()):
-        request = {"id": 0, "op": "register", "inputs": [[0.0] * 16]}
+        request = {"id": 0, "op": "register", "inputs": pack([[0.0] * 16], "<f8")}
+    elif draw(st.booleans()):
+        request = {"id": 0, "mode": "labels", "zs": pack([[0.0] * 8], "<f8"), "dataset": 0,
+                   "seeds": [0]}
     else:
-        request = {"id": 0, "mode": draw(st.sampled_from(["logits", "labels"])),
-                   "zs": [[0.0] * 8], "dataset": 0, "seeds": [0]}
+        request = {"id": 0, "mode": "logits", "zs": pack([[0.0] * 8], "<f8"), "dataset": 0}
     for key in draw(st.sets(st.sampled_from(sorted(_FIELDS)), max_size=3)):
         if draw(st.booleans()):
             request[key] = draw(_FIELDS[key])

@@ -8,6 +8,7 @@ budget use.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, r
 from conftest import CRITERION_TASK
 from promptuq.blackbox import EvalBudget, make_synthetic_task
 from promptuq.errors import BudgetExhaustedError, NumericalBreakdownError
+from promptuq.protocol import pack
 
 D, F = CRITERION_TASK.subspace_dim, CRITERION_TASK.feature_dim
 
@@ -116,11 +118,12 @@ def test_a_query_that_overflows_the_model_is_a_numerical_breakdown(served, crite
 
 
 LIMIT = 60
-BAD_LINES = [b"garbage", b"[", b"{}", b"\xff\xfe", b'{"id": 3}',
-             b'{"id": 4, "mode": "logits", "zs": [[NaN]], "dataset": 0}',
-             b'{"id": 5, "mode": "labels", "zs": [], "dataset": 0}',
-             b'{"id": 6, "mode": "labels", "zs": [[0.0]], "dataset": -1}',
-             b'{"id": 7, "op": "register", "inputs": [["a"]]}']
+BAD_LINES = [b"garbage", b"[", b"{}", b"\xff\xfe", b'{"id": 3}'] + [
+    json.dumps(request).encode() for request in (
+        {"id": 4, "mode": "logits", "zs": pack(np.full((1, D), np.nan), "<f8"), "dataset": 0},
+        {"id": 5, "mode": "labels", "zs": pack(np.zeros(D - 1), "<f8"), "dataset": 0},
+        {"id": 6, "mode": "labels", "zs": pack(np.zeros((1, D)), "<f8"), "dataset": -1},
+        {"id": 7, "op": "register", "inputs": "not base64!"})]
 
 
 class QueryContract(RuleBasedStateMachine):

@@ -76,6 +76,7 @@ def test_score_rows_invariant_under_row_slicing(classes, seed, data):
     np.zeros((0, 2)),                           # no rows
     np.array([[1.2, -0.2], [0.5, 0.5]]),        # negative entry
     np.array([[0.5, 0.5], [0.6, 0.6]]),         # row sum 1.2
+    np.array([[1e308, 1e308]]),                 # row sum past the float range
     np.array([[0.5, 0.5], [np.nan, np.nan]]),   # NaN
     np.array([[np.inf, 0.0], [0.5, 0.5]]),      # inf
     np.array([[np.inf, -np.inf], [0.5, 0.5]]),
