@@ -8,7 +8,9 @@ below, for the methods that observe logits `predictive_mode: labels`, and a
 wide ensemble (10 members, 100 generations).
 On each task it then runs `promptuq predict` (logits on the test and far-OOD
 splits, and the seeded sample decode of labels on the test split) and
-`promptuq eval`, selective and OOD. Last come `promptuq compare` of two
+`promptuq eval`, selective and OOD. One more `predict` runs the 5-class
+ensemble on a copy of its task with 4,133 test rows, so the kernel's row
+tiles, ragged tail included, are covered. Last come `promptuq compare` of two
 methods on the 2-class task and `promptuq lower-bound` with a curve, so every
 subcommand that writes files is covered.
 
@@ -107,6 +109,10 @@ def run_matrix() -> dict[str, str]:
         _run(["eval", "--pred", f"pred/{label}_test.csv",
               "--pred-ood", f"pred/{label}_far_ood.csv",
               "--out", f"eval/{label}_ood"], f"eval/{label}_ood", hashes)
+    tiled = _write_json("configs/c5_tiled_task.json", {**TASKS["c5"], "n_test": 4133})
+    _run(["predict", "--task", tiled, "--posterior", "runs/c5_ensembles/posterior.ndjson",
+          "--split", "test", "--out", "pred/c5_tiled_test.csv"],
+         "pred/c5_tiled_test.csv", hashes)
     for method in PARAMS:
         for subset, evaluation in SUBSETS.items():
             _tune(f"c2_{method}_{subset}", TASKS["c2"], method, hashes,

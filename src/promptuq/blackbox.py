@@ -15,6 +15,15 @@ The built-in classifier is a frozen two-layer tanh network holding the
 task's projection, so z becomes the full prompt A z there alone. The prompt
 is pooled down to a few dimensions, scaled to be O(1) under the task prior
 (which keeps the loss landscape smooth), and concatenated with the inputs.
+
+Its kernel streams a query through one pair of scratch buffers allocated per
+call. Below 2 * ``TILE_ROWS`` inputs, a chunk of at most ``MAX_KERNEL_PAIRS``
+pairs (always at least one z) goes through each GEMM with the same shapes
+whatever K is. From 2 * ``TILE_ROWS`` inputs on, one z at a time goes through
+row tiles of ``TILE_ROWS`` rows, the ragged tail merged into the last tile.
+So the scratch holds fewer than 2 * ``TILE_ROWS`` rows of batch columns and
+hidden units whatever n and K are (under 1.8 MiB for 24 + 32 of them), and
+every row equals the single-z, whole-matrix row bit for bit.
 """
 
 from __future__ import annotations
@@ -34,9 +43,14 @@ from .prompt_space import PriorSpec, check_sigma, make_projection, sample_prior
 # input-dominated.
 PROMPT_GAIN = 3.0
 
-# At most this many (z, input) pairs go through one kernel call; with 32 hidden
-# units, calls of 960-1536 pairs cost twice as much per pair (allocator churn).
+# Below 2 * TILE_ROWS inputs, at most this many (z, input) pairs, or one z,
+# share one stacked GEMM chunk; a chunk's shapes are those of its single-z calls.
 MAX_KERNEL_PAIRS = 512
+
+# From 2 * TILE_ROWS inputs on, rows go through the GEMMs in tiles of this many,
+# the ragged tail merged into the last tile. OpenBLAS gives a row slice of at
+# least 1,024 rows the whole matrix's bits, so every tile keeps them.
+TILE_ROWS = 2048
 
 # What a simulator may reveal per (z, input) pair; every simulator answers labels.
 MODES = ("logits", "labels")
@@ -60,9 +74,17 @@ class EvalBudget:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=-1, keepdims=True)
+    """Row-wise softmax of a (rows, C) array, computed in place and returned.
+
+    The row maximum is a column loop of ``np.maximum``, which equals
+    ``max(axis=-1)`` exactly and is faster at few classes."""
+    top = logits[:, 0].copy()
+    for column in range(1, logits.shape[1]):
+        np.maximum(top, logits[:, column], out=top)
+    logits -= top[:, None]
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 @dataclass(frozen=True)
@@ -124,26 +146,45 @@ class FrozenClassifier:
                           size=(pooled_dim, prompt_dim))
         return cls(projection, w1, b1, w2, b2, pool, classes)
 
-    def logits(self, zs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """Logits for a (d,) z, (n, C), or for each row of a (K, d) stack,
-        (K, n, C).
+    def logits(self, zs: np.ndarray, inputs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the logits of every (z, input) pair of a (K, d) stack and
+        (n, F) inputs into the C-contiguous ``out``, (K * n, C) in z-major
+        order, and return it.
 
         Each stacked matmul makes one BLAS call per z with the shapes of a
-        single-z call, so every block equals its single-z result bit for bit,
-        whatever the stack size.
+        single-z call, and a tile is never under ``TILE_ROWS`` rows, so every
+        row equals its single-z result bit for bit, whatever K is.
         """
-        features = inputs.shape[1]
-        prompts = np.matmul(self.projection, zs[..., None])
-        pooled = np.matmul(self.pool, prompts)[..., 0]
-        batch = np.empty(pooled.shape[:-1] + (len(inputs), features + len(self.pool)))
-        batch[..., :features] = inputs
-        batch[..., features:] = pooled[..., None, :]
-        hidden = np.matmul(batch, self.w1.T)
-        hidden += self.b1
-        np.tanh(hidden, out=hidden)
-        logits = np.matmul(hidden, self.w2.T)
-        logits += self.b2
-        return logits
+        n, features = inputs.shape
+        if not len(out):
+            return out
+        tile = n if n < 2 * TILE_ROWS else TILE_ROWS
+        tiles = n // tile
+        step = min(len(zs), max(1, MAX_KERNEL_PAIRS // n))
+        widest = n - (tiles - 1) * tile  # the last tile takes the ragged tail
+        batch_buffer = np.empty(step * widest * self.w1.shape[1])
+        hidden_buffer = np.empty(step * widest * len(self.b1))
+        per_z = out.reshape(len(zs), n, self.classes)
+        for t in range(tiles):
+            start = t * tile
+            stop = n if t == tiles - 1 else start + tile
+            rows = stop - start
+            batch = batch_buffer[:step * rows * self.w1.shape[1]].reshape(step, rows, -1)
+            batch[..., :features] = inputs[start:stop]
+            for first in range(0, len(zs), step):
+                chunk = zs[first:first + step]
+                prompts = np.matmul(self.projection, chunk[..., None])
+                part = batch[:len(chunk)]
+                part[..., features:] = np.matmul(self.pool, prompts).transpose(0, 2, 1)
+                hidden = hidden_buffer[:len(chunk) * rows * len(self.b1)].reshape(
+                    len(chunk), rows, -1)
+                np.matmul(part, self.w1.T, out=hidden)
+                hidden += self.b1
+                np.tanh(hidden, out=hidden)
+                logits = per_z[first:first + len(chunk), start:stop]
+                np.matmul(hidden, self.w2.T, out=logits)
+                logits += self.b2
+        return out
 
 
 def check_query(z, inputs, feature_dim: int,
@@ -211,15 +252,10 @@ class SyntheticSimulator:
         """Logits of every pair of a checked query, (K * n, classes), charged up
         front; NumericalBreakdownError, the pairs staying charged, if finite
         numbers overflow the model into a non-finite row."""
-        n = len(inputs)
-        self.budget.charge(len(zs) * n)
-        logits = np.empty((len(zs) * n, self.classes))
-        step = max(1, MAX_KERNEL_PAIRS // max(n, 1))
+        self.budget.charge(len(zs) * len(inputs))
+        logits = np.empty((len(zs) * len(inputs), self.classes))
         with np.errstate(over="ignore", invalid="ignore"):  # the isfinite check below
-            for start in range(0, len(zs), step):
-                chunk = zs[start:start + step]
-                logits[start * n:(start + len(chunk)) * n] = self.classifier.logits(
-                    chunk, inputs).reshape(-1, self.classes)
+            self.classifier.logits(zs, inputs, logits)
         if not np.isfinite(logits).all():
             raise NumericalBreakdownError("the model overflowed: a query row is not finite")
         return logits

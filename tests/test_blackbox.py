@@ -1,11 +1,15 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import CRITERION_TASK, build_fixed_probs_simulator
-from promptuq.blackbox import (EvalBudget, FrozenClassifier, SyntheticSimulator, TaskConfig,
-                               make_synthetic_task)
+from promptuq.blackbox import (TILE_ROWS, EvalBudget, FrozenClassifier, SyntheticSimulator,
+                               TaskConfig, make_synthetic_task, softmax)
 from promptuq.errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                              config_from_dict)
 from promptuq.estimators import EsConfig, negative_log_likelihood, point_estimate
@@ -222,19 +226,79 @@ def batch_task(request):
     return make_synthetic_task(BATCH_TASKS[request.param])
 
 
-@pytest.mark.parametrize("k", [1, 2, 20, 1500])
-@pytest.mark.parametrize("n", [1, 32, 1030])  # 1030 inputs: one z is above a chunk
-def test_stacked_query_rows_equal_single_queries_bit_for_bit(batch_task, k, n):
-    sim = batch_task.simulator()
+def _whole_matrix_probs(classifier, zs, inputs):
+    """Probabilities of every pair through one whole-matrix GEMM per z and
+    the two-pass softmax, the kernel's formula before it streamed row tiles."""
+    prompts = np.matmul(classifier.projection, zs[..., None])
+    pooled = np.matmul(classifier.pool, prompts)[..., 0]
+    batch = np.empty((len(zs), len(inputs), inputs.shape[1] + len(classifier.pool)))
+    batch[..., :inputs.shape[1]] = inputs
+    batch[..., inputs.shape[1]:] = pooled[..., None, :]
+    logits = np.matmul(np.tanh(np.matmul(batch, classifier.w1.T) + classifier.b1),
+                       classifier.w2.T) + classifier.b2
+    return _two_pass_softmax(logits.reshape(-1, classifier.classes))
+
+
+def _two_pass_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    expd = np.exp(shifted)
+    return expd / expd.sum(axis=-1, keepdims=True)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(2, 17)),
+              elements=st.one_of(st.sampled_from([-2.5, -0.0, 0.0, 1.0]),
+                                 st.floats(allow_nan=False, allow_infinity=False))))
+@settings(max_examples=300, deadline=None)
+def test_in_place_softmax_equals_the_two_pass_formula_bit_for_bit(logits):
+    with np.errstate(over="ignore"):  # x - max can overflow to -inf, exp of it is 0
+        expected = _two_pass_softmax(logits)
+        assert np.array_equal(softmax(logits), expected)
+
+
+@pytest.mark.parametrize("k,n", [(1, 2 * TILE_ROWS), (2, 2 * TILE_ROWS + 37), (3, 16384)])
+def test_tiled_query_equals_the_whole_matrix_formula_bit_for_bit(criterion_task, k, n):
+    rng = np.random.default_rng(n)
+    zs = rng.normal(size=(k, 8)) * 50
+    x = rng.normal(size=(n, 16))
+    assert np.array_equal(criterion_task.simulator().query_logits(zs, x),
+                          _whole_matrix_probs(criterion_task.classifier, zs, x))
+
+
+def test_a_wide_query_holds_a_bounded_scratch(criterion_task):
+    x = np.random.default_rng(0).normal(size=(65536, 16))
+    sim = criterion_task.simulator()
+    tracemalloc.start()
+    try:
+        labels = sim.query_labels(np.ones(8), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < labels.nbytes + 4 * 2 ** 20
+
+
+def _check_stacked_rows_equal_single_queries(task, k, n):
+    sim = task.simulator()
     rng = np.random.default_rng(k * 1000 + n)
-    zs = rng.normal(size=(k, batch_task.config.subspace_dim)) * batch_task.prior.sigma
-    x = rng.normal(size=(n, batch_task.config.feature_dim))
+    zs = rng.normal(size=(k, task.config.subspace_dim)) * task.prior.sigma
+    x = rng.normal(size=(n, task.config.feature_dim))
     probs = sim.query_logits(zs, x)
     labels = sim.query_labels(zs, x)
     assert probs.shape == (k * n, sim.classes) and labels.shape == (k * n,)
     assert sim.budget.used == 2 * k * n
     assert np.array_equal(probs, np.concatenate([sim.query_logits(z, x) for z in zs]))
     assert np.array_equal(labels, np.concatenate([sim.query_labels(z, x) for z in zs]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 20, 1500])
+@pytest.mark.parametrize("n", [1, 32, 1030])  # 1030 inputs: one z is above a chunk
+def test_stacked_query_rows_equal_single_queries_bit_for_bit(batch_task, k, n):
+    _check_stacked_rows_equal_single_queries(batch_task, k, n)
+
+
+# 4,133 inputs: two row tiles, the second 2,048 rows plus the 37-row tail; 16,384: eight
+@pytest.mark.parametrize("k,n", [(2, 4133), (3, 16384)])
+def test_tiled_query_rows_equal_single_queries_bit_for_bit(batch_task, k, n):
+    _check_stacked_rows_equal_single_queries(batch_task, k, n)
 
 
 def test_vector_query_is_the_one_row_stack(criterion_task):
