@@ -10,9 +10,12 @@ On each task it then runs `promptuq predict` (logits on the test and far-OOD
 splits, and the seeded sample decode of labels on the test split) and
 `promptuq eval`, selective and OOD. One more `predict` runs the 5-class
 ensemble on a copy of its task with 4,133 test rows, so the kernel's row
-tiles, ragged tail included, are covered. Last come `promptuq compare` of two
-methods on the 2-class task and `promptuq lower-bound` with a curve, so every
-subcommand that writes files is covered.
+tiles, ragged tail included, are covered. Another sample-decodes the labels
+of the 20-sample c9 GFVI posterior on the 64-row c9 test split, so a change
+in how many samples share a predictive query is covered, seed draws
+included. Last come `promptuq compare` of two methods on the 2-class task
+and `promptuq lower-bound` with a curve, so every subcommand that writes
+files is covered.
 
 Everything is written under a temporary directory, which is the working
 directory of the runs. One `sha256  path` line is printed per artifact, in
@@ -113,6 +116,10 @@ def run_matrix() -> dict[str, str]:
     _run(["predict", "--task", tiled, "--posterior", "runs/c5_ensembles/posterior.ndjson",
           "--split", "test", "--out", "pred/c5_tiled_test.csv"],
          "pred/c5_tiled_test.csv", hashes)
+    _run(["predict", "--task", "configs/c9_task.json",
+          "--posterior", "runs/c9_gfvi/posterior.ndjson", "--split", "test",
+          "--mode", "labels", "--decode", "sample", "--seed", "5",
+          "--out", "pred/c9_gfvi_test_sampled.csv"], "pred/c9_gfvi_test_sampled.csv", hashes)
     for method in PARAMS:
         for subset, evaluation in SUBSETS.items():
             _tune(f"c2_{method}_{subset}", TASKS["c2"], method, hashes,

@@ -16,14 +16,15 @@ task's projection, so z becomes the full prompt A z there alone. The prompt
 is pooled down to a few dimensions, scaled to be O(1) under the task prior
 (which keeps the loss landscape smooth), and concatenated with the inputs.
 
-Its kernel streams a query through one pair of scratch buffers allocated per
-call. Below 2 * ``TILE_ROWS`` inputs, a chunk of at most ``MAX_KERNEL_PAIRS``
-pairs (always at least one z) goes through each GEMM with the same shapes
-whatever K is. From 2 * ``TILE_ROWS`` inputs on, one z at a time goes through
-row tiles of ``TILE_ROWS`` rows, the ragged tail merged into the last tile.
-So the scratch holds fewer than 2 * ``TILE_ROWS`` rows of batch columns and
-hidden units whatever n and K are (under 1.8 MiB for 24 + 32 of them), and
-every row equals the single-z, whole-matrix row bit for bit.
+Its kernel streams a query through one scratch block allocated per call, and
+one rule sizes a pass: it holds at most ``TILE_ROWS`` rows, or one z. Below
+2 * ``TILE_ROWS`` inputs, a pass takes ``TILE_ROWS // n`` whole z (at least
+one) through each GEMM with the shapes of a single-z call. From
+2 * ``TILE_ROWS`` inputs on, one z at a time goes through row tiles of
+``TILE_ROWS`` rows, the ragged tail merged into the last tile. So the scratch
+holds fewer than 2 * ``TILE_ROWS`` rows of batch columns and hidden units
+whatever n and K are (under 1.8 MiB for 24 + 32 of them), and every row
+equals the single-z, whole-matrix row bit for bit.
 """
 
 from __future__ import annotations
@@ -43,13 +44,12 @@ from .prompt_space import PriorSpec, check_sigma, make_projection, sample_prior
 # input-dominated.
 PROMPT_GAIN = 3.0
 
-# Below 2 * TILE_ROWS inputs, at most this many (z, input) pairs, or one z,
-# share one stacked GEMM chunk; a chunk's shapes are those of its single-z calls.
-MAX_KERNEL_PAIRS = 512
-
-# From 2 * TILE_ROWS inputs on, rows go through the GEMMs in tiles of this many,
-# the ragged tail merged into the last tile. OpenBLAS gives a row slice of at
-# least 1,024 rows the whole matrix's bits, so every tile keeps them.
+# The one row budget of a query pass: below 2 * TILE_ROWS inputs the kernel
+# stacks TILE_ROWS // n whole z (at least one) per pass, from there on it takes
+# one z through tiles of this many rows, the ragged tail merged into the last
+# tile; callers that split a query, such as ``predictive``, use it too.
+# OpenBLAS gives a row slice of at least 1,024 rows the whole matrix's bits, so
+# every tile keeps them.
 TILE_ROWS = 2048
 
 # What a simulator may reveal per (z, input) pair; every simulator answers labels.
@@ -146,24 +146,27 @@ class FrozenClassifier:
                           size=(pooled_dim, prompt_dim))
         return cls(projection, w1, b1, w2, b2, pool, classes)
 
-    def logits(self, zs: np.ndarray, inputs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the logits of every (z, input) pair of a (K, d) stack and
-        (n, F) inputs into the C-contiguous ``out``, (K * n, C) in z-major
-        order, and return it.
+    def logits(self, zs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+        """The logits of every (z, input) pair of a (K, d) stack and (n, F)
+        inputs, (K * n, C) in z-major order.
 
-        Each stacked matmul makes one BLAS call per z with the shapes of a
-        single-z call, and a tile is never under ``TILE_ROWS`` rows, so every
-        row equals its single-z result bit for bit, whatever K is.
+        A pass holds at most ``TILE_ROWS`` rows or one z. Each stacked matmul
+        makes one BLAS call per z with the shapes of a single-z call, and a
+        tile is never under ``TILE_ROWS`` rows, so every row equals its
+        single-z result bit for bit, whatever K is.
         """
         n, features = inputs.shape
+        out = np.empty((len(zs) * n, self.classes))
         if not len(out):
             return out
         tile = n if n < 2 * TILE_ROWS else TILE_ROWS
         tiles = n // tile
-        step = min(len(zs), max(1, MAX_KERNEL_PAIRS // n))
+        step = min(len(zs), max(1, TILE_ROWS // n))
         widest = n - (tiles - 1) * tile  # the last tile takes the ragged tail
-        batch_buffer = np.empty(step * widest * self.w1.shape[1])
-        hidden_buffer = np.empty(step * widest * len(self.b1))
+        # one block, not two: glibc handed two blocks of a full pass's size
+        # back to the OS after every call, about 250 page faults per query
+        scratch = np.empty(step * widest * (self.w1.shape[1] + len(self.b1)))
+        batch_buffer, hidden_buffer = np.split(scratch, [step * widest * self.w1.shape[1]])
         per_z = out.reshape(len(zs), n, self.classes)
         for t in range(tiles):
             start = t * tile
@@ -253,9 +256,8 @@ class SyntheticSimulator:
         front; NumericalBreakdownError, the pairs staying charged, if finite
         numbers overflow the model into a non-finite row."""
         self.budget.charge(len(zs) * len(inputs))
-        logits = np.empty((len(zs) * len(inputs), self.classes))
         with np.errstate(over="ignore", invalid="ignore"):  # the isfinite check below
-            self.classifier.logits(zs, inputs, logits)
+            logits = self.classifier.logits(zs, inputs)
         if not np.isfinite(logits).all():
             raise NumericalBreakdownError("the model overflowed: a query row is not finite")
         return logits

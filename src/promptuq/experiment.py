@@ -5,7 +5,8 @@ Each method is one row of the private ``_REGISTRY``: its library config
 ``__post_init__`` holds the range checks), its runner, and its access regime,
 which picks its simulator and predictive path. The parser checks JSON shape
 and types; ``ExperimentConfig.__post_init__`` holds every rule relating its
-fields, so a config built in code fails as its JSON twin does.
+fields, and ``ExternalTaskSpec.__post_init__`` every rule on an endpoint, so a
+config built in code fails as its JSON twin does.
 
 Every run is a pure function of (config, seed): the task is rebuilt from its
 config, methods consume named substreams of the experiment seed, and all
@@ -46,13 +47,26 @@ def splits_read(evaluation) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ExternalTaskSpec:
-    """Where to reach a conforming simulator process and what data to use."""
+    """Where to reach a conforming simulator process and what data to use:
+    ``argv`` to spawn it, or ``host`` and ``port`` to connect to it, never both."""
 
     argv: tuple[str, ...] | None
     host: str | None
     port: int | None
     prior: PriorSpec
     datasets: dict[str, str]  # split name -> ndjson path
+
+    def __post_init__(self):
+        given = [value is not None for value in (self.argv, self.host, self.port)]
+        if given not in ([True, False, False], [False, True, True]):
+            raise ConfigError("task.endpoint", "need argv, or host and port, never both")
+        if self.argv is not None and not (isinstance(self.argv, tuple) and self.argv
+                                          and all(isinstance(arg, str) for arg in self.argv)):
+            raise ConfigError("task.endpoint.argv", "must be a nonempty list of strings")
+        if self.host is not None and not isinstance(self.host, str):
+            raise ConfigError("task.endpoint.host", "must be a string")
+        if self.port is not None and not (type(self.port) is int and 0 <= self.port <= 65535):
+            raise ConfigError("task.endpoint.port", "must be an integer in 0..65535")
 
 
 @dataclass
@@ -96,23 +110,15 @@ def external_task_from_dict(payload: dict) -> ExternalTaskSpec:
     check_keys(payload, {"endpoint", "prior", "datasets"}, "task",
                ("endpoint", "prior", "datasets"))
     endpoint = check_keys(payload["endpoint"], {"argv", "host", "port"}, "task.endpoint")
-    argv, host, port = endpoint.get("argv"), endpoint.get("host"), endpoint.get("port")
-    if set(endpoint) not in ({"argv"}, {"host", "port"}):
-        raise ConfigError("task.endpoint", "need argv, or host and port, never both")
-    if "argv" in endpoint and not (isinstance(argv, list) and argv
-                                   and all(isinstance(arg, str) for arg in argv)):
-        raise ConfigError("task.endpoint.argv", "must be a nonempty list of strings")
-    if "host" in endpoint and not isinstance(host, str):
-        raise ConfigError("task.endpoint.host", "must be a string")
-    if "port" in endpoint and not (type(port) is int and 0 <= port <= 65535):
-        raise ConfigError("task.endpoint.port", "must be an integer in 0..65535")
+    argv = endpoint.get("argv")
     prior = config_from_dict(PriorSpec, payload["prior"], "task.prior")
     datasets = payload["datasets"]
     if not (isinstance(datasets, dict)
             and all(isinstance(path, str) for path in datasets.values())):
         raise ConfigError("task.datasets", "must be an object naming a file per split")
-    return ExternalTaskSpec(argv=tuple(argv) if argv is not None else None,
-                            host=host, port=port, prior=prior, datasets=dict(datasets))
+    return ExternalTaskSpec(argv=tuple(argv) if isinstance(argv, list) else argv,
+                            host=endpoint.get("host"), port=endpoint.get("port"),
+                            prior=prior, datasets=dict(datasets))
 
 
 def experiment_config_from_dict(payload: dict) -> ExperimentConfig:

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blackbox import TILE_ROWS
 from .estimators import PosteriorEnsemble
 from .uqeval import check_probability_table
-
-QUERY_PAIRS = 1024  # (z, input) pairs per query; the kernel splits them further
 
 
 @dataclass(frozen=True)
@@ -40,9 +39,10 @@ class PredictiveTable:
 def _sample_blocks(ensemble: PosteriorEnsemble, inputs: np.ndarray, query):
     """(weight, rows) of every sample in sample order, the rows being that
     sample's answers for the ``n`` inputs; ``query(chunk, inputs)`` answers a
-    chunk of about ``QUERY_PAIRS`` pairs with its z-major rows."""
+    chunk of ``TILE_ROWS // n`` samples (at least one), the kernel's own pass,
+    with its z-major rows."""
     n = len(inputs)
-    step = max(1, QUERY_PAIRS // max(n, 1))
+    step = max(1, TILE_ROWS // max(n, 1))
     for start in range(0, ensemble.size, step):
         chunk = ensemble.samples[start:start + step]
         rows = query(chunk, inputs)

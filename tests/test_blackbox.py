@@ -265,15 +265,19 @@ def test_tiled_query_equals_the_whole_matrix_formula_bit_for_bit(criterion_task,
 
 
 def test_a_wide_query_holds_a_bounded_scratch(criterion_task):
-    x = np.random.default_rng(0).normal(size=(65536, 16))
-    sim = criterion_task.simulator()
-    tracemalloc.start()
-    try:
-        labels = sim.query_labels(np.ones(8), x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < labels.nbytes + 4 * 2 ** 20
+    # one z over 65,536 inputs goes through row tiles, 2,000 z over 32 inputs
+    # through stacked passes; neither scratch grows with the query
+    for k, n in [(1, 65536), (2000, 32)]:
+        rng = np.random.default_rng(n)
+        zs, x = rng.normal(size=(k, 8)), rng.normal(size=(n, 16))
+        sim = criterion_task.simulator()
+        tracemalloc.start()
+        try:
+            labels = sim.query_labels(zs, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < labels.nbytes + 4 * 2 ** 20, (k, n)
 
 
 def _check_stacked_rows_equal_single_queries(task, k, n):
@@ -290,7 +294,7 @@ def _check_stacked_rows_equal_single_queries(task, k, n):
 
 
 @pytest.mark.parametrize("k", [1, 2, 20, 1500])
-@pytest.mark.parametrize("n", [1, 32, 1030])  # 1030 inputs: one z is above a chunk
+@pytest.mark.parametrize("n", [1, 32, 1030])  # 1030 inputs: one z per pass
 def test_stacked_query_rows_equal_single_queries_bit_for_bit(batch_task, k, n):
     _check_stacked_rows_equal_single_queries(batch_task, k, n)
 

@@ -741,6 +741,12 @@ def test_a_split_the_run_needs_is_checked_before_anything_starts(
     assert not (tmp_path / "run").exists()
 
 
+def external_spec(**endpoint):
+    """A function building an in-code external task with this endpoint."""
+    return lambda: ExternalTaskSpec(**endpoint, prior=PriorSpec(dim=4, sigma=50.0),
+                                    datasets=EXTERNAL_TASK["datasets"])
+
+
 @pytest.mark.parametrize("edit, field", [
     ({"predictive_mode": "logits"}, "predictive_mode"),  # rejection_abc sees labels only
     ({"evaluation": ("calibration", "bogus")}, "evaluation"),
@@ -750,11 +756,19 @@ def test_a_split_the_run_needs_is_checked_before_anything_starts(
     ({"method": "sgd"}, "method"),
     ({"seed": -1}, "seed"),
     ({"task": dict(SMALL_TASK)}, "task"),
+    # an endpoint names argv, or host and port, never both, as in JSON
+    ({"task": external_spec(argv=None, host=None, port=None)}, "task.endpoint"),
+    ({"task": external_spec(argv=("simulator",), host="127.0.0.1", port=9)},
+     "task.endpoint"),
+    ({"task": external_spec(argv=(), host=None, port=None)}, "task.endpoint.argv"),
+    ({"task": external_spec(argv=None, host="127.0.0.1", port=70000)},
+     "task.endpoint.port"),
 ])
 def test_a_config_built_in_code_is_refused_before_inference(tmp_path, edit, field):
     config = experiment_config_from_dict(payload("rejection_abc", sample_count=4,
                                                  epsilon=0.6))
-    with pytest.raises(ConfigError) as excinfo:
+    with pytest.raises(ConfigError) as excinfo:  # a task spec is built here, if at all
+        edit = {key: value() if callable(value) else value for key, value in edit.items()}
         run_experiment(replace(config, **edit), str(tmp_path / "run"))
     assert excinfo.value.field == field
     assert not (tmp_path / "run").exists()

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from promptuq.blackbox import TILE_ROWS
 from promptuq.errors import AccessDeniedError
 
 from promptuq.estimators import PosteriorEnsemble
-from promptuq.predictive import (QUERY_PAIRS, PredictiveTable, load_predictive_csv,
+from promptuq.predictive import (PredictiveTable, load_predictive_csv,
                                  predictive_from_labels, predictive_from_logits,
                                  save_predictive_csv)
 
@@ -65,7 +66,7 @@ def test_logits_path_matches_brute_force(criterion_task):
 
 
 def test_logits_path_chunks_accumulate_in_sample_order(criterion_task):
-    # 40 samples x 64 inputs span three kernel-sized query chunks
+    # 40 samples x 64 inputs span two query chunks, 32 samples and 8
     sim = criterion_task.simulator()
     rng = np.random.default_rng(4)
     ensemble = PosteriorEnsemble(rng.normal(size=(40, 8)) * 50,
@@ -79,10 +80,10 @@ def test_logits_path_chunks_accumulate_in_sample_order(criterion_task):
 
 
 @pytest.mark.parametrize("decode", ["argmax", "sample"])
-@pytest.mark.parametrize("n", [1, 256, QUERY_PAIRS + 6])
+@pytest.mark.parametrize("n", [1, 256, TILE_ROWS + 6])
 def test_labels_path_chunks_equal_a_per_sample_reference(criterion_task, n, decode):
-    # enough samples to cross a chunk edge: 1024 a chunk at n = 1, 4 at 256, 1 at 1030
-    size = QUERY_PAIRS // n + 3
+    # enough samples to cross a chunk edge: 2048 a chunk at n = 1, 8 at 256, 1 at 2054
+    size = TILE_ROWS // n + 3
     rng = np.random.default_rng(n)
     ensemble = PosteriorEnsemble(rng.normal(size=(size, 8)) * 50,
                                  rng.dirichlet(np.ones(size)), "abc_smc")
