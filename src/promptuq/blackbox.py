@@ -77,13 +77,23 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a (rows, C) array, computed in place and returned.
 
     The row maximum is a column loop of ``np.maximum``, which equals
-    ``max(axis=-1)`` exactly and is faster at few classes."""
+    ``max(axis=-1)`` exactly and is faster at few classes. Below 8 classes
+    the row sum is a column loop of ``+=`` too, which equals ``sum(axis=-1)``
+    exactly there; from 8 classes on numpy's pairwise sum unrolls by 8 and
+    adds in another order, so ``sum(axis=-1)`` stays."""
     top = logits[:, 0].copy()
     for column in range(1, logits.shape[1]):
         np.maximum(top, logits[:, column], out=top)
     logits -= top[:, None]
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    if logits.shape[1] < 8:
+        total = top  # the maximum is spent; its buffer takes the row sum
+        total[:] = logits[:, 0]
+        for column in range(1, logits.shape[1]):
+            total += logits[:, column]
+        logits /= total[:, None]
+    else:
+        logits /= logits.sum(axis=-1, keepdims=True)
     return logits
 
 
@@ -166,7 +176,8 @@ class FrozenClassifier:
         # one block, not two: glibc handed two blocks of a full pass's size
         # back to the OS after every call, about 250 page faults per query
         scratch = np.empty(step * widest * (self.w1.shape[1] + len(self.b1)))
-        batch_buffer, hidden_buffer = np.split(scratch, [step * widest * self.w1.shape[1]])
+        split = step * widest * self.w1.shape[1]
+        batch_buffer, hidden_buffer = scratch[:split], scratch[split:]
         per_z = out.reshape(len(zs), n, self.classes)
         for t in range(tiles):
             start = t * tile

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
+import shutil
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
@@ -256,11 +257,22 @@ RUN_FILES = ("summary.json", "posterior.ndjson", "trace.csv") + tuple(
 
 
 def save_curves(curves: dict, out_dir: str, block: str, files: dict[str, str]) -> None:
-    """Each score's curve to ``curve_<block>_<score>.csv``, its path into ``files``."""
+    """Each score's curve to ``curve_<block>_<score>.csv``, its path into ``files``.
+
+    Equal curves are formatted once: a curve whose risks have the same dtype
+    and bits as an earlier one's gets a copy of that file, byte-identical to
+    what ``uqeval.save_curve_csv`` writes for it alone. With two classes both
+    scores rank the rows alike, so a block's two curves are usually equal."""
+    written: dict[tuple[str, bytes], str] = {}  # (dtype, bits) of risks -> its file
     for score, curve in curves.items():
         name = f"curve_{block}_{score}"
-        files[name] = os.path.join(out_dir, f"{name}.csv")
-        uqeval.save_curve_csv(curve, files[name])
+        path = files[name] = os.path.join(out_dir, f"{name}.csv")
+        key = (curve.risks.dtype.str, curve.risks.tobytes())
+        if key in written:
+            shutil.copyfile(written[key], path)
+        else:
+            uqeval.save_curve_csv(curve, path)
+            written[key] = path
 
 
 @dataclass

@@ -150,7 +150,10 @@ def ood_detection_eval(id_probs: np.ndarray, ood_probs: np.ndarray) -> tuple[dic
 
 def save_curve_csv(curve: RiskRejectionCurve, path) -> None:
     """Columns k, rejection_rate and risk, floats as repr, in the csv module's
-    default dialect: no field needs quoting and lines end in CRLF."""
+    default dialect: no field needs quoting and lines end in CRLF.
+
+    Equal curves give byte-identical files, so ``experiment.save_curves``
+    formats a block's equal curves once and copies the file."""
     m = len(curve.risks)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("k,rejection_rate,risk\r\n")

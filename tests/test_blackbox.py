@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -278,6 +281,36 @@ def test_a_wide_query_holds_a_bounded_scratch(criterion_task):
         finally:
             tracemalloc.stop()
         assert peak < labels.nbytes + 4 * 2 ** 20, (k, n)
+
+
+# Warm-up queries at K = 1, 20 and 200, then 200 queries of 200 z over 32
+# inputs; prints the minor page faults per measured query.
+_FAULT_PROBE = """
+import json, resource, sys
+import numpy as np
+from promptuq.blackbox import TaskConfig, make_synthetic_task
+sim = make_synthetic_task(TaskConfig(**json.loads(sys.argv[1]))).simulator()
+rng = np.random.default_rng(0)
+x = rng.normal(size=(32, sim.feature_dim))
+for k in (1, 20, 200):
+    for _ in range(20):
+        sim.query_logits(rng.normal(size=(k, sim.subspace_dim)), x)
+zs = rng.normal(size=(200, sim.subspace_dim))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    sim.query_logits(zs, x)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's minor page faults")
+def test_repeated_stacked_queries_take_no_fresh_pages():
+    # the kernel's scratch is one block: two blocks of a pass's size were
+    # handed back to the OS after every call, about 250 faults per query
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE,
+                          json.dumps(dataclasses.asdict(CRITERION_TASK))],
+                         capture_output=True, text=True, check=True).stdout
+    assert float(out) < 25
 
 
 def _check_stacked_rows_equal_single_queries(task, k, n):

@@ -223,6 +223,89 @@ def test_cli_task_tune_predict_eval_pipeline(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _curves_alone(curves_by_block, out_dir):
+    """The bytes ``save_curve_csv`` writes for each curve alone, by file name."""
+    os.makedirs(out_dir)
+    expected = {}
+    for block, curves in curves_by_block.items():
+        for score, curve in curves.items():
+            path = os.path.join(out_dir, f"curve_{block}_{score}.csv")
+            promptuq.uqeval.save_curve_csv(curve, path)
+            with open(path, "rb") as fh:
+                expected[os.path.basename(path)] = fh.read()
+    return expected
+
+
+def _curve(risks):
+    risks = np.asarray(risks)
+    return promptuq.uqeval.RiskRejectionCurve(risks, float(risks.mean()))
+
+
+@pytest.mark.parametrize("risks,formatted", [
+    ([[0.5, 0.25, 0.0], [0.5, 0.25, 0.0]], 1),     # equal: formatted once
+    ([[0.5, 0.25, 0.0], [0.75, 0.5, 0.0]], 2),     # unequal
+    ([[0.5, 0.25, 0.0], [0.5, 0.25, 1e-300]], 2),  # only the last risk differs
+    ([[0.5, 0.0], [0.5, -0.0]], 2),                # equal numbers, different reprs
+])
+def test_save_curves_writes_each_curve_as_it_would_alone(tmp_path, monkeypatch, risks,
+                                                         formatted):
+    curves = {score: _curve(r) for score, r in zip(promptuq.uqeval.SCORES, risks)}
+    expected = _curves_alone({"selective": curves}, str(tmp_path / "alone"))
+    calls = []
+    save_curve_csv = promptuq.uqeval.save_curve_csv
+    monkeypatch.setattr(promptuq.uqeval, "save_curve_csv",
+                        lambda curve, path: calls.append(path) or save_curve_csv(curve, path))
+    files = {}
+    out_dir = tmp_path / "grouped"
+    out_dir.mkdir()
+    promptuq.experiment.save_curves(curves, str(out_dir), "selective", files)
+    assert len(calls) == formatted
+    assert list(files) == [f"curve_selective_{score}" for score in promptuq.uqeval.SCORES]
+    assert {name: (out_dir / name).read_bytes() for name in expected} == expected
+
+
+@pytest.mark.parametrize("classes", [2, 5])
+def test_run_curve_files_equal_each_curve_written_alone(tmp_path, monkeypatch, classes):
+    # selective, then near- and far-OOD, in the order run_experiment evaluates them
+    curves_by_block = {}
+    for name in ("selective_classification_eval", "ood_detection_eval"):
+        evaluate = getattr(promptuq.uqeval, name)
+
+        def recording(*args, evaluate=evaluate):
+            metrics, curves = evaluate(*args)
+            curves_by_block[("selective", "near_ood", "far_ood")[len(curves_by_block)]] = curves
+            return metrics, curves
+        monkeypatch.setattr(promptuq.uqeval, name, recording)
+    config = experiment_config_from_dict(
+        {**payload("ensembles", sample_count=3, population_size=6, max_generations=4),
+         "task": {**SMALL_TASK, "classes": classes}})
+    report = run_experiment(config, str(tmp_path / "run"))
+    expected = _curves_alone(curves_by_block, str(tmp_path / "alone"))
+    assert len(expected) == 6
+    assert {name: (tmp_path / "run" / name).read_bytes() for name in expected} == expected
+    assert {os.path.basename(report.files[name[:-4]]) for name in expected} == set(expected)
+    entropy, maxp = (expected[f"curve_far_ood_{score}.csv"] for score in ("entropy", "maxp"))
+    assert (entropy == maxp) == (classes == 2)
+
+
+@pytest.mark.parametrize("classes", [2, 5])
+def test_cli_eval_curve_files_equal_each_curve_written_alone(tmp_path, capsys, classes):
+    rng = np.random.default_rng(classes)
+    paths = []
+    for name, rows in (("id", 40), ("ood", 24)):
+        probs = rng.dirichlet(np.ones(classes), size=rows)
+        paths.append(str(tmp_path / f"{name}.csv"))
+        promptuq.predictive.save_predictive_csv(promptuq.predictive.PredictiveTable(probs),
+                                                paths[-1])
+    assert main(["eval", "--pred", paths[0], "--pred-ood", paths[1],
+                 "--out", str(tmp_path / "eval")]) == 0
+    tables = [promptuq.predictive.load_predictive_csv(path).probs for path in paths]
+    _, curves = promptuq.uqeval.ood_detection_eval(*tables)
+    expected = _curves_alone({"ood": curves}, str(tmp_path / "alone"))
+    assert {name: (tmp_path / "eval" / name).read_bytes() for name in expected} == expected
+    capsys.readouterr()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad_exp = write_json(tmp_path / "bad.json",
                          {**payload("abc_smc"), "predictive_mode": "logits"})
