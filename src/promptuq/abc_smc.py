@@ -204,12 +204,11 @@ def abc_smc(sim, prior: PriorSpec, dataset: LabeledSet, config: SmcConfig,
             seed: int) -> PosteriorEnsemble:
     """Sequential ABC with a 1/N tolerance decay. Uses only label queries."""
     size = config.sample_count
-    budget_before = calls_before = sim.budget.used
+    calls_before = sim.budget.used
     trace = {"iteration": [], "epsilon": [], "ess": [], "total_attempts": [],
              "simulator_calls": []}
     initial_epsilon = epsilon = _nonzero(initial_tolerance(sim, prior, dataset,
                                                            _slot_stream(seed, 0, 0)))
-    total_attempts = 0
     for t in range(1, config.smc_iterations + 1):
         if t > 1:
             next_epsilon = decay_tolerance(epsilon, len(dataset))
@@ -256,7 +255,6 @@ def abc_smc(sim, prior: PriorSpec, dataset: LabeledSet, config: SmcConfig,
         particles = new_particles
         kernel_variance = update_kernel_variance(particles, weights,
                                                  config.variance_floor)
-        total_attempts += iter_attempts
         trace["iteration"].append(t)
         trace["epsilon"].append(epsilon)
         trace["ess"].append(effective_sample_size(weights))
@@ -268,8 +266,8 @@ def abc_smc(sim, prior: PriorSpec, dataset: LabeledSet, config: SmcConfig,
         particles, weights, ABC_SMC,
         diagnostics={"final_epsilon": float(epsilon),
                      "initial_epsilon": float(initial_epsilon),
-                     "ess": effective_sample_size(weights),
+                     "ess": trace["ess"][-1],
                      "iterations": float(len(trace["iteration"])),
-                     "total_attempts": float(total_attempts),
-                     "simulator_calls": float(sim.budget.used - budget_before)},
+                     "total_attempts": float(sum(trace["total_attempts"])),
+                     "simulator_calls": float(sum(trace["simulator_calls"]))},
         trace=trace)

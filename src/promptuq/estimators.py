@@ -4,15 +4,18 @@ Three producers of posterior sample sets over the subspace vector z:
 
 * ``point_estimate``: minimize the cross-entropy loss with CMA-ES; a
   one-sample "posterior" (the usual tuned-prompt baseline).
-* ``ensemble_tune``: E independent CMA-ES members from randomized initial
-  mean and step size, run in lock-step and pooled with uniform weights.
+* ``ensemble_tune``: E = ``config.sample_count`` independent CMA-ES members
+  from randomized initial mean and step size, each at its own seed from
+  ``derive_seeds``, run in lock-step and pooled with uniform weights.
 * ``gfvi_tune``: variational inference without gradients. A diagonal
   Gaussian q(z) = N(mu, diag(exp(log_alpha))) is fit by running CMA-ES over
   the stacked vector (mu, log_alpha), scoring each candidate by a
   Monte-Carlo estimate of the evidence lower bound. A generation is scored
   as arrays: its (K, d) ``mu`` and ``log_alpha`` rows give K ELBOs.
 
-All entry points take an integer seed and derive named substreams from it,
+Every inference method, here and in ``abc_smc``, is called as
+``method(sim, prior, dataset, config, seed)`` and returns a
+``PosteriorEnsemble``. Each derives named substreams from its integer seed,
 so parallel candidate evaluation cannot change results. All three are one
 ``cmaes.minimize`` search of one E-member state (point: 1, ensemble: E, GFVI: 1),
 each generation one query of the E * population rows (a 100 KB probability
@@ -179,7 +182,7 @@ def negative_log_likelihood(sim, z: np.ndarray, dataset: LabeledSet) -> np.ndarr
     return -np.log(np.maximum(picked, PROB_FLOOR)).sum(axis=1)
 
 
-def _lockstep_fit(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
+def _lockstep_fit(sim, prior: PriorSpec, dataset: LabeledSet, es: EsConfig,
                   seeds: list[int]) -> tuple[cmaes.MinimizeResult, dict[str, list]]:
     """Lock-step CMA-ES over z, one member per seed; the result and its trace."""
     init_rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
@@ -195,21 +198,22 @@ def _lockstep_fit(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
                     "step_size": result.step_sizes.T.ravel().tolist()}
 
 
-def point_estimate(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
+def point_estimate(sim, prior: PriorSpec, dataset: LabeledSet, config: EsConfig,
                    seed: int) -> PosteriorEnsemble:
     """Single tuned prompt: the degenerate one-sample ensemble with weight 1."""
-    result, trace = _lockstep_fit(sim, dataset, prior, es, [seed])
+    result, trace = _lockstep_fit(sim, prior, dataset, config, [seed])
     return PosteriorEnsemble(result.best_x, np.array([1.0]), POINT_ESTIMATE,
                              diagnostics={"final_nll": float(result.best_loss[0])},
                              trace=trace)
 
 
-def ensemble_tune(sim, dataset: LabeledSet, prior: PriorSpec, es: EsConfig,
-                  seeds: list[int]) -> PosteriorEnsemble:
-    """Independent CMA-ES runs, one per seed, pooled with uniform weights."""
-    result, trace = _lockstep_fit(sim, dataset, prior, es, seeds)
-    size = len(seeds)
-    member = np.repeat(np.arange(size), es.max_generations).tolist()
+def ensemble_tune(sim, prior: PriorSpec, dataset: LabeledSet, config: EnsembleConfig,
+                  seed: int) -> PosteriorEnsemble:
+    """``config.sample_count`` independent CMA-ES runs, member k at
+    ``derive_seeds(seed, sample_count)[k]``, pooled with uniform weights."""
+    size = config.sample_count
+    result, trace = _lockstep_fit(sim, prior, dataset, config, derive_seeds(seed, size))
+    member = np.repeat(np.arange(size), config.max_generations).tolist()
     return PosteriorEnsemble(result.best_x, np.full(size, 1.0 / size), ENSEMBLES,
                              diagnostics={"best_final_nll": float(result.best_loss.min()),
                                           "mean_final_nll": float(result.best_loss.mean())},
@@ -234,8 +238,8 @@ def kl_diag_gaussian_to_prior(mu: np.ndarray, log_alpha: np.ndarray,
     return 0.5 * terms.sum(axis=1)
 
 
-def elbo_estimate(mu: np.ndarray, log_alpha: np.ndarray, sim, dataset: LabeledSet,
-                  prior: PriorSpec, mc_samples: int, streams) -> np.ndarray:
+def elbo_estimate(mu: np.ndarray, log_alpha: np.ndarray, sim, prior: PriorSpec,
+                  dataset: LabeledSet, mc_samples: int, streams) -> np.ndarray:
     """Monte-Carlo evidence lower bound of each row of the (K, d) arrays, (K,).
 
     Averages the dataset log likelihood over ``mc_samples`` draws from q_k and
@@ -274,7 +278,7 @@ def _decode_search_matrix(us: np.ndarray, prior: PriorSpec) -> tuple[np.ndarray,
     return mu, log_alpha
 
 
-def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, config: GfviConfig,
+def gfvi_tune(sim, prior: PriorSpec, dataset: LabeledSet, config: GfviConfig,
               seed: int) -> PosteriorEnsemble:
     """Gradient-free variational inference.
 
@@ -291,7 +295,7 @@ def gfvi_tune(sim, dataset: LabeledSet, prior: PriorSpec, config: GfviConfig,
         mu, log_alpha = _decode_search_matrix(us, prior)
         streams = [np.random.default_rng(np.random.SeedSequence(
             seed, spawn_key=(1, next(counter)))) for _ in us]
-        return -elbo_estimate(mu, log_alpha, sim, dataset, prior, config.mc_samples, streams)
+        return -elbo_estimate(mu, log_alpha, sim, prior, dataset, config.mc_samples, streams)
 
     state = cmaes.es_init(np.zeros((1, 2 * d)), [config.search_step], config.population_size,
                           [int(np.random.default_rng(

@@ -230,22 +230,18 @@ def _open_context(config: ExperimentConfig) -> tuple[object, PriorSpec,
 class _Method(NamedTuple):
     config: type
     regime: str  # "logits" or "labels": what the simulator may reveal
-    run: Callable[..., estimators.PosteriorEnsemble]  # (params, sim, prior, train, seed)
+    run: Callable[..., estimators.PosteriorEnsemble]  # (sim, prior, train, params, seed)
 
 
 # Runners look inference functions up at call time, so patching them works.
 _REGISTRY = {
-    "point_cmaes": _Method(estimators.EsConfig, "logits", lambda p, sim, prior, train, seed:
-                           estimators.point_estimate(sim, train, prior, p, seed)),
-    "ensembles": _Method(estimators.EnsembleConfig, "logits", lambda p, sim, prior, train, seed:
-                         estimators.ensemble_tune(sim, train, prior, p,
-                                                  estimators.derive_seeds(seed, p.sample_count))),
-    "gfvi": _Method(estimators.GfviConfig, "logits", lambda p, sim, prior, train, seed:
-                    estimators.gfvi_tune(sim, train, prior, p, seed)),
-    "rejection_abc": _Method(RejectionConfig, "labels", lambda p, sim, prior, train, seed:
-                             rejection_abc(sim, prior, train, p, seed)),
-    "abc_smc": _Method(SmcConfig, "labels", lambda p, sim, prior, train, seed:
-                       abc_smc(sim, prior, train, p, seed)),
+    "point_cmaes": _Method(estimators.EsConfig, "logits",
+                           lambda *run: estimators.point_estimate(*run)),
+    "ensembles": _Method(estimators.EnsembleConfig, "logits",
+                         lambda *run: estimators.ensemble_tune(*run)),
+    "gfvi": _Method(estimators.GfviConfig, "logits", lambda *run: estimators.gfvi_tune(*run)),
+    "rejection_abc": _Method(RejectionConfig, "labels", lambda *run: rejection_abc(*run)),
+    "abc_smc": _Method(SmcConfig, "labels", lambda *run: abc_smc(*run)),
 }
 METHODS = tuple(_REGISTRY)
 
@@ -289,8 +285,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
         for name in RUN_FILES:  # no file of an earlier run stays beside this run's
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(out_dir, name))
-        ensemble = _REGISTRY[config.method].run(config.params, sim, prior,
-                                                splits["train"], config.seed)
+        ensemble = _REGISTRY[config.method].run(sim, prior, splits["train"],
+                                                config.params, config.seed)
 
         posterior_path = os.path.join(out_dir, "posterior.ndjson")
         estimators.save_ensemble(ensemble, posterior_path)

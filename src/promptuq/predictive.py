@@ -93,11 +93,27 @@ def save_predictive_csv(table: PredictiveTable, path) -> None:
 
 
 def load_predictive_csv(path) -> PredictiveTable:
-    rows = []
+    """A table exactly as ``save_predictive_csv`` writes it: the header
+    p_0..p_{C-1},predicted, C + 1 fields in every row, and each row's
+    ``predicted`` equal to its argmax. Raises ValueError for anything else."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        n_classes = sum(1 for name in header if name.startswith("p_"))
-        for record in reader:
-            rows.append([float(v) for v in record[:n_classes]])
-    return PredictiveTable(np.asarray(rows))
+        try:
+            header = next(reader)
+            classes = len(header) - 1
+            if header != [f"p_{c}" for c in range(classes)] + ["predicted"]:
+                raise ValueError(f"header {','.join(header)!r} is not p_0..p_{{C-1}},predicted")
+            rows, predicted = [], []
+            for record in reader:
+                if len(record) != classes + 1:
+                    raise ValueError(f"line {reader.line_num}: {len(record)} fields, "
+                                     f"the header has {classes + 1}")
+                rows.append([float(v) for v in record[:-1]])
+                predicted.append(record[-1])
+        except csv.Error as exc:  # such as a field past the csv module's size limit
+            raise ValueError(f"line {reader.line_num}: {exc}") from exc
+    table = PredictiveTable(np.asarray(rows))
+    for row, (written, cls) in enumerate(zip(predicted, table.predicted())):
+        if written != str(cls):
+            raise ValueError(f"row {row}: predicted {written!r}, its argmax is {cls}")
+    return table

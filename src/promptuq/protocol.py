@@ -89,7 +89,11 @@ class _LineTransport:
         self._buffer = bytearray()
 
     def readline(self) -> bytes:
-        while b"\n" not in self._buffer:
+        """The next line without its newline. Each byte is scanned once, so a
+        long line costs time linear in its length."""
+        end = self._buffer.find(b"\n")
+        while end < 0:
+            scanned = len(self._buffer)
             if not select.select([self._fd], [], [], TIMEOUT)[0]:
                 raise ProtocolError(f"timed out after {TIMEOUT}s waiting for server")
             try:
@@ -99,8 +103,9 @@ class _LineTransport:
             if not chunk:
                 raise ProtocolError("server closed the connection")
             self._buffer.extend(chunk)
-        line, _, rest = bytes(self._buffer).partition(b"\n")
-        self._buffer = bytearray(rest)
+            end = self._buffer.find(b"\n", scanned)
+        line = bytes(memoryview(self._buffer)[:end])  # one copy; the view is gone after it
+        del self._buffer[:end + 1]
         return line
 
 

@@ -21,7 +21,7 @@ from promptuq.abc_smc import (SmcConfig, abc_smc, distance_error_rate,
 from promptuq.blackbox import LabeledSet, make_synthetic_task
 from promptuq.cmaes import es_init, minimize
 from promptuq.errors import AccessDeniedError
-from promptuq.estimators import (EsConfig, GfviConfig, derive_seeds, elbo_estimate, ensemble_tune, gfvi_tune,
+from promptuq.estimators import (EnsembleConfig, EsConfig, GfviConfig, elbo_estimate, ensemble_tune, gfvi_tune,
                                  kl_diag_gaussian_to_prior, point_estimate)
 from promptuq.experiment import experiment_config_from_dict, run_experiment
 from promptuq.predictive import predictive_from_labels, predictive_from_logits
@@ -80,7 +80,7 @@ def test_criterion_2_elbo_machinery():
     prior = PriorSpec(4, 50.0)
 
     at_prior = (np.zeros((1, 4)), np.full((1, 4), 2 * np.log(prior.sigma)))
-    elbo = elbo_estimate(*at_prior, sim, dataset, prior, mc_samples=10,
+    elbo = elbo_estimate(*at_prior, sim, prior, dataset, mc_samples=10,
                          streams=[np.random.default_rng(1)])[0]
     elbo_ok = abs(elbo - (-4 * np.log(2))) < 1e-9
 
@@ -98,7 +98,7 @@ def test_criterion_2_elbo_machinery():
     worst_time = 0.0
     for seed in range(10):
         t0 = time.time()
-        result = gfvi_tune(sim, dataset, prior, GfviConfig(mc_samples=10,
+        result = gfvi_tune(sim, prior, dataset, GfviConfig(mc_samples=10,
                                                           sample_count=100), seed=seed)
         worst_time = max(worst_time, time.time() - t0)
         wins += result.diagnostics["final_kl"] < 0.5
@@ -274,14 +274,14 @@ def test_criterion_8_ensemble_vs_point_trend():
     wins = 0
     margins = []
     es = EsConfig(population_size=20, max_generations=300)
+    ensemble_config = EnsembleConfig(population_size=20, max_generations=300, sample_count=10)
     for seed in range(10):
         cfg = dataclasses.replace(CRITERION_TASK, subspace_dim=16, prompt_dim=128,
                                   n_test=256, label_noise=0.1, seed=100 + seed)
         task = make_synthetic_task(cfg)
         sim = task.simulator()
-        point = point_estimate(sim, task.train, task.prior, es, seed=seed)
-        ensemble = ensemble_tune(sim, task.train, task.prior, es,
-                                 seeds=derive_seeds(seed, 10))
+        point = point_estimate(sim, task.prior, task.train, es, seed=seed)
+        ensemble = ensemble_tune(sim, task.prior, task.train, ensemble_config, seed=seed)
         point_table = predictive_from_logits(point, sim, task.test.X)
         ens_table = predictive_from_logits(ensemble, sim, task.test.X)
         point_aurrrc = selective_classification_eval(

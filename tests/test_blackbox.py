@@ -135,7 +135,7 @@ class CountingWrapper:
 def test_budget_audit_over_inference_run(criterion_task):
     sim = criterion_task.simulator()
     wrapper = CountingWrapper(sim)
-    point_estimate(wrapper, criterion_task.train, criterion_task.prior,
+    point_estimate(wrapper, criterion_task.prior, criterion_task.train,
                    EsConfig(population_size=4, max_generations=5), seed=0)
     assert wrapper.pairs == sim.budget.used
     assert sim.budget.used == 4 * 5 * len(criterion_task.train)

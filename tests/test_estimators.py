@@ -10,7 +10,7 @@ from conftest import build_uniform_simulator
 from promptuq import cmaes
 from promptuq.blackbox import LabeledSet
 from promptuq.errors import AccessDeniedError, EvaluationError
-from promptuq.estimators import (EsConfig, GfviConfig, PosteriorEnsemble,
+from promptuq.estimators import (EnsembleConfig, EsConfig, GfviConfig, PosteriorEnsemble,
                                  _decode_search_matrix, derive_seeds, elbo_estimate,
                                  ensemble_tune, gfvi_tune, kl_diag_gaussian_to_prior,
                                  load_ensemble, negative_log_likelihood,
@@ -57,7 +57,7 @@ def test_nll_requires_logits_access(criterion_task):
 def test_point_estimate_contract(criterion_task):
     sim = criterion_task.simulator()
     es = EsConfig(population_size=10, max_generations=40)
-    result = point_estimate(sim, criterion_task.train, criterion_task.prior, es,
+    result = point_estimate(sim, criterion_task.prior, criterion_task.train, es,
                             seed=3)
     assert result.size == 1
     assert result.weights[0] == 1.0
@@ -71,23 +71,17 @@ def test_point_estimate_contract(criterion_task):
     assert result.diagnostics["final_nll"] <= baseline
 
 
-def test_ensemble_matches_point_estimate_for_single_seed(criterion_task):
-    sim_a = criterion_task.simulator()
-    sim_b = criterion_task.simulator()
-    single = ensemble_tune(sim_a, criterion_task.train, criterion_task.prior,
-                           FAST_ES, seeds=[5])
-    point = point_estimate(sim_b, criterion_task.train, criterion_task.prior,
-                           FAST_ES, seed=5)
-    assert np.array_equal(single.samples[0], point.samples[0])
-
-
-def test_ensemble_identical_seeds_give_identical_members(criterion_task):
-    sim = criterion_task.simulator()
-    result = ensemble_tune(sim, criterion_task.train, criterion_task.prior,
-                           FAST_ES, seeds=[9, 9, 4])
-    assert np.array_equal(result.samples[0], result.samples[1])
-    assert not np.array_equal(result.samples[0], result.samples[2])
+def test_ensemble_member_k_is_the_point_estimate_at_its_derived_seed(criterion_task):
+    config = EnsembleConfig(population_size=8, max_generations=30, sample_count=3)
+    result = ensemble_tune(criterion_task.simulator(), criterion_task.prior,
+                           criterion_task.train, config, seed=5)
+    assert result.size == 3
     assert np.allclose(result.weights, 1 / 3)
+    for k, member_seed in enumerate(derive_seeds(5, 3)):
+        point = point_estimate(criterion_task.simulator(), criterion_task.prior,
+                               criterion_task.train, FAST_ES, seed=member_seed)
+        assert np.array_equal(result.samples[k], point.samples[0])
+    assert len({member.tobytes() for member in result.samples}) == 3
 
 
 def test_kl_analytic_values():
@@ -126,7 +120,7 @@ def test_kl_nonnegative_random_params(seed):
 
 def test_elbo_uniform_simulator_exact(uniform_sim, uniform_dataset, wide_prior):
     at_prior = (np.zeros((1, 4)), np.full((1, 4), 2 * np.log(50.0)))
-    value = elbo_estimate(*at_prior, uniform_sim, uniform_dataset, wide_prior,
+    value = elbo_estimate(*at_prior, uniform_sim, wide_prior, uniform_dataset,
                           mc_samples=7, streams=[np.random.default_rng(0)])[0]
     assert value == pytest.approx(-4 * np.log(2), abs=1e-9)
 
@@ -141,7 +135,7 @@ def test_elbo_uniform_simulator_any_q(seed):
     prior = PriorSpec(4, 50.0)
     rng = np.random.default_rng(seed)
     params = (rng.normal(size=(1, 4)) * 20, rng.normal(size=(1, 4)) + 2 * np.log(50.0))
-    value = elbo_estimate(*params, sim, dataset, prior, mc_samples=3, streams=[rng])[0]
+    value = elbo_estimate(*params, sim, prior, dataset, mc_samples=3, streams=[rng])[0]
     kl = kl_diag_gaussian_to_prior(*params, prior)[0]
     assert value == pytest.approx(-4 * np.log(2) - kl, abs=1e-9)
     assert value <= -4 * np.log(2) + 1e-12
@@ -149,7 +143,7 @@ def test_elbo_uniform_simulator_any_q(seed):
 
 def test_elbo_large_mc_limit(uniform_sim, uniform_dataset, wide_prior):
     params = (np.full((1, 4), 10.0), np.full((1, 4), 2 * np.log(20.0)))
-    value = elbo_estimate(*params, uniform_sim, uniform_dataset, wide_prior,
+    value = elbo_estimate(*params, uniform_sim, wide_prior, uniform_dataset,
                           mc_samples=10_000, streams=[np.random.default_rng(1)])[0]
     expected = -4 * np.log(2) - kl_diag_gaussian_to_prior(*params, wide_prior)[0]
     assert value == pytest.approx(expected, abs=1e-2)
@@ -158,9 +152,9 @@ def test_elbo_large_mc_limit(uniform_sim, uniform_dataset, wide_prior):
 def test_elbo_deterministic_given_rng_seed(criterion_task):
     sim = criterion_task.simulator()
     params = (np.zeros((1, 8)), np.full((1, 8), 2 * np.log(50.0)))
-    a = elbo_estimate(*params, sim, criterion_task.train, criterion_task.prior,
+    a = elbo_estimate(*params, sim, criterion_task.prior, criterion_task.train,
                       10, [np.random.default_rng(5)])
-    b = elbo_estimate(*params, sim, criterion_task.train, criterion_task.prior,
+    b = elbo_estimate(*params, sim, criterion_task.prior, criterion_task.train,
                       10, [np.random.default_rng(5)])
     assert a == b
 
@@ -170,8 +164,8 @@ def test_elbo_mc_variance_scaling(criterion_task):
     params = (np.zeros((1, 8)), np.full((1, 8), 2 * np.log(50.0)))
 
     def spread(mc):
-        values = [elbo_estimate(*params, sim, criterion_task.train,
-                                criterion_task.prior, mc,
+        values = [elbo_estimate(*params, sim, criterion_task.prior,
+                                criterion_task.train, mc,
                                 [np.random.default_rng(s)])[0] for s in range(100)]
         return np.std(values)
 
@@ -194,7 +188,7 @@ def test_decode_search_vector_refuses_an_infinite_mean():
 
 def test_gfvi_returns_requested_samples_and_trace(uniform_sim, uniform_dataset,
                                                   wide_prior):
-    result = gfvi_tune(uniform_sim, uniform_dataset, wide_prior,
+    result = gfvi_tune(uniform_sim, wide_prior, uniform_dataset,
                        GfviConfig(population_size=8, max_generations=25,
                                   mc_samples=5, sample_count=100), seed=2)
     assert result.size == 100
@@ -209,7 +203,7 @@ def test_gfvi_returns_requested_samples_and_trace(uniform_sim, uniform_dataset,
 
 def test_gfvi_uniform_simulator_recovers_prior(uniform_sim, uniform_dataset,
                                                wide_prior):
-    result = gfvi_tune(uniform_sim, uniform_dataset, wide_prior,
+    result = gfvi_tune(uniform_sim, wide_prior, uniform_dataset,
                        GfviConfig(population_size=20, max_generations=120,
                                   mc_samples=5, sample_count=50), seed=3)
     assert result.diagnostics["final_kl"] < 0.5
@@ -222,7 +216,7 @@ def test_gfvi_matches_a_candidate_by_candidate_reference(criterion_task):
     # the oracle decodes, queries and takes the KL by hand
     sim, train, prior = criterion_task.simulator(), criterion_task.train, criterion_task.prior
     config = GfviConfig(population_size=6, max_generations=4, mc_samples=10, sample_count=5)
-    result = gfvi_tune(sim, train, prior, config, seed=9)
+    result = gfvi_tune(sim, prior, train, config, seed=9)
     counter = itertools.count()
     d, var, rows = prior.dim, prior.sigma ** 2, np.arange(len(train))
 
@@ -260,10 +254,10 @@ def test_an_elbo_row_equals_its_one_row_call_bit_for_bit(criterion_task, rows, k
         return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
                 for j in keys]
 
-    batch = elbo_estimate(mu, log_alpha, sim, criterion_task.train, prior, mc_samples,
+    batch = elbo_estimate(mu, log_alpha, sim, prior, criterion_task.train, mc_samples,
                           streams(range(rows)))
-    alone = elbo_estimate(mu[k:k + 1], log_alpha[k:k + 1], sim, criterion_task.train,
-                          prior, mc_samples, streams([k]))
+    alone = elbo_estimate(mu[k:k + 1], log_alpha[k:k + 1], sim, prior,
+                          criterion_task.train, mc_samples, streams([k]))
     assert batch.shape == (rows,) and alone.shape == (1,)
     assert batch[k] == alone[0]
 
@@ -272,7 +266,7 @@ def test_gfvi_refuses_a_generation_that_decodes_to_no_distribution_before_any_ch
         criterion_task):
     sim = criterion_task.simulator()
     with pytest.raises(EvaluationError, match="candidate 0: the mean"):
-        gfvi_tune(sim, criterion_task.train, criterion_task.prior,
+        gfvi_tune(sim, criterion_task.prior, criterion_task.train,
                   GfviConfig(population_size=4, max_generations=2, search_step=1e300), seed=0)
     assert sim.budget.used == 0
     # the error names the first row that does not decode
@@ -285,8 +279,8 @@ def test_gfvi_refuses_a_generation_that_decodes_to_no_distribution_before_any_ch
 def test_gfvi_deterministic(uniform_sim, uniform_dataset, wide_prior):
     kwargs = dict(config=GfviConfig(population_size=6, max_generations=10,
                                     mc_samples=3, sample_count=9), seed=11)
-    a = gfvi_tune(uniform_sim, uniform_dataset, wide_prior, **kwargs)
-    b = gfvi_tune(uniform_sim, uniform_dataset, wide_prior, **kwargs)
+    a = gfvi_tune(uniform_sim, wide_prior, uniform_dataset, **kwargs)
+    b = gfvi_tune(uniform_sim, wide_prior, uniform_dataset, **kwargs)
     assert np.array_equal(a.samples, b.samples)
 
 

@@ -1,5 +1,6 @@
 import copy
 import csv
+import inspect
 import json
 import os
 import re
@@ -351,6 +352,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["tune", "--config", broken_server,
                  "--out", str(tmp_path / "z")]) == 4
 
+    # a server that hangs up after the first request it reads
+    external["task"]["endpoint"] = {"argv": [sys.executable, "-c", (
+        "import json, sys; print(json.dumps({'protocol': 3, 'classes': 2, 'feature_dim': 8, "
+        "'prompt_dim': 32, 'subspace_dim': 4, 'modes': ['logits', 'labels']}), flush=True); "
+        "sys.stdin.readline()")]}
+    hang_up = write_json(tmp_path / "hangup.json", external)
+    capsys.readouterr()
+    assert main(["tune", "--config", hang_up, "--out", str(tmp_path / "u")]) == 4
+    assert capsys.readouterr().err == "tune: server closed the connection\n"
+
     # an endpoint that cannot be started or reached is a simulator error
     external["task"]["endpoint"] = {"argv": ["no-such-simulator-binary"]}
     missing_binary = write_json(tmp_path / "nobinary.json", external)
@@ -394,7 +405,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     labeled.write_text(json.dumps({"x": [0.0] * 8, "y": 0}) + "\n")
     for i, (split, record) in enumerate((
             ("test", {"x": [0.0] * 8, "y": 7}), ("train", {"x": [0.0] * 8}),
-            ("train", {"x": [0.0] * 2, "y": 0}), ("far_ood", {"x": [0.0] * 2}))):
+            ("train", {"x": [0.0] * 2, "y": 0}), ("far_ood", {"x": [0.0] * 2}),
+            ("train", {"x": [0.0] * 8, "y": 2 ** 64}))):
         bad = tmp_path / f"bad_{i}.ndjson"
         bad.write_text(json.dumps(record) + "\n")
         datasets = {name: str(labeled) for name in ("train", "test", "near_ood", "far_ood")}
@@ -449,6 +461,18 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "eval")]) == 2
     assert "pred: cannot load" in capsys.readouterr().err
     assert not (tmp_path / "eval").exists()
+    # only a table save_predictive_csv could have written loads: its header, its
+    # field count and its argmax column
+    for name, text in (("swapped", "p_1,p_0,predicted\n0.9,0.1,1\n"),
+                       ("wrong_predicted", "p_0,p_1,predicted\n0.9,0.1,1\n"),
+                       ("no_predicted", "p_0,p_1\n0.9,0.1\n"),
+                       ("huge_field", "p_0,p_1,predicted\n0.9,0.1,%s\n" % ("0" * 200_000))):
+        table = tmp_path / f"{name}.csv"
+        table.write_text(text)
+        assert main(["eval", "--pred", str(table), "--pred-ood", str(table),
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert "config error: pred: cannot load" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
     # class counts must agree: the OOD table with the ID table, the ID table with the task
     two_csv = tmp_path / "two.csv"
     two_csv.write_text("p_0,p_1,predicted\n0.5,0.5,0\n")
@@ -491,6 +515,8 @@ def test_cli_exit_codes(tmp_path, capsys):
               "--out", pred_csv], "task", "cannot read"),
             (["eval", "--pred", pred_csv, "--task", list_json,
               "--out", str(tmp_path / "eval")], "task", "must hold a JSON object"),
+            (["eval", "--pred", pred_csv, "--out", str(tmp_path / "eval")], "task",
+             "selective evaluation needs --task"),
             (["serve", "--task", list_json], "task", "must hold a JSON object"),
             (["task", "--config", missing_json], "config", "cannot read"),
             (["tune", "--config", list_json, "--out", str(tmp_path / "run")], "config",
@@ -533,7 +559,7 @@ def test_cli_lower_bound_rejects_bad_input(tmp_path, capsys):
         (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
     cases = [["--n-id", "-1", "--n-ood", "3"], ["--n-id", "3", "--n-ood", "-1"],
              ["--n-id", "0", "--n-ood", "0"], ["--flags", str(tmp_path / "missing")],
-             ["--flags", str(tmp_path)]]
+             ["--flags", str(tmp_path)], []]
     cases += [["--flags", str(tmp_path / name)] for name in files]
     for argv in cases:
         assert main(["lower-bound", *argv]) == 2, argv
@@ -679,6 +705,25 @@ def test_default_sample_counts_per_method():
                       "rejection_abc": 100, "abc_smc": 100}
 
 
+# the function each registry row runs, by the owner and name it looks up at call time
+METHOD_FUNCTIONS = {"point_cmaes": (promptuq.estimators, "point_estimate"),
+                    "ensembles": (promptuq.estimators, "ensemble_tune"),
+                    "gfvi": (promptuq.estimators, "gfvi_tune"),
+                    "rejection_abc": (promptuq.experiment, "rejection_abc"),
+                    "abc_smc": (promptuq.experiment, "abc_smc")}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_is_called_as_sim_prior_dataset_config_seed(monkeypatch, method):
+    owner, name = METHOD_FUNCTIONS[method]
+    assert list(inspect.signature(getattr(owner, name)).parameters)[:5] == [
+        "sim", "prior", "dataset", "config", "seed"]
+    # its registry row passes the run's arguments on as they are
+    run = tuple(object() for _ in range(5))
+    monkeypatch.setattr(owner, name, lambda *args: args)
+    assert promptuq.experiment._REGISTRY[method].run(*run) == run
+
+
 SPLITS = ["train", "test", "near_ood", "far_ood"]
 EXTERNAL_TASK = {"endpoint": {"argv": ["simulator"]},
                  "prior": {"dim": 4, "sigma": 50.0},
@@ -742,6 +787,9 @@ COMPARE = {"task": SMALL_TASK, "seed": 3,
      "task.endpoint"),
     # `tune --out` alone names the output directory
     ({**payload("point_cmaes"), "out": "dir"}, "out: unknown field"),
+    # an endpoint host must be a string
+    ({**payload("rejection_abc"), "task": {**EXTERNAL_TASK, "endpoint": {"host": 5, "port": 1}}},
+     "task.endpoint.host"),
 ])
 def test_cli_tune_malformed_config_exits_2(tmp_path, capsys, config, field):
     path = write_json(tmp_path / "exp.json", config)

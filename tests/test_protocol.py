@@ -1,4 +1,5 @@
 import base64
+import contextlib
 import dataclasses
 import io
 import json
@@ -10,6 +11,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from promptuq.blackbox import EvalBudget
 from promptuq.cli import main
 from promptuq.errors import (AccessDeniedError, BudgetExhaustedError,
                              NumericalBreakdownError, ProtocolError)
-from promptuq.protocol import ExternalSimulator, pack, serve, serve_tcp, unpack
+from promptuq.protocol import (ExternalSimulator, _LineTransport, pack, serve, serve_tcp,
+                               unpack)
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +246,38 @@ HANDSHAKE = json.dumps({"protocol": 3, "classes": 2, "feature_dim": 3,
                         "prompt_dim": 8, "subspace_dim": 2, "modes": ["logits", "labels"]})
 REGISTERED = json.dumps({"id": 0, "dataset": 0})  # the answer to a client's first register
 REGISTER = json.dumps({"id": 0, "op": "register", "inputs": pack(np.zeros((1, 16)), "<f8")})
+
+
+def _read_lines(count: int, length: int) -> float:
+    """Seconds the client's line reader takes for ``count`` lines of ``length``
+    bytes each, written into a pipe by another thread."""
+    read_fd, write_fd = os.pipe()
+    line = b"x" * (length - 1) + b"\n"
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), os.fdopen(write_fd, "wb") as out:
+            for _ in range(count):
+                out.write(line)
+
+    transport = _LineTransport(read_fd)
+    writer = threading.Thread(target=write)
+    start = time.perf_counter()
+    writer.start()
+    try:
+        for _ in range(count):
+            assert len(transport.readline()) == length - 1
+        return time.perf_counter() - start
+    finally:
+        os.close(read_fd)
+        writer.join()
+
+
+def test_the_client_reads_a_long_line_in_linear_time():
+    # a reader that rescans or copies its whole buffer per read takes about
+    # ten times as long for one 16 MiB line as for sixteen lines of 1 MiB
+    one = min(_read_lines(1, 16 << 20) for _ in range(3))
+    many = min(_read_lines(16, 1 << 20) for _ in range(3))
+    assert one < 6 * many, (one, many)
 
 
 def test_client_rejects_mismatched_response_id():
