@@ -84,6 +84,26 @@ def test_ensemble_member_k_is_the_point_estimate_at_its_derived_seed(criterion_t
     assert len({member.tobytes() for member in result.samples}) == 3
 
 
+def test_ensemble_matches_point_estimate_for_single_seed(criterion_task):
+    # An EsConfig has sample_count 1: a one-member ensemble at its derived seed.
+    single = ensemble_tune(criterion_task.simulator(), criterion_task.prior,
+                           criterion_task.train, FAST_ES, seed=5)
+    point = point_estimate(criterion_task.simulator(), criterion_task.prior,
+                           criterion_task.train, FAST_ES, seed=derive_seeds(5, 1)[0])
+    assert single.size == 1
+    assert np.array_equal(single.samples[0], point.samples[0])
+
+
+def test_ensemble_identical_seeds_give_identical_members(criterion_task):
+    config = EnsembleConfig(population_size=8, max_generations=30, sample_count=3)
+    first, second = (ensemble_tune(criterion_task.simulator(), criterion_task.prior,
+                                   criterion_task.train, config, seed=9)
+                     for _ in range(2))
+    assert all(np.array_equal(a, b) for a, b in zip(first.samples, second.samples))
+    assert not np.array_equal(first.samples[0], first.samples[1])
+    assert np.allclose(first.weights, 1 / 3)
+
+
 def test_kl_analytic_values():
     prior = PriorSpec(1, 3.0)
     sigma2 = prior.sigma ** 2
