@@ -16,15 +16,23 @@ task's projection, so z becomes the full prompt A z there alone. The prompt
 is pooled down to a few dimensions, scaled to be O(1) under the task prior
 (which keeps the loss landscape smooth), and concatenated with the inputs.
 
-Its kernel streams a query through one scratch block allocated per call, and
-one rule sizes a pass: it holds at most ``TILE_ROWS`` rows, or one z. Below
-2 * ``TILE_ROWS`` inputs, a pass takes ``TILE_ROWS // n`` whole z (at least
-one) through each GEMM with the shapes of a single-z call. From
-2 * ``TILE_ROWS`` inputs on, one z at a time goes through row tiles of
-``TILE_ROWS`` rows, the ragged tail merged into the last tile. So the scratch
-holds fewer than 2 * ``TILE_ROWS`` rows of batch columns and hidden units
-whatever n and K are (under 1.8 MiB for 24 + 32 of them), and every row
-equals the single-z, whole-matrix row bit for bit.
+Its kernel precomposes that prompt path: the first layer's prompt columns,
+the pooling map and the projection fold once into one (hidden, d) map, so a
+pre-activation is an input half ``x @ w1[:, :F].T + b1``, computed once per
+row tile and shared by every z of the query, plus a z's prompt half. A query
+streams through one scratch block allocated per call, and one rule sizes a
+pass: it holds at most ``TILE_ROWS`` rows, or one z. Below 2 * ``TILE_ROWS``
+inputs, a pass takes ``TILE_ROWS // n`` whole z (at least one) through each
+GEMM with the shapes of a single-z call. From 2 * ``TILE_ROWS`` inputs on,
+one z at a time goes through row tiles of ``TILE_ROWS`` rows, the ragged tail
+merged into the last tile. So the scratch holds an input half, a pass's
+hidden units and its prompt halves, fewer than 4 * ``TILE_ROWS`` vectors of
+hidden units whatever n and K are (under 2 MiB at 32 hidden units). Bit for
+bit means two things here: every row equals its single-z row, whatever K is,
+and a tiled query equals the untiled whole-matrix evaluation of the same
+precomposed formula. Neither equals the unfolded
+``w1 @ [x; pool @ projection @ z]``, which rounds differently (by up to about
+6e-15 per logit).
 """
 
 from __future__ import annotations
@@ -47,7 +55,9 @@ PROMPT_GAIN = 3.0
 # The one row budget of a query pass: below 2 * TILE_ROWS inputs the kernel
 # stacks TILE_ROWS // n whole z (at least one) per pass, from there on it takes
 # one z through tiles of this many rows, the ragged tail merged into the last
-# tile; callers that split a query, such as ``predictive``, use it too.
+# tile, each tile's input half computed once for every z. Callers that split a
+# query use it too: ``predictive`` sends TILE_ROWS // n samples, but at least
+# eight, so a wide query's tiles share their input half among eight z.
 # OpenBLAS gives a row slice of at least 1,024 rows the whole matrix's bits, so
 # every tile keeps them.
 TILE_ROWS = 2048
@@ -99,7 +109,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrozenClassifier:
-    """Two-layer net over z: logits = w2 @ tanh(w1 @ [x; pool @ projection @ z] + b1) + b2."""
+    """Two-layer net over z: logits = w2 @ tanh(w1 @ [x; pool @ projection @ z] + b1) + b2,
+    evaluated precomposed as w2 @ tanh((w1[:, :F] @ x + b1) + prompt_map @ z) + b2
+    with ``prompt_map = (w1[:, F:] @ pool) @ projection``, folded once at
+    construction."""
 
     projection: np.ndarray  # (prompt_dim, subspace_dim)
     w1: np.ndarray          # (hidden, feature_dim + pooled_dim)
@@ -108,6 +121,8 @@ class FrozenClassifier:
     b2: np.ndarray          # (classes,)
     pool: np.ndarray        # (pooled_dim, prompt_dim)
     classes: int
+    prompt_map: np.ndarray = field(init=False, repr=False, compare=False)  # (hidden, d)
+    _prompt_gain: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.projection.ndim != 2 or len(self.projection) != self.prompt_dim:
@@ -115,6 +130,12 @@ class FrozenClassifier:
         for name in ("projection", "w1", "b1", "w2", "b2", "pool"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"classifier weight {name} contains non-finite entries")
+        # the prompt path folded once, in this grouping: z -> w1's prompt half
+        object.__setattr__(self, "prompt_map",
+                           (self.w1[:, self.feature_dim:] @ self.pool) @ self.projection)
+        # every entry of pool @ (projection @ z) is at most this times max |z|
+        object.__setattr__(self, "_prompt_gain", float(
+            (np.abs(self.pool) @ np.abs(self.projection).sum(axis=1)).max()))
 
     @property
     def feature_dim(self) -> int:
@@ -160,12 +181,17 @@ class FrozenClassifier:
         """The logits of every (z, input) pair of a (K, d) stack and (n, F)
         inputs, (K * n, C) in z-major order.
 
-        A pass holds at most ``TILE_ROWS`` rows or one z. Each stacked matmul
-        makes one BLAS call per z with the shapes of a single-z call, and a
-        tile is never under ``TILE_ROWS`` rows, so every row equals its
-        single-z result bit for bit, whatever K is.
+        A pass holds at most ``TILE_ROWS`` rows or one z. A row tile's input
+        half ``inputs @ w1[:, :F].T + b1`` is computed once and shared by every
+        z; a z adds its prompt half ``prompt_map @ z``. Every other product is
+        one BLAS call per z with the shapes of a single-z call, and a tile is
+        never under ``TILE_ROWS`` rows, so every row equals its single-z row
+        bit for bit, whatever K is. A z whose prompt
+        ``pool @ (projection @ z)`` is not finite answers non-finite rows,
+        as the unfolded first layer did, although its prompt half may be finite.
         """
         n, features = inputs.shape
+        width = len(self.b1)
         out = np.empty((len(zs) * n, self.classes))
         if not len(out):
             return out
@@ -173,31 +199,35 @@ class FrozenClassifier:
         tiles = n // tile
         step = min(len(zs), max(1, TILE_ROWS // n))
         widest = n - (tiles - 1) * tile  # the last tile takes the ragged tail
-        # one block, not two: glibc handed two blocks of a full pass's size
+        # one block, not several: glibc handed two blocks of a full pass's size
         # back to the OS after every call, about 250 page faults per query
-        scratch = np.empty(step * widest * (self.w1.shape[1] + len(self.b1)))
-        split = step * widest * self.w1.shape[1]
-        batch_buffer, hidden_buffer = scratch[:split], scratch[split:]
+        scratch = np.empty((widest + step + step * widest) * width)
+        prompt_buffer = scratch[widest * width:(widest + step) * width]
+        hidden_buffer = scratch[(widest + step) * width:]
         per_z = out.reshape(len(zs), n, self.classes)
         for t in range(tiles):
             start = t * tile
             stop = n if t == tiles - 1 else start + tile
             rows = stop - start
-            batch = batch_buffer[:step * rows * self.w1.shape[1]].reshape(step, rows, -1)
-            batch[..., :features] = inputs[start:stop]
+            input_half = scratch[:rows * width].reshape(rows, width)
+            np.matmul(inputs[start:stop], self.w1[:, :features].T, out=input_half)
+            input_half += self.b1
             for first in range(0, len(zs), step):
                 chunk = zs[first:first + step]
-                prompts = np.matmul(self.projection, chunk[..., None])
-                part = batch[:len(chunk)]
-                part[..., features:] = np.matmul(self.pool, prompts).transpose(0, 2, 1)
-                hidden = hidden_buffer[:len(chunk) * rows * len(self.b1)].reshape(
-                    len(chunk), rows, -1)
-                np.matmul(part, self.w1.T, out=hidden)
-                hidden += self.b1
+                prompt_half = prompt_buffer[:len(chunk) * width].reshape(len(chunk), width, 1)
+                np.matmul(self.prompt_map, chunk[..., None], out=prompt_half)
+                hidden = hidden_buffer[:len(chunk) * rows * width].reshape(len(chunk), rows, width)
+                np.add(input_half, prompt_half.reshape(len(chunk), 1, width), out=hidden)
                 np.tanh(hidden, out=hidden)
                 logits = per_z[first:first + len(chunk), start:stop]
                 np.matmul(hidden, self.w2.T, out=logits)
                 logits += self.b2
+        # prompt_map @ z can stay finite where pool @ (projection @ z) overflows;
+        # no prompt entry reaches 1e300 while max |z| * _prompt_gain stays below
+        # it, so only a stack past that bound runs the chain
+        if float(np.abs(zs).max()) * self._prompt_gain >= 1e300:
+            prompts = np.matmul(self.pool, np.matmul(self.projection, zs.T))
+            per_z[~np.isfinite(prompts).all(axis=0)] = np.nan
         return out
 
 

@@ -39,10 +39,11 @@ class PredictiveTable:
 def _sample_blocks(ensemble: PosteriorEnsemble, inputs: np.ndarray, query):
     """(weight, rows) of every sample in sample order, the rows being that
     sample's answers for the ``n`` inputs; ``query(chunk, inputs)`` answers a
-    chunk of ``TILE_ROWS // n`` samples (at least one), the kernel's own pass,
-    with its z-major rows."""
+    chunk with its z-major rows. A chunk is ``TILE_ROWS // n`` samples, the
+    kernel's own pass, but at least eight, so a wide query's row tiles share
+    their input half among eight z."""
     n = len(inputs)
-    step = max(1, TILE_ROWS // max(n, 1))
+    step = max(8, TILE_ROWS // max(n, 1))
     for start in range(0, ensemble.size, step):
         chunk = ensemble.samples[start:start + step]
         rows = query(chunk, inputs)
@@ -94,8 +95,10 @@ def save_predictive_csv(table: PredictiveTable, path) -> None:
 
 def load_predictive_csv(path) -> PredictiveTable:
     """A table exactly as ``save_predictive_csv`` writes it: the header
-    p_0..p_{C-1},predicted, C + 1 fields in every row, and each row's
-    ``predicted`` equal to its argmax. Raises ValueError for anything else."""
+    p_0..p_{C-1},predicted, C + 1 fields in every row, probabilities without
+    ``_`` or surrounding whitespace (``float`` takes both, ``repr`` writes
+    neither), and each row's ``predicted`` equal to its argmax. Raises
+    ValueError for anything else."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -108,6 +111,9 @@ def load_predictive_csv(path) -> PredictiveTable:
                 if len(record) != classes + 1:
                     raise ValueError(f"line {reader.line_num}: {len(record)} fields, "
                                      f"the header has {classes + 1}")
+                if any("_" in v or v != v.strip() for v in record[:-1]):
+                    raise ValueError(f"line {reader.line_num}: a probability holds '_' "
+                                     f"or surrounding whitespace")
                 rows.append([float(v) for v in record[:-1]])
                 predicted.append(record[-1])
         except csv.Error as exc:  # such as a field past the csv module's size limit

@@ -230,14 +230,14 @@ def batch_task(request):
 
 
 def _whole_matrix_probs(classifier, zs, inputs):
-    """Probabilities of every pair through one whole-matrix GEMM per z and
-    the two-pass softmax, the kernel's formula before it streamed row tiles."""
-    prompts = np.matmul(classifier.projection, zs[..., None])
-    pooled = np.matmul(classifier.pool, prompts)[..., 0]
-    batch = np.empty((len(zs), len(inputs), inputs.shape[1] + len(classifier.pool)))
-    batch[..., :inputs.shape[1]] = inputs
-    batch[..., inputs.shape[1]:] = pooled[..., None, :]
-    logits = np.matmul(np.tanh(np.matmul(batch, classifier.w1.T) + classifier.b1),
+    """Probabilities of every pair through the precomposed first layer in one
+    whole-matrix GEMM, (x @ w1[:, :F].T + b1) + ((w1[:, F:] @ pool) @ projection) @ z,
+    and the two-pass softmax: the kernel's formula without row tiles."""
+    features = inputs.shape[1]
+    prompt_map = (classifier.w1[:, features:] @ classifier.pool) @ classifier.projection
+    input_half = inputs @ classifier.w1[:, :features].T + classifier.b1
+    prompt_halves = np.matmul(prompt_map, zs[..., None]).transpose(0, 2, 1)
+    logits = np.matmul(np.tanh(input_half + prompt_halves),
                        classifier.w2.T) + classifier.b2
     return _two_pass_softmax(logits.reshape(-1, classifier.classes))
 
@@ -265,6 +265,24 @@ def test_tiled_query_equals_the_whole_matrix_formula_bit_for_bit(criterion_task,
     x = rng.normal(size=(n, 16))
     assert np.array_equal(criterion_task.simulator().query_logits(zs, x),
                           _whole_matrix_probs(criterion_task.classifier, zs, x))
+
+
+@pytest.mark.parametrize("n", [5, 2 * TILE_ROWS + 37])
+def test_a_z_whose_prompt_overflows_answers_non_finite_rows_alone(criterion_task, n):
+    # the folded map alone would answer finite rows for this z; its rows are
+    # non-finite, and the z beside it in the stack keep their single-z rows
+    classifier = criterion_task.classifier
+    rng = np.random.default_rng(n)
+    good = rng.normal(size=(2, 8)) * 50
+    bad = np.full(8, 1e308)
+    x = rng.normal(size=(n, 16))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(classifier.pool @ (classifier.projection @ bad)).all()
+        assert np.isfinite(classifier.prompt_map @ bad).all()
+        rows = classifier.logits(np.stack([good[0], bad, good[1]]), x).reshape(3, n, -1)
+    assert not np.isfinite(rows[1]).any()
+    assert np.array_equal(rows[0], classifier.logits(good[:1], x))
+    assert np.array_equal(rows[2], classifier.logits(good[1:], x))
 
 
 def test_a_wide_query_holds_a_bounded_scratch(criterion_task):

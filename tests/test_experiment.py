@@ -462,10 +462,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "pred: cannot load" in capsys.readouterr().err
     assert not (tmp_path / "eval").exists()
     # only a table save_predictive_csv could have written loads: its header, its
-    # field count and its argmax column
+    # field count, its argmax column and fields float() takes but repr never writes
     for name, text in (("swapped", "p_1,p_0,predicted\n0.9,0.1,1\n"),
                        ("wrong_predicted", "p_0,p_1,predicted\n0.9,0.1,1\n"),
                        ("no_predicted", "p_0,p_1\n0.9,0.1\n"),
+                       ("underscore", "p_0,p_1,predicted\n0.4_5,0.55,1\n"),
+                       ("padded", "p_0,p_1,predicted\n0.45, 0.55 ,1\n"),
                        ("huge_field", "p_0,p_1,predicted\n0.9,0.1,%s\n" % ("0" * 200_000))):
         table = tmp_path / f"{name}.csv"
         table.write_text(text)

@@ -66,24 +66,31 @@ def test_logits_path_matches_brute_force(criterion_task):
 
 
 def test_logits_path_chunks_accumulate_in_sample_order(criterion_task):
-    # 40 samples x 64 inputs span two query chunks, 32 samples and 8
-    sim = criterion_task.simulator()
-    rng = np.random.default_rng(4)
-    ensemble = PosteriorEnsemble(rng.normal(size=(40, 8)) * 50,
-                                 rng.dirichlet(np.ones(40)), "ensembles")
-    table = predictive_from_logits(ensemble, sim, criterion_task.test.X)
-    expected = np.zeros_like(table.probs)
-    for w, z in zip(ensemble.weights, ensemble.samples):
-        expected += w * sim.query_logits(z, criterion_task.test.X)
-    assert np.array_equal(table.probs, expected)
-    assert sim.budget.used == 2 * 40 * len(criterion_task.test)
+    # 40 samples x 64 inputs span two query chunks, 32 samples and 8; at wide n
+    # a chunk holds eight samples, so 19 over 2054 inputs take ceil(19 / 8) queries
+    for n, size, chunks in ((64, 40, [32, 8]), (TILE_ROWS + 6, 19, [8, 8, 3])):
+        sim = criterion_task.simulator()
+        rng = np.random.default_rng(4)
+        ensemble = PosteriorEnsemble(rng.normal(size=(size, 8)) * 50,
+                                     rng.dirichlet(np.ones(size)), "ensembles")
+        x = rng.normal(size=(n, 16))
+        query, sent = sim.query_logits, []
+        sim.query_logits = lambda zs, inputs: sent.append(len(zs)) or query(zs, inputs)
+        table = predictive_from_logits(ensemble, sim, x)
+        assert sent == chunks
+        expected = np.zeros_like(table.probs)
+        for w, z in zip(ensemble.weights, ensemble.samples):
+            expected += w * query(z, x)
+        assert np.array_equal(table.probs, expected)
+        assert sim.budget.used == 2 * size * n
 
 
 @pytest.mark.parametrize("decode", ["argmax", "sample"])
 @pytest.mark.parametrize("n", [1, 256, TILE_ROWS + 6])
 def test_labels_path_chunks_equal_a_per_sample_reference(criterion_task, n, decode):
-    # enough samples to cross a chunk edge: 2048 a chunk at n = 1, 8 at 256, 1 at 2054
-    size = TILE_ROWS // n + 3
+    # enough samples to cross a chunk edge: 2048 a chunk at n = 1, 8 at 256, and
+    # 8 at 2054, where TILE_ROWS // n is 0 and the eight-sample floor holds
+    size = max(8, TILE_ROWS // n) + 3
     rng = np.random.default_rng(n)
     ensemble = PosteriorEnsemble(rng.normal(size=(size, 8)) * 50,
                                  rng.dirichlet(np.ones(size)), "abc_smc")
