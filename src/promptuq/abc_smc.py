@@ -32,7 +32,7 @@ from .blackbox import LabeledSet
 from .errors import (BudgetExhaustedError, ConfigError, DegenerateWeightsError,
                      NumericalBreakdownError, StagnationError, check_positive)
 from .estimators import ABC_SMC, REJECTION_ABC, PosteriorEnsemble
-from .prompt_space import PriorSpec, prior_log_density, sample_prior
+from .prompt_space import PriorSpec, prior_log_density, sample_prior, substream
 
 WEIGHT_IMPORTANCE = "importance"
 WEIGHT_UNIFORM = "uniform"
@@ -105,18 +105,14 @@ def decay_tolerance(epsilon: float, n: int) -> float:
     return max(epsilon - 1.0 / n, 0.0)
 
 
-def _slot_stream(seed: int, iteration: int, slot: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(iteration, slot)))
-
-
 def rejection_abc(sim, prior: PriorSpec, dataset: LabeledSet, config: RejectionConfig,
                   seed: int) -> PosteriorEnsemble:
     """Accept ``config.sample_count`` prior draws with distance strictly below
     ``config.epsilon``; None takes ABC-SMC's initial tolerance at the same seed."""
     count, epsilon, max_draws = config.sample_count, config.epsilon, config.max_draws
     if epsilon is None:
-        epsilon = _nonzero(initial_tolerance(sim, prior, dataset, _slot_stream(seed, 0, 0)))
-    rng = np.random.default_rng(seed)
+        epsilon = _nonzero(initial_tolerance(sim, prior, dataset, substream(seed, 0, 0)))
+    rng = substream(seed)
     accepted: list[np.ndarray] = []
     draws = 0
     while len(accepted) < count:
@@ -208,7 +204,7 @@ def abc_smc(sim, prior: PriorSpec, dataset: LabeledSet, config: SmcConfig,
     trace = {"iteration": [], "epsilon": [], "ess": [], "total_attempts": [],
              "simulator_calls": []}
     initial_epsilon = epsilon = _nonzero(initial_tolerance(sim, prior, dataset,
-                                                           _slot_stream(seed, 0, 0)))
+                                                           substream(seed, 0, 0)))
     for t in range(1, config.smc_iterations + 1):
         if t > 1:
             next_epsilon = decay_tolerance(epsilon, len(dataset))
@@ -222,7 +218,7 @@ def abc_smc(sim, prior: PriorSpec, dataset: LabeledSet, config: SmcConfig,
 
         new_particles = np.empty((size, prior.dim))
         iter_attempts = 0
-        streams = [_slot_stream(seed, t, s) for s in range(size)]
+        streams = [substream(seed, t, s) for s in range(size)]
         waiting = np.arange(size)
         for attempt in range(1, config.max_attempts + 1):
             # Lock-step: every waiting slot draws its next proposal from its

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      NumericalBreakdownError, check_positive)
-from .prompt_space import PriorSpec, check_sigma, make_projection, sample_prior
+from .prompt_space import PriorSpec, check_sigma, make_projection, sample_prior, substream
 
 # Amplifies the pooled prompt block's first-layer weights so a random prompt
 # relabels data near chance level rather than leaving the labeling
@@ -425,9 +425,8 @@ def make_synthetic_task(cfg: TaskConfig) -> SyntheticTask:
     along a fixed random direction; far-OOD inputs come from
     N(mu, 2 I) with ||mu|| = 2 * ood_shift along an independent direction.
     """
-    streams = [np.random.default_rng(s)
-               for s in np.random.SeedSequence(cfg.seed).spawn(6)]
-    rng_proj, rng_net, rng_zstar, rng_inputs, rng_ood, rng_noise = streams
+    rng_proj, rng_net, rng_zstar, rng_inputs, rng_ood, rng_noise = (
+        substream(cfg.seed, i) for i in range(6))
 
     projection = make_projection(cfg.subspace_dim, cfg.prompt_dim,
                                  seed=int(rng_proj.integers(2 ** 63)))

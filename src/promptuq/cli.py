@@ -18,13 +18,14 @@ from dataclasses import asdict
 import numpy as np
 
 from . import estimators, predictive, uqeval
+from .abc_smc import distance_error_rate
 from .blackbox import MODES, TaskConfig, make_synthetic_task
 from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      DegenerateWeightsError, EvaluationError, NumericalBreakdownError,
                      ProtocolError, StagnationError, config_from_dict)
 from .experiment import (SPLITS, compare_configs_from_dict, compare_methods,
                          experiment_config_from_dict, run_experiment, save_curves)
-from .prompt_space import sample_prior
+from .prompt_space import sample_prior, substream
 from .protocol import serve_stdio, serve_tcp
 
 
@@ -75,9 +76,9 @@ def cmd_task(args) -> int:
         print(f"wrote {path}")
     if args.inspect:
         sim = task.simulator()
-        rng = np.random.default_rng(cfg.seed)
-        labels = sim.query_labels(sample_prior(task.prior, 20, rng), task.train.X)
-        chance = np.mean(np.mean(labels.reshape(20, -1) != task.train.y, axis=1))
+        labels = sim.query_labels(sample_prior(task.prior, 20, substream(cfg.seed)),
+                                  task.train.X)
+        chance = distance_error_rate(labels.reshape(20, -1), task.train.y).mean()
         print(f"train: {len(task.train)} items, "
               f"class counts {np.bincount(task.train.y, minlength=cfg.classes).tolist()}")
         print(f"test:  {len(task.test)} items, "
@@ -116,7 +117,7 @@ def cmd_predict(args) -> int:
     if args.mode == "logits":
         table = predictive.predictive_from_logits(ensemble, sim, inputs)
     else:
-        rng = np.random.default_rng(args.seed) if args.decode == "sample" else None
+        rng = substream(args.seed) if args.decode == "sample" else None
         table = predictive.predictive_from_labels(ensemble, sim, inputs, rng)
     with _oserror_names("out"):
         predictive.save_predictive_csv(table, args.out)

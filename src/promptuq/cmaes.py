@@ -126,15 +126,19 @@ def ask(state: SearchState) -> np.ndarray:
 
 def tell(state: SearchState, xs: np.ndarray, losses: np.ndarray) -> SearchState:
     """Rank each member's rows of the member-major ``xs`` by ``losses`` and apply
-    the standard distribution updates to every member."""
+    the standard distribution updates to every member; EvaluationError, naming
+    the member of the first non-finite loss, leaves the state untouched."""
     xs = np.asarray(xs, dtype=float)
     losses = np.asarray(losses, dtype=float)
     members, lam, n = len(state.mean), state.population_size, state.dim
     if xs.shape != (members * lam, n) or losses.shape != (members * lam,):
         raise EvaluationError(f"expected a ({members * lam}, {n}) population and "
-                              f"{members * lam} losses, got {xs.shape} and {losses.shape}")
-    if not np.isfinite(losses).all():
-        raise EvaluationError(f"losses must be finite, got {losses}")
+                              f"{members * lam} losses, got shapes {xs.shape} "
+                              f"and {losses.shape}")
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if len(bad):
+        raise EvaluationError(f"member {bad[0] // lam}: objective returned "
+                              f"{float(losses[bad[0]])!r} at candidate {xs[bad[0]]}")
 
     # Rank by member, then by loss, then by the row's entries in order: the
     # content-based tie-break keeps each member's update invariant to row order.
@@ -204,16 +208,10 @@ def minimize(objective, state: SearchState, max_generations: int) -> MinimizeRes
     for _ in range(max_generations):
         xs = ask(state)
         losses = np.asarray(objective(xs), dtype=float)
-        if losses.shape != (len(xs),):
-            raise EvaluationError(f"objective returned shape {losses.shape} for {len(xs)} rows")
-        bad = np.flatnonzero(~np.isfinite(losses))
-        if len(bad):
-            raise EvaluationError(f"member {bad[0] // lam}: objective returned "
-                                  f"{float(losses[bad[0]])!r} at candidate {xs[bad[0]]}")
+        tell(state, xs, losses)
         best = np.arange(members) * lam + np.argmin(losses.reshape(members, lam), axis=1)
         better = losses[best] < best_loss
         best_loss[better], best_x[better] = losses[best[better]], xs[best[better]]
-        tell(state, xs, losses)
         history.append(best_loss.copy())
         step_sizes.append(state.step_size)
 

@@ -38,7 +38,7 @@ import numpy as np
 from . import cmaes
 from .blackbox import LabeledSet
 from .errors import ConfigError, EvaluationError, check_positive
-from .prompt_space import PriorSpec, sample_prior
+from .prompt_space import PriorSpec, sample_prior, substream
 
 PROB_FLOOR = 1e-12
 
@@ -185,8 +185,7 @@ def negative_log_likelihood(sim, z: np.ndarray, dataset: LabeledSet) -> np.ndarr
 def _lockstep_fit(sim, prior: PriorSpec, dataset: LabeledSet, es: EsConfig,
                   seeds: list[int]) -> tuple[cmaes.MinimizeResult, dict[str, list]]:
     """Lock-step CMA-ES over z, one member per seed; the result and its trace."""
-    init_rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-                 for seed in seeds]
+    init_rngs = [substream(seed, 0) for seed in seeds]
     means0 = np.concatenate([sample_prior(prior, 1, rng) for rng in init_rngs])
     sigmas0 = [(es.sigma0 or prior.sigma) * rng.uniform(0.5, 1.5) for rng in init_rngs]
     state = cmaes.es_init(means0, sigmas0, es.population_size,
@@ -222,8 +221,7 @@ def ensemble_tune(sim, prior: PriorSpec, dataset: LabeledSet, config: EnsembleCo
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:
     """Stable per-member seeds for an ensemble run."""
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(1,)))
-    return [int(s) for s in rng.integers(2 ** 63, size=count)]
+    return [int(s) for s in substream(master_seed, 1).integers(2 ** 63, size=count)]
 
 
 def kl_diag_gaussian_to_prior(mu: np.ndarray, log_alpha: np.ndarray,
@@ -284,7 +282,7 @@ def gfvi_tune(sim, prior: PriorSpec, dataset: LabeledSet, config: GfviConfig,
 
     CMA-ES proposes stacked (mu, log alpha) vectors; each candidate is scored
     by -ELBO with a Monte-Carlo likelihood term, one query per generation.
-    Candidate k of generation g draws from the substream (g * population + k).
+    Candidate k of generation g draws from ``substream(seed, 1, g * population + k)``.
     Returns ``config.sample_count`` draws from the best variational
     distribution ever seen, uniformly weighted.
     """
@@ -293,20 +291,17 @@ def gfvi_tune(sim, prior: PriorSpec, dataset: LabeledSet, config: GfviConfig,
 
     def negative_elbos(us: np.ndarray) -> np.ndarray:
         mu, log_alpha = _decode_search_matrix(us, prior)
-        streams = [np.random.default_rng(np.random.SeedSequence(
-            seed, spawn_key=(1, next(counter)))) for _ in us]
+        streams = [substream(seed, 1, next(counter)) for _ in us]
         return -elbo_estimate(mu, log_alpha, sim, prior, dataset, config.mc_samples, streams)
 
     state = cmaes.es_init(np.zeros((1, 2 * d)), [config.search_step], config.population_size,
-                          [int(np.random.default_rng(
-                              np.random.SeedSequence(seed, spawn_key=(0,))).integers(2 ** 63))])
+                          [int(substream(seed, 0).integers(2 ** 63))])
     result = cmaes.minimize(negative_elbos, state, config.max_generations)
     mu, log_alpha = _decode_search_matrix(result.best_x, prior)
     best_elbos = [-v for v in result.history[:, 0].tolist()]
 
     count = config.sample_count
-    final_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
-    draws = mu[0] + np.sqrt(np.exp(log_alpha[0])) * final_rng.standard_normal((count, d))
+    draws = mu[0] + np.sqrt(np.exp(log_alpha[0])) * substream(seed, 2).standard_normal((count, d))
     return PosteriorEnsemble(
         draws, np.full(count, 1.0 / count), VARIATIONAL_INFERENCE,
         diagnostics={"best_elbo": -float(result.best_loss[0]),

@@ -9,9 +9,10 @@ fields, and ``ExternalTaskSpec.__post_init__`` every rule on an endpoint, so a
 config built in code fails as its JSON twin does.
 
 Every run is a pure function of (config, seed): the task is rebuilt from its
-config, methods consume named substreams of the experiment seed, and all
-artifacts (summary JSON, posterior NDJSON, trace and curve CSVs) are written with
-deterministic formatting so reruns are byte-identical.
+config, methods consume named substreams of the experiment seed (the key table
+in ``prompt_space.substream``), and all artifacts (summary JSON, posterior
+NDJSON, trace and curve CSVs) are written with deterministic formatting so
+reruns are byte-identical.
 """
 
 from __future__ import annotations

@@ -18,6 +18,50 @@ import numpy as np
 from .errors import ConfigError, check_positive
 
 
+def substream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of stream ``key`` of ``seed``:
+    ``default_rng(SeedSequence(seed, spawn_key=key))``; ``substream(seed)`` is
+    ``default_rng(seed)``, and ``substream(seed, i)`` is the i-th generator of
+    ``SeedSequence(seed).spawn(n)``.
+
+    Every random draw of the package comes from one of these keys:
+
+    ============================  ======  =========  ==============================
+    user                          seed    key        draws
+    ============================  ======  =========  ==============================
+    ``make_synthetic_task``       task    ``(0,)``   projection seed
+                                          ``(1,)``   network seed
+                                          ``(2,)``   z_star candidates
+                                          ``(3,)``   train, then test inputs
+                                          ``(4,)``   near- and far-OOD inputs
+                                          ``(5,)``   train, then test label noise
+    ``task --inspect``            task    ``()``     20 prior draws
+    ``predict --decode sample``   CLI     ``()``     label decode seeds
+    ``derive_seeds``              run     ``(1,)``   ensemble member seeds
+    ``_lockstep_fit``, member k   member  ``(0,)``   initial mean, step size
+                                                     factor, CMA-ES member seed
+    ``gfvi_tune``                 run     ``(0,)``   CMA-ES seed
+                                          ``(1, k)`` ELBO draws of candidate k,
+                                                     counted over generations
+                                          ``(2,)``   final posterior draws
+    ``rejection_abc``             run     ``()``     prior proposals
+                                          ``(0, 0)`` initial tolerance draw
+    ``abc_smc``                   run     ``(0, 0)`` initial tolerance draw
+                                          ``(t, s)`` slot s at iteration t >= 1
+    ============================  ======  =========  ==============================
+
+    "task" is the task config's seed, "run" the experiment seed, "CLI" the
+    ``--seed`` option and "member" a member seed: the run seed for
+    point_cmaes, ``derive_seeds(run, sample_count)[k]`` for ensembles. The
+    projection, network and CMA-ES member seeds are ``integers(2**63)``
+    draws, handed on as integers to ``make_projection``,
+    ``FrozenClassifier.create`` and ``cmaes.es_init``, which seed
+    ``default_rng`` with them; ``query_labels`` does the same with each label
+    decode seed.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 def make_projection(subspace_dim: int, prompt_dim: int, seed: int) -> np.ndarray:
     """The (prompt_dim, subspace_dim) projection matrix, drawn
     deterministically from ``seed``.

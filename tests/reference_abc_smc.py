@@ -4,18 +4,22 @@ Each particle slot runs its own attempt loop in slot order: one
 ``stream.choice`` resample and one single-z labels query per attempt. The
 package runs the same draws in lock-step rounds, one query per round, and
 must reproduce this loop's particles, weights, trace, diagnostics and budget
-use bit for bit. Only the attempt loop is transcribed here; the tolerance,
-weight and kernel helpers are the package's own.
+use bit for bit. Only the attempt loop and the slot streams are transcribed
+here; the tolerance, weight and kernel helpers are the package's own.
 """
 
 import numpy as np
 
-from promptuq.abc_smc import (WEIGHT_IMPORTANCE, _nonzero, _slot_stream, decay_tolerance,
+from promptuq.abc_smc import (WEIGHT_IMPORTANCE, _nonzero, decay_tolerance,
                               distance_error_rate, effective_sample_size,
                               initial_tolerance, update_kernel_variance, update_weights)
 from promptuq.errors import StagnationError
 from promptuq.estimators import ABC_SMC, PosteriorEnsemble
 from promptuq.prompt_space import sample_prior
+
+
+def slot_stream(seed, t, s):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, s)))
 
 
 def reference_abc_smc(sim, prior, dataset, config, seed):
@@ -24,7 +28,7 @@ def reference_abc_smc(sim, prior, dataset, config, seed):
     trace = {"iteration": [], "epsilon": [], "ess": [], "total_attempts": [],
              "simulator_calls": []}
     initial_epsilon = epsilon = _nonzero(initial_tolerance(sim, prior, dataset,
-                                                           _slot_stream(seed, 0, 0)))
+                                                           slot_stream(seed, 0, 0)))
     total_attempts = 0
     for t in range(1, config.smc_iterations + 1):
         if t > 1:
@@ -37,7 +41,7 @@ def reference_abc_smc(sim, prior, dataset, config, seed):
         new_particles = np.empty((size, prior.dim))
         iter_attempts = 0
         for s in range(size):
-            stream = _slot_stream(seed, t, s)
+            stream = slot_stream(seed, t, s)
             for attempt in range(1, config.max_attempts + 1):
                 if t == 1:
                     z = sample_prior(prior, 1, stream)[0]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptuq.prompt_space import (PriorSpec, make_projection, prior_log_density,
-                                   sample_prior)
+                                   sample_prior, substream)
 
 
 def test_projection_shape_and_finiteness():
@@ -94,3 +94,18 @@ def test_prior_density_integrates_to_one_1d():
 def test_prior_log_density_dimension_mismatch():
     with pytest.raises(ValueError):
         prior_log_density(PriorSpec(2, 1.0), np.zeros(3))
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 2 ** 64 - 1),
+       st.lists(st.integers(0, 2 ** 64 - 1), max_size=3))
+def test_substream_is_the_keyed_seed_sequence_stream(seed, key):
+    def draws(rng):
+        return rng.integers(2 ** 63, size=4).tolist()
+
+    keyed = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+    assert draws(substream(seed, *key)) == draws(keyed)
+    assert draws(substream(seed)) == draws(np.random.default_rng(seed))
+    spawned = np.random.SeedSequence(seed).spawn(6)
+    assert [draws(substream(seed, i)) for i in range(6)] == [
+        draws(np.random.default_rng(s)) for s in spawned]
