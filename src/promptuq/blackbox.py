@@ -2,14 +2,9 @@
 
 The simulator is the only thing inference code is allowed to touch: it maps a
 subspace vector z, or a (K, d) stack of them, plus a batch of feature vectors
-to class probabilities (logits mode) or discrete labels (labels mode),
-enforces the access policy, and charges every (z, input) pair against an
-evaluation budget.
-
-Every rule on what a query may hold is here: ``check_query`` and
-``check_decode_seeds`` run before anything is charged, and the protocol
-client and server answer through them too, so a query refused in process is
-refused served, and an empty one (K = 0 or n = 0) is an empty answer on both.
+to class probabilities (logits mode) or discrete labels (labels mode).
+``SimulatorHandle`` is the handle every simulator presents, built in or
+served, and the one place that admits, checks and charges a query.
 
 The built-in classifier is a frozen two-layer tanh network holding the
 task's projection, so z becomes the full prompt A z there alone. The prompt
@@ -52,14 +47,11 @@ from .prompt_space import PriorSpec, check_sigma, make_projection, sample_prior,
 # input-dominated.
 PROMPT_GAIN = 3.0
 
-# The one row budget of a query pass: below 2 * TILE_ROWS inputs the kernel
-# stacks TILE_ROWS // n whole z (at least one) per pass, from there on it takes
-# one z through tiles of this many rows, the ragged tail merged into the last
-# tile, each tile's input half computed once for every z. Callers that split a
-# query use it too: ``predictive`` sends TILE_ROWS // n samples, but at least
-# eight, so a wide query's tiles share their input half among eight z.
-# OpenBLAS gives a row slice of at least 1,024 rows the whole matrix's bits, so
-# every tile keeps them.
+# The one row budget of a query pass (the module docstring gives the rule).
+# Callers that split a query use it too: ``predictive`` sends TILE_ROWS // n
+# samples, but at least eight, so a wide query's tiles share their input half
+# among eight z. OpenBLAS gives a row slice of at least 1,024 rows the whole
+# matrix's bits, so every tile keeps them.
 TILE_ROWS = 2048
 
 # What a simulator may reveal per (z, input) pair; every simulator answers labels.
@@ -120,14 +112,18 @@ class FrozenClassifier:
     w2: np.ndarray          # (classes, hidden)
     b2: np.ndarray          # (classes,)
     pool: np.ndarray        # (pooled_dim, prompt_dim)
-    classes: int
     prompt_map: np.ndarray = field(init=False, repr=False, compare=False)  # (hidden, d)
     _prompt_gain: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.projection.ndim != 2 or len(self.projection) != self.prompt_dim:
-            raise ValueError(f"projection shape {self.projection.shape} != ({self.prompt_dim}, d)")
-        for name in ("projection", "w1", "b1", "w2", "b2", "pool"):
+        names = ("projection", "w1", "b1", "w2", "b2", "pool")
+        hidden, classes = self.w1.shape[:1], self.w2.shape[:1]
+        if not (self.w1.ndim == self.w2.ndim == self.pool.ndim == self.projection.ndim == 2
+                and self.b1.shape == hidden == self.w2.shape[1:] and self.b2.shape == classes
+                and self.feature_dim > 0 and len(self.projection) == self.prompt_dim):
+            raise ValueError("classifier weight shapes disagree: " + ", ".join(
+                f"{name} {getattr(self, name).shape}" for name in names))
+        for name in names:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"classifier weight {name} contains non-finite entries")
         # the prompt path folded once, in this grouping: z -> w1's prompt half
@@ -136,6 +132,10 @@ class FrozenClassifier:
         # every entry of pool @ (projection @ z) is at most this times max |z|
         object.__setattr__(self, "_prompt_gain", float(
             (np.abs(self.pool) @ np.abs(self.projection).sum(axis=1)).max()))
+
+    @property
+    def classes(self) -> int:
+        return self.w2.shape[0]
 
     @property
     def feature_dim(self) -> int:
@@ -175,21 +175,14 @@ class FrozenClassifier:
         b2 = rng.normal(0.0, 0.1, size=classes)
         pool = rng.normal(0.0, 1.0 / (np.sqrt(prompt_dim) * prompt_scale),
                           size=(pooled_dim, prompt_dim))
-        return cls(projection, w1, b1, w2, b2, pool, classes)
+        return cls(projection, w1, b1, w2, b2, pool)
 
     def logits(self, zs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """The logits of every (z, input) pair of a (K, d) stack and (n, F)
-        inputs, (K * n, C) in z-major order.
-
-        A pass holds at most ``TILE_ROWS`` rows or one z. A row tile's input
-        half ``inputs @ w1[:, :F].T + b1`` is computed once and shared by every
-        z; a z adds its prompt half ``prompt_map @ z``. Every other product is
-        one BLAS call per z with the shapes of a single-z call, and a tile is
-        never under ``TILE_ROWS`` rows, so every row equals its single-z row
-        bit for bit, whatever K is. A z whose prompt
-        ``pool @ (projection @ z)`` is not finite answers non-finite rows,
-        as the unfolded first layer did, although its prompt half may be finite.
-        """
+        inputs, (K * n, C) in z-major order, tiled as the module docstring
+        says. A z whose prompt ``pool @ (projection @ z)`` is not finite
+        answers non-finite rows, as the unfolded first layer did, although its
+        prompt half may be finite."""
         n, features = inputs.shape
         width = len(self.b1)
         out = np.empty((len(zs) * n, self.classes))
@@ -231,72 +224,91 @@ class FrozenClassifier:
         return out
 
 
-def check_query(z, inputs, feature_dim: int,
-                subspace_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """A query's z as a (K, d) matrix (one z is K = 1) and its inputs as an
-    (n, feature_dim) matrix; ValueError unless they have those shapes, with
-    d = ``subspace_dim``, and all entries finite."""
-    zs = np.asarray(z, dtype=float)
-    if zs.ndim not in (1, 2):
-        raise ValueError(f"z must be a (d,) vector or a (K, d) matrix, got shape {zs.shape}")
-    zs = zs if zs.ndim == 2 else zs[None]
-    if zs.shape[1] != subspace_dim:
-        raise ValueError(f"z has {zs.shape[1]} entries, expected {subspace_dim}")
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if inputs.ndim != 2 or inputs.shape[1] != feature_dim:
-        raise ValueError(f"inputs must be rows of {feature_dim} features, "
-                         f"got shape {inputs.shape}")
-    if not (np.isfinite(zs).all() and np.isfinite(inputs).all()):
-        raise ValueError("z and inputs must hold finite numbers only")
-    return zs, inputs
+class SimulatorHandle:
+    """The one handle every simulator presents: the built-in
+    ``SyntheticSimulator`` and the protocol client ``ExternalSimulator``.
 
-
-def check_decode_seeds(seeds, rows: int) -> list[int]:
-    """The sample-decode seeds as ints; ValueError, before anything is charged
-    or sent, unless there is one integer (not a bool) in [0, 2^64) per z."""
-    try:
-        values = [-1 if isinstance(seed, (bool, np.bool_)) else operator.index(seed)
-                  for seed in seeds]
-    except TypeError:
-        values = None
-    if values is None or len(values) != rows or not all(0 <= v < 2 ** 64 for v in values):
-        raise ValueError(f"sample decode needs one integer seed in [0, 2^64) per z "
-                         f"({rows}), got {seeds!r}")
-    return values
-
-
-class SyntheticSimulator:
-    """Query handle over a frozen classifier, with its access policy and budget.
+    ``modes`` names what a handle reveals: ``("logits", "labels")``, or
+    ``("labels",)`` for a labels-only one, which refuses ``query_logits``
+    with ``AccessDeniedError``. The four dimensions named in ``DIMENSIONS``
+    are plain attributes set once; the protocol handshake carries them under
+    those names. ``budget`` starts unlimited, and a handle takes a limit by
+    replacing it, ``sim.budget = EvalBudget(limit=n)``; a query that would
+    cross it raises ``BudgetExhaustedError`` naming the pairs used, the pairs
+    requested and the limit. ``close()`` is the one way to end a handle,
+    which is not a context manager.
 
     A query takes one z or a (K, d) stack and answers every (z, input) pair
-    in z-major order: rows k*n .. k*n + n - 1 belong to z number k. Each row
-    equals the single-z query's row bit for bit, whatever K is.
-
-    It presents the protocol client's handle: ``modes`` names what it reveals
-    (``allow_logits=False`` hides probabilities), the four dimensions are
-    plain attributes set once, ``budget`` starts unlimited (either handle
-    takes a limit as ``sim.budget = EvalBudget(limit=n)``), and ``close()``
-    releases nothing. A query changes only the budget counter, so concurrent
-    readers are safe.
+    in z-major order: rows k*n .. k*n + n - 1 belong to z number k. Every
+    query passes ``_admit`` first, which refuses it before anything is
+    charged and then charges all K * n pairs, so a query refused in process
+    is refused served, and an empty one (K = 0 or n = 0) is an empty answer
+    on both.
     """
 
-    def __init__(self, classifier: FrozenClassifier, allow_logits: bool = True):
-        self.classifier = classifier
-        self.modes = MODES if allow_logits else ("labels",)
+    DIMENSIONS = ("classes", "feature_dim", "prompt_dim", "subspace_dim")
+
+    def __init__(self, modes, classes: int, feature_dim: int, prompt_dim: int,
+                 subspace_dim: int):
+        self.modes = tuple(modes)
+        self.classes, self.feature_dim = classes, feature_dim
+        self.prompt_dim, self.subspace_dim = prompt_dim, subspace_dim
         self.budget = EvalBudget()
-        self.classes = classifier.classes
-        self.feature_dim = classifier.feature_dim
-        self.subspace_dim = classifier.subspace_dim
-        self.prompt_dim = classifier.prompt_dim
 
     def close(self) -> None:
         """Nothing to release; present so every simulator a run opens ends alike."""
 
-    def _raw_logits(self, zs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """Logits of every pair of a checked query, (K * n, classes), charged up
-        front; NumericalBreakdownError, the pairs staying charged, if finite
-        numbers overflow the model into a non-finite row."""
+    def _admit(self, mode: str, z, inputs, seeds=None):
+        """A query's z as a (K, d) matrix (one z is K = 1), its inputs as an
+        (n, F) matrix and its sample-decode seeds as ints, its K * n pairs
+        charged. Refused before anything is charged: AccessDeniedError unless
+        ``mode`` is one of ``modes``; ValueError unless the shapes hold, with
+        d = ``subspace_dim`` and F = ``feature_dim``, every entry is finite
+        and, when ``seeds`` are given, there is one integer (not a bool) in
+        [0, 2^64) per z."""
+        if mode not in self.modes:
+            raise AccessDeniedError("simulator is labels-only; probabilities are hidden")
+        zs = np.asarray(z, dtype=float)
+        if zs.ndim not in (1, 2):
+            raise ValueError(f"z must be a (d,) vector or a (K, d) matrix, got shape {zs.shape}")
+        zs = zs if zs.ndim == 2 else zs[None]
+        if zs.shape[1] != self.subspace_dim:
+            raise ValueError(f"z has {zs.shape[1]} entries, expected {self.subspace_dim}")
+        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+        if inputs.ndim != 2 or inputs.shape[1] != self.feature_dim:
+            raise ValueError(f"inputs must be rows of {self.feature_dim} features, "
+                             f"got shape {inputs.shape}")
+        if not (np.isfinite(zs).all() and np.isfinite(inputs).all()):
+            raise ValueError("z and inputs must hold finite numbers only")
+        if seeds is not None:
+            try:
+                ints = [-1 if isinstance(seed, (bool, np.bool_)) else operator.index(seed)
+                        for seed in seeds]
+            except TypeError:
+                ints = None
+            if ints is None or len(ints) != len(zs) or not all(0 <= v < 2 ** 64 for v in ints):
+                raise ValueError(f"sample decode needs one integer seed in [0, 2^64) per z "
+                                 f"({len(zs)}), got {seeds!r}")
+            seeds = ints
         self.budget.charge(len(zs) * len(inputs))
+        return zs, inputs, seeds
+
+
+class SyntheticSimulator(SimulatorHandle):
+    """The handle over a frozen classifier; ``allow_logits=False`` makes it
+    labels-only. Each row of a query equals the single-z query's row bit for
+    bit, whatever K is. A query changes only the budget counter, so
+    concurrent readers are safe."""
+
+    def __init__(self, classifier: FrozenClassifier, allow_logits: bool = True):
+        super().__init__(MODES if allow_logits else ("labels",),
+                         *(getattr(classifier, name) for name in self.DIMENSIONS))
+        self.classifier = classifier
+
+    def _raw_logits(self, zs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+        """Logits of every pair of an admitted query, (K * n, classes);
+        NumericalBreakdownError, the pairs staying charged, if finite numbers
+        overflow the model into a non-finite row."""
         with np.errstate(over="ignore", invalid="ignore"):  # the isfinite check below
             logits = self.classifier.logits(zs, inputs)
         if not np.isfinite(logits).all():
@@ -305,9 +317,7 @@ class SyntheticSimulator:
 
     def query_logits(self, z: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Class probability vector per (z, input) pair, shape (K * n, classes)."""
-        if "logits" not in self.modes:
-            raise AccessDeniedError("simulator is labels-only; probabilities are hidden")
-        zs, inputs = check_query(z, inputs, self.feature_dim, self.subspace_dim)
+        zs, inputs, _ = self._admit("logits", z, inputs)
         return softmax(self._raw_logits(zs, inputs))
 
     def query_labels(self, z: np.ndarray, inputs: np.ndarray, seeds=None) -> np.ndarray:
@@ -316,15 +326,14 @@ class SyntheticSimulator:
         z, the sample decode of ``sampled_labels``."""
         if seeds is not None:
             return self.sampled_labels(z, inputs, seeds)
-        zs, inputs = check_query(z, inputs, self.feature_dim, self.subspace_dim)
+        zs, inputs, _ = self._admit("labels", z, inputs)
         return np.argmax(self._raw_logits(zs, inputs), axis=1)
 
     def sampled_labels(self, z: np.ndarray, inputs: np.ndarray, seeds) -> np.ndarray:
         """Categorical draws, one per (z, input) pair: z number k's uniforms
         come from default_rng(seeds[k]) alone, so its labels do not depend on
         the other rows, and in-process and served sampling are bit-identical."""
-        zs, inputs = check_query(z, inputs, self.feature_dim, self.subspace_dim)
-        seeds = check_decode_seeds(seeds, len(zs))
+        zs, inputs, seeds = self._admit("labels", z, inputs, seeds)
         probs = softmax(self._raw_logits(zs, inputs))
         u = np.concatenate([np.empty(0)] + [
             np.random.default_rng(np.uint64(seed)).random(len(inputs)) for seed in seeds])

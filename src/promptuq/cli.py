@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -20,6 +19,7 @@ import numpy as np
 from . import estimators, predictive, uqeval
 from .abc_smc import distance_error_rate
 from .blackbox import MODES, TaskConfig, make_synthetic_task
+from .estimators import _finite_number
 from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      DegenerateWeightsError, EvaluationError, NumericalBreakdownError,
                      ProtocolError, StagnationError, config_from_dict)
@@ -27,14 +27,6 @@ from .experiment import (SPLITS, compare_configs_from_dict, compare_methods,
                          experiment_config_from_dict, run_experiment, save_curves)
 from .prompt_space import sample_prior, substream
 from .protocol import serve_stdio, serve_tcp
-
-
-def _finite_number(text: str) -> float:
-    """JSON's number grammar has no NaN or Infinity, and a float must fit."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite JSON number")
-    return value
 
 
 def _load_json(path, option: str):

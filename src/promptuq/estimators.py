@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -130,19 +131,28 @@ def is_json_number(value) -> bool:
     return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
 
 
+def _finite_number(text: str) -> float:
+    """JSON's number grammar has no NaN or Infinity, and a float must fit."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite JSON number")
+    return value
+
+
 def ndjson_records(path):
     """(line number, record) for each non-blank line of an NDJSON file; a line
     holding a JSON value that is not an object gives an empty record.
 
     Raises OSError if the file cannot be read and ValueError naming the line
-    if a line is not JSON.
+    if a line is not JSON or holds a number that is not finite.
     """
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line, parse_float=_finite_number,
+                                    parse_constant=_finite_number)
             except (ValueError, RecursionError) as exc:  # not JSON; deep nesting
                 raise ValueError(f"line {number}: {exc}") from exc
             yield number, record if isinstance(record, dict) else {}

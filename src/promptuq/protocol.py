@@ -25,13 +25,13 @@ stack of z; its answer holds all K * n rows in z-major order. ``seeds``
 argmax decoded. The seeds drive sample decoding and floats cross as their
 own bytes, so a served simulator reproduces in-process results bit for bit.
 
-Both ends keep no query rules of their own. The client checks a query with
-``blackbox.check_query`` (the handshake gives it the subspace dimension) and
-``check_decode_seeds`` before it charges or sends anything, sends nothing for
-an empty query, and registers each distinct input matrix once per
-connection. The server only decodes the JSON (an id in [0, 2^64), op, mode,
-dataset index, packed arrays) and answers through the simulator's own query,
-whose ValueError becomes a bad-request.
+Both ends keep no query rules of their own. The client admits a query
+through ``blackbox.SimulatorHandle._admit`` (the handshake gives it the
+dimensions and modes), which checks and charges it before anything is sent,
+sends nothing for an empty query, and registers each distinct input matrix
+once per connection. The server only decodes the JSON (an id in [0, 2^64),
+op, mode, dataset index, packed arrays) and answers through the simulator's
+own query, whose ValueError becomes a bad-request.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import sys
 
 import numpy as np
 
-from .blackbox import MODES, EvalBudget, check_decode_seeds, check_query
+from .blackbox import MODES, SimulatorHandle
 from .errors import (AccessDeniedError, BudgetExhaustedError, NumericalBreakdownError,
                      ProtocolError)
 from .uqeval import check_probability_table
@@ -150,21 +150,19 @@ class SocketTransport(_LineTransport):
         self._sock.close()
 
 
-class ExternalSimulator:
-    """Client of a protocol server, with the same handle as the built-in
-    simulator: the handshake sets ``modes`` and the four dimensions, and
-    ``close()`` ends the connection.
+class ExternalSimulator(SimulatorHandle):
+    """Client of a protocol server: the handshake sets ``modes`` and the four
+    dimensions, and ``close()`` ends the connection.
 
-    A query is checked, charged and sent as one request carrying its whole
-    (K, d) stack of z; its input matrix is registered with the server the
-    first time this connection sees it, so a repeated matrix costs only its z.
+    An admitted query is sent as one request carrying its whole (K, d) stack
+    of z; its input matrix is registered with the server the first time this
+    connection sees it, so a repeated matrix costs only its z.
     """
 
     def __init__(self, transport):
         self._transport = transport
         self._next_id = 0
         self._datasets: dict[str, int] = {}  # packed inputs -> server index
-        self.budget = EvalBudget()
         handshake = self._read_payload()
         version = handshake.get("protocol")
         if type(version) is not int or version != PROTOCOL_VERSION:
@@ -172,16 +170,14 @@ class ExternalSimulator:
                 f"unsupported handshake: the server speaks protocol "
                 f"{version!r}, this client protocol {PROTOCOL_VERSION}: "
                 f"{handshake}")
-        dims = [handshake.get(key)
-                for key in ("classes", "feature_dim", "prompt_dim", "subspace_dim")]
+        dims = [handshake.get(key) for key in self.DIMENSIONS]
         modes = handshake.get("modes")
         # positive JSON integers, at least two classes, distinct known modes with labels
         if not (all(type(dim) is int and dim > 0 for dim in dims) and dims[0] >= 2
                 and isinstance(modes, list) and "labels" in modes and all(m in MODES for m in modes)
                 and len(set(modes)) == len(modes)):
             raise ProtocolError(f"malformed handshake: {handshake}")
-        self.classes, self.feature_dim, self.prompt_dim, self.subspace_dim = dims
-        self.modes = tuple(modes)
+        super().__init__(modes, *dims)
 
     @classmethod
     def spawn(cls, argv: list[str]) -> "ExternalSimulator":
@@ -249,11 +245,10 @@ class ExternalSimulator:
 
     def _query(self, request: dict, zs: np.ndarray, inputs: np.ndarray, key: str,
                width: int, dtype: str) -> np.ndarray:
-        """Charge a checked query, then send it as one request and unpack the
-        answer's ``key`` field into its (K * n, ``width``) rows; an empty query
-        sends nothing."""
+        """Send an admitted query as one request and unpack the answer's
+        ``key`` field into its (K * n, ``width``) rows; an empty query sends
+        nothing."""
         rows = len(zs) * len(inputs)
-        self.budget.charge(rows)
         if rows == 0:
             return np.empty((0, width), dtype)
         request.update(zs=pack(zs, "<f8"), dataset=self._dataset(pack(inputs, "<f8")))
@@ -268,9 +263,7 @@ class ExternalSimulator:
 
     def query_logits(self, z: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Class probability vector per (z, input) pair, z-major, (K * n, classes)."""
-        if "logits" not in self.modes:
-            raise AccessDeniedError("server is labels-only; probabilities are hidden")
-        zs, inputs = check_query(z, inputs, self.feature_dim, self.subspace_dim)
+        zs, inputs, _ = self._admit("logits", z, inputs)
         probs = self._query({"mode": "logits"}, zs, inputs, "outputs", self.classes, "<f8")
         try:
             return check_probability_table(probs) if len(probs) else probs
@@ -279,10 +272,8 @@ class ExternalSimulator:
 
     def query_labels(self, z: np.ndarray, inputs: np.ndarray, seeds=None) -> np.ndarray:
         """Label per (z, input) pair, z-major, (K * n,); one seed per z sample-decodes."""
-        zs, inputs = check_query(z, inputs, self.feature_dim, self.subspace_dim)
-        request = {"mode": "labels"}
-        if seeds is not None:
-            request["seeds"] = check_decode_seeds(seeds, len(zs))
+        zs, inputs, seeds = self._admit("labels", z, inputs, seeds)
+        request = {"mode": "labels"} if seeds is None else {"mode": "labels", "seeds": seeds}
         labels = self._query(request, zs, inputs, "labels", 1, "<i8")[:, 0]
         if ((labels < 0) | (labels >= self.classes)).any():
             raise ProtocolError(f"labels outside [0, {self.classes})")
@@ -329,14 +320,9 @@ def serve(sim, rfile, wfile) -> None:
     at a newline byte and blank lines are skipped; a line that is not a UTF-8
     JSON object gets one bad-request response.
     """
-    handshake = {
-        "protocol": PROTOCOL_VERSION,
-        "classes": sim.classes,
-        "feature_dim": sim.feature_dim,
-        "prompt_dim": sim.prompt_dim,
-        "subspace_dim": sim.subspace_dim,
-        "modes": list(sim.modes),
-    }
+    handshake = {"protocol": PROTOCOL_VERSION,
+                 **{name: getattr(sim, name) for name in SimulatorHandle.DIMENSIONS},
+                 "modes": list(sim.modes)}
     try:
         wfile.write(_encode(handshake))
         wfile.flush()

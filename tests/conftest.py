@@ -89,7 +89,7 @@ def build_uniform_simulator(subspace_dim=4, feature_dim=4, classes=2, seed=1,
     base = FrozenClassifier.create(feature_dim, projection, classes, hidden=8,
                                    seed=seed)
     net = FrozenClassifier(projection, base.w1, base.b1, np.zeros_like(base.w2),
-                           np.zeros_like(base.b2), base.pool, classes)
+                           np.zeros_like(base.b2), base.pool)
     return SyntheticSimulator(net, allow_logits=allow_logits)
 
 
@@ -101,7 +101,7 @@ def build_fixed_probs_simulator(log_probs, feature_dim=3, seed=0):
                                    seed=seed)
     net = FrozenClassifier(projection, np.zeros_like(base.w1), np.zeros_like(base.b1),
                            np.zeros_like(base.w2), np.asarray(log_probs, dtype=float),
-                           base.pool, classes)
+                           base.pool)
     return SyntheticSimulator(net)
 
 

@@ -25,14 +25,28 @@ def test_uniform_simulator_returns_uniform_rows(uniform_sim):
     assert np.allclose(probs, 0.5)
 
 
-@pytest.mark.parametrize("projection,match", [
-    (make_projection(2, 6, seed=0), "projection shape"),  # rows != the pooling's 8
-    (np.array([[1.0, 0.0]] * 7 + [[np.nan, 0.0]]), "projection contains non-finite"),
+SHAPES_DISAGREE = "weight shapes disagree"
+
+
+# the base classifier: F = 3, d = 2, prompt_dim 8, pooled 8, hidden 4, C = 2
+@pytest.mark.parametrize("name,weight,match", [
+    pytest.param("projection", make_projection(2, 6, seed=0), SHAPES_DISAGREE,
+                 id="projection0-projection shape"),  # rows != the pooling's 8
+    pytest.param("projection", np.array([[1.0, 0.0]] * 7 + [[np.nan, 0.0]]),
+                 "projection contains non-finite", id="projection1-projection contains non-finite"),
+    pytest.param("w2", np.ones((3, 4)), SHAPES_DISAGREE, id="w2-three classes, b2 two"),
+    pytest.param("w2", np.ones((2, 5)), SHAPES_DISAGREE, id="w2-five hidden, w1 four"),
+    pytest.param("b1", np.ones(3), SHAPES_DISAGREE, id="b1-one entry short"),
+    pytest.param("b2", np.ones(3), SHAPES_DISAGREE, id="b2-three classes, w2 two"),
+    pytest.param("w1", np.ones((5, 11)), SHAPES_DISAGREE, id="w1-five hidden, b1 four"),
+    pytest.param("w1", np.ones((4, 8)), SHAPES_DISAGREE, id="w1-no feature columns"),
+    pytest.param("w1", np.ones(44), SHAPES_DISAGREE, id="w1-a vector"),
+    pytest.param("pool", np.ones((8, 6)), SHAPES_DISAGREE, id="pool-prompt_dim 6, projection 8"),
 ])
-def test_classifier_refuses_a_projection_that_does_not_fit(projection, match):
+def test_classifier_refuses_a_projection_that_does_not_fit(name, weight, match):
     base = FrozenClassifier.create(3, make_projection(2, 8, seed=0), 2, hidden=4, seed=0)
     with pytest.raises(ValueError, match=match):
-        FrozenClassifier(projection, base.w1, base.b1, base.w2, base.b2, base.pool, 2)
+        dataclasses.replace(base, **{name: weight})
 
 
 def test_query_logits_deterministic(criterion_task):

@@ -383,6 +383,7 @@ def test_cli_exit_codes(tmp_path, capsys):
                        ("labels", '{"x": [0.0], "y": "a"}\n'), ("empty", ""),
                        ("nested", "[" * 100_000 + "\n"),
                        ("huge", '{"x": [1%s], "y": 0}\n' % ("0" * 400)),
+                       ("infinite", '{"x": [0.0], "y": 0}\n{"x": [Infinity], "y": 0}\n'),
                        ("list", "[0.0, 1.0]\n")):
         path = tmp_path / f"{name}.ndjson"
         if text is not None:
@@ -393,7 +394,10 @@ def test_cli_exit_codes(tmp_path, capsys):
                                   "test": str(path)}},
             "method": "rejection_abc", "seed": 1, "evaluation": ["calibration"]})
         assert main(["tune", "--config", config, "--out", str(tmp_path / name)]) == 2
-        assert "task.datasets.test" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "task.datasets.test" in err
+        if name == "infinite":  # refused as it is parsed, naming its line
+            assert "line 2: Infinity is not a finite JSON number" in err
         assert not (tmp_path / name).exists()
     assert not marker.exists()
 
@@ -447,7 +451,10 @@ def test_cli_exit_codes(tmp_path, capsys):
                             (bool_weight, "logits"), (huge_z, "logits")):
         assert main(["predict", "--task", task_path, "--posterior", str(posterior),
                      "--mode", mode, "--out", pred_csv]) == 2
-        assert "posterior" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "posterior" in err
+        if posterior == nan_z:
+            assert "line 1" in err
     assert main(["eval", "--pred", str(tmp_path / "missing.csv"), "--task", task_path,
                  "--out", str(tmp_path / "eval")]) == 2
     assert main(["eval", "--pred", pred_csv, "--pred-ood", str(tmp_path / "missing.csv"),
