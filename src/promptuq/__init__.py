@@ -4,6 +4,7 @@ classifiers, with calibration, selective-classification and OOD evaluation."""
 from .abc_smc import (RejectionConfig, SmcConfig, abc_smc, decay_tolerance,
                       distance_error_rate, effective_sample_size, initial_tolerance,
                       rejection_abc, update_kernel_variance, update_weights)
+from .artifacts import load_ensemble, save_ensemble
 from .blackbox import (EvalBudget, FrozenClassifier, LabeledSet, SyntheticSimulator,
                        SyntheticTask, TaskConfig, make_synthetic_task)
 from .cmaes import MinimizeResult, SearchState, ask, es_init, minimize, tell
@@ -12,8 +13,8 @@ from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      NumericalBreakdownError, ProtocolError, StagnationError)
 from .estimators import (EnsembleConfig, EsConfig, GfviConfig, PosteriorEnsemble,
                          elbo_estimate, ensemble_tune, gfvi_tune,
-                         kl_diag_gaussian_to_prior, load_ensemble,
-                         negative_log_likelihood, point_estimate, save_ensemble)
+                         kl_diag_gaussian_to_prior, negative_log_likelihood,
+                         point_estimate)
 from .experiment import (ExperimentConfig, compare_methods,
                          experiment_config_from_dict, run_experiment)
 from .predictive import (PredictiveTable, predictive_from_labels,

@@ -120,7 +120,8 @@ class FrozenClassifier:
         hidden, classes = self.w1.shape[:1], self.w2.shape[:1]
         if not (self.w1.ndim == self.w2.ndim == self.pool.ndim == self.projection.ndim == 2
                 and self.b1.shape == hidden == self.w2.shape[1:] and self.b2.shape == classes
-                and self.feature_dim > 0 and len(self.projection) == self.prompt_dim):
+                and self.classes >= 2 and self.feature_dim > 0
+                and len(self.projection) == self.prompt_dim):
             raise ValueError("classifier weight shapes disagree: " + ", ".join(
                 f"{name} {getattr(self, name).shape}" for name in names))
         for name in names:
@@ -159,8 +160,6 @@ class FrozenClassifier:
         entries under the task prior; the pooling map is shrunk by it so the
         pooled prompt is O(1) regardless of the prior scale.
         """
-        if classes < 2:
-            raise ValueError("need at least two classes")
         prompt_dim = len(projection)
         if min(feature_dim, prompt_dim, hidden) < 1:
             raise ValueError("dimensions must be positive")

@@ -1,46 +1,30 @@
 """Command-line entry points.
 
 Subcommands: task, tune, predict, eval, compare, lower-bound, serve.
-Exit codes: 0 success, 2 config error, 3 budget, stagnation or numerical
-breakdown, 4 simulator or protocol error.
+Exit codes: 0 success, 2 config error, 3 budget, stagnation, numerical
+breakdown or an allocation numpy refuses, 4 simulator or protocol error.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
-from . import estimators, predictive, uqeval
+from . import artifacts, predictive, uqeval
 from .abc_smc import distance_error_rate
 from .blackbox import MODES, TaskConfig, make_synthetic_task
-from .estimators import _finite_number
 from .errors import (AccessDeniedError, BudgetExhaustedError, ConfigError,
                      DegenerateWeightsError, EvaluationError, NumericalBreakdownError,
                      ProtocolError, StagnationError, config_from_dict)
 from .experiment import (SPLITS, compare_configs_from_dict, compare_methods,
-                         experiment_config_from_dict, run_experiment, save_curves)
+                         experiment_config_from_dict, run_experiment)
 from .prompt_space import sample_prior, substream
 from .protocol import serve_stdio, serve_tcp
-
-
-def _load_json(path, option: str):
-    """The JSON object in ``path``; a config error naming ``option`` otherwise."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
-    except OSError as exc:
-        raise ConfigError(option, f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError; deep nesting
-        raise ConfigError(option, f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(option, f"{path} must hold a JSON object")
-    return data
 
 
 @contextlib.contextmanager
@@ -53,8 +37,17 @@ def _oserror_names(option: str):
         raise ConfigError(option, str(exc)) from exc
 
 
+def _load(read, path, option: str):
+    """``read(path)``; a file it cannot read or parse is a config error naming
+    ``option``."""
+    try:
+        return read(path)
+    except (OSError, ValueError, StopIteration) as exc:  # StopIteration: a CSV without a header
+        raise ConfigError(option, f"cannot load {path}: {exc}") from exc
+
+
 def _load_task(path, option: str = "task") -> TaskConfig:
-    return config_from_dict(TaskConfig, _load_json(path, option), "task")
+    return config_from_dict(TaskConfig, artifacts.load_json_object(path, option), "task")
 
 
 def cmd_task(args) -> int:
@@ -64,7 +57,7 @@ def cmd_task(args) -> int:
         path = os.path.join(args.out, "task.json")
         with _oserror_names("out"):
             os.makedirs(args.out, exist_ok=True)
-            uqeval.save_summary_json(asdict(cfg), path)
+            artifacts.save_summary_json(asdict(cfg), path)
         print(f"wrote {path}")
     if args.inspect:
         sim = task.simulator()
@@ -81,7 +74,7 @@ def cmd_task(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    config = experiment_config_from_dict(_load_json(args.config, "config"))
+    config = experiment_config_from_dict(artifacts.load_json_object(args.config, "config"))
     with _oserror_names("out"):  # the run converts its reads and simulator I/O itself
         report = run_experiment(config, args.out)
     print(f"wrote {report.files['summary']}")
@@ -95,10 +88,7 @@ def cmd_tune(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_task(args.task)
     task = make_synthetic_task(cfg)
-    try:
-        ensemble = estimators.load_ensemble(args.posterior)
-    except (OSError, ValueError) as exc:
-        raise ConfigError("posterior", f"cannot load {args.posterior}: {exc}") from exc
+    ensemble = _load(artifacts.load_ensemble, args.posterior, "posterior")
     if ensemble.samples.shape[1] != task.prior.dim:
         raise ConfigError("posterior", f"z has {ensemble.samples.shape[1]} entries, "
                                        f"the task's prior dim is {task.prior.dim}")
@@ -112,22 +102,15 @@ def cmd_predict(args) -> int:
         rng = substream(args.seed) if args.decode == "sample" else None
         table = predictive.predictive_from_labels(ensemble, sim, inputs, rng)
     with _oserror_names("out"):
-        predictive.save_predictive_csv(table, args.out)
+        artifacts.save_predictive_csv(table, args.out)
     print(f"wrote {args.out} ({len(table.probs)} rows, {table.classes} classes)")
     return 0
 
 
-def _load_table(path, option: str) -> predictive.PredictiveTable:
-    try:
-        return predictive.load_predictive_csv(path)
-    except (OSError, ValueError, StopIteration) as exc:  # StopIteration: no header
-        raise ConfigError(option, f"cannot load {path}: {exc}") from exc
-
-
 def cmd_eval(args) -> int:
-    table = _load_table(args.pred, "pred")
+    table = _load(artifacts.load_predictive_csv, args.pred, "pred")
     if args.pred_ood:
-        ood_table = _load_table(args.pred_ood, "pred_ood")
+        ood_table = _load(artifacts.load_predictive_csv, args.pred_ood, "pred_ood")
         if ood_table.classes != table.classes:
             raise ConfigError("pred_ood", f"{args.pred_ood} has {ood_table.classes} classes, "
                                           f"{args.pred} has {table.classes}")
@@ -147,8 +130,8 @@ def cmd_eval(args) -> int:
     path = os.path.join(args.out, "eval.json")
     with _oserror_names("out"):
         os.makedirs(args.out, exist_ok=True)
-        save_curves(curves, args.out, "ood" if args.pred_ood else "selective", {})
-        uqeval.save_summary_json(summary, path)
+        artifacts.save_curves(curves, args.out, "ood" if args.pred_ood else "selective", {})
+        artifacts.save_summary_json(summary, path)
     print(f"wrote {path}")
     for key, value in sorted(summary.items()):
         print(f"{key}: {value:.6f}")
@@ -156,7 +139,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    configs = compare_configs_from_dict(_load_json(args.config, "config"))
+    configs = compare_configs_from_dict(artifacts.load_json_object(args.config, "config"))
     with _oserror_names("out"):
         rows = compare_methods(configs, args.out)
     headers = list(rows[0].keys())
@@ -168,20 +151,9 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _load_flags(path) -> np.ndarray:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
-        raise ConfigError("flags", f"cannot read {path}: {exc}") from exc
-    if not lines or not set(lines) <= {"0", "1"}:
-        raise ConfigError("flags", f"{path} must hold one 0 or 1 per line, at least one")
-    return np.array(lines) == "1"
-
-
 def cmd_lower_bound(args) -> int:
     if args.flags:
-        flags = _load_flags(args.flags)
+        flags = artifacts.load_flags(args.flags)
     elif args.n_id is not None and args.n_ood is not None:
         if min(args.n_id, args.n_ood) < 0 or args.n_id + args.n_ood == 0:
             raise ConfigError("n_id", "--n-id and --n-ood must be non-negative "
@@ -194,7 +166,7 @@ def cmd_lower_bound(args) -> int:
     if args.out:
         curve = uqeval.risk_rejection_curve(np.where(flags, 100.0, 0.0), flags)
         with _oserror_names("out"):
-            uqeval.save_curve_csv(curve, args.out)
+            artifacts.save_curve_csv(curve, args.out)
         print(f"wrote {args.out}")
     print(f"lower bound: {value:.6f}")
     return 0
@@ -284,7 +256,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExhaustedError, StagnationError, EvaluationError,
-            NumericalBreakdownError, DegenerateWeightsError) as exc:
+            NumericalBreakdownError, DegenerateWeightsError, MemoryError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 3
     except (ProtocolError, AccessDeniedError) as exc:

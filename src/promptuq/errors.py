@@ -1,11 +1,13 @@
-"""Exception types shared across the toolkit, and the one config loader.
+"""Exception types shared across the toolkit, the one config loader, and the
+one rule for a JSON number.
 
 Plain ``ValueError`` is used for dimension and argument validation; the
 classes here mark domain events a caller may want to catch and handle.
 
 ``config_from_dict`` is the only way a JSON object becomes a config dataclass
 (a task, a prior, a method's params), so every config error names its dotted
-key, such as ``task.n_train`` or ``task.prior.sigma``.
+key, such as ``task.n_train`` or ``task.prior.sigma``. ``is_json_number`` is
+the rule that loader's float fields and every reader in ``artifacts`` apply.
 """
 
 import sys
@@ -73,6 +75,12 @@ def check_keys(payload, known, path: str, required=()) -> dict:
     return payload
 
 
+def is_json_number(value) -> bool:
+    """A finite JSON number: a finite float or an integer within the float
+    range, never a bool."""
+    return type(value) in (float, int) and abs(value) <= sys.float_info.max
+
+
 def config_from_dict(cls, payload, path: str):
     """Build dataclass ``cls`` from the JSON object at dotted ``path``: refuse
     bad keys (``check_keys``), then values not of their field's annotated type
@@ -88,7 +96,7 @@ def config_from_dict(cls, payload, path: str):
                 isinstance(value, kinds[kind]) for kind in f.type.split(" | "))):
             raise ConfigError(_key(path, f.name),
                               f"must be {f.type}, got {type(value).__name__}")
-        if "float" in f.type and type(value) is int and abs(value) > sys.float_info.max:
+        if "float" in f.type and type(value) is int and not is_json_number(value):
             raise ConfigError(_key(path, f.name), "is beyond the float range")
     try:
         return cls(**payload)

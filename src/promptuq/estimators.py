@@ -21,16 +21,13 @@ so parallel candidate evaluation cannot change results. All three are one
 each generation one query of the E * population rows (a 100 KB probability
 block at E = 10, population 20, 32 inputs, 2 classes) or of every GFVI
 candidate's draws. Stacked rows equal single-z rows bit for bit, so each
-member's trajectory and its member-major ``trace.csv`` rows are unchanged.
+member's trajectory and its member-major trace rows are unchanged.
 A member that diverges or meets a non-finite loss stops the whole fit.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import math
-import sys
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -98,7 +95,7 @@ class PosteriorEnsemble:
     weights: np.ndarray            # (size,), nonnegative, sums to 1
     provenance: str
     diagnostics: dict[str, float] = field(default_factory=dict)
-    trace: dict[str, list] = field(default_factory=dict)  # trace.csv columns, in order
+    trace: dict[str, list] = field(default_factory=dict)  # trace columns by name, in order
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -116,63 +113,6 @@ class PosteriorEnsemble:
     @property
     def size(self) -> int:
         return len(self.samples)
-
-
-def save_ensemble(ensemble: PosteriorEnsemble, path) -> None:
-    """Newline-delimited JSON, one record {index, weight, z} per sample."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, (w, z) in enumerate(zip(ensemble.weights, ensemble.samples)):
-            fh.write(json.dumps({"index": i, "weight": float(w),
-                                 "z": [float(v) for v in z]}) + "\n")
-
-
-def is_json_number(value) -> bool:
-    """A JSON number (not a bool) within the float range."""
-    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
-
-
-def _finite_number(text: str) -> float:
-    """JSON's number grammar has no NaN or Infinity, and a float must fit."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite JSON number")
-    return value
-
-
-def ndjson_records(path):
-    """(line number, record) for each non-blank line of an NDJSON file; a line
-    holding a JSON value that is not an object gives an empty record.
-
-    Raises OSError if the file cannot be read and ValueError naming the line
-    if a line is not JSON or holds a number that is not finite.
-    """
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line, parse_float=_finite_number,
-                                    parse_constant=_finite_number)
-            except (ValueError, RecursionError) as exc:  # not JSON; deep nesting
-                raise ValueError(f"line {number}: {exc}") from exc
-            yield number, record if isinstance(record, dict) else {}
-
-
-def load_ensemble(path) -> PosteriorEnsemble:
-    """Records {"weight": number, "z": [numbers]}, as ``save_ensemble`` writes them.
-
-    Raises OSError if the file cannot be read and ValueError naming the line
-    of a malformed record.
-    """
-    samples, weights = [], []
-    for number, record in ndjson_records(path):
-        z, weight = record.get("z"), record.get("weight")
-        if not (isinstance(z, list) and all(map(is_json_number, z))
-                and is_json_number(weight)):
-            raise ValueError(f"line {number}: need {{\"weight\": number, \"z\": [numbers]}}")
-        samples.append(z)
-        weights.append(weight)
-    return PosteriorEnsemble(np.asarray(samples), np.asarray(weights), "loaded")
 
 
 def negative_log_likelihood(sim, z: np.ndarray, dataset: LabeledSet) -> np.ndarray:

@@ -9,24 +9,18 @@ fields, and ``ExternalTaskSpec.__post_init__`` every rule on an endpoint, so a
 config built in code fails as its JSON twin does.
 
 Every run is a pure function of (config, seed): the task is rebuilt from its
-config, methods consume named substreams of the experiment seed (the key table
-in ``prompt_space.substream``), and all artifacts (summary JSON, posterior
-NDJSON, trace and curve CSVs) are written with deterministic formatting so
-reruns are byte-identical.
+config, and methods consume named substreams of the experiment seed (the key
+table in ``prompt_space.substream``). ``artifacts`` formats what a run writes.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import os
-import shutil
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import estimators, predictive, uqeval
+from . import artifacts, estimators, predictive, uqeval
 from .abc_smc import RejectionConfig, SmcConfig, abc_smc, rejection_abc
 from .blackbox import MODES, LabeledSet, TaskConfig, make_synthetic_task
 from .errors import ConfigError, check_keys, config_from_dict
@@ -164,28 +158,6 @@ def compare_configs_from_dict(payload: dict) -> list[ExperimentConfig]:
     return configs
 
 
-def load_labeled_ndjson(path) -> LabeledSet:
-    """Records {"x": [...], "y": int}; y may be omitted for unlabeled OOD rows.
-
-    Raises OSError if the file cannot be read and ValueError if it is malformed.
-    """
-    xs, ys = [], []
-    for number, record in estimators.ndjson_records(path):
-        x, y = record.get("x"), record.get("y", -1)
-        if not (isinstance(x, list) and all(map(estimators.is_json_number, x))
-                and type(y) is int):
-            raise ValueError(f"line {number}: need {{\"x\": [numbers], \"y\": int}}")
-        xs.append(x)
-        ys.append(y)
-    try:
-        data = LabeledSet(np.array(xs, dtype=float), np.array(ys, dtype=np.int64))
-    except OverflowError as exc:  # a label beyond int64
-        raise ValueError(f"number out of range: {exc}") from exc
-    if data.X.ndim != 2 or data.X.size == 0 or not np.isfinite(data.X).all():
-        raise ValueError("need one or more records with equal-length finite x rows")
-    return data
-
-
 def _open_context(config: ExperimentConfig) -> tuple[object, PriorSpec,
                                                      dict[str, LabeledSet]]:
     """The run's simulator, prior and the splits_read of the run (OOD rows
@@ -200,7 +172,7 @@ def _open_context(config: ExperimentConfig) -> tuple[object, PriorSpec,
     for name in names:
         path = task.datasets[name]
         try:
-            splits[name] = load_labeled_ndjson(path)
+            splits[name] = artifacts.load_labeled_ndjson(path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"task.datasets.{name}", f"{path}: {exc}") from exc
     if task.argv is not None:
@@ -253,25 +225,6 @@ RUN_FILES = ("summary.json", "posterior.ndjson", "trace.csv") + tuple(
     for block in (EVAL_SELECTIVE, EVAL_NEAR_OOD, EVAL_FAR_OOD) for score in uqeval.SCORES)
 
 
-def save_curves(curves: dict, out_dir: str, block: str, files: dict[str, str]) -> None:
-    """Each score's curve to ``curve_<block>_<score>.csv``, its path into ``files``.
-
-    Equal curves are formatted once: a curve whose risks have the same dtype
-    and bits as an earlier one's gets a copy of that file, byte-identical to
-    what ``uqeval.save_curve_csv`` writes for it alone. With two classes both
-    scores rank the rows alike, so a block's two curves are usually equal."""
-    written: dict[tuple[str, bytes], str] = {}  # (dtype, bits) of risks -> its file
-    for score, curve in curves.items():
-        name = f"curve_{block}_{score}"
-        path = files[name] = os.path.join(out_dir, f"{name}.csv")
-        key = (curve.risks.dtype.str, curve.risks.tobytes())
-        if key in written:
-            shutil.copyfile(written[key], path)
-        else:
-            uqeval.save_curve_csv(curve, path)
-            written[key] = path
-
-
 @dataclass
 class ExperimentReport:
     summary: dict
@@ -290,14 +243,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
                                                 config.params, config.seed)
 
         posterior_path = os.path.join(out_dir, "posterior.ndjson")
-        estimators.save_ensemble(ensemble, posterior_path)
+        artifacts.save_ensemble(ensemble, posterior_path)
         files["posterior"] = posterior_path
         if ensemble.trace:
             files["trace"] = os.path.join(out_dir, "trace.csv")
-            with open(files["trace"], "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(ensemble.trace)
-                writer.writerows(zip(*ensemble.trace.values()))
+            artifacts.save_trace_csv(ensemble.trace, files["trace"])
 
         summary: dict = {
             "method": config.method,
@@ -327,16 +277,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
                 summary["ece"] = ece
             if EVAL_SELECTIVE in config.evaluation:
                 summary[EVAL_SELECTIVE] = block
-                save_curves(curves, out_dir, EVAL_SELECTIVE, files)
+                artifacts.save_curves(curves, out_dir, EVAL_SELECTIVE, files)
         for name in (EVAL_NEAR_OOD, EVAL_FAR_OOD):
             if name in tables:
                 summary[name], curves = uqeval.ood_detection_eval(tables["test"].probs,
                                                                   tables[name].probs)
-                save_curves(curves, out_dir, name, files)
+                artifacts.save_curves(curves, out_dir, name, files)
 
         summary["simulator_calls"] = sim.budget.used
         summary_path = os.path.join(out_dir, "summary.json")
-        uqeval.save_summary_json(summary, summary_path)
+        artifacts.save_summary_json(summary, summary_path)
         files["summary"] = summary_path
         return ExperimentReport(summary=summary, files=files)
     finally:
@@ -369,10 +319,6 @@ def compare_methods(configs: list[ExperimentConfig], out_dir: str) -> list[dict]
         rows.append(row)
 
     os.makedirs(out_dir, exist_ok=True)
-    uqeval.save_summary_json(rows, os.path.join(out_dir, "compare.json"))
-    with open(os.path.join(out_dir, "compare.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")  # floats as repr, None as ""
-        writer.writerow(rows[0])
-        writer.writerows(row.values() for row in rows)
+    artifacts.save_summary_json(rows, os.path.join(out_dir, "compare.json"))
+    artifacts.save_compare_csv(rows, os.path.join(out_dir, "compare.csv"))
     return rows

@@ -8,7 +8,6 @@ average; general weights let importance-weighted sample sets be evaluated.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,45 +80,3 @@ def predictive_from_labels(ensemble: PosteriorEnsemble, sim, inputs: np.ndarray,
     for w, labels in _sample_blocks(ensemble, inputs, query):
         rows[positions, labels] += w
     return PredictiveTable(rows)
-
-
-def save_predictive_csv(table: PredictiveTable, path) -> None:
-    """Columns p_0..p_{C-1} plus the argmax predicted class."""
-    predicted = table.predicted()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"p_{c}" for c in range(table.classes)] + ["predicted"])
-        for row, cls in zip(table.probs, predicted):
-            writer.writerow([repr(float(v)) for v in row] + [int(cls)])
-
-
-def load_predictive_csv(path) -> PredictiveTable:
-    """A table exactly as ``save_predictive_csv`` writes it: the header
-    p_0..p_{C-1},predicted, C + 1 fields in every row, probabilities without
-    ``_`` or surrounding whitespace (``float`` takes both, ``repr`` writes
-    neither), and each row's ``predicted`` equal to its argmax. Raises
-    ValueError for anything else."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-            classes = len(header) - 1
-            if header != [f"p_{c}" for c in range(classes)] + ["predicted"]:
-                raise ValueError(f"header {','.join(header)!r} is not p_0..p_{{C-1}},predicted")
-            rows, predicted = [], []
-            for record in reader:
-                if len(record) != classes + 1:
-                    raise ValueError(f"line {reader.line_num}: {len(record)} fields, "
-                                     f"the header has {classes + 1}")
-                if any("_" in v or v != v.strip() for v in record[:-1]):
-                    raise ValueError(f"line {reader.line_num}: a probability holds '_' "
-                                     f"or surrounding whitespace")
-                rows.append([float(v) for v in record[:-1]])
-                predicted.append(record[-1])
-        except csv.Error as exc:  # such as a field past the csv module's size limit
-            raise ValueError(f"line {reader.line_num}: {exc}") from exc
-    table = PredictiveTable(np.asarray(rows))
-    for row, (written, cls) in enumerate(zip(predicted, table.predicted())):
-        if written != str(cls):
-            raise ValueError(f"row {row}: predicted {written!r}, its argmax is {cls}")
-    return table

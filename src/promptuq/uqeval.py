@@ -14,7 +14,6 @@ accuracy and ECE for selective classification), and each score's curve.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,22 +145,3 @@ def ood_detection_eval(id_probs: np.ndarray, ood_probs: np.ndarray) -> tuple[dic
     flags = np.concatenate([np.zeros(len(id_probs), dtype=bool),
                             np.ones(len(ood_probs), dtype=bool)])
     return _score_curves(np.vstack([id_probs, ood_probs]), flags)
-
-
-def save_curve_csv(curve: RiskRejectionCurve, path) -> None:
-    """Columns k, rejection_rate and risk, floats as repr, in the csv module's
-    default dialect: no field needs quoting and lines end in CRLF.
-
-    Equal curves give byte-identical files, so ``experiment.save_curves``
-    formats a block's equal curves once and copies the file."""
-    m = len(curve.risks)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("k,rejection_rate,risk\r\n")
-        fh.writelines(f"{k},{k / m!r},{risk!r}\r\n"
-                      for k, risk in enumerate(curve.risks.tolist()))
-
-
-def save_summary_json(summary: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")

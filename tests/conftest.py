@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from promptuq.blackbox import (FrozenClassifier, LabeledSet, SyntheticSimulator,
                                TaskConfig, make_synthetic_task)
@@ -119,3 +120,18 @@ def uniform_dataset():
 @pytest.fixture
 def wide_prior():
     return PriorSpec(4, 50.0)
+
+
+# every finite float: subnormals, -0.0 and +-max included
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+SUBNORMAL = float(np.nextafter(0.0, 1.0))
+FLOAT_MAX = sys.float_info.max
+
+
+def distributions(size: int):
+    """Lists of ``size`` nonnegative floats summing to 1 up to rounding, in any
+    order: ``size - 1`` entries drawn from [0, 1/size] (subnormals and -0.0
+    included) and 1 minus their sum."""
+    rest = st.lists(st.floats(0.0, 1.0 / size) | st.just(-0.0),
+                    min_size=size - 1, max_size=size - 1)
+    return rest.map(lambda entries: [1.0 - sum(entries)] + entries).flatmap(st.permutations)

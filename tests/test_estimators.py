@@ -3,18 +3,19 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_uniform_simulator
+from conftest import (FINITE_FLOATS, FLOAT_MAX, SUBNORMAL, build_uniform_simulator,
+                      distributions)
 from promptuq import cmaes
+from promptuq.artifacts import load_ensemble, save_ensemble
 from promptuq.blackbox import LabeledSet
 from promptuq.errors import AccessDeniedError, EvaluationError
 from promptuq.estimators import (EnsembleConfig, EsConfig, GfviConfig, PosteriorEnsemble,
                                  _decode_search_matrix, derive_seeds, elbo_estimate,
                                  ensemble_tune, gfvi_tune, kl_diag_gaussian_to_prior,
-                                 load_ensemble, negative_log_likelihood,
-                                 point_estimate, save_ensemble)
+                                 negative_log_likelihood, point_estimate)
 from promptuq.prompt_space import PriorSpec, sample_prior
 
 FAST_ES = EsConfig(population_size=8, max_generations=30)
@@ -317,15 +318,29 @@ def test_posterior_ensemble_validation():
         PosteriorEnsemble(np.zeros((2, 2)), np.array([np.nan, 1.0]), "loaded")
 
 
-def test_ensemble_ndjson_roundtrip(tmp_path):
-    ensemble = PosteriorEnsemble(np.arange(12.0).reshape(4, 3),
-                                 np.array([0.1, 0.2, 0.3, 0.4]), "abc_smc",
-                                 diagnostics={"ess": 3.0})
+@st.composite
+def sample_sets(draw):
+    """(samples, weights): a (size, d) matrix of any finite floats and one
+    weight per row, the weights a distribution."""
+    size, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(FINITE_FLOATS, min_size=d, max_size=d),
+                         min_size=size, max_size=size))
+    return rows, draw(distributions(size))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sample_sets())
+@example(([[SUBNORMAL, -FLOAT_MAX, -0.0], [FLOAT_MAX, 0.1, 3.0], [-SUBNORMAL, 0.0, 1e-310]],
+          [1.0, SUBNORMAL, -0.0]))
+def test_ensemble_ndjson_roundtrip(tmp_path, sample_set):
+    ensemble = PosteriorEnsemble(*sample_set, "abc_smc", diagnostics={"ess": 3.0})
     path = tmp_path / "posterior.ndjson"
     save_ensemble(ensemble, path)
     loaded = load_ensemble(path)
-    assert np.array_equal(loaded.samples, ensemble.samples)
-    assert np.allclose(loaded.weights, ensemble.weights)
+    # bit for bit, so -0.0 keeps its sign
+    assert np.array_equal(loaded.samples.view(np.uint64), ensemble.samples.view(np.uint64))
+    assert np.array_equal(loaded.weights.view(np.uint64), ensemble.weights.view(np.uint64))
 
 
 @pytest.mark.parametrize("record", [

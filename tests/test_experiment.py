@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 import promptuq
 from conftest import TINY_PARAMS, TINY_SEEDS, TINY_TASK
 from promptuq import EnsembleConfig, EsConfig, GfviConfig, RejectionConfig, SmcConfig
+from promptuq.artifacts import load_labeled_ndjson
 from promptuq.blackbox import TaskConfig, make_synthetic_task
 from promptuq.cli import main
 from promptuq.errors import (BudgetExhaustedError, ConfigError, NumericalBreakdownError,
                              StagnationError)
 from promptuq.experiment import (EVALUATIONS, METHODS, ExperimentConfig, ExternalTaskSpec,
                                  compare_configs_from_dict, compare_methods,
-                                 experiment_config_from_dict, load_labeled_ndjson,
-                                 run_experiment)
+                                 experiment_config_from_dict, run_experiment)
 from promptuq.prompt_space import PriorSpec
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -231,7 +231,7 @@ def _curves_alone(curves_by_block, out_dir):
     for block, curves in curves_by_block.items():
         for score, curve in curves.items():
             path = os.path.join(out_dir, f"curve_{block}_{score}.csv")
-            promptuq.uqeval.save_curve_csv(curve, path)
+            promptuq.artifacts.save_curve_csv(curve, path)
             with open(path, "rb") as fh:
                 expected[os.path.basename(path)] = fh.read()
     return expected
@@ -253,13 +253,13 @@ def test_save_curves_writes_each_curve_as_it_would_alone(tmp_path, monkeypatch, 
     curves = {score: _curve(r) for score, r in zip(promptuq.uqeval.SCORES, risks)}
     expected = _curves_alone({"selective": curves}, str(tmp_path / "alone"))
     calls = []
-    save_curve_csv = promptuq.uqeval.save_curve_csv
-    monkeypatch.setattr(promptuq.uqeval, "save_curve_csv",
+    save_curve_csv = promptuq.artifacts.save_curve_csv
+    monkeypatch.setattr(promptuq.artifacts, "save_curve_csv",
                         lambda curve, path: calls.append(path) or save_curve_csv(curve, path))
     files = {}
     out_dir = tmp_path / "grouped"
     out_dir.mkdir()
-    promptuq.experiment.save_curves(curves, str(out_dir), "selective", files)
+    promptuq.artifacts.save_curves(curves, str(out_dir), "selective", files)
     assert len(calls) == formatted
     assert list(files) == [f"curve_selective_{score}" for score in promptuq.uqeval.SCORES]
     assert {name: (out_dir / name).read_bytes() for name in expected} == expected
@@ -296,11 +296,11 @@ def test_cli_eval_curve_files_equal_each_curve_written_alone(tmp_path, capsys, c
     for name, rows in (("id", 40), ("ood", 24)):
         probs = rng.dirichlet(np.ones(classes), size=rows)
         paths.append(str(tmp_path / f"{name}.csv"))
-        promptuq.predictive.save_predictive_csv(promptuq.predictive.PredictiveTable(probs),
-                                                paths[-1])
+        promptuq.artifacts.save_predictive_csv(promptuq.predictive.PredictiveTable(probs),
+                                               paths[-1])
     assert main(["eval", "--pred", paths[0], "--pred-ood", paths[1],
                  "--out", str(tmp_path / "eval")]) == 0
-    tables = [promptuq.predictive.load_predictive_csv(path).probs for path in paths]
+    tables = [promptuq.artifacts.load_predictive_csv(path).probs for path in paths]
     _, curves = promptuq.uqeval.ood_detection_eval(*tables)
     expected = _curves_alone({"ood": curves}, str(tmp_path / "alone"))
     assert {name: (tmp_path / "eval" / name).read_bytes() for name in expected} == expected
@@ -317,14 +317,25 @@ def test_cli_exit_codes(tmp_path, capsys):
         payload("rejection_abc", sample_count=50, epsilon=0.03, max_draws=20))
     assert main(["tune", "--config", starved, "--out", str(tmp_path / "y")]) == 3
 
-    # numerical breakdowns are exit 3 too, not a traceback
+    # numerical breakdowns are exit 3 too, not a traceback, and so are allocations
+    # numpy refuses at once (these ask for tebibytes)
     tiny = {**SMALL_TASK, "prompt_dim": 16, "n_ood": 8, "seed": 1}
+    capsys.readouterr()
     for method, params in (("point_cmaes", {"sigma0": 1e308}),
-                           ("gfvi", {"search_step": 1000})):
+                           ("gfvi", {"search_step": 1000}),
+                           ("point_cmaes", {"population_size": 10 ** 13}),
+                           ("ensembles", {"sample_count": 10 ** 13}),
+                           ("gfvi", {"mc_samples": 10 ** 13})):
         config = write_json(tmp_path / f"{method}.json", {
             "task": tiny, "method": method, "seed": 0,
             "params": {"population_size": 4, "max_generations": 3, **params}})
         assert main(["tune", "--config", config, "--out", str(tmp_path / method)]) == 3
+        assert capsys.readouterr().err.startswith("tune: "), params
+    huge_task = write_json(tmp_path / "huge_task.json", {**tiny, "n_test": 10 ** 13})
+    for argv in (["task", "--config", huge_task],
+                 ["lower-bound", "--n-id", str(10 ** 13), "--n-ood", "1"]):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err.startswith(f"{argv[0]}: "), argv
 
     # JSON has no NaN or Infinity, and a task's numbers must stay finite
     for name, text in (("inf", json.dumps(payload("point_cmaes", sigma0=float("inf")))),

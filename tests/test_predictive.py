@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from conftest import SUBNORMAL, distributions
+from promptuq.artifacts import load_predictive_csv, save_predictive_csv
 from promptuq.blackbox import TILE_ROWS
 from promptuq.errors import AccessDeniedError
 
 from promptuq.estimators import PosteriorEnsemble
-from promptuq.predictive import (PredictiveTable, load_predictive_csv,
-                                 predictive_from_labels, predictive_from_logits,
-                                 save_predictive_csv)
+from promptuq.predictive import (PredictiveTable, predictive_from_labels,
+                                 predictive_from_logits)
 
 
 class StubSim:
@@ -181,8 +184,12 @@ def test_table_validation():
             PredictiveTable(np.array([[0.5, 0.5, 0.0], row]))
 
 
-def test_csv_roundtrip_and_tiebreak(tmp_path):
-    probs = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(distributions(3), max_size=6))
+@example([[1.0, SUBNORMAL, -0.0], [-0.0, 0.5, 0.5], [0.25, 0.75 - SUBNORMAL, SUBNORMAL]])
+def test_csv_roundtrip_and_tiebreak(tmp_path, rows):
+    probs = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]] + rows)
     table = PredictiveTable(probs)
     path = tmp_path / "pred.csv"
     save_predictive_csv(table, path)
@@ -190,7 +197,8 @@ def test_csv_roundtrip_and_tiebreak(tmp_path):
     assert text[0] == "p_0,p_1,p_2,predicted"
     assert text[1].endswith(",0")  # tie broken toward the lowest class
     loaded = load_predictive_csv(path)
-    assert np.array_equal(loaded.probs, probs)
+    # bit for bit, so -0.0 keeps its sign
+    assert np.array_equal(loaded.probs.view(np.uint64), probs.view(np.uint64))
 
 
 def test_logits_path_blocked_on_labels_only_simulator(criterion_task):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from promptuq.artifacts import save_curve_csv
 from promptuq.uqeval import (SCORES, ece, ood_detection_eval, oracle_lower_bound,
-                             risk_rejection_curve, save_curve_csv, score_rows,
+                             risk_rejection_curve, score_rows,
                              selective_classification_eval)
 
 
